@@ -45,7 +45,7 @@ def main() -> None:
     head = load_head(args.head, expected_fingerprint=SP_FINGERPRINT)
     classifier = PromptHeadClassifier(backend, head)
 
-    result = mine_issue(issue, classifier, backend, already_clean=True)
+    result = mine_issue(issue, classifier, backend)
 
     print(f"design sentences: {len(result.design_ids)}")
     print(f"supporting edges: {len(result.graph.supporting)}")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from rationale_miner.evaluation import (
@@ -50,7 +51,9 @@ def main() -> None:
     if args.corpus is not None:
         if args.annotations is None:
             parser.error("--annotations is required when --corpus is given")
-        issues = load_corpus(args.corpus)
+        issues, skipped = load_corpus(args.corpus)
+        for line in skipped:
+            print(f"skipping {line}", file=sys.stderr)
         annotations = load_annotations(args.annotations)
         print(f"loaded {len(issues)} issues from {args.corpus}")
     else:

@@ -9,7 +9,6 @@ training split; constant (or ablated) columns stay at zero.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Sentence
-from ..errors import FingerprintMismatch, ModelMissing
 from ..features import FEATURE_NAMES, keyword_flags, word_tokens
 from .heads import (
     DEFAULT_EPOCHS,
@@ -27,7 +25,9 @@ from .heads import (
     LogisticHead,
     SoftmaxHead,
     feature_fingerprint,
+    read_model,
     train_head,
+    write_model,
 )
 
 MIN_DOC_FREQ = 2
@@ -93,6 +93,14 @@ class _Scaler:
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (X - self.mean) * self.scale
 
+    def to_json(self) -> dict:
+        return {"scaler_mean": self.mean.tolist(), "scaler_scale": self.scale.tolist()}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "_Scaler":
+        return cls(mean=np.asarray(payload["scaler_mean"], dtype=np.float64),
+                   scale=np.asarray(payload["scaler_scale"], dtype=np.float64))
+
 
 @dataclass
 class BaselineModel:
@@ -113,15 +121,11 @@ class BaselineModel:
 
     def to_json(self) -> dict:
         return {
+            **self.head.to_json(), **self.scaler.to_json(),
             "kind": "design_baseline",
             "vocabulary": self.vectorizer.vocabulary,
             "idf": self.vectorizer.idf.tolist(),
-            "scaler_mean": self.scaler.mean.tolist(),
-            "scaler_scale": self.scaler.scale.tolist(),
-            "weights": self.head.weights.tolist(),
-            "bias": float(self.head.bias),
             "fingerprint": self.fingerprint,
-            "meta": self.head.meta,
         }
 
     @classmethod
@@ -130,33 +134,18 @@ class BaselineModel:
             vocabulary=list(payload["vocabulary"]),
             idf=np.asarray(payload["idf"], dtype=np.float64),
         )
-        scaler = _Scaler(mean=np.asarray(payload["scaler_mean"], dtype=np.float64),
-                         scale=np.asarray(payload["scaler_scale"], dtype=np.float64))
-        head = LogisticHead(weights=np.asarray(payload["weights"], dtype=np.float64),
-                            bias=float(payload["bias"]),
-                            fingerprint=payload.get("fingerprint", ""),
-                            meta=payload.get("meta", {}))
-        return cls(vectorizer=vectorizer, scaler=scaler, head=head,
+        return cls(vectorizer=vectorizer, scaler=_Scaler.from_json(payload),
+                   head=LogisticHead.from_json(payload),
                    fingerprint=payload.get("fingerprint", ""))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        write_model(self.to_json(), path)
 
     @classmethod
     def load(cls, path: str | Path, expected_fingerprint: str | None = None
              ) -> "BaselineModel":
-        file = Path(path)
-        if not file.exists():
-            raise ModelMissing(f"no baseline model at {file}")
-        payload = json.loads(file.read_text(encoding="utf-8"))
-        model = cls.from_json(payload)
-        if expected_fingerprint is not None and model.fingerprint != expected_fingerprint:
-            raise FingerprintMismatch(
-                f"baseline at {file} was trained on feature order "
-                f"{model.fingerprint!r}, expected {expected_fingerprint!r}"
-            )
-        return model
+        return read_model(path, "baseline", {"design_baseline": cls.from_json},
+                          expected_fingerprint)
 
 
 def train_baseline(texts: list[str], features: np.ndarray, labels: np.ndarray,
@@ -206,44 +195,22 @@ class PairBaselineModel:
         return self.predict_proba(pair_matrix).argmax(axis=1)
 
     def to_json(self) -> dict:
-        return {
-            "kind": "pair_baseline",
-            "scaler_mean": self.scaler.mean.tolist(),
-            "scaler_scale": self.scaler.scale.tolist(),
-            "weights": self.head.weights.tolist(),
-            "bias": self.head.bias.tolist(),
-            "fingerprint": self.fingerprint,
-            "meta": self.head.meta,
-        }
+        return {**self.head.to_json(), **self.scaler.to_json(),
+                "kind": "pair_baseline", "fingerprint": self.fingerprint}
 
     @classmethod
     def from_json(cls, payload: dict) -> "PairBaselineModel":
-        scaler = _Scaler(mean=np.asarray(payload["scaler_mean"], dtype=np.float64),
-                         scale=np.asarray(payload["scaler_scale"], dtype=np.float64))
-        head = SoftmaxHead(weights=np.asarray(payload["weights"], dtype=np.float64),
-                           bias=np.asarray(payload["bias"], dtype=np.float64),
-                           fingerprint=payload.get("fingerprint", ""),
-                           meta=payload.get("meta", {}))
-        return cls(scaler=scaler, head=head, fingerprint=payload.get("fingerprint", ""))
+        return cls(scaler=_Scaler.from_json(payload), head=SoftmaxHead.from_json(payload),
+                   fingerprint=payload.get("fingerprint", ""))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n",
-                              encoding="utf-8")
+        write_model(self.to_json(), path)
 
     @classmethod
     def load(cls, path: str | Path, expected_fingerprint: str | None = None
              ) -> "PairBaselineModel":
-        file = Path(path)
-        if not file.exists():
-            raise ModelMissing(f"no pair baseline model at {file}")
-        payload = json.loads(file.read_text(encoding="utf-8"))
-        model = cls.from_json(payload)
-        if expected_fingerprint is not None and model.fingerprint != expected_fingerprint:
-            raise FingerprintMismatch(
-                f"pair baseline at {file} was trained on feature order "
-                f"{model.fingerprint!r}, expected {expected_fingerprint!r}"
-            )
-        return model
+        return read_model(path, "pair baseline", {"pair_baseline": cls.from_json},
+                          expected_fingerprint)
 
 
 def train_pair_baseline(pair_matrix: np.ndarray, labels: np.ndarray,

@@ -3,7 +3,8 @@
 Training is deterministic full-batch gradient descent from zero weights, so
 the same data always yields byte-identical saved models.  Saved heads carry a
 fingerprint of the feature order they were trained on and refuse to load
-against a different layout.
+against a different layout.  ``write_model``/``read_model`` own the model-file
+format for every saved model, heads and baselines alike.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 from scipy.special import expit
@@ -45,6 +47,18 @@ class LogisticHead:
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(np.int64)
 
+    def to_json(self) -> dict:
+        return {"kind": "logistic", "weights": self.weights.tolist(),
+                "bias": float(self.bias), "fingerprint": self.fingerprint,
+                "meta": self.meta}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "LogisticHead":
+        return cls(weights=np.asarray(payload["weights"], dtype=np.float64),
+                   bias=float(payload["bias"]),
+                   fingerprint=payload.get("fingerprint", ""),
+                   meta=payload.get("meta", {}))
+
 
 def _softmax(z: np.ndarray) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
@@ -65,6 +79,18 @@ class SoftmaxHead:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
+
+    def to_json(self) -> dict:
+        return {"kind": "softmax", "weights": self.weights.tolist(),
+                "bias": self.bias.tolist(), "fingerprint": self.fingerprint,
+                "meta": self.meta}
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "SoftmaxHead":
+        return cls(weights=np.asarray(payload["weights"], dtype=np.float64),
+                   bias=np.asarray(payload["bias"], dtype=np.float64),
+                   fingerprint=payload.get("fingerprint", ""),
+                   meta=payload.get("meta", {}))
 
 
 def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
@@ -103,47 +129,54 @@ def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
     return SoftmaxHead(weights=W, bias=b, fingerprint=fingerprint, meta=meta)
 
 
-def save_head(head: LogisticHead | SoftmaxHead, path: str | Path) -> None:
-    if isinstance(head, LogisticHead):
-        payload = {
-            "kind": "logistic",
-            "weights": head.weights.tolist(),
-            "bias": float(head.bias),
-            "fingerprint": head.fingerprint,
-            "meta": head.meta,
-        }
-    else:
-        payload = {
-            "kind": "softmax",
-            "weights": head.weights.tolist(),
-            "bias": head.bias.tolist(),
-            "fingerprint": head.fingerprint,
-            "meta": head.meta,
-        }
+def write_model(payload: dict, path: str | Path) -> None:
+    """Write a model file: indented JSON with sorted keys and a final newline."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
+
+
+def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict], Any]],
+               expected_fingerprint: str | None = None) -> Any:
+    """Build the model held in a file written by ``write_model``.
+
+    ``builders`` maps each accepted ``kind`` to the constructor of that model.
+    A missing or unreadable file, content that is not a JSON object, another
+    kind and a missing or malformed field raise ModelMissing.  A fingerprint
+    other than ``expected_fingerprint`` (when given) raises FingerprintMismatch.
+    """
+    file = Path(path)
+    if not file.exists():
+        raise ModelMissing(f"no {name} model at {file}")
+    try:
+        payload = json.loads(file.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ModelMissing(f"{name} at {file} is not a readable JSON file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ModelMissing(f"{name} at {file} is not a JSON object")
+    fingerprint = payload.get("fingerprint", "")
+    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+        raise FingerprintMismatch(
+            f"{name} at {file} was trained on feature order {fingerprint!r}, "
+            f"expected {expected_fingerprint!r}"
+        )
+    kind = payload.get("kind")
+    build = builders.get(kind) if isinstance(kind, str) else None
+    if build is None:
+        raise ModelMissing(f"{name} at {file} has unknown kind {kind!r}")
+    try:
+        return build(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelMissing(f"{name} at {file} has a missing or malformed field: "
+                           f"{exc!r}") from exc
+
+
+def save_head(head: LogisticHead | SoftmaxHead, path: str | Path) -> None:
+    write_model(head.to_json(), path)
 
 
 def load_head(path: str | Path,
               expected_fingerprint: str | None = None) -> LogisticHead | SoftmaxHead:
     """Load a saved head, checking its feature-order fingerprint if given."""
-    file = Path(path)
-    if not file.exists():
-        raise ModelMissing(f"no head model at {file}")
-    payload = json.loads(file.read_text(encoding="utf-8"))
-    fingerprint = payload.get("fingerprint", "")
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
-        raise FingerprintMismatch(
-            f"head at {file} was trained on feature order {fingerprint!r}, "
-            f"expected {expected_fingerprint!r}"
-        )
-    meta = payload.get("meta", {})
-    if payload.get("kind") == "logistic":
-        return LogisticHead(weights=np.asarray(payload["weights"], dtype=np.float64),
-                            bias=float(payload["bias"]), fingerprint=fingerprint,
-                            meta=meta)
-    if payload.get("kind") == "softmax":
-        return SoftmaxHead(weights=np.asarray(payload["weights"], dtype=np.float64),
-                           bias=np.asarray(payload["bias"], dtype=np.float64),
-                           fingerprint=fingerprint, meta=meta)
-    raise ModelMissing(f"head at {file} has unknown kind {payload.get('kind')!r}")
+    return read_model(path, "head",
+                      {"logistic": LogisticHead.from_json, "softmax": SoftmaxHead.from_json},
+                      expected_fingerprint)

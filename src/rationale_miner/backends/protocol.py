@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import requests
 

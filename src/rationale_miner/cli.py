@@ -11,13 +11,14 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from .backends.baseline import train_baseline, train_pair_baseline
 from .backends.heads import save_head, train_head
 from .config import SP_FINGERPRINT, RunConfig, build_backend, build_classifier, load_config
-from .corpus import clean_issue, enumerate_sentences, parse_issue
+from .corpus import IssueLog, enumerate_sentences, load_corpus, sentence_order
 from .errors import ConfigError, MiningError
 from .evaluation import (
     Annotation,
@@ -32,16 +33,16 @@ from .evaluation import (
     run_ablation,
     split_dataset,
 )
-from .features import FEATURE_GROUPS, POLARITY_WORDS, compute_feature_matrix
+from .features import FEATURE_GROUPS, compute_feature_matrix
 from .miner import (
     Rationale,
-    build_relation_graph,
-    classify_pairs,
-    extract_design_sentences,
+    design_entries,
+    extract_stage,
     mine_issue,
+    relate_stage,
     render_markdown,
+    sp_matrix,
 )
-from .prompts import build_cloze_prompt
 from .sentiment import SentimentAnalyzer
 
 _OVERRIDE_FLAGS = {
@@ -91,20 +92,12 @@ def _analyzer(cfg: RunConfig) -> SentimentAnalyzer:
     return SentimentAnalyzer(lexicon_path=cfg.lexicon_path)
 
 
-def _load_issues(cfg: RunConfig) -> tuple[list, int]:
-    root = Path(cfg.corpus_dir)
-    if not root.is_dir():
-        raise ConfigError(f"corpus_dir is not a directory: {root}")
-    issues, failures = [], 0
-    for file in sorted(root.glob("*.json")):
-        try:
-            raw = json.loads(file.read_text(encoding="utf-8"))
-            issue = parse_issue(raw)
-            issues.append(clean_issue(issue, cfg.encoding, tuple(cfg.bot_authors)))
-        except (MiningError, json.JSONDecodeError, OSError) as exc:
-            failures += 1
-            print(f"skipping {file.name}: {exc}", file=sys.stderr)
-    return issues, failures
+def _load_issues(cfg: RunConfig) -> tuple[list[IssueLog], int]:
+    """The cleaned corpus and the number of files skipped, each reported."""
+    issues, skipped = load_corpus(cfg.corpus_dir, cfg.encoding, tuple(cfg.bot_authors))
+    for line in skipped:
+        print(f"skipping {line}", file=sys.stderr)
+    return issues, len(skipped)
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -117,118 +110,105 @@ def _ensure_parent(path: str | Path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
+def _write_json(path: Path, payload) -> Path:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path
+
+
 def _require_annotations(cfg: RunConfig) -> list[Annotation]:
     if not cfg.annotations_path:
         raise ConfigError("annotations_path is required for this command")
     return load_annotations(cfg.annotations_path)
 
 
-def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
+class _Pipeline:
+    """What the extract, pair and mine steps share for one run."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.backend = build_backend(cfg)
+        self.classifier = build_classifier(cfg, self.backend)
+        self.analyzer = _analyzer(cfg)
+        self.out = _outdir(cfg)
+
+
+def _each_issue(cfg: RunConfig, build: Callable[[RunConfig], Any],
+                step: Callable[[IssueLog, Any], str]) -> int:
+    """Load the corpus, then run ``step(issue, build(cfg))`` on every issue.
+
+    The step writes the issue's outputs and returns its stdout line.  A
+    MiningError fails that issue alone; any failed issue or skipped file
+    makes the exit code 1.
+    """
     issues, failures = _load_issues(cfg)
-    out = _outdir(cfg)
+    context = build(cfg)
     for issue in issues:
-        sentences = enumerate_sentences(issue)
-        path = out / f"{issue.key}.sentences.jsonl"
-        with open(path, "w", encoding="utf-8") as handle:
-            for s in sentences:
-                handle.write(json.dumps({
-                    "id": s.id, "text": s.text, "kind": s.kind,
-                    "comment_index": s.comment_index,
-                    "block_index": s.block_index,
-                    "global_index": s.global_index, "author": s.author,
-                }) + "\n")
-        print(f"{issue.key}: {len(sentences)} sentences -> {path}")
+        try:
+            print(step(issue, context))
+        except MiningError as exc:
+            failures += 1
+            print(f"failed on {issue.key}: {exc}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def _ingest(issue: IssueLog, out: Path) -> str:
+    sentences = enumerate_sentences(issue)
+    path = out / f"{issue.key}.sentences.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for s in sentences:
+            handle.write(json.dumps({
+                "id": s.id, "text": s.text, "kind": s.kind,
+                "comment_index": s.comment_index,
+                "block_index": s.block_index,
+                "global_index": s.global_index, "author": s.author,
+            }) + "\n")
+    return f"{issue.key}: {len(sentences)} sentences -> {path}"
+
+
+def _extract(issue: IssueLog, run: _Pipeline) -> str:
+    sentences, scores, design = extract_stage(issue, run.classifier, run.analyzer)
+    path = _write_json(run.out / f"{issue.key}.design.json", {
+        "issue": issue.key,
+        "design": design_entries(sentences, scores, [s.id for s in design]),
+    })
+    return f"{issue.key}: {len(design)}/{len(sentences)} design sentences -> {path}"
+
+
+def _pair(issue: IssueLog, run: _Pipeline) -> str:
+    _, _, design = extract_stage(issue, run.classifier, run.analyzer)
+    graph, warnings = relate_stage(design, run.backend, run.cfg.pair_budget(),
+                                   run.cfg.workers)
+    path = _write_json(run.out / f"{issue.key}.relations.json", {
+        "issue": issue.key, "design": graph.nodes, **graph.to_json(), "warnings": warnings,
+    })
+    return (f"{issue.key}: {len(graph.supporting)} supporting, "
+            f"{len(graph.complementary)} complementary -> {path}")
+
+
+def _mine(issue: IssueLog, run: _Pipeline) -> str:
+    result = mine_issue(issue, run.classifier, run.backend,
+                        pair_budget=run.cfg.pair_budget(), analyzer=run.analyzer,
+                        workers=run.cfg.workers)
+    json_path = _write_json(run.out / f"{issue.key}.rationales.json", result.to_json())
+    (run.out / f"{issue.key}.rationales.md").write_text(result.to_markdown(),
+                                                        encoding="utf-8")
+    return f"{issue.key}: {len(result.rationales)} rationale(s) -> {json_path}"
+
+
+def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
+    return _each_issue(cfg, _outdir, _ingest)
 
 
 def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
-    issues, failures = _load_issues(cfg)
-    backend = build_backend(cfg)
-    classifier = build_classifier(cfg, backend)
-    analyzer = _analyzer(cfg)
-    out = _outdir(cfg)
-    for issue in issues:
-        try:
-            sentences, matrix = compute_feature_matrix(issue, analyzer)
-            design, scores = extract_design_sentences(
-                sentences, matrix, issue.summary, classifier)
-            index_of = {s.id: i for i, s in enumerate(sentences)}
-            payload = {
-                "issue": issue.key,
-                "design": [
-                    {"id": s.id, "text": s.text,
-                     "score": float(scores[index_of[s.id]])}
-                    for s in design
-                ],
-            }
-            path = out / f"{issue.key}.design.json"
-            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-            print(f"{issue.key}: {len(design)}/{len(sentences)} design sentences -> {path}")
-        except MiningError as exc:
-            failures += 1
-            print(f"failed on {issue.key}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+    return _each_issue(cfg, _Pipeline, _extract)
 
 
 def cmd_pair(cfg: RunConfig, args: argparse.Namespace) -> int:
-    issues, failures = _load_issues(cfg)
-    backend = build_backend(cfg)
-    classifier = build_classifier(cfg, backend)
-    analyzer = _analyzer(cfg)
-    out = _outdir(cfg)
-    for issue in issues:
-        try:
-            sentences, matrix = compute_feature_matrix(issue, analyzer)
-            design, _ = extract_design_sentences(
-                sentences, matrix, issue.summary, classifier)
-            decisions, warnings = ([], [])
-            if len(design) >= 2:
-                decisions, warnings = classify_pairs(
-                    design, backend, cfg.pair_budget(), workers=cfg.workers)
-            graph = build_relation_graph(design, decisions)
-            payload = {
-                "issue": issue.key,
-                "design": [s.id for s in sorted(design, key=lambda s: s.global_index)],
-                "supporting": [
-                    {"argument": e.argument, "solution": e.solution}
-                    for e in graph.supporting
-                ],
-                "complementary": [list(p) for p in graph.complementary],
-                "warnings": warnings,
-            }
-            path = out / f"{issue.key}.relations.json"
-            path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-            print(f"{issue.key}: {len(graph.supporting)} supporting, "
-                  f"{len(graph.complementary)} complementary -> {path}")
-        except MiningError as exc:
-            failures += 1
-            print(f"failed on {issue.key}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+    return _each_issue(cfg, _Pipeline, _pair)
 
 
 def cmd_mine(cfg: RunConfig, args: argparse.Namespace) -> int:
-    issues, failures = _load_issues(cfg)
-    backend = build_backend(cfg)
-    classifier = build_classifier(cfg, backend)
-    analyzer = _analyzer(cfg)
-    out = _outdir(cfg)
-    for issue in issues:
-        try:
-            result = mine_issue(issue, classifier, backend,
-                                cloze_budget=cfg.cloze_budget(),
-                                pair_budget=cfg.pair_budget(),
-                                analyzer=analyzer, workers=cfg.workers,
-                                already_clean=True)
-            json_path = out / f"{issue.key}.rationales.json"
-            json_path.write_text(json.dumps(result.to_json(), indent=2) + "\n",
-                                 encoding="utf-8")
-            md_path = out / f"{issue.key}.rationales.md"
-            md_path.write_text(result.to_markdown(), encoding="utf-8")
-            print(f"{issue.key}: {len(result.rationales)} rationale(s) -> {json_path}")
-        except MiningError as exc:
-            failures += 1
-            print(f"failed on {issue.key}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+    return _each_issue(cfg, _Pipeline, _mine)
 
 
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -264,12 +244,11 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
             if annotation is None:
                 continue
             sentences, matrix = compute_feature_matrix(issue, analyzer)
-            for sentence, vector in zip(sentences, matrix):
-                prompt = build_cloze_prompt(sentence, issue.summary, cfg.cloze_budget())
-                probs = backend.mask_probs(prompt.text, POLARITY_WORDS)
-                rows.append(list(probs) + list(vector))
-                label = annotation.labels.get(sentence.id, "none")
-                labels.append(0 if label == "none" else 1)
+            if sentences:
+                rows.extend(sp_matrix(sentences, matrix, issue.summary, backend,
+                                      cfg.cloze_budget(), cfg.workers))
+            labels.extend(0 if annotation.labels.get(s.id, "none") == "none" else 1
+                          for s in sentences)
         head = train_head(np.asarray(rows), np.asarray(labels),
                           num_classes=2, fingerprint=SP_FINGERPRINT)
         _ensure_parent(cfg.head_path)
@@ -283,8 +262,7 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
     annotations = _require_annotations(cfg)
     out = _outdir(cfg)
     order_by_issue = {
-        issue.key: {s.id: s.global_index for s in enumerate_sentences(issue)}
-        for issue in issues
+        issue.key: sentence_order(enumerate_sentences(issue)) for issue in issues
     }
     rows: dict[str, list[PRF]] = {
         "rationale": [], "sentence_solution": [], "sentence_argument": [],
@@ -338,8 +316,7 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
         "train": [i.key for i in train],
         "test": [i.key for i in test],
     }
-    path = out / "split.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "split.json", payload)
     print(f"train ({len(train)}): {', '.join(payload['train'])}")
     print(f"test ({len(test)}): {', '.join(payload['test'])}")
     return 1 if failures else 0
@@ -364,9 +341,7 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"{result.dimension:10s} masked={len(result.masked_slots):2d} "
               f"P={result.precision:.4f} R={result.recall:.4f} F1={result.f1:.4f}")
     out = _outdir(cfg)
-    path = out / "ablation.json"
-    path.write_text(json.dumps([result.__dict__ for result in results], indent=2) + "\n",
-                    encoding="utf-8")
+    path = _write_json(out / "ablation.json", [result.__dict__ for result in results])
     print(f"ablation -> {path}")
     return 1 if failures else 0
 

@@ -43,7 +43,6 @@ class RunConfig:
     lexicon_path: str | None = None
     cloze_max_sequence: int = CLOZE_MAX_SEQUENCE
     pair_max_sequence: int = PAIR_MAX_SEQUENCE
-    token_counter: str = "whitespace"
     seed: int = 0
     workers: int | None = None
     encoding: str = "ascii"
@@ -67,10 +66,10 @@ class RunConfig:
         return self
 
     def cloze_budget(self) -> TokenBudget:
-        return TokenBudget(self.cloze_max_sequence, self.token_counter)
+        return TokenBudget(self.cloze_max_sequence)
 
     def pair_budget(self) -> TokenBudget:
-        return TokenBudget(self.pair_max_sequence, self.token_counter)
+        return TokenBudget(self.pair_max_sequence)
 
 
 def load_config(path: str | Path | None = None,

@@ -6,9 +6,10 @@ An issue export is one JSON object per file with the shape::
      "reporter": "alice",
      "comments": [{"author": "bob", "body": "...", "created": "2014-01-08T10:22:31.000+0000"}]}
 
-The pipeline is parse_issue -> clean_issue -> enumerate_sentences.  Cleaning
-strips quoted material, flattens code blocks and URLs to placeholder tokens,
-drops characters outside the configured encoding, and removes bot comments.
+The pipeline is parse_issue -> clean_issue -> enumerate_sentences, and
+load_corpus does the first two for a directory of exports.  Cleaning strips
+quoted material, flattens code blocks and URLs to placeholder tokens, drops
+characters outside the configured encoding, and removes bot comments.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import BadTimestamp, MalformedExport
+from .errors import BadTimestamp, ConfigError, MalformedExport, MiningError
 
 DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
     "e.g.", "i.e.", "etc.", "cf.", "vs.", "al.",
@@ -128,14 +129,26 @@ def parse_issue(raw: dict) -> IssueLog:
                     reporter=reporter, comments=comments)
 
 
-def load_corpus(path: str | Path) -> list[IssueLog]:
-    """Parse every ``*.json`` file under ``path`` (sorted by name) as an issue."""
+def load_corpus(path: str | Path, encoding: str = "ascii",
+                bot_authors: tuple[str, ...] = DEFAULT_BOT_AUTHORS
+                ) -> tuple[list[IssueLog], list[str]]:
+    """Parse and clean every ``*.json`` file under ``path``, sorted by name.
+
+    Returns the cleaned issues and a ``"<file name>: <reason>"`` line for each
+    file skipped because it could not be read or parsed.  A ``path`` that is
+    not a directory raises ConfigError.
+    """
     root = Path(path)
-    issues = []
+    if not root.is_dir():
+        raise ConfigError(f"corpus_dir is not a directory: {root}")
+    issues, skipped = [], []
     for file in sorted(root.glob("*.json")):
-        with open(file, encoding="utf-8") as handle:
-            issues.append(parse_issue(json.load(handle)))
-    return issues
+        try:
+            raw = json.loads(file.read_text(encoding="utf-8"))
+            issues.append(clean_issue(parse_issue(raw), encoding, bot_authors))
+        except (MiningError, OSError, ValueError) as exc:
+            skipped.append(f"{file.name}: {exc}")
+    return issues, skipped
 
 
 _QUOTE_BLOCK = re.compile(r"\{quote\}.*?\{quote\}", re.S)

@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backends.baseline import BaselineModel, pair_features
-from .backends.heads import LogisticHead, SoftmaxHead
+from .backends.baseline import BaselineModel
+from .backends.heads import LogisticHead
 from .backends.protocol import Backend
-from .corpus import IssueLog, Sentence, clean_issue, enumerate_sentences, sentence_order
+from .corpus import IssueLog, Sentence, sentence_order
 from .errors import SameSentence, UnknownSentence, UnparsableResponse
 from .features import FEATURE_NAMES, POLARITY_WORDS, compute_feature_matrix
 from .prompts import (
@@ -42,8 +42,9 @@ SP_FEATURE_NAMES: tuple[str, ...] = tuple(
 ) + FEATURE_NAMES
 
 
-def default_workers() -> int:
-    return os.cpu_count() or 1
+def _pool(workers: int | None) -> ThreadPoolExecutor:
+    """A thread pool for backend calls; ``None`` means one thread per CPU."""
+    return ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -73,6 +74,14 @@ class RelationGraph:
                 raise UnknownSentence(f"complementary edge references unknown node: {(a, b)}")
             if a == b:
                 raise SameSentence(f"complementary edge relates {a} to itself")
+
+    def to_json(self) -> dict:
+        return {
+            "supporting": [
+                {"argument": e.argument, "solution": e.solution} for e in self.supporting
+            ],
+            "complementary": [list(pair) for pair in self.complementary],
+        }
 
 
 @dataclass
@@ -198,10 +207,24 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
     return ConstructionResult(rationales=rationales, warnings=warnings)
 
 
+def sp_matrix(sentences: list[Sentence], features: np.ndarray, summary: str,
+              backend: Backend, budget: TokenBudget = TokenBudget(CLOZE_MAX_SEQUENCE),
+              workers: int | None = None) -> np.ndarray:
+    """Rows in SP_FEATURE_NAMES order: the polarity-word probabilities of each
+    sentence's cloze prompt, then its features.  Needs at least one sentence."""
+    prompts = [build_cloze_prompt(s, summary, budget) for s in sentences]
+
+    def probe(prompt):
+        return backend.mask_probs(prompt.text, POLARITY_WORDS)
+
+    with _pool(workers) as pool:
+        polarity = list(pool.map(probe, prompts))
+    return np.hstack([np.asarray(polarity, dtype=np.float64), features])
+
+
 @dataclass
 class PromptHeadClassifier:
-    """Scores sentences through the cloze prompt and a head over the
-    43-dimensional polarity + features vector."""
+    """Scores sentences with a head over their ``sp_matrix`` rows."""
 
     backend: Backend
     head: LogisticHead
@@ -210,15 +233,8 @@ class PromptHeadClassifier:
 
     def scores(self, sentences: list[Sentence], features: np.ndarray,
                summary: str) -> np.ndarray:
-        prompts = [build_cloze_prompt(s, summary, self.budget) for s in sentences]
-
-        def probe(prompt):
-            return self.backend.mask_probs(prompt.text, POLARITY_WORDS)
-
-        with ThreadPoolExecutor(max_workers=self.workers or default_workers()) as pool:
-            polarity = list(pool.map(probe, prompts))
-        sp = np.hstack([np.asarray(polarity, dtype=np.float64), features])
-        return self.head.predict_proba(sp)
+        return self.head.predict_proba(sp_matrix(sentences, features, summary,
+                                                 self.backend, self.budget, self.workers))
 
 
 @dataclass
@@ -268,7 +284,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
         prompt = build_pair_prompt(s1, s2, budget)
         return backend.generate(prompt.text, max_tokens=max_tokens)
 
-    with ThreadPoolExecutor(max_workers=workers or default_workers()) as pool:
+    with _pool(workers) as pool:
         forward_raw = list(pool.map(ask, pairs))
 
     needs_reverse = []
@@ -286,7 +302,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
         if label == SUPPORTING:
             needs_reverse.append((s2, s1))
 
-    with ThreadPoolExecutor(max_workers=workers or default_workers()) as pool:
+    with _pool(workers) as pool:
         reverse_raw = list(pool.map(ask, needs_reverse))
     reverse_by_pair = {}
     for (s2, s1), raw in zip(needs_reverse, reverse_raw):
@@ -325,7 +341,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
 def build_relation_graph(design: list[Sentence],
                          decisions: list[PairDecision]) -> RelationGraph:
     ordered = sorted(design, key=lambda s: s.global_index)
-    order = {s.id: s.global_index for s in ordered}
+    order = sentence_order(ordered)
     supporting = [
         SupportingEdge(argument=d.argument, solution=d.solution)
         for d in decisions if d.kind == SUPPORTING
@@ -335,6 +351,39 @@ def build_relation_graph(design: list[Sentence],
     complementary.sort(key=lambda p: (order[p[0]], order[p[1]]))
     return RelationGraph(nodes=[s.id for s in ordered], order=order,
                          supporting=supporting, complementary=complementary)
+
+
+def extract_stage(issue: IssueLog, classifier,
+                  analyzer: SentimentAnalyzer | None = None
+                  ) -> tuple[list[Sentence], np.ndarray, list[Sentence]]:
+    """Stage 1 of ``mine_issue``: every sentence of the issue, the score of
+    each, and the design sentences in issue order."""
+    sentences, matrix = compute_feature_matrix(issue, analyzer)
+    design, scores = extract_design_sentences(sentences, matrix, issue.summary, classifier)
+    return sentences, scores, design
+
+
+def relate_stage(design: list[Sentence], backend: Backend,
+                 pair_budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
+                 workers: int | None = None) -> tuple[RelationGraph, list[str]]:
+    """Stage 2 of ``mine_issue``: the relation graph over the design
+    sentences, with the warnings of the pair probes (none below two
+    sentences, where no probe is sent)."""
+    decisions, warnings = [], []
+    if len(design) >= 2:
+        decisions, warnings = classify_pairs(design, backend, pair_budget, workers=workers)
+    return build_relation_graph(design, decisions), warnings
+
+
+def design_entries(sentences: list[Sentence], scores: np.ndarray,
+                   design_ids: list[str]) -> list[dict]:
+    """The ``{id, text, score}`` record of each design sentence."""
+    index_of = {s.id: i for i, s in enumerate(sentences)}
+    return [
+        {"id": sid, "text": sentences[index_of[sid]].text,
+         "score": float(scores[index_of[sid]])}
+        for sid in design_ids
+    ]
 
 
 @dataclass
@@ -348,22 +397,10 @@ class MineResult:
     warnings: list[str]
 
     def to_json(self) -> dict:
-        text_of = {s.id: s.text for s in self.sentences}
-        index_of = {s.id: i for i, s in enumerate(self.sentences)}
         return {
             "issue": self.issue_key,
-            "design_sentences": [
-                {"id": sid, "text": text_of[sid],
-                 "score": float(self.scores[index_of[sid]])}
-                for sid in self.design_ids
-            ],
-            "relations": {
-                "supporting": [
-                    {"argument": e.argument, "solution": e.solution}
-                    for e in self.graph.supporting
-                ],
-                "complementary": [list(pair) for pair in self.graph.complementary],
-            },
+            "design_sentences": design_entries(self.sentences, self.scores, self.design_ids),
+            "relations": self.graph.to_json(),
             "rationales": [
                 {"solution": r.solution, "arguments": r.arguments}
                 for r in self.rationales
@@ -401,36 +438,20 @@ def render_markdown(issue_key: str, rationales: list[dict],
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def find_sentence(sentences: list[Sentence], sentence_id: str) -> Sentence:
-    for sentence in sentences:
-        if sentence.id == sentence_id:
-            return sentence
-    raise UnknownSentence(f"no sentence with id {sentence_id!r} in this issue")
-
-
 def mine_issue(issue: IssueLog, classifier, backend: Backend,
-               cloze_budget: TokenBudget = TokenBudget(CLOZE_MAX_SEQUENCE),
                pair_budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
                analyzer: SentimentAnalyzer | None = None,
-               workers: int | None = None,
-               already_clean: bool = False) -> MineResult:
-    """Run the whole pipeline for one parsed issue."""
-    if not already_clean:
-        issue = clean_issue(issue)
-    sentences, matrix = compute_feature_matrix(issue, analyzer)
-    design, scores = extract_design_sentences(
-        sentences, matrix, issue.summary, classifier)
-    decisions, pair_warnings = ([], [])
-    if len(design) >= 2:
-        decisions, pair_warnings = classify_pairs(
-            design, backend, pair_budget, workers=workers)
-    graph = build_relation_graph(design, decisions)
+               workers: int | None = None) -> MineResult:
+    """Run the whole pipeline for one cleaned issue (see ``clean_issue``):
+    ``extract_stage``, ``relate_stage``, then ``construct_rationales``."""
+    sentences, scores, design = extract_stage(issue, classifier, analyzer)
+    graph, pair_warnings = relate_stage(design, backend, pair_budget, workers)
     construction = construct_rationales(graph)
     return MineResult(
         issue_key=issue.key,
         sentences=sentences,
         scores=scores,
-        design_ids=[s.id for s in sorted(design, key=lambda s: s.global_index)],
+        design_ids=[s.id for s in design],
         graph=graph,
         rationales=construction.rationales,
         warnings=pair_warnings + construction.warnings,

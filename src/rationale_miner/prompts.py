@@ -10,12 +10,10 @@ in the generated answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
+from .backends.protocol import MASK_TOKEN
 from .corpus import Sentence
 from .errors import BudgetExhausted, CrossIssue, SameSentence, UnparsableResponse
-
-MASK_TOKEN = "[MASK]"
 
 # Slots reserved for the fixed cloze wording plus sequence special tokens.
 FIXED_PROMPT_SLOTS = 8
@@ -30,33 +28,18 @@ PAIR_INSTRUCTION = (
 
 RELATION_LABELS = ("supporting", "complementary", "unrelated")
 
-_TOKEN_COUNTERS: dict[str, Callable[[str], list[str]]] = {
-    "whitespace": str.split,
-}
-
-
-def register_token_counter(name: str, tokenizer: Callable[[str], list[str]]) -> None:
-    """Register a tokenizer under ``name`` for use in TokenBudget.
-
-    The tokenizer must return tokens that can be re-joined with single spaces,
-    because truncation rebuilds text from a token prefix.
-    """
-    _TOKEN_COUNTERS[name] = tokenizer
-
 
 @dataclass(frozen=True)
 class TokenBudget:
-    """Sequence-length budget: a hard cap and the counter used to measure it."""
+    """Sequence-length budget: a hard cap on whitespace-separated tokens.
+
+    Truncation rebuilds text from a token prefix joined with single spaces.
+    """
 
     max_sequence: int
-    counter: str = "whitespace"
 
     def tokenize(self, text: str) -> list[str]:
-        try:
-            tokenizer = _TOKEN_COUNTERS[self.counter]
-        except KeyError:
-            raise KeyError(f"no token counter registered under {self.counter!r}") from None
-        return tokenizer(text)
+        return text.split()
 
     def count(self, text: str) -> int:
         return len(self.tokenize(text))

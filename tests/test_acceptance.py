@@ -263,7 +263,7 @@ def test_criterion_05_golden_mine_byte_exact(golden_issue, fixtures_dir):
     head = load_head(fixtures_dir / "golden-head.json",
                      expected_fingerprint=SP_FINGERPRINT)
     classifier = PromptHeadClassifier(backend=backend, head=head)
-    result = mine_issue(golden_issue, classifier, backend, already_clean=True)
+    result = mine_issue(golden_issue, classifier, backend)
     produced = (json.dumps(result.to_json(), indent=2) + "\n").encode("utf-8")
     assert produced == (fixtures_dir / "mined-expected.json").read_bytes()
 

@@ -14,6 +14,7 @@ from rationale_miner.backends.baseline import (
 from rationale_miner.backends.heads import load_head
 from rationale_miner.cli import main
 from rationale_miner.config import SP_FINGERPRINT, load_config
+from rationale_miner.errors import ModelMissing
 
 
 @pytest.fixture
@@ -68,6 +69,10 @@ def test_unknown_config_key(tmp_path, capsys):
     bad.write_text('{"bogus_key": 1}', encoding="utf-8")
     assert main(["stats", "-c", str(bad)]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    # tokens are always whitespace-separated; there is no counter to choose
+    bad.write_text('{"token_counter": "bpe"}', encoding="utf-8")
+    assert main(["mine", "-c", str(bad)]) == 2
+    assert "unknown config keys: ['token_counter']" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):
@@ -146,9 +151,11 @@ def test_ingest_writes_sentence_files(workspace, capsys):
 def test_ingest_counts_broken_files(workspace, capsys):
     tmp_path, config, config_path = workspace
     (tmp_path / "corpus" / "broken.json").write_text("{not json", encoding="utf-8")
+    (tmp_path / "corpus" / "latin1.json").write_bytes(b'{"key": "caf\xe9"}')
     assert main(["ingest", "-c", str(config_path)]) == 1
     captured = capsys.readouterr()
     assert "skipping broken.json" in captured.err
+    assert "skipping latin1.json" in captured.err
     # the good issue is still processed
     assert (tmp_path / "out" / "FLINK-1320.sentences.jsonl").exists()
 
@@ -228,6 +235,62 @@ def test_train_prompt_head_writes_head(workspace):
     assert main(["train", "-c", str(config_path)]) == 0
     head = load_head(head_out, expected_fingerprint=SP_FINGERPRINT)
     assert head.weights.shape == (43,)
+
+
+def test_train_prompt_head_is_independent_of_workers(workspace):
+    tmp_path, config, config_path = workspace
+    heads = [tmp_path / f"head-{workers}.json" for workers in (1, 4)]
+    for workers, head in zip((1, 4), heads):
+        assert main(["train", "-c", str(config_path), "--workers", str(workers),
+                     "--head", str(head)]) == 0
+    assert heads[0].read_bytes() == heads[1].read_bytes()
+
+
+def _corrupt(path, how: str) -> None:
+    if how == "not_json":
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text[: len(text) // 2], encoding="utf-8")
+        return
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    if how == "missing_keys":
+        del payload["weights"]
+    else:
+        payload["kind"] = "random_forest"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+_CORRUPTIONS = ("not_json", "missing_keys", "wrong_kind")
+
+
+@pytest.mark.parametrize("how", _CORRUPTIONS)
+@pytest.mark.parametrize("model", ["head", "baseline"])
+def test_bad_model_file_is_a_typed_error(workspace, fixtures_dir, capsys, model, how):
+    tmp_path, config, config_path = workspace
+    path = tmp_path / f"{model}.json"
+    if model == "head":
+        shutil.copy(fixtures_dir / "golden-head.json", path)
+        _rewrite(workspace, head_path=str(path))
+    else:
+        _rewrite(workspace, mode="baseline", baseline_path=str(path))
+        assert main(["train", "-c", str(config_path)]) == 0
+    _corrupt(path, how)
+    capsys.readouterr()
+    assert main(["extract", "-c", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("how", _CORRUPTIONS)
+def test_bad_pair_baseline_file_is_a_typed_error(workspace, how):
+    # No command reads the pair baseline yet, so it is loaded directly.
+    tmp_path, config, config_path = workspace
+    path = tmp_path / "pair.json"
+    _rewrite(workspace, mode="baseline", baseline_path=str(tmp_path / "baseline.json"),
+             pair_baseline_path=str(path))
+    assert main(["train", "-c", str(config_path)]) == 0
+    _corrupt(path, how)
+    with pytest.raises(ModelMissing, match="pair baseline"):
+        PairBaselineModel.load(path, expected_fingerprint=PAIR_FINGERPRINT)
 
 
 def test_split_holds_out_one_issue_per_project(workspace, fixtures_dir):

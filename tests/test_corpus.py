@@ -85,8 +85,9 @@ def test_load_corpus_reads_files_sorted(tmp_path):
     for key in ("B-2", "A-1"):
         (tmp_path / f"{key}.json").write_text(
             json.dumps({"key": key, "summary": "s"}), encoding="utf-8")
-    issues = load_corpus(tmp_path)
+    issues, skipped = load_corpus(tmp_path)
     assert [i.key for i in issues] == ["A-1", "B-2"]
+    assert skipped == []
 
 
 def test_project_is_key_prefix_before_last_dash():

@@ -18,7 +18,6 @@ from rationale_miner.miner import (
     classify_pairs,
     construct_rationales,
     extract_design_sentences,
-    find_sentence,
     mine_issue,
     render_markdown,
 )
@@ -339,13 +338,6 @@ def test_render_markdown_missing_text_and_empty_cases():
     assert text.endswith("\n") and not text.endswith("\n\n")
 
 
-def test_find_sentence():
-    a, b, c = _abc_sentences()
-    assert find_sentence([a, b, c], "c1-s0") is b
-    with pytest.raises(UnknownSentence):
-        find_sentence([a, b, c], "c9-s9")
-
-
 def test_mine_issue_single_design_sentence_skips_pair_stage(golden_issue):
     class OneHot:
         def scores(self, sentences, features, summary):
@@ -353,7 +345,7 @@ def test_mine_issue_single_design_sentence_skips_pair_stage(golden_issue):
 
     # a backend with no generate section raises if the pair stage ever runs
     backend = ScriptedBackend({})
-    result = mine_issue(golden_issue, OneHot(), backend, already_clean=True)
+    result = mine_issue(golden_issue, OneHot(), backend)
     assert result.design_ids == ["c0-s0"]
     assert result.graph.supporting == [] and result.graph.complementary == []
     assert [r.solution for r in result.rationales] == [["c0-s0"]]
@@ -362,7 +354,7 @@ def test_mine_issue_single_design_sentence_skips_pair_stage(golden_issue):
 
 def test_mine_issue_no_design_sentences(golden_issue):
     result = mine_issue(golden_issue, _FixedScores([0.0] * 10),
-                        ScriptedBackend({}), already_clean=True)
+                        ScriptedBackend({}))
     assert result.design_ids == []
     assert result.rationales == []
     assert result.to_json()["rationales"] == []

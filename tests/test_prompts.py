@@ -23,7 +23,6 @@ from rationale_miner.prompts import (
     build_cloze_prompt,
     build_pair_prompt,
     parse_relation_label,
-    register_token_counter,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -215,24 +214,3 @@ def test_parse_relation_label_first_occurrence_wins(response, expected):
 def test_parse_relation_label_rejects_unlabeled_responses(response):
     with pytest.raises(UnparsableResponse):
         parse_relation_label(response)
-
-
-def test_register_token_counter_changes_measurements():
-    register_token_counter("chars", list)
-    budget = TokenBudget(max_sequence=100, counter="chars")
-    assert budget.count("abcd") == 4
-    # cap = 20 - 1 - 8 = 11 characters, so a 16-char sentence is clipped and
-    # rebuilt from its first 11 tokens (characters, joined by spaces).
-    sentence = _sentence("abcdefghijklmnop")
-    prompt = build_cloze_prompt(sentence, "t", TokenBudget(max_sequence=20, counter="chars"))
-    assert prompt.truncated
-    assert prompt.text.startswith("a b c d e f g h i j k is [MASK]")
-    short = build_cloze_prompt(_sentence("abcdefgh"), "t",
-                               TokenBudget(max_sequence=20, counter="chars"))
-    assert not short.truncated
-    assert short.text.startswith("abcdefgh is [MASK]")
-
-
-def test_unknown_token_counter_raises():
-    with pytest.raises(KeyError):
-        TokenBudget(max_sequence=10, counter="unregistered").count("text")
