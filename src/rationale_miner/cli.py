@@ -9,7 +9,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import sys
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable
 
@@ -19,7 +24,7 @@ from .backends.baseline import train_baseline, train_pair_baseline
 from .backends.heads import save_head, train_head
 from .config import SP_FINGERPRINT, RunConfig, build_backend, build_classifier, load_config
 from .corpus import IssueLog, enumerate_sentences, load_corpus, sentence_order
-from .errors import ConfigError, MiningError
+from .errors import ConfigError, DegenerateData, MiningError
 from .evaluation import (
     Annotation,
     PRF,
@@ -35,9 +40,12 @@ from .evaluation import (
 )
 from .features import FEATURE_GROUPS, compute_feature_matrix
 from .miner import (
+    ISSUE_RANK,
+    CallPool,
     Rationale,
     design_entries,
     extract_stage,
+    logger as miner_logger,
     mine_issue,
     relate_stage,
     render_markdown,
@@ -124,30 +132,92 @@ def _require_annotations(cfg: RunConfig) -> list[Annotation]:
 class _Pipeline:
     """What the extract, pair and mine steps share for one run."""
 
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, calls: CallPool):
         self.cfg = cfg
+        self.calls = calls
         self.backend = build_backend(cfg)
-        self.classifier = build_classifier(cfg, self.backend)
+        self.classifier = build_classifier(cfg, self.backend, calls)
         self.analyzer = _analyzer(cfg)
         self.out = _outdir(cfg)
 
 
-def _each_issue(cfg: RunConfig, build: Callable[[RunConfig], Any],
-                step: Callable[[IssueLog, Any], str]) -> int:
-    """Load the corpus, then run ``step(issue, build(cfg))`` on every issue.
+# The log records of the issue the current thread mines, held back until the
+# issue's turn to be reported; None where records go out as they are made.
+_HELD_RECORDS: ContextVar[list[logging.LogRecord] | None] = ContextVar(
+    "held_records", default=None)
 
-    The step writes the issue's outputs and returns its stdout line.  A
-    MiningError fails that issue alone; any failed issue or skipped file
-    makes the exit code 1.
+
+def _hold_record(record: logging.LogRecord) -> bool:
+    held = _HELD_RECORDS.get()
+    if held is None:
+        return True
+    held.append(record)
+    return False
+
+
+@contextmanager
+def _records_held():
+    """While open, the pipeline's log records made under ``_HELD_RECORDS``
+    are kept there instead of being written."""
+    miner_logger.addFilter(_hold_record)
+    try:
+        yield
+    finally:
+        miner_logger.removeFilter(_hold_record)
+
+
+def _run_step(step: Callable[[IssueLog, Any], str], issue: IssueLog, context: Any,
+              rank: int, records: list[logging.LogRecord]) -> str:
+    rank_token, held_token = ISSUE_RANK.set(rank), _HELD_RECORDS.set(records)
+    try:
+        return step(issue, context)
+    finally:
+        ISSUE_RANK.reset(rank_token)
+        _HELD_RECORDS.reset(held_token)
+
+
+def _report(issue: IssueLog, records: list[logging.LogRecord], job: Future) -> int:
+    """Write a finished issue's log records, then its stdout line or its
+    ``failed on`` line; 1 if it failed, else 0."""
+    failure = None
+    try:
+        line = job.result()
+    except MiningError as exc:
+        failure = exc
+    finally:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+    if failure is not None:
+        print(f"failed on {issue.key}: {failure}", file=sys.stderr)
+        return 1
+    print(line)
+    return 0
+
+
+def _each_issue(cfg: RunConfig, build: Callable[[RunConfig, CallPool], Any],
+                step: Callable[[IssueLog, Any], str]) -> int:
+    """Load the corpus, then run ``step(issue, build(cfg, calls))`` on every
+    issue, ``calls`` being the run's one pool of backend calls.
+
+    Two issues are mined at a time: issue k+1 starts while issue k runs, and
+    its calls take only the slots that issue k leaves idle.  The step writes
+    the issue's outputs and returns its stdout line.  Lines, log records and
+    ``failed on`` lines come out in corpus order.  A MiningError fails that
+    issue alone; any failed issue or skipped file makes the exit code 1.
     """
     issues, failures = _load_issues(cfg)
-    context = build(cfg)
-    for issue in issues:
-        try:
-            print(step(issue, context))
-        except MiningError as exc:
-            failures += 1
-            print(f"failed on {issue.key}: {exc}", file=sys.stderr)
+    with CallPool(cfg.workers) as calls, _records_held():
+        context = build(cfg, calls)
+        with ThreadPoolExecutor(max_workers=2) as drivers:
+            running: deque = deque()
+            for rank, issue in enumerate(issues):
+                records: list[logging.LogRecord] = []
+                job = drivers.submit(_run_step, step, issue, context, rank, records)
+                running.append((issue, records, job))
+                if len(running) == 2:
+                    failures += _report(*running.popleft())
+            while running:
+                failures += _report(*running.popleft())
     return 1 if failures else 0
 
 
@@ -176,8 +246,7 @@ def _extract(issue: IssueLog, run: _Pipeline) -> str:
 
 def _pair(issue: IssueLog, run: _Pipeline) -> str:
     _, _, design = extract_stage(issue, run.classifier, run.analyzer)
-    graph, warnings = relate_stage(design, run.backend, run.cfg.pair_budget(),
-                                   run.cfg.workers)
+    graph, warnings = relate_stage(design, run.backend, run.cfg.pair_budget(), run.calls)
     path = _write_json(run.out / f"{issue.key}.relations.json", {
         "issue": issue.key, "design": graph.nodes, **graph.to_json(), "warnings": warnings,
     })
@@ -188,7 +257,7 @@ def _pair(issue: IssueLog, run: _Pipeline) -> str:
 def _mine(issue: IssueLog, run: _Pipeline) -> str:
     result = mine_issue(issue, run.classifier, run.backend,
                         pair_budget=run.cfg.pair_budget(), analyzer=run.analyzer,
-                        workers=run.cfg.workers)
+                        pool=run.calls)
     json_path = _write_json(run.out / f"{issue.key}.rationales.json", result.to_json())
     (run.out / f"{issue.key}.rationales.md").write_text(result.to_markdown(),
                                                         encoding="utf-8")
@@ -196,7 +265,7 @@ def _mine(issue: IssueLog, run: _Pipeline) -> str:
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _each_issue(cfg, _outdir, _ingest)
+    return _each_issue(cfg, lambda cfg, calls: _outdir(cfg), _ingest)
 
 
 def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -211,6 +280,9 @@ def cmd_mine(cfg: RunConfig, args: argparse.Namespace) -> int:
     return _each_issue(cfg, _Pipeline, _mine)
 
 
+_NO_TRAINING_DATA = "the annotations label no sentence of the corpus"
+
+
 def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     issues, failures = _load_issues(cfg)
     annotations = _require_annotations(cfg)
@@ -219,6 +291,8 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         if not cfg.baseline_path:
             raise ConfigError("baseline_path is required to train in baseline mode")
         texts, features, labels, _ = collect_extraction_data(issues, annotations, analyzer)
+        if not texts:
+            raise DegenerateData(_NO_TRAINING_DATA)
         model = train_baseline(texts, features, labels)
         _ensure_parent(cfg.baseline_path)
         model.save(cfg.baseline_path)
@@ -239,16 +313,19 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         backend = build_backend(cfg)
         by_issue = {a.issue: a for a in annotations}
         rows, labels = [], []
-        for issue in issues:
-            annotation = by_issue.get(issue.key)
-            if annotation is None:
-                continue
-            sentences, matrix = compute_feature_matrix(issue, analyzer)
-            if sentences:
-                rows.extend(sp_matrix(sentences, matrix, issue.summary, backend,
-                                      cfg.cloze_budget(), cfg.workers))
-            labels.extend(0 if annotation.labels.get(s.id, "none") == "none" else 1
-                          for s in sentences)
+        with CallPool(cfg.workers) as calls:
+            for issue in issues:
+                annotation = by_issue.get(issue.key)
+                if annotation is None:
+                    continue
+                sentences, matrix = compute_feature_matrix(issue, analyzer)
+                if sentences:
+                    rows.extend(sp_matrix(sentences, matrix, issue.summary, backend,
+                                          cfg.cloze_budget(), pool=calls))
+                labels.extend(0 if annotation.labels.get(s.id, "none") == "none" else 1
+                              for s in sentences)
+        if not rows:
+            raise DegenerateData(_NO_TRAINING_DATA)
         head = train_head(np.asarray(rows), np.asarray(labels),
                           num_classes=2, fingerprint=SP_FINGERPRINT)
         _ensure_parent(cfg.head_path)
@@ -275,19 +352,24 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             print(f"no mined output for {annotation.issue} at {mined_path}",
                   file=sys.stderr)
             continue
-        payload = json.loads(mined_path.read_text(encoding="utf-8"))
-        predicted = [
-            Rationale(solution=list(r["solution"]),
-                      arguments=[list(g) for g in r["arguments"]])
-            for r in payload.get("rationales", [])
-        ]
+        try:
+            payload = json.loads(mined_path.read_text(encoding="utf-8"))
+            predicted = [
+                Rationale(solution=list(r["solution"]),
+                          arguments=[list(g) for g in r["arguments"]])
+                for r in payload.get("rationales", [])
+            ]
+            predicted_ids = [d["id"] for d in payload.get("design_sentences", [])]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            failures += 1
+            print(f"failed to evaluate {mined_path.name}: {exc}", file=sys.stderr)
+            continue
         order = order_by_issue.get(annotation.issue, {})
         gold = annotation.rationales
         rows["rationale"].append(eval_rationales(predicted, gold))
         sentence_scores = eval_sentences(predicted, gold, order)
         rows["sentence_solution"].append(sentence_scores["solution"])
         rows["sentence_argument"].append(sentence_scores["argument"])
-        predicted_ids = [d["id"] for d in payload.get("design_sentences", [])]
         rows["extraction"].append(eval_binary(predicted_ids, annotation.design_ids()))
 
     csv_path = out / "metrics.csv"

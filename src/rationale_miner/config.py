@@ -10,14 +10,19 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from requests import Session
+from requests.adapters import HTTPAdapter
+
 from .backends import NativeBackend, RemoteBackend, ScriptedBackend
 from .backends.baseline import BASELINE_FINGERPRINT, BaselineModel
 from .backends.heads import feature_fingerprint, load_head
 from .errors import ConfigError
 from .miner import (
     BaselineClassifier,
+    CallPool,
     PromptHeadClassifier,
     SP_FEATURE_NAMES,
+    call_slots,
 )
 from .prompts import CLOZE_MAX_SEQUENCE, PAIR_MAX_SEQUENCE, TokenBudget
 
@@ -105,20 +110,30 @@ def load_config(path: str | Path | None = None,
 
 def build_backend(cfg: RunConfig):
     if cfg.backend == "remote":
-        return RemoteBackend(base_url=cfg.backend_url, auth_token=cfg.auth_token)
+        # One kept-alive connection per call slot: a smaller pool closes the
+        # connections beyond its size after each call.
+        adapter = HTTPAdapter(pool_maxsize=call_slots(cfg.workers))
+        session = Session()
+        session.mount("http://", adapter)
+        session.mount("https://", adapter)
+        return RemoteBackend(base_url=cfg.backend_url, auth_token=cfg.auth_token,
+                             session=session)
     if cfg.backend == "scripted":
         return ScriptedBackend.from_file(cfg.script_path)
     return NativeBackend()
 
 
-def build_classifier(cfg: RunConfig, backend) -> PromptHeadClassifier | BaselineClassifier:
-    """The design-sentence classifier implied by the configured mode."""
+def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
+                     ) -> PromptHeadClassifier | BaselineClassifier:
+    """The design-sentence classifier implied by the configured mode.  Its
+    backend calls go through ``pool``, or a pool of ``workers`` per issue
+    when it is None."""
     if cfg.mode == "prompt_head":
         if not cfg.head_path:
             raise ConfigError("head_path is required in prompt_head mode")
         head = load_head(cfg.head_path, expected_fingerprint=SP_FINGERPRINT)
-        return PromptHeadClassifier(backend=backend, head=head,
-                                    budget=cfg.cloze_budget(), workers=cfg.workers)
+        return PromptHeadClassifier(backend=backend, head=head, budget=cfg.cloze_budget(),
+                                    workers=cfg.workers, pool=pool)
     if not cfg.baseline_path:
         raise ConfigError("baseline_path is required in baseline mode")
     model = BaselineModel.load(cfg.baseline_path,

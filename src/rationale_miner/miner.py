@@ -8,9 +8,15 @@ roles and groups are then decided deterministically from the relation graph.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import queue
+import threading
+from contextlib import nullcontext
+from contextvars import ContextVar
+from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,9 +48,92 @@ SP_FEATURE_NAMES: tuple[str, ...] = tuple(
 ) + FEATURE_NAMES
 
 
-def _pool(workers: int | None) -> ThreadPoolExecutor:
-    """A thread pool for backend calls; ``None`` means one thread per CPU."""
-    return ThreadPoolExecutor(max_workers=workers or os.cpu_count() or 1)
+# The corpus position of the issue whose backend calls the current thread
+# submits.  A driver that mines several issues at once sets it per issue.
+ISSUE_RANK: ContextVar[int] = ContextVar("issue_rank", default=0)
+
+
+def call_slots(workers: int | None) -> int:
+    """Backend calls a run may have in flight; ``None`` means one per CPU."""
+    return workers or os.cpu_count() or 1
+
+
+class CallPool:
+    """Threads that make backend calls, at most ``call_slots(workers)`` at once.
+
+    Queued calls are served in (issue rank, submission) order, the rank being
+    ``ISSUE_RANK`` on the submitting thread.  The oldest issue of a run thus
+    takes every free slot, and a later issue only the slots it leaves idle.
+    Pool threads run nothing but the submitted calls, so none of them ever
+    waits for another pool task.  Threads start with the first calls and stop
+    on ``close``.
+    """
+
+    def __init__(self, workers: int | None = None):
+        self.size = call_slots(workers)
+        self._queue: queue.PriorityQueue = queue.PriorityQueue()
+        self._order = itertools.count()
+        self._threads: list[threading.Thread] = []
+        self._lock = threading.Lock()
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        with self._lock:
+            self._queue.put((ISSUE_RANK.get(), next(self._order), future, fn, args))
+            if len(self._threads) < self.size:
+                thread = threading.Thread(target=self._serve, daemon=True)
+                thread.start()
+                self._threads.append(thread)
+        return future
+
+    def map(self, fn, items) -> list:
+        """``fn`` over ``items`` through the pool, results in item order.
+
+        On a failure the calls not yet started are dropped, and the first
+        failure in item order is raised once the started ones have finished.
+        """
+        futures = [self.submit(fn, item) for item in items]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
+
+    def _serve(self) -> None:
+        while True:
+            _, _, future, fn, args = self._queue.get()
+            if future is None:
+                return
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                result = fn(*args)
+            except BaseException as exc:  # handed to the waiting caller
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
+
+    def close(self) -> None:
+        """Stop the threads once every queued call has run."""
+        with self._lock:
+            threads, self._threads = self._threads, []
+            for _ in threads:  # ranked after every call
+                self._queue.put((math.inf, next(self._order), None, None, None))
+        for thread in threads:
+            thread.join()
+
+    def __enter__(self) -> "CallPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _calls(pool: CallPool | None, workers: int | None):
+    """``pool``, or when there is none a pool of ``workers`` for one call."""
+    return nullcontext(pool) if pool is not None else CallPool(workers)
 
 
 @dataclass(frozen=True)
@@ -209,16 +298,17 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
 
 def sp_matrix(sentences: list[Sentence], features: np.ndarray, summary: str,
               backend: Backend, budget: TokenBudget = TokenBudget(CLOZE_MAX_SEQUENCE),
-              workers: int | None = None) -> np.ndarray:
+              workers: int | None = None, pool: CallPool | None = None) -> np.ndarray:
     """Rows in SP_FEATURE_NAMES order: the polarity-word probabilities of each
-    sentence's cloze prompt, then its features.  Needs at least one sentence."""
+    sentence's cloze prompt, then its features.  Needs at least one sentence.
+    The probes go through ``pool``, or a pool of ``workers`` when it is None."""
     prompts = [build_cloze_prompt(s, summary, budget) for s in sentences]
 
     def probe(prompt):
         return backend.mask_probs(prompt.text, POLARITY_WORDS)
 
-    with _pool(workers) as pool:
-        polarity = list(pool.map(probe, prompts))
+    with _calls(pool, workers) as calls:
+        polarity = calls.map(probe, prompts)
     return np.hstack([np.asarray(polarity, dtype=np.float64), features])
 
 
@@ -230,11 +320,13 @@ class PromptHeadClassifier:
     head: LogisticHead
     budget: TokenBudget = TokenBudget(CLOZE_MAX_SEQUENCE)
     workers: int | None = None
+    pool: CallPool | None = None
 
     def scores(self, sentences: list[Sentence], features: np.ndarray,
                summary: str) -> np.ndarray:
         return self.head.predict_proba(sp_matrix(sentences, features, summary,
-                                                 self.backend, self.budget, self.workers))
+                                                 self.backend, self.budget, self.workers,
+                                                 self.pool))
 
 
 @dataclass
@@ -267,13 +359,15 @@ class PairDecision:
 def classify_pairs(design: list[Sentence], backend: Backend,
                    budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
                    workers: int | None = None,
-                   max_tokens: int = 8) -> tuple[list[PairDecision], list[str]]:
+                   max_tokens: int = 8,
+                   pool: CallPool | None = None) -> tuple[list[PairDecision], list[str]]:
     """Relate every unordered design-sentence pair through the backend.
 
     The earlier sentence is always Sentence 1 in the first query.  A
     supporting answer triggers the reversed query; if both directions claim
     supporting, the direction whose solution has the smaller global index
     wins.  Responses with no label word downgrade the pair to unrelated.
+    The queries go through ``pool``, or a pool of ``workers`` when it is None.
     """
     ordered = sorted(design, key=lambda s: s.global_index)
     pairs = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
@@ -284,8 +378,8 @@ def classify_pairs(design: list[Sentence], backend: Backend,
         prompt = build_pair_prompt(s1, s2, budget)
         return backend.generate(prompt.text, max_tokens=max_tokens)
 
-    with _pool(workers) as pool:
-        forward_raw = list(pool.map(ask, pairs))
+    with _calls(pool, workers) as calls:
+        forward_raw = calls.map(ask, pairs)
 
     needs_reverse = []
     forward_labels: list[str | None] = []
@@ -302,8 +396,8 @@ def classify_pairs(design: list[Sentence], backend: Backend,
         if label == SUPPORTING:
             needs_reverse.append((s2, s1))
 
-    with _pool(workers) as pool:
-        reverse_raw = list(pool.map(ask, needs_reverse))
+    with _calls(pool, workers) as calls:
+        reverse_raw = calls.map(ask, needs_reverse)
     reverse_by_pair = {}
     for (s2, s1), raw in zip(needs_reverse, reverse_raw):
         reverse_by_pair[(s1.id, s2.id)] = raw
@@ -365,13 +459,14 @@ def extract_stage(issue: IssueLog, classifier,
 
 def relate_stage(design: list[Sentence], backend: Backend,
                  pair_budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
-                 workers: int | None = None) -> tuple[RelationGraph, list[str]]:
+                 pool: CallPool | None = None) -> tuple[RelationGraph, list[str]]:
     """Stage 2 of ``mine_issue``: the relation graph over the design
     sentences, with the warnings of the pair probes (none below two
-    sentences, where no probe is sent)."""
+    sentences, where no probe is sent).  The probes go through ``pool``, or
+    a pool of one thread per CPU when it is None."""
     decisions, warnings = [], []
     if len(design) >= 2:
-        decisions, warnings = classify_pairs(design, backend, pair_budget, workers=workers)
+        decisions, warnings = classify_pairs(design, backend, pair_budget, pool=pool)
     return build_relation_graph(design, decisions), warnings
 
 
@@ -441,11 +536,11 @@ def render_markdown(issue_key: str, rationales: list[dict],
 def mine_issue(issue: IssueLog, classifier, backend: Backend,
                pair_budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
                analyzer: SentimentAnalyzer | None = None,
-               workers: int | None = None) -> MineResult:
+               pool: CallPool | None = None) -> MineResult:
     """Run the whole pipeline for one cleaned issue (see ``clean_issue``):
     ``extract_stage``, ``relate_stage``, then ``construct_rationales``."""
     sentences, scores, design = extract_stage(issue, classifier, analyzer)
-    graph, pair_warnings = relate_stage(design, backend, pair_budget, workers)
+    graph, pair_warnings = relate_stage(design, backend, pair_budget, pool)
     construction = construct_rationales(graph)
     return MineResult(
         issue_key=issue.key,

@@ -3,7 +3,8 @@
 The stub answers deterministically (probabilities derived from prompt and
 candidate lengths, generations echoing a fixed label) so tests can predict
 every response.  A ``failure_mode`` attribute switches the next responses to
-various malformed shapes to exercise client-side error handling.
+various malformed shapes to exercise client-side error handling, and a
+``gate`` barrier, when set, holds each request until that many are open.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length)
         server.requests.append((self.path, dict(self.headers), raw))
+        if server.gate is not None:
+            server.gate.wait()
         mode = server.failure_mode
 
         if mode == "status-500":
@@ -79,6 +82,7 @@ class StubServer(ThreadingHTTPServer):
     def __init__(self):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.failure_mode: str | None = None
+        self.gate: threading.Barrier | None = None
         self.requests: list[tuple[str, dict, bytes]] = []
 
     @property

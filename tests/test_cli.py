@@ -210,6 +210,43 @@ def test_eval_without_mined_output_fails(workspace, capsys):
     assert "no mined output for FLINK-1320" in capsys.readouterr().err
 
 
+def test_eval_reports_a_corrupt_mined_file_and_scores_the_rest(workspace, fixtures_dir,
+                                                               capsys):
+    tmp_path, config, config_path = workspace
+    gold_path = _add_second_issue(workspace, fixtures_dir)
+    _rewrite(workspace, annotations_path=str(gold_path))
+    assert main(["mine", "-c", str(config_path)]) == 0
+    assert main(["eval", "-c", str(config_path)]) == 0
+    both = (tmp_path / "out" / "metrics.csv").read_bytes()
+    mined = tmp_path / "out" / "FLINK-1321.rationales.json"
+    text = mined.read_text(encoding="utf-8")
+    mined.write_text(text[: len(text) // 2], encoding="utf-8")
+    capsys.readouterr()
+    assert main(["eval", "-c", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("failed to evaluate FLINK-1321.rationales.json: ")
+    assert "Traceback" not in err
+    # the intact issue is still scored, and it scores as both did together
+    assert (tmp_path / "out" / "metrics.csv").read_bytes() == both
+
+
+@pytest.mark.parametrize("mode", ["prompt_head", "baseline"])
+def test_train_on_annotations_of_no_corpus_issue_is_a_typed_error(workspace, fixtures_dir,
+                                                                  capsys, mode):
+    tmp_path, config, config_path = workspace
+    record = json.loads((fixtures_dir / "flink-1320-gold.jsonl").read_text(encoding="utf-8"))
+    gold_path = tmp_path / "other-gold.jsonl"
+    gold_path.write_text(json.dumps(dict(record, issue="OTHER-1")) + "\n", encoding="utf-8")
+    _rewrite(workspace, mode=mode, annotations_path=str(gold_path),
+             head_path=str(tmp_path / "head.json"),
+             baseline_path=str(tmp_path / "baseline.json"))
+    assert main(["train", "-c", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the annotations label no sentence of the corpus\n")
+    assert not (tmp_path / "head.json").exists()
+    assert not (tmp_path / "baseline.json").exists()
+
+
 def test_train_baseline_writes_models(workspace, capsys):
     tmp_path, config, config_path = workspace
     baseline_path = tmp_path / "baseline.json"

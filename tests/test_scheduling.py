@@ -1,0 +1,359 @@
+"""Scheduling of backend calls across a run: one call pool, oldest issue
+first, one issue of look-ahead, output in corpus order."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import logging
+import re
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from contextvars import copy_context
+
+import pytest
+
+from rationale_miner import cli
+from rationale_miner.backends.protocol import Backend
+from rationale_miner.backends.scripted import ScriptedBackend
+from rationale_miner.config import build_backend, load_config
+from rationale_miner.errors import TransportError
+from rationale_miner.miner import ISSUE_RANK, CallPool
+
+from stub_server import run_stub
+
+ISSUES = 9
+# Design tags per issue; every issue also has noise sentences.
+_TAGS = ("Plan", "Reason", "Plan", "Bridge", "Plan", "Murky", "Reason", "Plan")
+_NOISE = ("The nightly build ran on {n} executors.", "Attached the log of run {n}.")
+_DESIGN = "{tag} q{j}z-{n} keeps the parser simple."
+_DESIGN_P0 = [0.9] + [0.0] * 13
+_NOISE_P0 = [0.1] + [0.0] * 13
+
+# The golden head calls a sentence design when its first polarity slot is
+# 0.9 and not when it is 0.1.  Pair answers depend on the tags alone: a
+# "Murky" second sentence is unparsable (a warning), a "Bridge" is an
+# argument complementary to an earlier plan (a construction warning), and a
+# "Doomed" sentence has a rule without an answer (the issue fails).
+SCRIPT = {
+    "mask_probs": {
+        "rules": [{"contains": tag + " q", "probs": _DESIGN_P0}
+                  for tag in ("Plan", "Reason", "Bridge", "Murky", "Doomed")],
+        "default": {"probs": _NOISE_P0},
+    },
+    "generate": {
+        "rules": [
+            {"contains": "Doomed"},
+            {"contains": "Sentence 2: Murky", "text": "hard to say"},
+            {"contains": ["Sentence 1: Reason", "Sentence 2: Plan"], "text": "supporting"},
+            {"contains": ["Sentence 1: Bridge", "Sentence 2: Plan"], "text": "supporting"},
+            {"contains": ["Sentence 1: Plan", "Sentence 2: Bridge"], "text": "complementary"},
+            {"contains": ["Sentence 1: Plan", "Sentence 2: Plan"], "text": "complementary"},
+            {"contains": ["Sentence 1: Reason", "Sentence 2: Reason"],
+             "text": "complementary"},
+        ],
+        "default": {"text": "unrelated"},
+    },
+}
+
+
+def _issue(j: int) -> dict:
+    """Issue ``j``: j % 8 design sentences among noise, in three comments;
+    issue 6 also holds a sentence that fails its pair probes."""
+    design = [_DESIGN.format(tag=tag, j=j, n=n) for n, tag in enumerate(_TAGS[: j % 8])]
+    if j == 6:
+        design.insert(1, _DESIGN.format(tag="Doomed", j=j, n=9))
+    texts = []
+    for n, sentence in enumerate(design):
+        texts.extend([sentence, _NOISE[n % 2].format(n=j + n + 2)])
+    texts = texts or [_NOISE[0].format(n=j + 2)]
+    thirds = [texts[i::3] for i in range(3)]
+    return {
+        "key": f"SCHED-{j}",
+        "summary": f"Pick a parser design for q{j}z",
+        "reporter": "alice",
+        "description": " ".join(thirds[0]) or "No description.",
+        "comments": [
+            {"author": author, "created": f"2020-01-0{c + 2}T10:00:00.000+0000",
+             "body": " ".join(part) or "Thanks."}
+            for c, (author, part) in enumerate(zip(("bob", "carol"), thirds[1:]))
+        ],
+    }
+
+
+def _issue_of(prompt: str) -> int:
+    return int(re.search(r"q(\d+)z", prompt).group(1))
+
+
+@pytest.fixture
+def corpus(tmp_path, fixtures_dir):
+    """A config over ``ISSUES`` generated issues and the script above."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    for j in range(ISSUES):
+        (corpus_dir / f"SCHED-{j}.json").write_text(json.dumps(_issue(j)), encoding="utf-8")
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(SCRIPT), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "corpus_dir": str(corpus_dir), "mode": "prompt_head", "backend": "scripted",
+        "script_path": str(script), "head_path": str(fixtures_dir / "golden-head.json"),
+    }), encoding="utf-8")
+    return tmp_path, config
+
+
+def _run(command: str, config, out, *flags: str) -> tuple[int, str, str, dict]:
+    """Exit code, stdout, stderr and output files (name -> bytes) of a command.
+
+    The package's log records go to stderr as they would without pytest,
+    whose own log handler otherwise takes them."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(stderr)
+    package_logger = logging.getLogger("rationale_miner")
+    package_logger.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main([command, "-c", str(config), "--out", str(out), *flags])
+    finally:
+        package_logger.removeHandler(handler)
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    # Output paths name the output directory; compare them without it.
+    return rc, stdout.getvalue().replace(str(out), "<out>"), stderr.getvalue(), files
+
+
+@pytest.mark.parametrize("command", ["mine", "extract", "pair"])
+def test_output_is_independent_of_workers(corpus, command):
+    tmp_path, config = corpus
+    runs = [_run(command, config, tmp_path / f"out-{workers}", "--workers", str(workers))
+            for workers in (1, 2, 8)]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    rc, stdout, stderr, _ = runs[0]
+    # The corpus exercises what ordering could break: stdout lines, pair
+    # warnings, construction warnings, and (past stage 1) a failed issue.
+    assert [line.split(":")[0] for line in stdout.splitlines()] == [
+        f"SCHED-{j}" for j in range(ISSUES) if command == "extract" or j != 6]
+    if command != "extract":
+        assert rc == 1
+        assert "failed on SCHED-6: " in stderr
+        assert "unparsable response 'hard to say'" in stderr
+    if command == "mine":
+        assert "crosses roles" in stderr
+
+
+def test_output_is_each_issue_alone_in_corpus_order(corpus):
+    """Stdout and stderr of a run are those of its issues mined one by one."""
+    tmp_path, config = corpus
+    rc, stdout, stderr, files = _run("mine", config, tmp_path / "out-all", "--workers", "2")
+    alone = []
+    for j in range(ISSUES):
+        single = tmp_path / f"corpus-{j}"
+        single.mkdir()
+        (single / f"SCHED-{j}.json").write_text(json.dumps(_issue(j)), encoding="utf-8")
+        alone.append(_run("mine", config, tmp_path / f"out-{j}", "--corpus", str(single)))
+    assert rc == 1
+    assert stdout == "".join(run[1] for run in alone)
+    assert stderr == "".join(run[2] for run in alone)
+    assert files == {name: data for run in alone for name, data in run[3].items()}
+
+
+class _Instrumented(Backend):
+    """Wraps a backend; counts calls in flight and keeps each call's prompt."""
+
+    def __init__(self, inner: Backend, delay: float = 0.0):
+        self.inner = inner
+        self.delay = delay
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.peak = 0
+        self.prompts: list[str] = []
+
+    def before(self, prompt: str) -> None:
+        """Runs on the pool thread before each call."""
+
+    def _call(self, func, prompt, *args):
+        self.before(prompt)
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.prompts.append(prompt)
+        try:
+            time.sleep(self.delay)
+            return func(prompt, *args)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+    def mask_probs(self, prompt, candidates):
+        return self._call(self.inner.mask_probs, prompt, candidates)
+
+    def generate(self, prompt, max_tokens=8):
+        return self._call(self.inner.generate, prompt, max_tokens)
+
+
+def _use_backend(monkeypatch, backend: _Instrumented) -> None:
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: backend)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_calls_in_flight_never_exceed_workers(corpus, monkeypatch, workers):
+    tmp_path, config = corpus
+    backend = _Instrumented(ScriptedBackend(SCRIPT), delay=0.002)
+    _use_backend(monkeypatch, backend)
+    rc, _, _, _ = _run("mine", config, tmp_path / "out", "--workers", str(workers))
+    assert rc == 1  # SCHED-6
+    assert len(backend.prompts) > 50
+    assert 1 <= backend.peak <= workers
+
+
+def _copy_issue(tmp_path, source: int, target: int) -> None:
+    """Make corpus issue ``target`` a copy of generated issue ``source``."""
+    text = json.dumps(_issue(source)).replace(f"q{source}z", f"q{target}z")
+    (tmp_path / "corpus" / f"SCHED-{target}.json").write_text(
+        text.replace(f"SCHED-{source}", f"SCHED-{target}"), encoding="utf-8")
+
+
+def test_older_issue_is_served_first(corpus, monkeypatch):
+    """Issue 0's probes, queued after issue 1's, are served before them."""
+    tmp_path, config = corpus
+    _copy_issue(tmp_path, 7, 0)  # 15 sentences; issue 1 has 2
+    submitted = {0: 0, 1: 0}
+    changed = threading.Condition()
+    submit = CallPool.submit
+
+    def ordered_submit(self, fn, *args):
+        rank = ISSUE_RANK.get()
+        with changed:
+            if rank == 0:  # issue 0 queues only after both of issue 1's probes
+                assert changed.wait_for(lambda: submitted[1] >= 2, timeout=30)
+            future = submit(self, fn, *args)
+            submitted[rank] = submitted.get(rank, 0) + 1
+            changed.notify_all()
+        return future
+
+    class Gated(_Instrumented):
+        def before(self, prompt):
+            if not self.prompts:  # issue 1's first probe holds the one slot
+                with changed:
+                    assert changed.wait_for(lambda: submitted[0] >= 15, timeout=30)
+
+    monkeypatch.setattr(CallPool, "submit", ordered_submit)
+    backend = Gated(ScriptedBackend(SCRIPT))
+    _use_backend(monkeypatch, backend)
+    _run("mine", config, tmp_path / "out", "--workers", "1")
+    served = [_issue_of(prompt) for prompt in backend.prompts]
+    assert served[:17] == [1] + [0] * 15 + [1]
+    assert sorted(set(served)) == list(range(ISSUES))
+
+
+def test_log_records_wait_for_their_issue(corpus, monkeypatch):
+    """Issue 1 finishes, warnings and all, while issue 0 still waits on a
+    probe; issue 0's warnings still come out first."""
+    tmp_path, config = corpus
+    _copy_issue(tmp_path, 7, 0)
+    _copy_issue(tmp_path, 5, 1)
+    out = tmp_path / "out"
+
+    class Gated(_Instrumented):
+        def before(self, prompt):
+            if "Sentence 1: Plan q0z-0 " in prompt and "Sentence 2: Reason q0z-1 " in prompt:
+                for _ in range(3000):
+                    if (out / "SCHED-1.rationales.md").exists():
+                        return
+                    time.sleep(0.01)
+                raise AssertionError("issue 1 did not finish while issue 0 waited")
+
+    _use_backend(monkeypatch, Gated(ScriptedBackend(SCRIPT)))
+    _, _, stderr, _ = _run("mine", config, out, "--workers", "2")
+    monkeypatch.setattr(cli, "build_backend", build_backend)
+    per_issue = []
+    for j in (0, 1):
+        single = tmp_path / f"corpus-{j}"
+        single.mkdir()
+        (single / f"SCHED-{j}.json").write_bytes(
+            (tmp_path / "corpus" / f"SCHED-{j}.json").read_bytes())
+        per_issue.append(_run("mine", config, tmp_path / f"out-{j}", "--corpus", str(single))[2])
+    assert "unparsable" in per_issue[0] and "crosses roles" in per_issue[1]
+    assert "unparsable" not in per_issue[1]
+    assert stderr.startswith(per_issue[0] + per_issue[1])
+
+
+def test_pool_serves_lower_rank_first():
+    gate = threading.Event()
+    served: list[str] = []
+
+    def call(name: str) -> str:
+        if name == "gate":
+            assert gate.wait(timeout=30)
+        served.append(name)
+        return name
+
+    def submit_as(rank: int, names: list[str]) -> list:
+        def submit_all():
+            ISSUE_RANK.set(rank)
+            return [pool.submit(call, name) for name in names]
+        return copy_context().run(submit_all)
+
+    with CallPool(1) as pool:
+        held = pool.submit(call, "gate")
+        later = submit_as(2, ["c1", "c2"])
+        older = submit_as(1, ["b1", "b2"])
+        gate.set()
+        assert [f.result(timeout=30) for f in [held, *older, *later]] == [
+            "gate", "b1", "b2", "c1", "c2"]
+    assert served == ["gate", "b1", "b2", "c1", "c2"]
+
+
+def test_pool_map_raises_the_first_failure_in_item_order():
+    def call(n: int) -> int:
+        if n in (2, 4):
+            raise TransportError(f"call {n}")
+        return n
+
+    with CallPool(2) as pool:
+        with pytest.raises(TransportError, match="call 2"):
+            pool.map(call, range(6))
+        assert pool.map(call, [0, 1, 3]) == [0, 1, 3]
+
+
+def test_transport_error_fails_only_its_issue(corpus, monkeypatch):
+    tmp_path, config = corpus
+
+    class Failing(_Instrumented):
+        def before(self, prompt):
+            if "Sentence 1: Plan q3z-0" in prompt:
+                raise TransportError("POST /v1/generate failed: connection reset")
+
+    backend = Failing(ScriptedBackend(SCRIPT))
+    _use_backend(monkeypatch, backend)
+    rc, stdout, stderr, files = _run("mine", config, tmp_path / "out", "--workers", "2")
+    assert rc == 1
+    keys = [line.split(":")[0] for line in stdout.splitlines()]
+    assert keys == [f"SCHED-{j}" for j in range(ISSUES) if j not in (3, 6)]
+    failed = [line for line in stderr.splitlines() if line.startswith("failed on")]
+    assert failed == [
+        "failed on SCHED-3: POST /v1/generate failed: connection reset",
+        "failed on SCHED-6: script rule lacks 'text': {'contains': 'Doomed'}",
+    ]
+    # SCHED-3's line comes before SCHED-5's construction warning
+    lines = stderr.splitlines()
+    first_warning = next(i for i, line in enumerate(lines) if "crosses roles" in line)
+    assert lines.index(failed[0]) < first_warning < lines.index(failed[1])
+    assert "SCHED-4.rationales.json" in files
+    assert "SCHED-3.rationales.json" not in files
+
+
+def test_remote_connection_pool_keeps_a_connection_per_worker(caplog):
+    """With 12 calls open at once, no connection is dropped on return."""
+    with run_stub() as server:
+        server.gate = threading.Barrier(12, timeout=30)
+        cfg = load_config(overrides={"backend": "remote", "backend_url": server.url,
+                                     "workers": 12})
+        backend = build_backend(cfg)
+        with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
+            with ThreadPoolExecutor(max_workers=12) as pool:
+                texts = list(pool.map(lambda n: backend.generate(f"prompt {n}"), range(12)))
+    assert len(texts) == 12
+    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
