@@ -22,7 +22,7 @@ from rationale_miner.backends.heads import load_head
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.config import SP_FINGERPRINT
 from rationale_miner.corpus import clean_issue, parse_issue
-from rationale_miner.miner import PromptHeadClassifier, mine_issue
+from rationale_miner.miner import PromptHeadClassifier, PromptPairClassifier, mine_issue
 
 FIXTURES = Path(__file__).resolve().parent.parent / "tests" / "fixtures"
 
@@ -45,7 +45,7 @@ def main() -> None:
     head = load_head(args.head, expected_fingerprint=SP_FINGERPRINT)
     classifier = PromptHeadClassifier(backend, head)
 
-    result = mine_issue(issue, classifier, backend)
+    result = mine_issue(issue, classifier, PromptPairClassifier(backend))
 
     print(f"design sentences: {len(result.design_ids)}")
     print(f"supporting edges: {len(result.graph.supporting)}")

@@ -7,7 +7,6 @@ from .protocol import (
     GenerateResponse,
     MaskProbsRequest,
     MaskProbsResponse,
-    NativeBackend,
     RemoteBackend,
 )
 from .scripted import ScriptedBackend
@@ -31,7 +30,7 @@ from .baseline import (
 
 __all__ = [
     "ENV_AUTH_TOKEN", "Backend", "GenerateRequest", "GenerateResponse",
-    "MaskProbsRequest", "MaskProbsResponse", "NativeBackend", "RemoteBackend",
+    "MaskProbsRequest", "MaskProbsResponse", "RemoteBackend",
     "ScriptedBackend",
     "LogisticHead", "SoftmaxHead", "feature_fingerprint", "load_head",
     "save_head", "train_head",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..corpus import Sentence
+from ..corpus import Sentence, pair_structure
 from ..features import FEATURE_NAMES, keyword_flags, word_tokens
 from .heads import (
     DEFAULT_EPOCHS,
@@ -166,15 +166,12 @@ def pair_features(s1: Sentence, s2: Sentence) -> np.ndarray:
     tokens1, tokens2 = set(word_tokens(s1.text)), set(word_tokens(s2.text))
     union = tokens1 | tokens2
     jaccard = len(tokens1 & tokens2) / len(union) if union else 0.0
-    same_comment = (
-        s1.kind == "comment" and s2.kind == "comment"
-        and s1.comment_index == s2.comment_index
-    )
+    same_comment, distance = pair_structure(s1, s2)
     flags1, flags2 = keyword_flags(s1.text), keyword_flags(s2.text)
     shared = any(a == 1.0 and b == 1.0 for a, b in zip(flags1, flags2))
     return np.array([
         1.0 if same_comment else 0.0,
-        float(abs(s2.global_index - s1.global_index)),
+        float(distance),
         jaccard,
         float(len(s1.text.split())),
         float(len(s2.text.split())),

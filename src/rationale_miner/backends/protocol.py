@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import requests
 
-from ..errors import CapabilityUnsupported, ProtocolError, TransportError
+from ..errors import ProtocolError, TransportError
 
 MASK_TOKEN = "[MASK]"
 ENV_AUTH_TOKEN = "RATIONALE_MINER_AUTH_TOKEN"
@@ -182,16 +182,3 @@ class RemoteBackend(Backend):
         body = self._post("/v1/generate", request.to_json())
         return GenerateResponse.from_json(body).text
 
-
-class NativeBackend(Backend):
-    """Placeholder for in-process inference; no weights ship with this package."""
-
-    def mask_probs(self, prompt: str, candidates: tuple[str, ...]) -> tuple[float, ...]:
-        raise CapabilityUnsupported(
-            "native inference is not bundled; configure a remote or scripted backend"
-        )
-
-    def generate(self, prompt: str, max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
-        raise CapabilityUnsupported(
-            "native inference is not bundled; configure a remote or scripted backend"
-        )

@@ -22,9 +22,16 @@ import numpy as np
 
 from .backends.baseline import train_baseline, train_pair_baseline
 from .backends.heads import save_head, train_head
-from .config import SP_FINGERPRINT, RunConfig, build_backend, build_classifier, load_config
+from .config import (
+    SP_FINGERPRINT,
+    RunConfig,
+    build_backend,
+    build_classifier,
+    build_pair_classifier,
+    load_config,
+)
 from .corpus import IssueLog, enumerate_sentences, load_corpus, sentence_order
-from .errors import ConfigError, DegenerateData, MiningError
+from .errors import ConfigError, DegenerateData, MalformedExport, MiningError
 from .evaluation import (
     Annotation,
     PRF,
@@ -42,11 +49,11 @@ from .features import FEATURE_GROUPS, compute_feature_matrix
 from .miner import (
     ISSUE_RANK,
     CallPool,
-    Rationale,
     design_entries,
     extract_stage,
     logger as miner_logger,
     mine_issue,
+    read_mined,
     relate_stage,
     render_markdown,
     sp_matrix,
@@ -75,7 +82,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", help="directory of issue export JSON files")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--mode", help="prompt_head or baseline")
-    parser.add_argument("--backend", help="remote, scripted, or native")
+    parser.add_argument("--backend", help="remote or scripted; prompt_head mode needs one")
     parser.add_argument("--backend-url", dest="backend_url", help="remote backend base URL")
     parser.add_argument("--script", help="scripted backend JSON file")
     parser.add_argument("--head", help="cloze-head model path")
@@ -130,13 +137,13 @@ def _require_annotations(cfg: RunConfig) -> list[Annotation]:
 
 
 class _Pipeline:
-    """What the extract, pair and mine steps share for one run."""
+    """What the extract, pair and mine steps share for one run.  Only
+    prompt_head mode builds a backend; ``pairs`` is None unless ``relate``."""
 
-    def __init__(self, cfg: RunConfig, calls: CallPool):
-        self.cfg = cfg
-        self.calls = calls
-        self.backend = build_backend(cfg)
-        self.classifier = build_classifier(cfg, self.backend, calls)
+    def __init__(self, cfg: RunConfig, calls: CallPool, relate: bool = True):
+        backend = build_backend(cfg) if cfg.mode == "prompt_head" else None
+        self.classifier = build_classifier(cfg, backend, calls)
+        self.pairs = build_pair_classifier(cfg, backend, calls) if relate else None
         self.analyzer = _analyzer(cfg)
         self.out = _outdir(cfg)
 
@@ -246,7 +253,7 @@ def _extract(issue: IssueLog, run: _Pipeline) -> str:
 
 def _pair(issue: IssueLog, run: _Pipeline) -> str:
     _, _, design = extract_stage(issue, run.classifier, run.analyzer)
-    graph, warnings = relate_stage(design, run.backend, run.cfg.pair_budget(), run.calls)
+    graph, warnings = relate_stage(design, run.pairs)
     path = _write_json(run.out / f"{issue.key}.relations.json", {
         "issue": issue.key, "design": graph.nodes, **graph.to_json(), "warnings": warnings,
     })
@@ -255,9 +262,7 @@ def _pair(issue: IssueLog, run: _Pipeline) -> str:
 
 
 def _mine(issue: IssueLog, run: _Pipeline) -> str:
-    result = mine_issue(issue, run.classifier, run.backend,
-                        pair_budget=run.cfg.pair_budget(), analyzer=run.analyzer,
-                        pool=run.calls)
+    result = mine_issue(issue, run.classifier, run.pairs, run.analyzer)
     json_path = _write_json(run.out / f"{issue.key}.rationales.json", result.to_json())
     (run.out / f"{issue.key}.rationales.md").write_text(result.to_markdown(),
                                                         encoding="utf-8")
@@ -269,7 +274,8 @@ def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _each_issue(cfg, _Pipeline, _extract)
+    return _each_issue(cfg, lambda cfg, calls: _Pipeline(cfg, calls, relate=False),
+                       _extract)
 
 
 def cmd_pair(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -353,24 +359,18 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
                   file=sys.stderr)
             continue
         try:
-            payload = json.loads(mined_path.read_text(encoding="utf-8"))
-            predicted = [
-                Rationale(solution=list(r["solution"]),
-                          arguments=[list(g) for g in r["arguments"]])
-                for r in payload.get("rationales", [])
-            ]
-            predicted_ids = [d["id"] for d in payload.get("design_sentences", [])]
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            mined = read_mined(mined_path)
+        except MalformedExport as exc:
             failures += 1
             print(f"failed to evaluate {mined_path.name}: {exc}", file=sys.stderr)
             continue
         order = order_by_issue.get(annotation.issue, {})
         gold = annotation.rationales
-        rows["rationale"].append(eval_rationales(predicted, gold))
-        sentence_scores = eval_sentences(predicted, gold, order)
+        rows["rationale"].append(eval_rationales(mined.rationales, gold))
+        sentence_scores = eval_sentences(mined.rationales, gold, order)
         rows["sentence_solution"].append(sentence_scores["solution"])
         rows["sentence_argument"].append(sentence_scores["argument"])
-        rows["extraction"].append(eval_binary(predicted_ids, annotation.design_ids()))
+        rows["extraction"].append(eval_binary(mined.text_of, annotation.design_ids()))
 
     csv_path = out / "metrics.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:
@@ -449,16 +449,16 @@ def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
         return 1
     for path in mined:
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            text_of = {d["id"]: d["text"] for d in payload.get("design_sentences", [])}
-            markdown = render_markdown(payload["issue"], payload.get("rationales", []),
-                                       text_of)
-            target = path.with_name(path.name[: -len(".json")] + ".md")
-            target.write_text(markdown, encoding="utf-8")
-            print(f"{path.name} -> {target.name}")
-        except (KeyError, ValueError) as exc:
+            mined = read_mined(path)
+        except MalformedExport as exc:
             failures += 1
             print(f"failed to export {path.name}: {exc}", file=sys.stderr)
+            continue
+        markdown = render_markdown(mined.issue, [r.to_json() for r in mined.rationales],
+                                   mined.text_of)
+        target = path.with_name(path.name[: -len(".json")] + ".md")
+        target.write_text(markdown, encoding="utf-8")
+        print(f"{path.name} -> {target.name}")
     return 1 if failures else 0
 
 

@@ -13,21 +13,28 @@ from pathlib import Path
 from requests import Session
 from requests.adapters import HTTPAdapter
 
-from .backends import NativeBackend, RemoteBackend, ScriptedBackend
-from .backends.baseline import BASELINE_FINGERPRINT, BaselineModel
+from .backends import RemoteBackend, ScriptedBackend
+from .backends.baseline import (
+    BASELINE_FINGERPRINT,
+    PAIR_FINGERPRINT,
+    BaselineModel,
+    PairBaselineModel,
+)
 from .backends.heads import feature_fingerprint, load_head
 from .errors import ConfigError
 from .miner import (
     BaselineClassifier,
+    BaselinePairClassifier,
     CallPool,
     PromptHeadClassifier,
+    PromptPairClassifier,
     SP_FEATURE_NAMES,
     call_slots,
 )
 from .prompts import CLOZE_MAX_SEQUENCE, PAIR_MAX_SEQUENCE, TokenBudget
 
 MODES = ("prompt_head", "baseline")
-BACKENDS = ("remote", "scripted", "native")
+BACKENDS = ("remote", "scripted")
 
 SP_FINGERPRINT = feature_fingerprint(SP_FEATURE_NAMES)
 
@@ -37,7 +44,7 @@ class RunConfig:
     corpus_dir: str = "corpus"
     output_dir: str = "out"
     mode: str = "prompt_head"
-    backend: str = "native"
+    backend: str | None = None
     backend_url: str | None = None
     auth_token: str | None = None
     script_path: str | None = None
@@ -56,7 +63,7 @@ class RunConfig:
     def validate(self) -> "RunConfig":
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.backend not in BACKENDS:
+        if self.backend is not None and self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         if self.backend == "remote" and not self.backend_url:
             raise ConfigError("backend_url is required when backend is 'remote'")
@@ -109,6 +116,10 @@ def load_config(path: str | Path | None = None,
 
 
 def build_backend(cfg: RunConfig):
+    """The configured model backend; prompt_head mode is the only one that
+    needs one."""
+    if cfg.backend is None:
+        raise ConfigError(f"backend is required in prompt_head mode: one of {BACKENDS}")
     if cfg.backend == "remote":
         # One kept-alive connection per call slot: a smaller pool closes the
         # connections beyond its size after each call.
@@ -118,9 +129,7 @@ def build_backend(cfg: RunConfig):
         session.mount("https://", adapter)
         return RemoteBackend(base_url=cfg.backend_url, auth_token=cfg.auth_token,
                              session=session)
-    if cfg.backend == "scripted":
-        return ScriptedBackend.from_file(cfg.script_path)
-    return NativeBackend()
+    return ScriptedBackend.from_file(cfg.script_path)
 
 
 def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
@@ -139,3 +148,17 @@ def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
     model = BaselineModel.load(cfg.baseline_path,
                                expected_fingerprint=BASELINE_FINGERPRINT)
     return BaselineClassifier(model=model)
+
+
+def build_pair_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
+                          ) -> PromptPairClassifier | BaselinePairClassifier:
+    """The pair-relation classifier implied by the configured mode.  Its
+    backend calls go through ``pool``, or a pool of one thread per CPU for
+    each call when it is None; baseline mode makes none."""
+    if cfg.mode == "prompt_head":
+        return PromptPairClassifier(backend=backend, budget=cfg.pair_budget(), pool=pool)
+    if not cfg.pair_baseline_path:
+        raise ConfigError("pair_baseline_path is required in baseline mode")
+    model = PairBaselineModel.load(cfg.pair_baseline_path,
+                                   expected_fingerprint=PAIR_FINGERPRINT)
+    return BaselinePairClassifier(model=model)

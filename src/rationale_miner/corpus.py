@@ -302,3 +302,13 @@ def enumerate_sentences(issue: IssueLog,
 def sentence_order(sentences: list[Sentence]) -> dict[str, int]:
     """Map sentence id to global index, the tie-break order used downstream."""
     return {s.id: s.global_index for s in sentences}
+
+
+def pair_structure(s1: Sentence, s2: Sentence) -> tuple[bool, int]:
+    """Whether two sentences sit in the same comment, and how many sentences
+    apart they are: the issue structure both pair classifiers see."""
+    same_comment = (
+        s1.kind == "comment" and s2.kind == "comment"
+        and s1.comment_index == s2.comment_index
+    )
+    return same_comment, abs(s2.global_index - s1.global_index)

@@ -37,10 +37,6 @@ class BudgetExhausted(MiningError):
     """The token budget leaves no room for even one sentence token."""
 
 
-class CapabilityUnsupported(MiningError):
-    """The selected backend cannot serve the requested capability."""
-
-
 class TransportError(MiningError):
     """The remote backend returned a non-200 status or was unreachable."""
 

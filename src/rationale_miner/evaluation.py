@@ -18,7 +18,13 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .corpus import IssueLog
-from .errors import CoverageMismatch, MalformedExport, TooFewIssues, UnknownDimension
+from .errors import (
+    ConfigError,
+    CoverageMismatch,
+    MalformedExport,
+    TooFewIssues,
+    UnknownDimension,
+)
 from .features import FEATURE_GROUPS
 from .miner import Rationale
 
@@ -155,14 +161,13 @@ class Annotation:
             "issue": self.issue,
             "annotator": self.annotator,
             "labels": self.labels,
-            "rationales": [
-                {"solution": r.solution, "arguments": r.arguments}
-                for r in self.rationales
-            ],
+            "rationales": [r.to_json() for r in self.rationales],
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> "Annotation":
+        if not isinstance(payload, dict):
+            raise MalformedExport("annotation must be a JSON object")
         for key in ("issue", "annotator", "labels"):
             if key not in payload:
                 raise MalformedExport(f"annotation missing field {key!r}")
@@ -172,23 +177,33 @@ class Annotation:
         for sid, label in labels.items():
             if label not in CATEGORIES:
                 raise MalformedExport(f"annotation label for {sid} is {label!r}")
-        rationales = [
-            Rationale(solution=list(r["solution"]),
-                      arguments=[list(g) for g in r.get("arguments", [])])
-            for r in payload.get("rationales", [])
-        ]
+        rationales = payload.get("rationales", [])
+        if not isinstance(rationales, list):
+            raise MalformedExport("annotation rationales must be a list")
         return cls(issue=payload["issue"], annotator=payload["annotator"],
-                   labels=dict(labels), rationales=rationales)
+                   labels=dict(labels),
+                   rationales=[Rationale.from_json(r) for r in rationales])
 
 
 def load_annotations(path: str | Path) -> list[Annotation]:
-    """Read one annotation per line from a JSONL file."""
+    """Read one annotation per line from a JSONL file.  A missing file is a
+    ConfigError; a line that is not an annotation is a MalformedExport naming
+    the file and line."""
+    if not Path(path).is_file():
+        raise ConfigError(f"annotations file not found: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedExport(f"{path}: {exc}") from exc
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(Annotation.from_json(json.loads(line)))
+    for number, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(Annotation.from_json(json.loads(line)))
+        except (ValueError, MalformedExport) as exc:
+            raise MalformedExport(f"{path}:{number}: {exc}") from exc
     return records
 
 

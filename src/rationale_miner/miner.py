@@ -2,13 +2,16 @@
 
 A mined rationale is one solution group (design sentences that complement each
 other) plus zero or more argument groups attached to it through supporting
-relations.  Relations come from a model backend queried per sentence pair;
-roles and groups are then decided deterministically from the relation graph.
+relations.  Both classification stages sit behind a small interface: a
+classifier ``scores`` sentences, a pair classifier gives the ``relations`` of
+design-sentence pairs.  Roles and groups are then decided deterministically
+from the relation graph.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import math
 import os
@@ -18,18 +21,20 @@ from contextlib import nullcontext
 from contextvars import ContextVar
 from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
-from .backends.baseline import BaselineModel
+from .backends.baseline import BaselineModel, PairBaselineModel, pair_features
 from .backends.heads import LogisticHead
 from .backends.protocol import Backend
 from .corpus import IssueLog, Sentence, sentence_order
-from .errors import SameSentence, UnknownSentence, UnparsableResponse
+from .errors import MalformedExport, SameSentence, UnknownSentence, UnparsableResponse
 from .features import FEATURE_NAMES, POLARITY_WORDS, compute_feature_matrix
 from .prompts import (
     CLOZE_MAX_SEQUENCE,
     PAIR_MAX_SEQUENCE,
+    RELATION_LABELS,
     TokenBudget,
     build_cloze_prompt,
     build_pair_prompt,
@@ -177,6 +182,24 @@ class RelationGraph:
 class Rationale:
     solution: list[str]
     arguments: list[list[str]]
+
+    def to_json(self) -> dict:
+        return {"solution": self.solution, "arguments": self.arguments}
+
+    @classmethod
+    def from_json(cls, payload) -> "Rationale":
+        """The inverse of ``to_json``, ``arguments`` defaulting to none; any
+        other shape raises MalformedExport."""
+        arguments = payload.get("arguments", []) if isinstance(payload, dict) else None
+        if not (isinstance(arguments, list) and all(map(_ids, arguments))
+                and _ids(payload.get("solution"))):
+            raise MalformedExport("a rationale must be an object with a 'solution' "
+                                  "list of sentence ids and 'arguments' lists of them")
+        return cls(solution=list(payload["solution"]), arguments=[list(g) for g in arguments])
+
+
+def _ids(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 @dataclass
@@ -356,6 +379,12 @@ class PairDecision:
     pair: tuple[str, str]
 
 
+def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
+    """Every unordered design-sentence pair, the earlier sentence first."""
+    ordered = sorted(design, key=lambda s: s.global_index)
+    return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
+
+
 def classify_pairs(design: list[Sentence], backend: Backend,
                    budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
                    workers: int | None = None,
@@ -369,8 +398,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
     wins.  Responses with no label word downgrade the pair to unrelated.
     The queries go through ``pool``, or a pool of ``workers`` when it is None.
     """
-    ordered = sorted(design, key=lambda s: s.global_index)
-    pairs = [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
+    pairs = _pairs(design)
     warnings: list[str] = []
 
     def ask(pair):
@@ -432,6 +460,45 @@ def classify_pairs(design: list[Sentence], backend: Backend,
     return decisions, warnings
 
 
+@dataclass
+class PromptPairClassifier:
+    """Relates design sentences through pair prompts (``classify_pairs``)."""
+
+    backend: Backend
+    budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE)
+    pool: CallPool | None = None
+
+    def relations(self, design: list[Sentence]) -> tuple[list[PairDecision], list[str]]:
+        return classify_pairs(design, self.backend, self.budget, pool=self.pool)
+
+
+@dataclass
+class BaselinePairClassifier:
+    """Relates design sentences with the pair baseline, one label per pair.
+
+    A supporting pair takes the earlier sentence as its solution, the rule the
+    prompt path applies when both directions claim support.
+    """
+
+    model: PairBaselineModel
+
+    def relations(self, design: list[Sentence]) -> tuple[list[PairDecision], list[str]]:
+        pairs = _pairs(design)
+        if not pairs:
+            return [], []
+        labels = self.model.predict(np.array([pair_features(s1, s2) for s1, s2 in pairs]))
+        decisions = []
+        for (s1, s2), label in zip(pairs, labels):
+            kind = RELATION_LABELS[label]
+            if kind == SUPPORTING:
+                decisions.append(PairDecision(kind=SUPPORTING, argument=s2.id,
+                                              solution=s1.id, pair=(s1.id, s2.id)))
+            elif kind == COMPLEMENTARY:
+                decisions.append(PairDecision(kind=COMPLEMENTARY, argument=None,
+                                              solution=None, pair=(s1.id, s2.id)))
+        return decisions, []
+
+
 def build_relation_graph(design: list[Sentence],
                          decisions: list[PairDecision]) -> RelationGraph:
     ordered = sorted(design, key=lambda s: s.global_index)
@@ -457,16 +524,10 @@ def extract_stage(issue: IssueLog, classifier,
     return sentences, scores, design
 
 
-def relate_stage(design: list[Sentence], backend: Backend,
-                 pair_budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
-                 pool: CallPool | None = None) -> tuple[RelationGraph, list[str]]:
+def relate_stage(design: list[Sentence], pairs) -> tuple[RelationGraph, list[str]]:
     """Stage 2 of ``mine_issue``: the relation graph over the design
-    sentences, with the warnings of the pair probes (none below two
-    sentences, where no probe is sent).  The probes go through ``pool``, or
-    a pool of one thread per CPU when it is None."""
-    decisions, warnings = [], []
-    if len(design) >= 2:
-        decisions, warnings = classify_pairs(design, backend, pair_budget, pool=pool)
+    sentences, with the warnings of the pair classifier ``pairs``."""
+    decisions, warnings = pairs.relations(design)
     return build_relation_graph(design, decisions), warnings
 
 
@@ -496,19 +557,44 @@ class MineResult:
             "issue": self.issue_key,
             "design_sentences": design_entries(self.sentences, self.scores, self.design_ids),
             "relations": self.graph.to_json(),
-            "rationales": [
-                {"solution": r.solution, "arguments": r.arguments}
-                for r in self.rationales
-            ],
+            "rationales": [r.to_json() for r in self.rationales],
             "warnings": self.warnings,
         }
 
     def to_markdown(self) -> str:
-        return render_markdown(
-            self.issue_key,
-            [{"solution": r.solution, "arguments": r.arguments} for r in self.rationales],
-            {s.id: s.text for s in self.sentences},
-        )
+        return render_markdown(self.issue_key, [r.to_json() for r in self.rationales],
+                               {s.id: s.text for s in self.sentences})
+
+
+@dataclass
+class MinedFile:
+    """What ``read_mined`` takes from a ``<KEY>.rationales.json``."""
+
+    issue: str
+    text_of: dict[str, str]  # design-sentence id -> text, in file order
+    rationales: list[Rationale]
+
+
+def read_mined(path: str | Path) -> MinedFile:
+    """Parse and check a file that ``MineResult.to_json`` wrote; a file of
+    any other shape raises MalformedExport."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise MalformedExport(f"not a JSON document: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("issue"), str):
+        raise MalformedExport("expected an object with an 'issue' string")
+    design = payload.get("design_sentences", [])
+    if not isinstance(design, list) or not all(
+            isinstance(d, dict) and isinstance(d.get("id"), str)
+            and isinstance(d.get("text"), str) for d in design):
+        raise MalformedExport("design_sentences must be a list of {id, text} objects")
+    rationales = payload.get("rationales", [])
+    if not isinstance(rationales, list):
+        raise MalformedExport("rationales must be a list")
+    return MinedFile(issue=payload["issue"],
+                     text_of={d["id"]: d["text"] for d in design},
+                     rationales=[Rationale.from_json(r) for r in rationales])
 
 
 def render_markdown(issue_key: str, rationales: list[dict],
@@ -533,14 +619,13 @@ def render_markdown(issue_key: str, rationales: list[dict],
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def mine_issue(issue: IssueLog, classifier, backend: Backend,
-               pair_budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
-               analyzer: SentimentAnalyzer | None = None,
-               pool: CallPool | None = None) -> MineResult:
+def mine_issue(issue: IssueLog, classifier, pairs,
+               analyzer: SentimentAnalyzer | None = None) -> MineResult:
     """Run the whole pipeline for one cleaned issue (see ``clean_issue``):
-    ``extract_stage``, ``relate_stage``, then ``construct_rationales``."""
+    ``extract_stage`` with ``classifier``, ``relate_stage`` with the pair
+    classifier ``pairs``, then ``construct_rationales``."""
     sentences, scores, design = extract_stage(issue, classifier, analyzer)
-    graph, pair_warnings = relate_stage(design, backend, pair_budget, pool)
+    graph, pair_warnings = relate_stage(design, pairs)
     construction = construct_rationales(graph)
     return MineResult(
         issue_key=issue.key,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .backends.protocol import MASK_TOKEN
-from .corpus import Sentence
+from .corpus import Sentence, pair_structure
 from .errors import BudgetExhausted, CrossIssue, SameSentence, UnparsableResponse
 
 # Slots reserved for the fixed cloze wording plus sequence special tokens.
@@ -123,11 +123,7 @@ def build_pair_prompt(s1: Sentence, s2: Sentence,
         raise CrossIssue(f"cannot pair {s1.id} ({s1.issue_key}) with {s2.id} ({s2.issue_key})")
     if s1.id == s2.id:
         raise SameSentence(f"cannot pair sentence {s1.id} with itself")
-    in_same_comment = (
-        s1.kind == "comment" and s2.kind == "comment"
-        and s1.comment_index == s2.comment_index
-    )
-    distance = abs(s2.global_index - s1.global_index)
+    in_same_comment, distance = pair_structure(s1, s2)
     template_len = budget.count(_render_pair("", "", in_same_comment, distance))
     cap = (budget.max_sequence - template_len) // 2
     if cap < 1:

@@ -33,6 +33,7 @@ from rationale_miner.evaluation import (
 from rationale_miner.features import POLARITY_WORDS, compute_feature_matrix
 from rationale_miner.miner import (
     PromptHeadClassifier,
+    PromptPairClassifier,
     Rationale,
     RelationGraph,
     SupportingEdge,
@@ -263,7 +264,7 @@ def test_criterion_05_golden_mine_byte_exact(golden_issue, fixtures_dir):
     head = load_head(fixtures_dir / "golden-head.json",
                      expected_fingerprint=SP_FINGERPRINT)
     classifier = PromptHeadClassifier(backend=backend, head=head)
-    result = mine_issue(golden_issue, classifier, backend)
+    result = mine_issue(golden_issue, classifier, PromptPairClassifier(backend))
     produced = (json.dumps(result.to_json(), indent=2) + "\n").encode("utf-8")
     assert produced == (fixtures_dir / "mined-expected.json").read_bytes()
 

@@ -13,11 +13,10 @@ from rationale_miner.backends.protocol import (
     GenerateResponse,
     MaskProbsRequest,
     MaskProbsResponse,
-    NativeBackend,
     RemoteBackend,
 )
 from rationale_miner.backends.scripted import ScriptedBackend
-from rationale_miner.errors import CapabilityUnsupported, ProtocolError, TransportError
+from rationale_miner.errors import ProtocolError, TransportError
 
 from stub_server import expected_probs, expected_text, run_stub
 
@@ -253,14 +252,3 @@ def test_scripted_backend_from_file(tmp_path):
     path.write_text(json.dumps(_script()), encoding="utf-8")
     backend = ScriptedBackend.from_file(path)
     assert backend.generate("no match") == "unrelated"
-
-
-# ---------------------------------------------------------------------------
-# native backend
-
-def test_native_backend_reports_unsupported():
-    backend = NativeBackend()
-    with pytest.raises(CapabilityUnsupported):
-        backend.mask_probs("a [MASK]", ("x",))
-    with pytest.raises(CapabilityUnsupported):
-        backend.generate("a")

@@ -14,7 +14,6 @@ from rationale_miner.backends.baseline import (
 from rationale_miner.backends.heads import load_head
 from rationale_miner.cli import main
 from rationale_miner.config import SP_FINGERPRINT, load_config
-from rationale_miner.errors import ModelMissing
 
 
 @pytest.fixture
@@ -318,16 +317,121 @@ def test_bad_model_file_is_a_typed_error(workspace, fixtures_dir, capsys, model,
 
 
 @pytest.mark.parametrize("how", _CORRUPTIONS)
-def test_bad_pair_baseline_file_is_a_typed_error(workspace, how):
-    # No command reads the pair baseline yet, so it is loaded directly.
+def test_bad_pair_baseline_file_is_a_typed_error(workspace, capsys, how):
     tmp_path, config, config_path = workspace
     path = tmp_path / "pair.json"
     _rewrite(workspace, mode="baseline", baseline_path=str(tmp_path / "baseline.json"),
              pair_baseline_path=str(path))
     assert main(["train", "-c", str(config_path)]) == 0
     _corrupt(path, how)
-    with pytest.raises(ModelMissing, match="pair baseline"):
-        PairBaselineModel.load(path, expected_fingerprint=PAIR_FINGERPRINT)
+    capsys.readouterr()
+    assert main(["mine", "-c", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
+# ---------------------------------------------------------------------------
+# baseline mode needs no backend; prompt_head mode does
+
+@pytest.mark.parametrize("issues", [1, 2])
+def test_baseline_mode_runs_end_to_end_without_a_backend(workspace, fixtures_dir, capsys,
+                                                         issues):
+    tmp_path, config, config_path = workspace
+    gold = {}
+    if issues == 2:
+        gold = {"annotations_path": str(_add_second_issue(workspace, fixtures_dir))}
+    config = _rewrite(workspace, mode="baseline", backend=None, script_path=None,
+                      head_path=None, baseline_path=str(tmp_path / "baseline.json"),
+                      pair_baseline_path=str(tmp_path / "pair.json"), **gold)
+    assert "backend" not in config
+    for command in ("train", "extract", "pair", "mine", "eval", "export"):
+        assert main([command, "-c", str(config_path)]) == 0, command
+    assert capsys.readouterr().err == ""
+    out = tmp_path / "out"
+    for key in ("FLINK-1320", "FLINK-1321")[:issues]:
+        relations = json.loads((out / f"{key}.relations.json").read_text(encoding="utf-8"))
+        mined = json.loads((out / f"{key}.rationales.json").read_text(encoding="utf-8"))
+        assert len(relations["design"]) >= 2
+        assert mined["relations"] == {"supporting": relations["supporting"],
+                                      "complementary": relations["complementary"]}
+        assert (out / f"{key}.rationales.md").exists()
+    assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "pair", "mine", "train"])
+def test_prompt_head_without_a_backend_is_a_config_error(workspace, capsys, command):
+    tmp_path, config, config_path = workspace
+    if command == "train":
+        _rewrite(workspace, head_path=str(tmp_path / "head.json"))
+    _rewrite(workspace, backend=None, script_path=None)
+    assert main([command, "-c", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: backend is required in prompt_head mode: "
+                            "one of ('remote', 'scripted')\n")
+    assert captured.out == ""
+    assert not (tmp_path / "head.json").exists()
+    assert not list((tmp_path / "out").glob("FLINK-1320.*"))
+
+
+# ---------------------------------------------------------------------------
+# malformed mined files and annotations
+
+@pytest.mark.parametrize("payload", [
+    [],                                                    # not an object
+    {"issue": "FLINK-1321", "rationales": ["c0-s0"]},      # rationale not an object
+    {"issue": "FLINK-1321", "rationales": [{"solution": "c0-s0", "arguments": []}]},  # str
+    {"issue": "FLINK-1321", "design_sentences": [{"id": "c0-s0"}]},  # no text
+    {"rationales": []},                                    # no issue key
+])
+def test_eval_and_export_report_a_malformed_mined_file(workspace, fixtures_dir, capsys,
+                                                       payload):
+    tmp_path, config, config_path = workspace
+    _rewrite(workspace, annotations_path=str(_add_second_issue(workspace, fixtures_dir)))
+    assert main(["mine", "-c", str(config_path)]) == 0
+    out = tmp_path / "out"
+    (out / "FLINK-1321.rationales.json").write_text(json.dumps(payload), encoding="utf-8")
+    (out / "FLINK-1320.rationales.md").unlink()
+    capsys.readouterr()
+    assert main(["export", "-c", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "FLINK-1320.rationales.json -> FLINK-1320.rationales.md\n"
+    assert captured.err.startswith("failed to export FLINK-1321.rationales.json: ")
+    assert captured.err.count("\n") == 1
+    assert (out / "FLINK-1320.rationales.md").read_bytes() == (
+        fixtures_dir / "mined-expected.md").read_bytes()
+    assert main(["eval", "-c", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("failed to evaluate FLINK-1321.rationales.json: ")
+    assert captured.err.count("\n") == 1
+    assert (out / "metrics.csv").read_bytes() == (
+        fixtures_dir / "metrics-expected.csv").read_bytes()
+
+
+def test_stats_reports_bad_annotation_lines(workspace, fixtures_dir, capsys):
+    tmp_path, config, config_path = workspace
+    record = json.loads((fixtures_dir / "flink-1320-gold.jsonl").read_text(encoding="utf-8"))
+    gold = tmp_path / "bad-gold.jsonl"
+    gold.write_text(json.dumps(record) + "\n{not json\n", encoding="utf-8")
+    assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {gold}:2: ")
+    broken = dict(record, rationales=[{"arguments": [["c1-s0"]]}])
+    gold.write_text(json.dumps(broken) + "\n", encoding="utf-8")
+    assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {gold}:1: a rationale must be ")
+    gold.write_text(json.dumps(dict(record, rationales=5)) + "\n", encoding="utf-8")
+    assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {gold}:1: annotation rationales must be a list\n")
+    gold.write_bytes(b"\xff\n")
+    assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {gold}: 'utf-8' codec")
+
+
+def test_stats_with_missing_annotations_is_a_config_error(workspace, capsys):
+    tmp_path, config, config_path = workspace
+    gold = tmp_path / "absent.jsonl"
+    assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 2
+    assert capsys.readouterr().err == f"config error: annotations file not found: {gold}\n"
 
 
 def test_split_holds_out_one_issue_per_project(workspace, fixtures_dir):
@@ -401,6 +505,6 @@ def test_export_without_mined_output_fails(workspace, capsys):
 def test_load_config_defaults_are_valid():
     cfg = load_config()
     assert cfg.mode == "prompt_head"
-    assert cfg.backend == "native"
+    assert cfg.backend is None
     assert cfg.cloze_budget().max_sequence == 384
     assert cfg.pair_budget().max_sequence == 512

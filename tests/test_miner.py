@@ -3,14 +3,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from rationale_miner.backends.baseline import pair_features
 from rationale_miner.backends.heads import LogisticHead
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.corpus import Sentence
 from rationale_miner.errors import ProtocolError, SameSentence, UnknownSentence
 from rationale_miner.features import FEATURE_NAMES, POLARITY_WORDS
 from rationale_miner.miner import (
+    BaselinePairClassifier,
     PairDecision,
     PromptHeadClassifier,
+    PromptPairClassifier,
     RelationGraph,
     SP_FEATURE_NAMES,
     SupportingEdge,
@@ -21,6 +24,7 @@ from rationale_miner.miner import (
     mine_issue,
     render_markdown,
 )
+from rationale_miner.prompts import RELATION_LABELS
 
 
 def _graph(nodes: list[str], supporting=(), complementary=()) -> RelationGraph:
@@ -345,7 +349,7 @@ def test_mine_issue_single_design_sentence_skips_pair_stage(golden_issue):
 
     # a backend with no generate section raises if the pair stage ever runs
     backend = ScriptedBackend({})
-    result = mine_issue(golden_issue, OneHot(), backend)
+    result = mine_issue(golden_issue, OneHot(), PromptPairClassifier(backend))
     assert result.design_ids == ["c0-s0"]
     assert result.graph.supporting == [] and result.graph.complementary == []
     assert [r.solution for r in result.rationales] == [["c0-s0"]]
@@ -354,8 +358,49 @@ def test_mine_issue_single_design_sentence_skips_pair_stage(golden_issue):
 
 def test_mine_issue_no_design_sentences(golden_issue):
     result = mine_issue(golden_issue, _FixedScores([0.0] * 10),
-                        ScriptedBackend({}))
+                        PromptPairClassifier(ScriptedBackend({})))
     assert result.design_ids == []
     assert result.rationales == []
     assert result.to_json()["rationales"] == []
     assert "No rationales mined." in result.to_markdown()
+
+
+# ---------------------------------------------------------------------------
+# baseline pair classifier
+
+class _FixedLabels:
+    """A pair model that answers fixed labels and keeps the rows it was given."""
+
+    def __init__(self, labels):
+        self.labels = labels
+        self.rows = None
+
+    def predict(self, rows):
+        self.rows = rows
+        return np.array([RELATION_LABELS.index(label) for label in self.labels])
+
+
+def test_baseline_pair_classifier_direction_and_labels():
+    a = _sentence("c0-s0", "We should cache the compiled plan.", 0, 0)
+    b = _sentence("c1-s0", "Recompiling is slow.", 1, 1)
+    c = _sentence("c2-s0", "Cache the statistics too.", 2, 2)
+    model = _FixedLabels(["supporting", "complementary", "unrelated"])
+    decisions, warnings = BaselinePairClassifier(model).relations([c, a, b])
+    # one row per unordered pair, the earlier sentence first, as in training
+    assert np.array_equal(model.rows, np.array(
+        [pair_features(a, b), pair_features(a, c), pair_features(b, c)]))
+    assert decisions == [
+        # supporting: the earlier sentence is the solution
+        PairDecision(kind="supporting", argument="c1-s0", solution="c0-s0",
+                     pair=("c0-s0", "c1-s0")),
+        PairDecision(kind="complementary", argument=None, solution=None,
+                     pair=("c0-s0", "c2-s0")),
+    ]
+    assert warnings == []
+
+
+def test_baseline_pair_classifier_asks_nothing_below_two_sentences():
+    model = _FixedLabels([])
+    assert BaselinePairClassifier(model).relations(
+        [_sentence("c0-s0", "One.", 0, 0)]) == ([], [])
+    assert model.rows is None
