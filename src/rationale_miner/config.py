@@ -1,7 +1,8 @@
 """Run configuration: JSON file merged with command-line overrides.
 
-The only environment variable read anywhere is the auth-token override used
-by the remote backend; every other knob lives in the config file or a flag.
+The only environment variables read anywhere are the remote backend's: the
+auth-token override and the standard proxy settings.  Every other knob lives
+in the config file or a flag.
 """
 
 from __future__ import annotations
@@ -9,9 +10,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-from requests import Session
-from requests.adapters import HTTPAdapter
 
 from .backends import RemoteBackend, ScriptedBackend
 from .backends.baseline import (
@@ -21,6 +19,7 @@ from .backends.baseline import (
     PairBaselineModel,
 )
 from .backends.heads import feature_fingerprint, load_head
+from .backends.protocol import split_base_url
 from .errors import ConfigError
 from .miner import (
     BaselineClassifier,
@@ -29,7 +28,6 @@ from .miner import (
     PromptHeadClassifier,
     PromptPairClassifier,
     SP_FEATURE_NAMES,
-    call_slots,
 )
 from .prompts import CLOZE_MAX_SEQUENCE, PAIR_MAX_SEQUENCE, TokenBudget
 
@@ -65,8 +63,10 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.backend is not None and self.backend not in BACKENDS:
             raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.backend == "remote" and not self.backend_url:
-            raise ConfigError("backend_url is required when backend is 'remote'")
+        if self.backend == "remote":
+            if not self.backend_url:
+                raise ConfigError("backend_url is required when backend is 'remote'")
+            split_base_url(self.backend_url)
         if self.backend == "scripted" and not self.script_path:
             raise ConfigError("script_path is required when backend is 'scripted'")
         if self.cloze_max_sequence < 1 or self.pair_max_sequence < 1:
@@ -121,14 +121,7 @@ def build_backend(cfg: RunConfig):
     if cfg.backend is None:
         raise ConfigError(f"backend is required in prompt_head mode: one of {BACKENDS}")
     if cfg.backend == "remote":
-        # One kept-alive connection per call slot: a smaller pool closes the
-        # connections beyond its size after each call.
-        adapter = HTTPAdapter(pool_maxsize=call_slots(cfg.workers))
-        session = Session()
-        session.mount("http://", adapter)
-        session.mount("https://", adapter)
-        return RemoteBackend(base_url=cfg.backend_url, auth_token=cfg.auth_token,
-                             session=session)
+        return RemoteBackend(base_url=cfg.backend_url, auth_token=cfg.auth_token)
     return ScriptedBackend.from_file(cfg.script_path)
 
 
@@ -153,10 +146,11 @@ def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
 def build_pair_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
                           ) -> PromptPairClassifier | BaselinePairClassifier:
     """The pair-relation classifier implied by the configured mode.  Its
-    backend calls go through ``pool``, or a pool of one thread per CPU for
-    each call when it is None; baseline mode makes none."""
+    backend calls go through ``pool``, or a pool of ``workers`` per call
+    when it is None; baseline mode makes none."""
     if cfg.mode == "prompt_head":
-        return PromptPairClassifier(backend=backend, budget=cfg.pair_budget(), pool=pool)
+        return PromptPairClassifier(backend=backend, budget=cfg.pair_budget(),
+                                    workers=cfg.workers, pool=pool)
     if not cfg.pair_baseline_path:
         raise ConfigError("pair_baseline_path is required in baseline mode")
     model = PairBaselineModel.load(cfg.pair_baseline_path,

@@ -58,13 +58,9 @@ SP_FEATURE_NAMES: tuple[str, ...] = tuple(
 ISSUE_RANK: ContextVar[int] = ContextVar("issue_rank", default=0)
 
 
-def call_slots(workers: int | None) -> int:
-    """Backend calls a run may have in flight; ``None`` means one per CPU."""
-    return workers or os.cpu_count() or 1
-
-
 class CallPool:
-    """Threads that make backend calls, at most ``call_slots(workers)`` at once.
+    """Threads that make backend calls, at most ``workers`` at once (one per
+    CPU when None).
 
     Queued calls are served in (issue rank, submission) order, the rank being
     ``ISSUE_RANK`` on the submitting thread.  The oldest issue of a run thus
@@ -75,7 +71,7 @@ class CallPool:
     """
 
     def __init__(self, workers: int | None = None):
-        self.size = call_slots(workers)
+        self.size = workers or os.cpu_count() or 1
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._order = itertools.count()
         self._threads: list[threading.Thread] = []
@@ -466,10 +462,12 @@ class PromptPairClassifier:
 
     backend: Backend
     budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE)
+    workers: int | None = None
     pool: CallPool | None = None
 
     def relations(self, design: list[Sentence]) -> tuple[list[PairDecision], list[str]]:
-        return classify_pairs(design, self.backend, self.budget, pool=self.pool)
+        return classify_pairs(design, self.backend, self.budget, self.workers,
+                              pool=self.pool)
 
 
 @dataclass

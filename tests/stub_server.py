@@ -3,14 +3,29 @@
 The stub answers deterministically (probabilities derived from prompt and
 candidate lengths, generations echoing a fixed label) so tests can predict
 every response.  A ``failure_mode`` attribute switches the next responses to
-various malformed shapes to exercise client-side error handling, and a
-``gate`` barrier, when set, holds each request until that many are open.
+various malformed shapes to exercise client-side error handling, a ``gate``
+barrier, when set, holds each request until that many are open, and a
+``delay`` holds each reply that many seconds.
+
+By default each reply closes its connection (HTTP/1.0); ``keep_alive=True``
+serves HTTP/1.1 with kept-alive connections.  ``connections`` counts the
+accepted connections.  Endpoints are matched on the end of the request
+target, so the stub also answers under a path prefix and, as a forward proxy
+receives them, absolute-form targets; ``requests`` records each target as
+sent.
+
+``run_socket_stub`` is a bare HTTP/1.1 server for the connection handling
+itself: it answers each request in a scripted way, such as closing the
+connection without a reply.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import socket
 import threading
+import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -27,6 +42,14 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, *args):  # keep test output quiet
         pass
 
+    def setup(self):
+        super().setup()
+        # Headers and body go out in two writes; without this the body would
+        # wait for the client's delayed ACK on a kept-alive connection.
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self.server.keep_alive:
+            self.protocol_version = "HTTP/1.1"
+
     def _reply(self, status: int, body: bytes, content_type: str = "application/json"):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
@@ -41,6 +64,7 @@ class _Handler(BaseHTTPRequestHandler):
         server.requests.append((self.path, dict(self.headers), raw))
         if server.gate is not None:
             server.gate.wait()
+        time.sleep(server.delay)
         mode = server.failure_mode
 
         if mode == "status-500":
@@ -56,7 +80,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(400, b'{"error": "bad request"}')
             return
 
-        if self.path == "/v1/mask-probs":
+        if self.path.endswith("/v1/mask-probs"):
             prompt = payload.get("prompt", "")
             count = len(payload.get("candidates", []))
             probs = expected_probs(prompt, count)
@@ -68,7 +92,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._reply(200, json.dumps({"values": probs}).encode())
                 return
             self._reply(200, json.dumps({"probs": probs}).encode())
-        elif self.path == "/v1/generate":
+        elif self.path.endswith("/v1/generate"):
             if mode == "missing-field":
                 self._reply(200, b'{"output": "text"}')
                 return
@@ -79,11 +103,27 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class StubServer(ThreadingHTTPServer):
-    def __init__(self):
+    def __init__(self, keep_alive: bool = False):
         super().__init__(("127.0.0.1", 0), _Handler)
+        self.keep_alive = keep_alive
         self.failure_mode: str | None = None
         self.gate: threading.Barrier | None = None
+        self.delay = 0.0
         self.requests: list[tuple[str, dict, bytes]] = []
+        self.connections = 0
+        self._open: set[socket.socket] = set()
+        self._lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._lock:
+            self.connections += 1
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
 
     @property
     def url(self) -> str:
@@ -92,13 +132,94 @@ class StubServer(ThreadingHTTPServer):
 
 
 @contextmanager
-def run_stub():
-    server = StubServer()
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+def run_stub(keep_alive: bool = False):
+    server = StubServer(keep_alive)
+    # shutdown() waits for the serve loop's next poll, 0.5 s by default.
+    thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
     try:
         yield server
     finally:
         server.shutdown()
+        with server._lock:
+            for request in server._open:  # ends handlers waiting on kept-alive reads
+                try:
+                    request.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
         server.server_close()
+        thread.join(timeout=5)
+
+
+class SocketStub:
+    """What ``run_socket_stub`` yields: the base URL, the accepted connection
+    count, and ``closed``, set when an ``ok-close`` connection is closed."""
+
+    def __init__(self, port: int):
+        self.url = f"http://127.0.0.1:{port}"
+        self.connections = 0
+        self.closed = threading.Event()
+
+
+_REPLY_BODY = json.dumps({"text": "ok"}).encode()
+_REPLY = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+          b"Content-Length: %d\r\n\r\n%s" % (len(_REPLY_BODY), _REPLY_BODY))
+_REPLIES = {"partial": _REPLY[:-3],
+            "close": _REPLY.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1)}
+
+
+def _read_request(conn: socket.socket, buffer: bytes) -> bytes | None:
+    """Reads one request off ``conn``; the bytes after it, or None at EOF."""
+    while b"\r\n\r\n" not in buffer:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return None
+        buffer += chunk
+    head, buffer = buffer.split(b"\r\n\r\n", 1)
+    length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
+    while len(buffer) < length:
+        buffer += conn.recv(65536)
+    return buffer[length:]
+
+
+@contextmanager
+def run_socket_stub(script: list[str]):
+    """Serve requests in the ways ``script`` lists, one per request in
+    arrival order: ``ok`` answers ``{"text": "ok"}`` and keeps the
+    connection, ``ok-close`` answers and then closes it without saying so,
+    ``close`` answers with ``Connection: close`` and closes it, ``drop``
+    closes it without a reply, ``partial`` sends a reply cut short and
+    closes."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    stub = SocketStub(listener.getsockname()[1])
+
+    def serve(conn: socket.socket) -> None:
+        buffer, step = b"", "ok"
+        with conn:
+            while step == "ok" and script:
+                buffer = _read_request(conn, buffer)
+                if buffer is None:
+                    return
+                step = script.pop(0)
+                if step != "drop":
+                    conn.sendall(_REPLIES.get(step, _REPLY))
+        if step == "ok-close":
+            stub.closed.set()
+
+    def accept() -> None:
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:  # the listener was shut down
+                return
+            stub.connections += 1
+            threading.Thread(target=serve, args=(conn,), daemon=True).start()
+
+    thread = threading.Thread(target=accept, daemon=True)
+    thread.start()
+    try:
+        yield stub
+    finally:
+        listener.shutdown(socket.SHUT_RDWR)
+        listener.close()
         thread.join(timeout=5)

@@ -1,7 +1,12 @@
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
+import socket
+import ssl
+import time
+from http.client import HTTPSConnection
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +21,9 @@ from rationale_miner.backends.protocol import (
     RemoteBackend,
 )
 from rationale_miner.backends.scripted import ScriptedBackend
-from rationale_miner.errors import ProtocolError, TransportError
+from rationale_miner.errors import ConfigError, ProtocolError, TransportError
 
-from stub_server import expected_probs, expected_text, run_stub
+from stub_server import expected_probs, expected_text, run_socket_stub, run_stub
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +182,161 @@ def test_remote_backend_validates_request_before_sending():
     backend = RemoteBackend("http://127.0.0.1:9")  # would fail if contacted
     with pytest.raises(ProtocolError):
         backend.mask_probs("no mask", ("x",))
+
+
+def test_remote_backend_sends_json_dumps_bytes():
+    with run_stub() as server:
+        backend = RemoteBackend(server.url)
+        backend.mask_probs("is [MASK] related", ("yes", "no"))
+        backend.generate("caf\u00e9 continues", max_tokens=4)
+        sent = [
+            MaskProbsRequest(prompt="is [MASK] related", candidates=("yes", "no")).to_json(),
+            GenerateRequest(prompt="caf\u00e9 continues", max_tokens=4).to_json(),
+        ]
+        assert [body for _, _, body in server.requests] == [
+            json.dumps(payload).encode() for payload in sent]
+        assert all(headers["Content-Type"] == "application/json"
+                   for _, headers, _ in server.requests)
+
+
+def test_remote_backend_reuses_a_kept_alive_connection():
+    with run_stub(keep_alive=True) as server:
+        backend = RemoteBackend(server.url)
+        for n in range(3):
+            assert backend.generate(f"prompt {n}") == expected_text(f"prompt {n}")
+        assert server.connections == 1
+
+
+def test_remote_backend_opens_a_connection_per_reply_that_closes_it():
+    with run_stub() as server:  # HTTP/1.0: every reply closes its connection
+        backend = RemoteBackend(server.url)
+        for n in range(3):
+            backend.generate(f"prompt {n}")
+        assert server.connections == 3
+
+
+def test_remote_backend_resends_once_when_the_server_closed_an_idle_connection():
+    with run_socket_stub(["ok-close", "ok"]) as stub:
+        backend = RemoteBackend(stub.url)
+        assert backend.generate("first") == "ok"
+        assert stub.closed.wait(timeout=5)
+        assert backend.generate("second") == "ok"
+        assert stub.connections == 2
+
+
+def test_remote_backend_resends_once_when_a_reused_connection_closes_unanswered():
+    with run_socket_stub(["ok", "drop", "ok"]) as stub:
+        backend = RemoteBackend(stub.url)
+        assert backend.generate("first") == "ok"
+        assert backend.generate("second") == "ok"
+        assert stub.connections == 2
+
+
+@pytest.mark.parametrize("script,connections", [
+    (["drop"], 1),  # a new connection is never resent on
+    (["ok", "drop", "drop"], 2),  # the one resend also failed
+    (["ok", "partial"], 1),  # the reply had started
+    (["close", "drop"], 2),  # the second connection was new, not reused
+])
+def test_remote_backend_does_not_resend_otherwise(script, connections):
+    with run_socket_stub(script) as stub:
+        backend = RemoteBackend(stub.url)
+        if len(script) > 1:
+            assert backend.generate("first") == "ok"
+        with pytest.raises(TransportError, match=f"POST {stub.url}/v1/generate failed: "):
+            backend.generate("second")
+        assert stub.connections == connections
+
+
+def test_remote_backend_unreachable_host_is_one_attempt(monkeypatch):
+    with socket.create_server(("127.0.0.1", 0)) as free:
+        port = free.getsockname()[1]  # refuses connections once closed
+    attempts = []
+    create_connection = socket.create_connection
+
+    def counted(*args, **kwargs):
+        attempts.append(args[0])
+        return create_connection(*args, **kwargs)
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    backend = RemoteBackend(f"http://127.0.0.1:{port}", timeout=0.5)
+    with pytest.raises(TransportError, match=f"POST http://127.0.0.1:{port}/v1/generate "
+                                             "failed: "):
+        backend.generate("hello")
+    assert attempts == [("127.0.0.1", port)]
+
+
+def test_remote_backend_read_timeout_is_a_transport_error():
+    with run_stub() as server:
+        server.delay = 1.0
+        backend = RemoteBackend(server.url, timeout=0.2)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="timed out"):
+            backend.generate("slow")
+        assert time.monotonic() - start < 0.8
+
+
+def test_remote_backend_keeps_the_base_url_path():
+    with run_stub() as server:
+        backend = RemoteBackend(server.url + "/models/v2/")
+        assert backend.generate("x") == expected_text("x")
+        assert server.requests[-1][0] == "/models/v2/v1/generate"
+
+
+def _clear_proxies(monkeypatch):
+    for name in ("http_proxy", "https_proxy", "no_proxy", "HTTP_PROXY", "HTTPS_PROXY",
+                 "NO_PROXY", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def test_remote_backend_goes_through_the_environment_proxy(monkeypatch):
+    _clear_proxies(monkeypatch)
+    with run_stub() as origin, run_stub() as proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy.url.replace("//", "//ann:p%40ss@"))
+        assert RemoteBackend(origin.url + "/api").generate("x") == expected_text("x")
+        assert [path for path, _, _ in proxy.requests] == [f"{origin.url}/api/v1/generate"]
+        headers = proxy.requests[0][1]
+        assert headers["Host"] == origin.url.removeprefix("http://")
+        assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"ann:p@ss").decode()
+        assert origin.requests == []
+
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        assert RemoteBackend(origin.url).generate("y") == expected_text("y")
+        assert [path for path, _, _ in origin.requests] == ["/v1/generate"]
+        assert len(proxy.requests) == 1
+
+
+def test_remote_backend_reads_the_proxy_once(monkeypatch):
+    _clear_proxies(monkeypatch)
+    with run_stub() as origin:
+        backend = RemoteBackend(origin.url)
+        monkeypatch.setenv("HTTP_PROXY", "http://127.0.0.1:9")
+        assert backend.generate("x") == expected_text("x")
+
+
+def test_remote_backend_rejects_a_proxy_it_cannot_use(monkeypatch):
+    _clear_proxies(monkeypatch)
+    monkeypatch.setenv("HTTPS_PROXY", "socks5://127.0.0.1:1080")
+    with pytest.raises(ConfigError, match="only http:// proxies are supported"):
+        RemoteBackend("https://models.example")
+
+
+def test_remote_backend_https_verifies_certificate_and_host(monkeypatch):
+    _clear_proxies(monkeypatch)
+    backend = RemoteBackend("https://models.example:8443")
+    context = backend.ssl_context
+    assert context.verify_mode == ssl.CERT_REQUIRED
+    assert context.check_hostname
+    conn = backend._connect()
+    assert isinstance(conn, HTTPSConnection)
+    assert (conn.host, conn.port) == ("models.example", 8443)
+    assert RemoteBackend("http://models.example").ssl_context is None
+
+
+@pytest.mark.parametrize("url", ["localhost:8080", "ftp://models.example", "http://"])
+def test_remote_backend_rejects_a_malformed_base_url(url):
+    with pytest.raises(ConfigError, match="backend_url must be an http:// or https:// URL"):
+        RemoteBackend(url)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rationale_miner
 from rationale_miner.backends.baseline import (
     BASELINE_FINGERPRINT,
     PAIR_FINGERPRINT,
@@ -356,6 +361,31 @@ def test_baseline_mode_runs_end_to_end_without_a_backend(workspace, fixtures_dir
                                       "complementary": relations["complementary"]}
         assert (out / f"{key}.rationales.md").exists()
     assert (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("url", ["localhost:8080", "ftp://models.example/", "http://",
+                                 "http://models.example:port/"])
+def test_malformed_backend_url_is_a_config_error(workspace, capsys, url):
+    tmp_path, config, config_path = workspace
+    _rewrite(workspace, backend="remote", backend_url=url, script_path=None)
+    assert main(["mine", "-c", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: backend_url ")
+    assert repr(url) in captured.err
+    assert captured.out == ""
+    assert not list((tmp_path / "out").glob("FLINK-1320.*"))
+
+
+def test_cli_import_loads_no_http_library():
+    """The transport is the standard library's: importing the CLI pulls in
+    neither requests nor urllib3, which would add to every run's set-up."""
+    src = Path(rationale_miner.__file__).resolve().parents[1]
+    probe = ("import sys, rationale_miner.cli; "
+             "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command", ["extract", "pair", "mine", "train"])

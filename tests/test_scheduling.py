@@ -18,7 +18,8 @@ import pytest
 from rationale_miner import cli
 from rationale_miner.backends.protocol import Backend
 from rationale_miner.backends.scripted import ScriptedBackend
-from rationale_miner.config import build_backend, load_config
+from rationale_miner.config import build_backend, build_pair_classifier, load_config
+from rationale_miner.corpus import clean_issue, enumerate_sentences, parse_issue
 from rationale_miner.errors import TransportError
 from rationale_miner.miner import ISSUE_RANK, CallPool
 
@@ -345,15 +346,31 @@ def test_transport_error_fails_only_its_issue(corpus, monkeypatch):
     assert "SCHED-3.rationales.json" not in files
 
 
-def test_remote_connection_pool_keeps_a_connection_per_worker(caplog):
-    """With 12 calls open at once, no connection is dropped on return."""
-    with run_stub() as server:
+def test_remote_connection_pool_keeps_a_connection_per_worker():
+    """Two rounds of 12 calls open at once: the second round reuses the
+    first round's 12 connections and opens none."""
+    with run_stub(keep_alive=True) as server:
         server.gate = threading.Barrier(12, timeout=30)
         cfg = load_config(overrides={"backend": "remote", "backend_url": server.url,
                                      "workers": 12})
         backend = build_backend(cfg)
-        with caplog.at_level(logging.WARNING, logger="urllib3.connectionpool"):
-            with ThreadPoolExecutor(max_workers=12) as pool:
+        with ThreadPoolExecutor(max_workers=12) as pool:
+            for _ in range(2):
                 texts = list(pool.map(lambda n: backend.generate(f"prompt {n}"), range(12)))
-    assert len(texts) == 12
-    assert not [r for r in caplog.records if "pool is full" in r.getMessage()]
+                assert len(texts) == 12
+        assert len(server.requests) == 24
+        assert server.connections == 12
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_pair_classifier_without_a_pool_keeps_to_workers(workers):
+    """Built with no pool, the pair classifier still has at most ``workers``
+    calls in flight."""
+    issue = clean_issue(parse_issue(_issue(7)))  # 7 design sentences: 21 pairs
+    design = [s for s in enumerate_sentences(issue) if " q7z-" in s.text]
+    backend = _Instrumented(ScriptedBackend(SCRIPT), delay=0.01)
+    cfg = load_config(overrides={"backend": "scripted", "script_path": "script.json",
+                                 "workers": workers})
+    build_pair_classifier(cfg, backend).relations(design)
+    assert len(backend.prompts) >= 21
+    assert backend.peak == workers
