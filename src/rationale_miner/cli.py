@@ -9,12 +9,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable
 
@@ -35,6 +32,7 @@ from .errors import ConfigError, DegenerateData, MalformedExport, MiningError
 from .evaluation import (
     Annotation,
     PRF,
+    annotated_issues,
     collect_extraction_data,
     collect_pair_data,
     corpus_stats,
@@ -45,13 +43,12 @@ from .evaluation import (
     run_ablation,
     split_dataset,
 )
-from .features import FEATURE_GROUPS, compute_feature_matrix
+from .features import FEATURE_GROUPS
 from .miner import (
     ISSUE_RANK,
     CallPool,
     design_entries,
     extract_stage,
-    logger as miner_logger,
     mine_issue,
     read_mined,
     relate_stage,
@@ -60,44 +57,34 @@ from .miner import (
 )
 from .sentiment import SentimentAnalyzer
 
+# Each flag that overrides a config key: its option name (``--`` plus the
+# name with dashes), the key, its help text and its type.
 _OVERRIDE_FLAGS = {
-    "corpus": "corpus_dir",
-    "out": "output_dir",
-    "mode": "mode",
-    "backend": "backend",
-    "backend_url": "backend_url",
-    "script": "script_path",
-    "head": "head_path",
-    "baseline": "baseline_path",
-    "pair_baseline": "pair_baseline_path",
-    "annotations": "annotations_path",
-    "lexicon": "lexicon_path",
-    "seed": "seed",
-    "workers": "workers",
+    "corpus": ("corpus_dir", "directory of issue export JSON files", str),
+    "out": ("output_dir", "output directory", str),
+    "mode": ("mode", "prompt_head or baseline", str),
+    "backend": ("backend", "remote or scripted; prompt_head mode needs one", str),
+    "backend_url": ("backend_url", "remote backend base URL", str),
+    "script": ("script_path", "scripted backend JSON file", str),
+    "head": ("head_path", "cloze-head model path", str),
+    "baseline": ("baseline_path", "design baseline model path", str),
+    "pair_baseline": ("pair_baseline_path", "pair baseline model path", str),
+    "annotations": ("annotations_path", "gold annotations JSONL path", str),
+    "lexicon": ("lexicon_path", "sentiment lexicon path", str),
+    "seed": ("seed", "random seed", int),
+    "workers": ("workers", "worker threads for backend calls", int),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", help="JSON config file")
-    parser.add_argument("--corpus", help="directory of issue export JSON files")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--mode", help="prompt_head or baseline")
-    parser.add_argument("--backend", help="remote or scripted; prompt_head mode needs one")
-    parser.add_argument("--backend-url", dest="backend_url", help="remote backend base URL")
-    parser.add_argument("--script", help="scripted backend JSON file")
-    parser.add_argument("--head", help="cloze-head model path")
-    parser.add_argument("--baseline", help="design baseline model path")
-    parser.add_argument("--pair-baseline", dest="pair_baseline",
-                        help="pair baseline model path")
-    parser.add_argument("--annotations", help="gold annotations JSONL path")
-    parser.add_argument("--lexicon", help="sentiment lexicon path")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--workers", type=int, help="worker threads for backend calls")
+    for flag, (_, help_text, kind) in _OVERRIDE_FLAGS.items():
+        parser.add_argument("--" + flag.replace("_", "-"), type=kind, help=help_text)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
     values = {}
-    for flag, key in _OVERRIDE_FLAGS.items():
+    for flag, (key, _, _) in _OVERRIDE_FLAGS.items():
         if getattr(args, flag, None) is not None:
             values[key] = getattr(args, flag)
     return values
@@ -148,79 +135,51 @@ class _Pipeline:
         self.out = _outdir(cfg)
 
 
-# The log records of the issue the current thread mines, held back until the
-# issue's turn to be reported; None where records go out as they are made.
-_HELD_RECORDS: ContextVar[list[logging.LogRecord] | None] = ContextVar(
-    "held_records", default=None)
+_Step = Callable[[IssueLog, Any], tuple[str, list[str]]]
 
 
-def _hold_record(record: logging.LogRecord) -> bool:
-    held = _HELD_RECORDS.get()
-    if held is None:
-        return True
-    held.append(record)
-    return False
-
-
-@contextmanager
-def _records_held():
-    """While open, the pipeline's log records made under ``_HELD_RECORDS``
-    are kept there instead of being written."""
-    miner_logger.addFilter(_hold_record)
-    try:
-        yield
-    finally:
-        miner_logger.removeFilter(_hold_record)
-
-
-def _run_step(step: Callable[[IssueLog, Any], str], issue: IssueLog, context: Any,
-              rank: int, records: list[logging.LogRecord]) -> str:
-    rank_token, held_token = ISSUE_RANK.set(rank), _HELD_RECORDS.set(records)
+def _run_step(step: _Step, issue: IssueLog, context: Any,
+              rank: int) -> tuple[str, list[str]]:
+    token = ISSUE_RANK.set(rank)
     try:
         return step(issue, context)
     finally:
-        ISSUE_RANK.reset(rank_token)
-        _HELD_RECORDS.reset(held_token)
+        ISSUE_RANK.reset(token)
 
 
-def _report(issue: IssueLog, records: list[logging.LogRecord], job: Future) -> int:
-    """Write a finished issue's log records, then its stdout line or its
+def _report(issue: IssueLog, job: Future) -> int:
+    """Write a finished issue's warnings, then its stdout line, or only its
     ``failed on`` line; 1 if it failed, else 0."""
-    failure = None
     try:
-        line = job.result()
+        line, warnings = job.result()
     except MiningError as exc:
-        failure = exc
-    finally:
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-    if failure is not None:
-        print(f"failed on {issue.key}: {failure}", file=sys.stderr)
+        print(f"failed on {issue.key}: {exc}", file=sys.stderr)
         return 1
+    for warning in warnings:
+        print(warning, file=sys.stderr)
     print(line)
     return 0
 
 
 def _each_issue(cfg: RunConfig, build: Callable[[RunConfig, CallPool], Any],
-                step: Callable[[IssueLog, Any], str]) -> int:
+                step: _Step) -> int:
     """Load the corpus, then run ``step(issue, build(cfg, calls))`` on every
     issue, ``calls`` being the run's one pool of backend calls.
 
     Two issues are mined at a time: issue k+1 starts while issue k runs, and
     its calls take only the slots that issue k leaves idle.  The step writes
-    the issue's outputs and returns its stdout line.  Lines, log records and
-    ``failed on`` lines come out in corpus order.  A MiningError fails that
-    issue alone; any failed issue or skipped file makes the exit code 1.
+    the issue's outputs and returns its stdout line and its warnings.
+    Warnings, lines and ``failed on`` lines come out in corpus order.  A
+    MiningError fails that issue alone; any failed issue or skipped file
+    makes the exit code 1.
     """
     issues, failures = _load_issues(cfg)
-    with CallPool(cfg.workers) as calls, _records_held():
+    with CallPool(cfg.workers) as calls:
         context = build(cfg, calls)
         with ThreadPoolExecutor(max_workers=2) as drivers:
             running: deque = deque()
             for rank, issue in enumerate(issues):
-                records: list[logging.LogRecord] = []
-                job = drivers.submit(_run_step, step, issue, context, rank, records)
-                running.append((issue, records, job))
+                running.append((issue, drivers.submit(_run_step, step, issue, context, rank)))
                 if len(running) == 2:
                     failures += _report(*running.popleft())
             while running:
@@ -228,7 +187,7 @@ def _each_issue(cfg: RunConfig, build: Callable[[RunConfig, CallPool], Any],
     return 1 if failures else 0
 
 
-def _ingest(issue: IssueLog, out: Path) -> str:
+def _ingest(issue: IssueLog, out: Path) -> tuple[str, list[str]]:
     sentences = enumerate_sentences(issue)
     path = out / f"{issue.key}.sentences.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
@@ -239,34 +198,34 @@ def _ingest(issue: IssueLog, out: Path) -> str:
                 "block_index": s.block_index,
                 "global_index": s.global_index, "author": s.author,
             }) + "\n")
-    return f"{issue.key}: {len(sentences)} sentences -> {path}"
+    return f"{issue.key}: {len(sentences)} sentences -> {path}", []
 
 
-def _extract(issue: IssueLog, run: _Pipeline) -> str:
+def _extract(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
     sentences, scores, design = extract_stage(issue, run.classifier, run.analyzer)
     path = _write_json(run.out / f"{issue.key}.design.json", {
         "issue": issue.key,
         "design": design_entries(sentences, scores, [s.id for s in design]),
     })
-    return f"{issue.key}: {len(design)}/{len(sentences)} design sentences -> {path}"
+    return f"{issue.key}: {len(design)}/{len(sentences)} design sentences -> {path}", []
 
 
-def _pair(issue: IssueLog, run: _Pipeline) -> str:
+def _pair(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
     _, _, design = extract_stage(issue, run.classifier, run.analyzer)
     graph, warnings = relate_stage(design, run.pairs)
     path = _write_json(run.out / f"{issue.key}.relations.json", {
         "issue": issue.key, "design": graph.nodes, **graph.to_json(), "warnings": warnings,
     })
     return (f"{issue.key}: {len(graph.supporting)} supporting, "
-            f"{len(graph.complementary)} complementary -> {path}")
+            f"{len(graph.complementary)} complementary -> {path}"), warnings
 
 
-def _mine(issue: IssueLog, run: _Pipeline) -> str:
+def _mine(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
     result = mine_issue(issue, run.classifier, run.pairs, run.analyzer)
     json_path = _write_json(run.out / f"{issue.key}.rationales.json", result.to_json())
     (run.out / f"{issue.key}.rationales.md").write_text(result.to_markdown(),
                                                         encoding="utf-8")
-    return f"{issue.key}: {len(result.rationales)} rationale(s) -> {json_path}"
+    return f"{issue.key}: {len(result.rationales)} rationale(s) -> {json_path}", result.warnings
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -317,19 +276,14 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         if not cfg.head_path:
             raise ConfigError("head_path is required to train in prompt_head mode")
         backend = build_backend(cfg)
-        by_issue = {a.issue: a for a in annotations}
         rows, labels = [], []
         with CallPool(cfg.workers) as calls:
-            for issue in issues:
-                annotation = by_issue.get(issue.key)
-                if annotation is None:
-                    continue
-                sentences, matrix = compute_feature_matrix(issue, analyzer)
+            for issue, sentences, matrix, design in annotated_issues(issues, annotations,
+                                                                     analyzer):
                 if sentences:
                     rows.extend(sp_matrix(sentences, matrix, issue.summary, backend,
                                           cfg.cloze_budget(), pool=calls))
-                labels.extend(0 if annotation.labels.get(s.id, "none") == "none" else 1
-                              for s in sentences)
+                labels.extend(design)
         if not rows:
             raise DegenerateData(_NO_TRAINING_DATA)
         head = train_head(np.asarray(rows), np.asarray(labels),

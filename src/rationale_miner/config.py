@@ -73,8 +73,13 @@ class RunConfig:
             raise ConfigError("max_sequence values must be positive")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        if not isinstance(self.bot_authors, list):
+        if not isinstance(self.bot_authors, list) or not all(
+                isinstance(author, str) for author in self.bot_authors):
             raise ConfigError("bot_authors must be a list of author substrings")
+        try:
+            "".encode(self.encoding)  # looks the codec up; refuses non-text codecs
+        except (LookupError, TypeError) as exc:
+            raise ConfigError(f"encoding must name a text codec, got {self.encoding!r}") from exc
         return self
 
     def cloze_budget(self) -> TokenBudget:

@@ -13,11 +13,11 @@ import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .corpus import IssueLog
+from .corpus import IssueLog, Sentence
 from .errors import (
     ConfigError,
     CoverageMismatch,
@@ -25,7 +25,7 @@ from .errors import (
     TooFewIssues,
     UnknownDimension,
 )
-from .features import FEATURE_GROUPS
+from .features import FEATURE_DIM, FEATURE_GROUPS, compute_feature_matrix
 from .miner import Rationale
 
 CATEGORY_NONE = "none"
@@ -360,30 +360,37 @@ def run_ablation(train_texts: list[str], train_features: np.ndarray,
                           precision=prf.precision, recall=prf.recall, f1=prf.f1)
 
 
-def collect_extraction_data(issues: list[IssueLog],
-                            annotations: list[Annotation],
-                            analyzer=None):
-    """Flatten annotated issues into (texts, features, labels, ids) for
-    training the design-sentence classifiers.  Sentences missing from an
-    annotation count as non-design."""
-    from .features import compute_feature_matrix, FEATURE_DIM
-
+def annotated_issues(issues: list[IssueLog], annotations: list[Annotation],
+                     analyzer=None
+                     ) -> Iterator[tuple[IssueLog, list[Sentence], np.ndarray, list[int]]]:
+    """Each annotated issue with its sentences, their feature matrix and
+    their design labels (1 design, 0 not), in corpus order.  Sentences
+    missing from an annotation count as non-design."""
     by_issue = {a.issue: a for a in annotations}
-    texts: list[str] = []
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    ids: list[tuple[str, str]] = []
     for issue in issues:
         annotation = by_issue.get(issue.key)
         if annotation is None:
             continue
         sentences, matrix = compute_feature_matrix(issue, analyzer)
-        for sentence, vector in zip(sentences, matrix):
-            texts.append(sentence.text)
-            rows.append(vector)
-            label = annotation.labels.get(sentence.id, CATEGORY_NONE)
-            labels.append(0 if label == CATEGORY_NONE else 1)
-            ids.append((issue.key, sentence.id))
+        labels = [0 if annotation.labels.get(s.id, CATEGORY_NONE) == CATEGORY_NONE else 1
+                  for s in sentences]
+        yield issue, sentences, matrix, labels
+
+
+def collect_extraction_data(issues: list[IssueLog],
+                            annotations: list[Annotation],
+                            analyzer=None):
+    """Flatten ``annotated_issues`` into (texts, features, labels, ids) for
+    training the design-sentence classifiers."""
+    texts: list[str] = []
+    rows: list[np.ndarray] = []
+    labels: list[int] = []
+    ids: list[tuple[str, str]] = []
+    for issue, sentences, matrix, design in annotated_issues(issues, annotations, analyzer):
+        texts.extend(s.text for s in sentences)
+        rows.extend(matrix)
+        labels.extend(design)
+        ids.extend((issue.key, s.id) for s in sentences)
     features = np.array(rows) if rows else np.zeros((0, FEATURE_DIM))
     return texts, features, np.array(labels, dtype=np.int64), ids
 

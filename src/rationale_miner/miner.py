@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import logging
 import math
 import os
 import queue
@@ -41,8 +40,6 @@ from .prompts import (
     parse_relation_label,
 )
 from .sentiment import SentimentAnalyzer
-
-logger = logging.getLogger(__name__)
 
 SUPPORTING = "supporting"
 COMPLEMENTARY = "complementary"
@@ -310,8 +307,6 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
         Rationale(solution=group, arguments=attached[gi])
         for gi, group in enumerate(solution_groups)
     ]
-    for warning in warnings:
-        logger.warning("%s", warning)
     return ConstructionResult(rationales=rationales, warnings=warnings)
 
 
@@ -451,8 +446,6 @@ def classify_pairs(design: list[Sentence], backend: Backend,
         else:
             decisions.append(PairDecision(kind=SUPPORTING, argument=s1.id,
                                           solution=s2.id, pair=(s1.id, s2.id)))
-    for warning in warnings:
-        logger.warning("%s", warning)
     return decisions, warnings
 
 

@@ -167,56 +167,55 @@ class SentimentAnalyzer:
         if not text or not text.split():
             return NEUTRAL
         words = _words_and_emoticons(text)
+        lower = [w.lower() for w in words]
         is_cap_diff = allcap_differential(words)
         sentiments: list[float] = []
-        for i, item in enumerate(words):
-            lowered = item.lower()
+        for i, lowered in enumerate(lower):
             if lowered in BOOSTER_DICT:
                 sentiments.append(0.0)
                 continue
-            if lowered == "kind" and i + 1 < len(words) and words[i + 1].lower() == "of":
+            if lowered == "kind" and i + 1 < len(lower) and lower[i + 1] == "of":
                 sentiments.append(0.0)
                 continue
-            sentiments.append(self._token_valence(item, i, words, is_cap_diff))
-        sentiments = _but_check(words, sentiments)
+            sentiments.append(self._token_valence(i, words, lower, is_cap_diff))
+        sentiments = _but_check(lower, sentiments)
         return self._aggregate(sentiments, text)
 
-    def _token_valence(self, item: str, i: int, words: list[str],
+    def _token_valence(self, i: int, words: list[str], lower: list[str],
                        is_cap_diff: bool) -> float:
-        lowered = item.lower()
+        """The valence of word ``i``; ``lower`` holds ``words`` lowercased."""
+        lowered = lower[i]
         if lowered not in self.lexicon:
             return 0.0
         valence = self.lexicon[lowered]
         # "no" negates a following lexicon word instead of scoring itself.
-        if lowered == "no" and i + 1 < len(words) and words[i + 1].lower() in self.lexicon:
+        if lowered == "no" and i + 1 < len(lower) and lower[i + 1] in self.lexicon:
             valence = 0.0
-        if ((i > 0 and words[i - 1].lower() == "no")
-                or (i > 1 and words[i - 2].lower() == "no")
-                or (i > 2 and words[i - 3].lower() == "no"
-                    and words[i - 1].lower() in ("or", "nor"))):
+        if ((i > 0 and lower[i - 1] == "no")
+                or (i > 1 and lower[i - 2] == "no")
+                or (i > 2 and lower[i - 3] == "no" and lower[i - 1] in ("or", "nor"))):
             valence = self.lexicon[lowered] * N_SCALAR
-        if item.isupper() and is_cap_diff:
+        if words[i].isupper() and is_cap_diff:
             valence += C_INCR if valence > 0 else -C_INCR
         for start_i in range(3):
             if i <= start_i:
                 continue
-            context = words[i - (start_i + 1)]
-            if context.lower() in self.lexicon:
+            context = i - (start_i + 1)
+            if lower[context] in self.lexicon:
                 continue
-            scalar = scalar_inc_dec(context, valence, is_cap_diff)
+            scalar = scalar_inc_dec(words[context], valence, is_cap_diff)
             if scalar != 0.0 and start_i == 1:
                 scalar *= 0.95
             if scalar != 0.0 and start_i == 2:
                 scalar *= 0.9
             valence += scalar
-            valence = self._negation_adjust(valence, words, start_i, i)
+            valence = self._negation_adjust(valence, lower, start_i, i)
             if start_i == 2:
-                valence = self._idiom_adjust(valence, words, i)
-        return self._least_adjust(valence, words, i)
+                valence = self._idiom_adjust(valence, lower, i)
+        return self._least_adjust(valence, lower, i)
 
-    def _negation_adjust(self, valence: float, words: list[str], start_i: int,
+    def _negation_adjust(self, valence: float, lower: list[str], start_i: int,
                          i: int) -> float:
-        lower = [w.lower() for w in words]
         if start_i == 0:
             if negated([lower[i - 1]]):
                 return valence * N_SCALAR
@@ -239,8 +238,7 @@ class SentimentAnalyzer:
                 return valence * N_SCALAR
         return valence
 
-    def _idiom_adjust(self, valence: float, words: list[str], i: int) -> float:
-        lower = [w.lower() for w in words]
+    def _idiom_adjust(self, valence: float, lower: list[str], i: int) -> float:
         onezero = f"{lower[i - 1]} {lower[i]}"
         twoonezero = f"{lower[i - 2]} {lower[i - 1]} {lower[i]}"
         twoone = f"{lower[i - 2]} {lower[i - 1]}"
@@ -263,10 +261,9 @@ class SentimentAnalyzer:
                 valence += BOOSTER_DICT[n_gram]
         return valence
 
-    def _least_adjust(self, valence: float, words: list[str], i: int) -> float:
-        if i > 0 and words[i - 1].lower() == "least" \
-                and words[i - 1].lower() not in self.lexicon:
-            if i > 1 and words[i - 2].lower() in ("at", "very"):
+    def _least_adjust(self, valence: float, lower: list[str], i: int) -> float:
+        if i > 0 and lower[i - 1] == "least" and lower[i - 1] not in self.lexicon:
+            if i > 1 and lower[i - 2] in ("at", "very"):
                 return valence
             return valence * N_SCALAR
         return valence
@@ -298,8 +295,7 @@ class SentimentAnalyzer:
                                neg=abs(neg_sum) / total, compound=compound)
 
 
-def _but_check(words: list[str], sentiments: list[float]) -> list[float]:
-    lower = [w.lower() for w in words]
+def _but_check(lower: list[str], sentiments: list[float]) -> list[float]:
     if "but" not in lower:
         return sentiments
     pivot = lower.index("but")

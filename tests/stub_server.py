@@ -5,7 +5,8 @@ candidate lengths, generations echoing a fixed label) so tests can predict
 every response.  A ``failure_mode`` attribute switches the next responses to
 various malformed shapes to exercise client-side error handling, a ``gate``
 barrier, when set, holds each request until that many are open, and a
-``delay`` holds each reply that many seconds.
+``delay`` holds each reply that many seconds (a reply still held when the
+stub closes is not sent).
 
 By default each reply closes its connection (HTTP/1.0); ``keep_alive=True``
 serves HTTP/1.1 with kept-alive connections.  ``connections`` counts the
@@ -25,7 +26,6 @@ import json
 import re
 import socket
 import threading
-import time
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -64,7 +64,8 @@ class _Handler(BaseHTTPRequestHandler):
         server.requests.append((self.path, dict(self.headers), raw))
         if server.gate is not None:
             server.gate.wait()
-        time.sleep(server.delay)
+        if server.closing.wait(server.delay):
+            return  # the stub is closing; the client has most likely gone
         mode = server.failure_mode
 
         if mode == "status-500":
@@ -109,16 +110,23 @@ class StubServer(ThreadingHTTPServer):
         self.failure_mode: str | None = None
         self.gate: threading.Barrier | None = None
         self.delay = 0.0
+        self.closing = threading.Event()
         self.requests: list[tuple[str, dict, bytes]] = []
         self.connections = 0
         self._open: set[socket.socket] = set()
+        self._handlers: list[threading.Thread] = []
         self._lock = threading.Lock()
 
     def process_request(self, request, client_address):
+        """Handle the request on a thread of its own, as ThreadingMixIn
+        does, but keep the thread so that ``run_stub`` can wait for it."""
+        handler = threading.Thread(target=self.process_request_thread,
+                                   args=(request, client_address), daemon=True)
         with self._lock:
             self.connections += 1
             self._open.add(request)
-        super().process_request(request, client_address)
+            self._handlers.append(handler)
+        handler.start()
 
     def shutdown_request(self, request):
         with self._lock:
@@ -140,6 +148,9 @@ def run_stub(keep_alive: bool = False):
     try:
         yield server
     finally:
+        server.closing.set()  # ends delays
+        if server.gate is not None:
+            server.gate.abort()  # ends waits on a gate that will never fill
         server.shutdown()
         with server._lock:
             for request in server._open:  # ends handlers waiting on kept-alive reads
@@ -149,6 +160,9 @@ def run_stub(keep_alive: bool = False):
                     pass
         server.server_close()
         thread.join(timeout=5)
+        # A handler left running could write into a later test's stderr.
+        for handler in server._handlers:
+            handler.join(timeout=5)
 
 
 class SocketStub:

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
+import io
 import json
+import logging
 import os
 import shutil
 import subprocess
@@ -19,6 +22,8 @@ from rationale_miner.backends.baseline import (
 from rationale_miner.backends.heads import load_head
 from rationale_miner.cli import main
 from rationale_miner.config import SP_FINGERPRINT, load_config
+
+from test_scheduling import ISSUES, corpus  # noqa: F401  (corpus is a fixture)
 
 
 @pytest.fixture
@@ -103,6 +108,9 @@ def test_config_not_an_object(tmp_path):
     {"workers": 0},
     {"cloze_max_sequence": 0},
     {"bot_authors": "bot"},
+    {"bot_authors": ["bot", 3]},
+    {"encoding": "bogus-enc"},
+    {"encoding": "rot13"},                 # a codec, but not a text encoding
 ])
 def test_invalid_config_values(tmp_path, payload):
     bad = tmp_path / "config.json"
@@ -386,6 +394,54 @@ def test_cli_import_loads_no_http_library():
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["pair", "mine"])
+def test_warnings_are_bare_stderr_lines_before_their_issue(corpus, capsys, monkeypatch,
+                                                           command):
+    """Each issue's warnings reach stderr as they are, whatever handlers the
+    host gave the logging system, and just before the issue's stdout line."""
+    tmp_path, config = corpus
+    out = tmp_path / "out"
+    root_log = io.StringIO()
+    handler = logging.StreamHandler(root_log)
+    logging.getLogger().addHandler(handler)
+    # One stream for both, so that it shows the order of stdout and stderr lines.
+    monkeypatch.setattr(sys, "stderr", sys.stdout)
+    try:
+        assert main([command, "-c", str(config), "--out", str(out)]) == 1
+    finally:
+        logging.getLogger().removeHandler(handler)
+    suffix = {"pair": "relations.json", "mine": "rationales.json"}[command]
+    expected = []
+    for j in range(ISSUES):
+        key = f"SCHED-{j}"
+        path = out / f"{key}.{suffix}"
+        if path.exists():
+            expected.extend(json.loads(path.read_text(encoding="utf-8"))["warnings"])
+            expected.append(key)
+        else:
+            expected.append(f"failed on {key}")
+    lines = [line.split(":")[0] if line.startswith(("SCHED-", "failed on ")) else line
+             for line in capsys.readouterr().out.splitlines()]
+    assert lines == expected
+    assert any("unparsable response" in line for line in lines)
+    assert any("crosses roles" in line for line in lines) == (command == "mine")
+    assert root_log.getvalue() == ""
+
+
+def test_the_library_does_not_log():
+    """Warnings are part of each issue's result; no module reports them
+    through the logging system as well."""
+    package = Path(rationale_miner.__file__).parent
+    for module in package.rglob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module)
+        assert "logging" not in imported, module.name
 
 
 @pytest.mark.parametrize("command", ["extract", "pair", "mine", "train"])

@@ -6,7 +6,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import logging
 import re
 import threading
 import time
@@ -106,19 +105,10 @@ def corpus(tmp_path, fixtures_dir):
 
 
 def _run(command: str, config, out, *flags: str) -> tuple[int, str, str, dict]:
-    """Exit code, stdout, stderr and output files (name -> bytes) of a command.
-
-    The package's log records go to stderr as they would without pytest,
-    whose own log handler otherwise takes them."""
+    """Exit code, stdout, stderr and output files (name -> bytes) of a command."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    handler = logging.StreamHandler(stderr)
-    package_logger = logging.getLogger("rationale_miner")
-    package_logger.addHandler(handler)
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = cli.main([command, "-c", str(config), "--out", str(out), *flags])
-    finally:
-        package_logger.removeHandler(handler)
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main([command, "-c", str(config), "--out", str(out), *flags])
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     # Output paths name the output directory; compare them without it.
     return rc, stdout.getvalue().replace(str(out), "<out>"), stderr.getvalue(), files
