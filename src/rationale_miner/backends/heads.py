@@ -11,18 +11,36 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import DegenerateData, FingerprintMismatch, ModelMissing
 
 DEFAULT_LR = 0.1
 DEFAULT_EPOCHS = 500
 DEFAULT_L2 = 1e-4
+
+
+def _logistic_of(x: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) above the largest float: 1 / inf
+        return 0.0
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """The logistic ``1 / (1 + exp(-z))`` of each element, as float64.
+
+    It goes through ``math.exp`` (the C library's), which rounds every value
+    as ``scipy.special.expit`` does; numpy's SIMD ``exp`` does not.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    return np.fromiter(map(_logistic_of, z.ravel().tolist()), dtype=np.float64,
+                       count=z.size).reshape(z.shape)
 
 
 def feature_fingerprint(names: tuple[str, ...] | list[str]) -> str:

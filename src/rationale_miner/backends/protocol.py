@@ -136,6 +136,9 @@ class Backend(ABC):
     def generate(self, prompt: str, max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
         """Free-form continuation of ``prompt``."""
 
+    def close(self) -> None:
+        """Release what the backend holds between calls; by default nothing."""
+
 
 def split_base_url(url: str) -> SplitResult:
     """``url`` split into parts, if it is an http:// or https:// URL with a
@@ -278,6 +281,11 @@ class RemoteBackend(Backend):
             return json.loads(body)
         except ValueError as exc:
             raise ProtocolError(f"POST {url} returned non-JSON body") from exc
+
+    def close(self) -> None:
+        """Close the idle kept-alive connections; a later call opens a new one."""
+        while self._idle:
+            self._idle.pop().close()
 
     def mask_probs(self, prompt: str, candidates: tuple[str, ...]) -> tuple[float, ...]:
         request = MaskProbsRequest(prompt=prompt, candidates=tuple(candidates))

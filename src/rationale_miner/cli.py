@@ -12,8 +12,9 @@ import json
 import sys
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import closing, nullcontext
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ContextManager
 
 import numpy as np
 
@@ -124,15 +125,26 @@ def _require_annotations(cfg: RunConfig) -> list[Annotation]:
 
 
 class _Pipeline:
-    """What the extract, pair and mine steps share for one run.  Only
-    prompt_head mode builds a backend; ``pairs`` is None unless ``relate``."""
+    """What the extract, pair and mine steps share for one run, the run's one
+    pool of backend calls included.  Only prompt_head mode builds a backend;
+    ``pairs`` is None unless ``relate``.  Closing it stops the pool, then
+    closes the backend."""
 
-    def __init__(self, cfg: RunConfig, calls: CallPool, relate: bool = True):
-        backend = build_backend(cfg) if cfg.mode == "prompt_head" else None
-        self.classifier = build_classifier(cfg, backend, calls)
-        self.pairs = build_pair_classifier(cfg, backend, calls) if relate else None
+    def __init__(self, cfg: RunConfig, relate: bool = True):
+        self.calls = CallPool(cfg.workers)
+        self.backend = build_backend(cfg) if cfg.mode == "prompt_head" else None
+        self.classifier = build_classifier(cfg, self.backend, self.calls)
+        self.pairs = build_pair_classifier(cfg, self.backend, self.calls) if relate else None
         self.analyzer = _analyzer(cfg)
         self.out = _outdir(cfg)
+
+    def __enter__(self) -> "_Pipeline":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.calls.close()
+        if self.backend is not None:
+            self.backend.close()
 
 
 _Step = Callable[[IssueLog, Any], tuple[str, list[str]]]
@@ -161,10 +173,11 @@ def _report(issue: IssueLog, job: Future) -> int:
     return 0
 
 
-def _each_issue(cfg: RunConfig, build: Callable[[RunConfig, CallPool], Any],
+def _each_issue(cfg: RunConfig, build: Callable[[RunConfig], ContextManager[Any]],
                 step: _Step) -> int:
-    """Load the corpus, then run ``step(issue, build(cfg, calls))`` on every
-    issue, ``calls`` being the run's one pool of backend calls.
+    """Load the corpus, then run ``step(issue, context)`` on every issue,
+    ``context`` being what ``build(cfg)`` enters; it is left once every
+    issue is done.
 
     Two issues are mined at a time: issue k+1 starts while issue k runs, and
     its calls take only the slots that issue k leaves idle.  The step writes
@@ -174,16 +187,14 @@ def _each_issue(cfg: RunConfig, build: Callable[[RunConfig, CallPool], Any],
     makes the exit code 1.
     """
     issues, failures = _load_issues(cfg)
-    with CallPool(cfg.workers) as calls:
-        context = build(cfg, calls)
-        with ThreadPoolExecutor(max_workers=2) as drivers:
-            running: deque = deque()
-            for rank, issue in enumerate(issues):
-                running.append((issue, drivers.submit(_run_step, step, issue, context, rank)))
-                if len(running) == 2:
-                    failures += _report(*running.popleft())
-            while running:
+    with build(cfg) as context, ThreadPoolExecutor(max_workers=2) as drivers:
+        running: deque = deque()
+        for rank, issue in enumerate(issues):
+            running.append((issue, drivers.submit(_run_step, step, issue, context, rank)))
+            if len(running) == 2:
                 failures += _report(*running.popleft())
+        while running:
+            failures += _report(*running.popleft())
     return 1 if failures else 0
 
 
@@ -229,12 +240,11 @@ def _mine(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
 
 
 def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _each_issue(cfg, lambda cfg, calls: _outdir(cfg), _ingest)
+    return _each_issue(cfg, lambda cfg: nullcontext(_outdir(cfg)), _ingest)
 
 
 def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _each_issue(cfg, lambda cfg, calls: _Pipeline(cfg, calls, relate=False),
-                       _extract)
+    return _each_issue(cfg, lambda cfg: _Pipeline(cfg, relate=False), _extract)
 
 
 def cmd_pair(cfg: RunConfig, args: argparse.Namespace) -> int:
@@ -275,9 +285,9 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
     else:
         if not cfg.head_path:
             raise ConfigError("head_path is required to train in prompt_head mode")
-        backend = build_backend(cfg)
         rows, labels = [], []
-        with CallPool(cfg.workers) as calls:
+        # The pool stops before the backend closes.
+        with closing(build_backend(cfg)) as backend, CallPool(cfg.workers) as calls:
             for issue, sentences, matrix, design in annotated_issues(issues, annotations,
                                                                      analyzer):
                 if sentences:

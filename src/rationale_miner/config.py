@@ -36,6 +36,11 @@ BACKENDS = ("remote", "scripted")
 
 SP_FINGERPRINT = feature_fingerprint(SP_FEATURE_NAMES)
 
+# The values that each declared field type takes (a bool is no int here);
+# bot_authors is checked on its own.
+_ACCEPTED = {"str": (str,), "str | None": (str, type(None)),
+             "int": (int,), "int | None": (int, type(None))}
+
 
 @dataclass
 class RunConfig:
@@ -59,6 +64,12 @@ class RunConfig:
     bot_authors: list[str] = field(default_factory=lambda: ["bot"])
 
     def validate(self) -> "RunConfig":
+        for spec in fields(self):
+            accepted = _ACCEPTED.get(spec.type)
+            value = getattr(self, spec.name)
+            if accepted and (not isinstance(value, accepted) or isinstance(value, bool)):
+                raise ConfigError(f"{spec.name} must be {spec.type.replace('|', 'or')}, "
+                                  f"got {value!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.backend is not None and self.backend not in BACKENDS:

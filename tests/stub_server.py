@@ -10,7 +10,7 @@ stub closes is not sent).
 
 By default each reply closes its connection (HTTP/1.0); ``keep_alive=True``
 serves HTTP/1.1 with kept-alive connections.  ``connections`` counts the
-accepted connections.  Endpoints are matched on the end of the request
+accepted connections, and ``all_closed`` waits for the client to close them.  Endpoints are matched on the end of the request
 target, so the stub also answers under a path prefix and, as a forward proxy
 receives them, absolute-form targets; ``requests`` records each target as
 sent.
@@ -116,6 +116,7 @@ class StubServer(ThreadingHTTPServer):
         self._open: set[socket.socket] = set()
         self._handlers: list[threading.Thread] = []
         self._lock = threading.Lock()
+        self._closed = threading.Condition(self._lock)
 
     def process_request(self, request, client_address):
         """Handle the request on a thread of its own, as ThreadingMixIn
@@ -129,9 +130,16 @@ class StubServer(ThreadingHTTPServer):
         handler.start()
 
     def shutdown_request(self, request):
-        with self._lock:
+        with self._closed:
             self._open.discard(request)
+            self._closed.notify_all()
         super().shutdown_request(request)
+
+    def all_closed(self, timeout: float = 5.0) -> bool:
+        """Whether every accepted connection is closed, or gets closed
+        within ``timeout`` seconds."""
+        with self._closed:
+            return self._closed.wait_for(lambda: not self._open, timeout)
 
     @property
     def url(self) -> str:

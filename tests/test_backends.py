@@ -205,6 +205,20 @@ def test_remote_backend_reuses_a_kept_alive_connection():
         for n in range(3):
             assert backend.generate(f"prompt {n}") == expected_text(f"prompt {n}")
         assert server.connections == 1
+        backend.close()
+
+
+def test_remote_backend_close_closes_its_idle_connections():
+    with run_stub(keep_alive=True) as server:
+        backend = RemoteBackend(server.url)
+        backend.generate("first")
+        backend.close()
+        assert server.all_closed()
+        # a closed backend still works: the next call opens a new connection
+        assert backend.generate("second") == expected_text("second")
+        assert server.connections == 2
+        backend.close()
+        assert server.all_closed()
 
 
 def test_remote_backend_opens_a_connection_per_reply_that_closes_it():
@@ -222,6 +236,7 @@ def test_remote_backend_resends_once_when_the_server_closed_an_idle_connection()
         assert stub.closed.wait(timeout=5)
         assert backend.generate("second") == "ok"
         assert stub.connections == 2
+        backend.close()
 
 
 def test_remote_backend_resends_once_when_a_reused_connection_closes_unanswered():
@@ -230,6 +245,7 @@ def test_remote_backend_resends_once_when_a_reused_connection_closes_unanswered(
         assert backend.generate("first") == "ok"
         assert backend.generate("second") == "ok"
         assert stub.connections == 2
+        backend.close()
 
 
 @pytest.mark.parametrize("script,connections", [

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import rationale_miner
+from rationale_miner import cli
 from rationale_miner.backends.baseline import (
     BASELINE_FINGERPRINT,
     PAIR_FINGERPRINT,
@@ -21,8 +23,9 @@ from rationale_miner.backends.baseline import (
 )
 from rationale_miner.backends.heads import load_head
 from rationale_miner.cli import main
-from rationale_miner.config import SP_FINGERPRINT, load_config
+from rationale_miner.config import SP_FINGERPRINT, build_backend, load_config
 
+from stub_server import run_stub
 from test_scheduling import ISSUES, corpus  # noqa: F401  (corpus is a fixture)
 
 
@@ -111,11 +114,30 @@ def test_config_not_an_object(tmp_path):
     {"bot_authors": ["bot", 3]},
     {"encoding": "bogus-enc"},
     {"encoding": "rot13"},                 # a codec, but not a text encoding
+    {"corpus_dir": 3},
+    {"corpus_dir": None},
+    {"output_dir": ["out"]},
+    {"head_path": 1.5},
+    {"baseline_path": True},
+    {"pair_baseline_path": {}},
+    {"annotations_path": 7},
+    {"lexicon_path": ["lexicon.txt"]},
+    {"script_path": 0},
+    {"backend": "remote", "backend_url": 8080},
+    {"seed": [1]},
+    {"seed": True},
+    {"seed": 1.0},
+    {"workers": "2"},
+    {"workers": False},
+    {"cloze_max_sequence": 128.0},
+    {"pair_max_sequence": None},
 ])
-def test_invalid_config_values(tmp_path, payload):
+def test_invalid_config_values(tmp_path, capsys, payload):
     bad = tmp_path / "config.json"
     bad.write_text(json.dumps(payload), encoding="utf-8")
-    assert main(["stats", "-c", str(bad)]) == 2
+    for command in ("stats", "ingest", "split"):
+        assert main([command, "-c", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_corpus_dir_must_exist(workspace):
@@ -295,6 +317,29 @@ def test_train_prompt_head_is_independent_of_workers(workspace):
     assert heads[0].read_bytes() == heads[1].read_bytes()
 
 
+@pytest.mark.parametrize("command", ["extract", "pair", "mine", "train"])
+def test_remote_runs_close_their_connections(workspace, monkeypatch, command):
+    """A run against a kept-alive server closes its connections itself, not
+    when its backend is collected."""
+    tmp_path, config, config_path = workspace
+    built = []  # keeps the backend alive past the run
+
+    def build_and_keep(cfg):
+        built.append(build_backend(cfg))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_backend", build_and_keep)
+    with run_stub(keep_alive=True) as server:
+        _rewrite(workspace, backend="remote", backend_url=server.url, script_path=None,
+                 workers=4)
+        args = [command, "-c", str(config_path)]
+        if command == "train":  # writes a head of its own
+            args += ["--head", str(tmp_path / "trained-head.json")]
+        assert main(args) == 0
+        assert len(built) == 1 and server.requests
+        assert server.all_closed()
+
+
 def _corrupt(path, how: str) -> None:
     if how == "not_json":
         text = path.read_text(encoding="utf-8")
@@ -384,16 +429,38 @@ def test_malformed_backend_url_is_a_config_error(workspace, capsys, url):
     assert not list((tmp_path / "out").glob("FLINK-1320.*"))
 
 
-def test_cli_import_loads_no_http_library():
-    """The transport is the standard library's: importing the CLI pulls in
-    neither requests nor urllib3, which would add to every run's set-up."""
+def test_cli_import_loads_no_http_library_or_scipy():
+    """The transport and the logistic are the standard library's: importing
+    the CLI pulls in neither requests, urllib3 nor scipy, which would add to
+    every run's set-up."""
     src = Path(rationale_miner.__file__).resolve().parents[1]
     probe = ("import sys, rationale_miner.cli; "
-             "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))")
+             "print(sorted(m for m in sys.modules "
+             "if m.partition('.')[0] in ('requests', 'urllib3', 'scipy')))")
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                             text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """Each top-level module that the package imports is in the standard
+    library, is the package itself, or is listed in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(rationale_miner.__file__).resolve().parent
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8"))
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+                for spec in pyproject["project"]["dependencies"]}
+    imported = set()
+    for source in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"rationale_miner"}
+    assert third_party == declared == {"numpy"}
 
 
 @pytest.mark.parametrize("command", ["pair", "mine"])

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import expit
 
+from rationale_miner.backends import heads
 from rationale_miner.backends.heads import (
     LogisticHead,
     SoftmaxHead,
+    expit,
     feature_fingerprint,
     load_head,
     save_head,
@@ -17,13 +18,76 @@ from rationale_miner.backends.heads import (
 from rationale_miner.errors import DegenerateData, FingerprintMismatch, ModelMissing
 from rationale_miner.miner import SP_FEATURE_NAMES
 
+# (x, scipy.special.expit(x)) as float.hex, recorded once from scipy 1.17.1:
+# the ends of the float range, the edges where exp(-x) overflows, and the
+# decisions 8*p0 - 4 of the benchmark's fixed head for p0 in 0.92, 0.87,
+# 0.83, 0.71 and 0.08.
+SCIPY_EXPIT = [
+    ("inf", "0x1.0000000000000p+0"),
+    ("-inf", "0x0.0p+0"),
+    ("0x0.0p+0", "0x1.0000000000000p-1"),
+    ("-0x0.0p+0", "0x1.0000000000000p-1"),
+    ("0x1.56e1fc2f8f359p-997", "0x1.0000000000000p-1"),  # 1e-300
+    ("-0x1.56e1fc2f8f359p-997", "0x1.0000000000000p-1"),
+    ("0x1.0000000000000p-1", "0x1.3eb2fd4d34391p-1"),  # 0.5
+    ("-0x1.0000000000000p-1", "0x1.829a0565978dep-2"),
+    ("0x1.2000000000000p+5", "0x1.ffffffffffffep-1"),  # 36
+    ("-0x1.2000000000000p+5", "0x1.0b6c3afdde063p-52"),
+    ("0x1.2800000000000p+5", "0x1.0000000000000p+0"),  # 37
+    ("-0x1.2800000000000p+5", "0x1.898471fca6055p-54"),
+    ("0x1.62e3d70a3d70ap+9", "0x1.0000000000000p+0"),  # 709.78
+    ("-0x1.62e3d70a3d70ap+9", "0x0.402c8225ec681p-1022"),
+    ("0x1.62e51eb851eb8p+9", "0x1.0000000000000p+0"),  # 709.79
+    ("-0x1.62e51eb851eb8p+9", "0x0.0p+0"),
+    ("0x1.7480000000000p+9", "0x1.0000000000000p+0"),  # 745
+    ("-0x1.7480000000000p+9", "0x0.0p+0"),
+    ("0x1.7500000000000p+9", "0x1.0000000000000p+0"),  # 746
+    ("-0x1.7500000000000p+9", "0x0.0p+0"),
+    ("0x1.ae147ae147ae2p+1", "0x1.eed003c7b533dp-1"),  # 8*0.92 - 4
+    ("0x1.7ae147ae147aep+1", "0x1.e6c69b26210f1p-1"),  # 8*0.87 - 4
+    ("0x1.51eb851eb851ep+1", "0x1.dde58d331bbdap-1"),  # 8*0.83 - 4
+    ("0x1.ae147ae147ae0p+0", "0x1.af912ec5930b3p-1"),  # 8*0.71 - 4
+    ("-0x1.ae147ae147ae1p+1", "0x1.12ffc384acc35p-5"),  # 8*0.08 - 4
+]
+
 
 def test_unit_head_fixture_scores_expected_probability(fixtures_dir):
     head = load_head(fixtures_dir / "head-unit.json")
     probs = head.predict_proba(np.array([[0.5, 0.5]]))
     # w.x + b = 1.0*0.5 + 0.5*0.5 - 0.25 = 0.5
     assert probs[0] == pytest.approx(0.6224593312018546, abs=1e-12)
-    assert probs[0] == pytest.approx(expit(0.5), abs=1e-15)
+    assert float(probs[0]).hex() == dict(SCIPY_EXPIT)[(0.5).hex()]
+
+
+def test_expit_reproduces_the_recorded_scipy_values():
+    inputs = np.array([float.fromhex(x) for x, _ in SCIPY_EXPIT])
+    assert [float(p).hex() for p in expit(inputs)] == [p for _, p in SCIPY_EXPIT]
+    assert np.isnan(expit(np.array([np.nan]))).all()
+    assert expit(inputs.reshape(5, 5)).shape == (5, 5)
+    assert expit(0.5).shape == ()
+
+
+def test_expit_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(11)
+    z = np.concatenate([rng.normal(scale=scale, size=20_000)
+                        for scale in (0.5, 2.0, 8.0, 40.0, 400.0)] +
+                       [rng.uniform(-750.0, 750.0, size=20_000),
+                        [np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324]])
+    assert z.size >= 100_000
+    assert np.array_equal(expit(z).view(np.int64), special.expit(z).view(np.int64))
+
+
+def test_trained_head_is_the_one_scipy_would_train(tmp_path, monkeypatch):
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(300, 43))
+    y = (X[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(int)
+    ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
+    save_head(train_head(X, y), ours)
+    monkeypatch.setattr(heads, "expit", special.expit)
+    save_head(train_head(X, y), theirs)
+    assert ours.read_bytes() == theirs.read_bytes()
 
 
 def test_golden_head_fixture_matches_feature_fingerprint(fixtures_dir):

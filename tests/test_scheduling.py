@@ -350,6 +350,7 @@ def test_remote_connection_pool_keeps_a_connection_per_worker():
                 assert len(texts) == 12
         assert len(server.requests) == 24
         assert server.connections == 12
+        backend.close()
 
 
 @pytest.mark.parametrize("workers", [1, 3])
