@@ -9,6 +9,8 @@ without any hand-labelled data.
 
 Usage:
     python scripts/make_synthetic_corpus.py --out data/synthetic --seed 0
+    rationale-miner stats --corpus data/synthetic/corpus \
+        --annotations data/synthetic/annotations.jsonl
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import argparse
 import json
 from pathlib import Path
 
-from rationale_miner.evaluation import corpus_stats, save_annotations
+from rationale_miner.evaluation import save_annotations
 from rationale_miner.synthetic import make_design_corpus
 
 
@@ -64,11 +66,6 @@ def main() -> None:
 
     print(f"wrote {len(issues)} issues to {corpus_dir}")
     print(f"wrote {len(annotations)} annotations to {annotations_path}")
-    print()
-    print(f"{'project':<10} {'issues':>8} {'comments':>10} {'sentences':>10} {'design':>8}")
-    for row in corpus_stats(issues, annotations):
-        print(f"{row['project']:<10} {row['issues']:>8} {row['comments']:>10} "
-              f"{row['sentences']:>10} {row['design_sentences']:>8}")
 
 
 if __name__ == "__main__":

@@ -29,7 +29,13 @@ from .config import (
     load_config,
 )
 from .corpus import IssueLog, enumerate_sentences, load_corpus, sentence_order
-from .errors import ConfigError, DegenerateData, MalformedExport, MiningError
+from .errors import (
+    ConfigError,
+    DegenerateData,
+    MalformedExport,
+    MiningError,
+    UnknownSentence,
+)
 from .evaluation import (
     Annotation,
     PRF,
@@ -328,10 +334,15 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             failures += 1
             print(f"failed to evaluate {mined_path.name}: {exc}", file=sys.stderr)
             continue
-        order = order_by_issue.get(annotation.issue, {})
         gold = annotation.rationales
+        try:
+            sentence_scores = eval_sentences(mined.rationales, gold,
+                                             order_by_issue.get(annotation.issue, {}))
+        except UnknownSentence as exc:
+            failures += 1
+            print(f"failed to evaluate {annotation.issue}: {exc}", file=sys.stderr)
+            continue
         rows["rationale"].append(eval_rationales(mined.rationales, gold))
-        sentence_scores = eval_sentences(mined.rationales, gold, order)
         rows["sentence_solution"].append(sentence_scores["solution"])
         rows["sentence_argument"].append(sentence_scores["argument"])
         rows["extraction"].append(eval_binary(mined.text_of, annotation.design_ids()))

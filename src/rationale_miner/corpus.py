@@ -153,17 +153,16 @@ def load_corpus(path: str | Path, encoding: str = "ascii",
 
 _QUOTE_BLOCK = re.compile(r"\{quote\}.*?\{quote\}", re.S)
 _QUOTE_MARK = re.compile(r"\{quote\}")
-_CODE_BLOCKS = (
-    re.compile(r"\{code[^}\n]*\}.*?\{code\}", re.S),
-    re.compile(r"\{noformat\}.*?\{noformat\}", re.S),
-    re.compile(r"```.*?```", re.S),
+# Each kind of code block: the opener's fixed start, whether the opener takes
+# parameters up to the first "}" on its line (``{code:java}``), and the
+# closer.  A block runs from an opener to the first closer after it; an
+# unterminated opener swallows the rest of the text.
+_CODE_MARKS = (
+    ("{code", True, "{code}"),
+    ("{noformat}", False, "{noformat}"),
+    ("```", False, "```"),
 )
-# Unterminated openers swallow the rest of the text.
-_CODE_TAILS = (
-    re.compile(r"\{code[^}\n]*\}.*\Z", re.S),
-    re.compile(r"\{noformat\}.*\Z", re.S),
-    re.compile(r"```.*\Z", re.S),
-)
+_PARAMS_END = re.compile(r"[}\n]")
 _URL = re.compile(r"(?:https?|ftp)://\S+")
 _URL_TRAILING = ".,;:!?)]}\"'"
 
@@ -171,12 +170,43 @@ _URL_TRAILING = ".,;:!?)]}\"'"
 def _replace_url(match: re.Match) -> str:
     # Keep trailing punctuation out of the placeholder so sentence
     # terminators survive cleaning.
-    body = match.group(0)
-    tail = ""
-    while body and body[-1] in _URL_TRAILING:
-        tail = body[-1] + tail
-        body = body[:-1]
-    return URL_PLACEHOLDER + tail
+    url = match.group(0)
+    return URL_PLACEHOLDER + url[len(url.rstrip(_URL_TRAILING)):]
+
+
+def _next_opener(text: str, head: str, params: bool, pos: int) -> tuple[int, int] | None:
+    """Start and end of the first code opener at or after ``pos``, or None."""
+    while (start := text.find(head, pos)) != -1:
+        if not params:
+            return start, start + len(head)
+        stop = _PARAMS_END.search(text, start + len(head))
+        if stop is None:
+            return None
+        if stop.group() == "}":
+            return start, stop.end()
+        # Every opener before this newline ends at it too.
+        pos = stop.start()
+    return None
+
+
+def _replace_code(text: str) -> str:
+    """Replace each code block with CODE_PLACEHOLDER, one kind of block
+    after another, and then, kind by kind, an unterminated opener and the
+    rest of the text.  Each pass scans the text once."""
+    for head, params, closer in _CODE_MARKS:
+        pieces, pos = [], 0
+        while (opener := _next_opener(text, head, params, pos)) is not None:
+            close = text.find(closer, opener[1])
+            if close == -1:
+                break  # no later opener finds a closer either
+            pieces += [text[pos:opener[0]], CODE_PLACEHOLDER]
+            pos = close + len(closer)
+        text = "".join(pieces) + text[pos:]
+    for head, params, _ in _CODE_MARKS:
+        opener = _next_opener(text, head, params, 0)
+        if opener is not None:
+            text = text[:opener[0]] + CODE_PLACEHOLDER
+    return text
 
 
 def clean_text(text: str, encoding: str = "ascii") -> str:
@@ -193,11 +223,7 @@ def clean_text(text: str, encoding: str = "ascii") -> str:
     text = _QUOTE_MARK.sub("", text)
     lines = [line for line in text.split("\n") if not line.lstrip().startswith(">")]
     text = "\n".join(lines)
-    for pattern in _CODE_BLOCKS:
-        text = pattern.sub(CODE_PLACEHOLDER, text)
-    for pattern in _CODE_TAILS:
-        text = pattern.sub(CODE_PLACEHOLDER, text)
-    return _URL.sub(_replace_url, text)
+    return _URL.sub(_replace_url, _replace_code(text))
 
 
 def clean_issue(issue: IssueLog, encoding: str = "ascii",

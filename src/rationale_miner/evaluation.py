@@ -17,16 +17,19 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .corpus import IssueLog, Sentence
+from .backends.baseline import PAIR_FEATURE_NAMES, pair_features, train_baseline
+from .corpus import IssueLog, Sentence, enumerate_sentences, sentence_order
 from .errors import (
     ConfigError,
     CoverageMismatch,
     MalformedExport,
     TooFewIssues,
     UnknownDimension,
+    UnknownSentence,
 )
 from .features import FEATURE_DIM, FEATURE_GROUPS, compute_feature_matrix
 from .miner import Rationale
+from .prompts import RELATION_LABELS
 
 CATEGORY_NONE = "none"
 CATEGORY_ARGUMENT = "argument"
@@ -93,8 +96,14 @@ def map_to_gold(predicted: list[Rationale], gold: list[Rationale],
 
     The map maximizes solution overlap; ties go to the gold rationale whose
     solution holds the earliest sentence; zero overlap leaves the prediction
-    unmapped.
+    unmapped.  A gold solution sentence missing from ``order`` is an
+    UnknownSentence.
     """
+    for g in gold:
+        for sid in g.solution:
+            if sid not in order:
+                raise UnknownSentence(
+                    f"gold names solution sentence {sid}, which the corpus does not hold")
     assignments: list[int | None] = []
     for pred in predicted:
         best: int | None = None
@@ -266,9 +275,11 @@ def pair_labels_from_annotation(annotation: Annotation,
 
     Two sentences in the same solution, or in the same argument group, are
     complementary; an argument and a solution sentence of the same rationale
-    are supporting; everything else is unrelated.
+    are supporting; everything else is unrelated.  Design sentences missing
+    from ``order`` are left out.
     """
-    design = sorted(annotation.design_ids(), key=lambda sid: order[sid])
+    design = sorted((sid for sid in annotation.design_ids() if sid in order),
+                    key=order.__getitem__)
     member_of: dict[str, tuple[int, str, int]] = {}
     for ri, rationale in enumerate(annotation.rationales):
         for sid in rationale.solution:
@@ -349,8 +360,6 @@ def run_ablation(train_texts: list[str], train_features: np.ndarray,
                  test_features: np.ndarray, test_labels: np.ndarray,
                  dimension: str | None) -> AblationResult:
     """Retrain the design-sentence baseline with one feature block zeroed."""
-    from .backends.baseline import train_baseline
-
     slots = dimension_slots(dimension) if dimension else []
     model = train_baseline(train_texts, mask_features(train_features, slots),
                            np.asarray(train_labels))
@@ -397,10 +406,6 @@ def collect_extraction_data(issues: list[IssueLog],
 
 def collect_pair_data(issues: list[IssueLog], annotations: list[Annotation]):
     """Pair feature matrix and relation labels derived from annotations."""
-    from .corpus import enumerate_sentences
-    from .backends.baseline import PAIR_FEATURE_NAMES, pair_features
-    from .prompts import RELATION_LABELS
-
     by_issue = {a.issue: a for a in annotations}
     rows: list[np.ndarray] = []
     labels: list[int] = []
@@ -410,14 +415,8 @@ def collect_pair_data(issues: list[IssueLog], annotations: list[Annotation]):
             continue
         sentences = enumerate_sentences(issue)
         by_id = {s.id: s for s in sentences}
-        order = {s.id: s.global_index for s in sentences}
-        trimmed = Annotation(
-            issue=annotation.issue, annotator=annotation.annotator,
-            labels={sid: label for sid, label in annotation.labels.items()
-                    if sid in by_id},
-            rationales=annotation.rationales,
-        )
-        for sid1, sid2, label in pair_labels_from_annotation(trimmed, order):
+        for sid1, sid2, label in pair_labels_from_annotation(annotation,
+                                                            sentence_order(sentences)):
             rows.append(pair_features(by_id[sid1], by_id[sid2]))
             labels.append(RELATION_LABELS.index(label))
     matrix = np.array(rows) if rows else np.zeros((0, len(PAIR_FEATURE_NAMES)))
@@ -428,8 +427,6 @@ def corpus_stats(issues: list[IssueLog],
                  annotations: list[Annotation] | None = None) -> list[dict]:
     """Per-project issue/comment/sentence counts, plus design counts if
     annotations are given; ends with a total row."""
-    from .corpus import enumerate_sentences
-
     design_by_issue = {}
     for record in annotations or []:
         design_by_issue[record.issue] = len(record.design_ids())

@@ -9,6 +9,7 @@ refuse to run against a different layout.
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -75,63 +76,46 @@ def keyword_flags(text: str) -> list[float]:
     return flags
 
 
-def compute_features(sentence: Sentence, issue: IssueLog,
-                     all_sentences: list[Sentence] | None = None,
-                     analyzer: SentimentAnalyzer | None = None) -> np.ndarray:
-    """Compute the 29-dimensional feature vector for one sentence.
-
-    ``all_sentences`` is the full enumeration of the issue; passing it in
-    avoids re-segmenting the issue per sentence.  The summary counts as part
-    of the description side for the is_description flag, and summary or
-    description sentences take comment_position 0.
-    """
-    if all_sentences is None:
-        all_sentences = enumerate_sentences(issue)
-    if analyzer is None:
-        analyzer = SentimentAnalyzer()
-
-    comment_count = len(issue.comments)
-    author_comment_count = sum(1 for c in issue.comments if c.author == sentence.author)
-    block = [s for s in all_sentences
-             if s.kind == sentence.kind and s.comment_index == sentence.comment_index]
-    if sentence.kind == "comment":
-        comment_position = (sentence.comment_index + 1) / comment_count
-    else:
-        comment_position = 0.0
-    sentence_position = (sentence.block_index + 1) / len(block)
-
-    values = [
-        1.0 if sentence.kind in ("summary", "description") else 0.0,
-        1.0 if issue.reporter and sentence.author == issue.reporter else 0.0,
-        float(author_comment_count),
-        float(comment_count),
-        float(len(all_sentences)),
-        comment_position,
-        sentence_position,
-        float(sentence.global_index),
-    ]
-    values.extend(keyword_flags(sentence.text))
-    values.append(1.0 if CODE_PLACEHOLDER in sentence.text else 0.0)
-    values.append(1.0 if URL_PLACEHOLDER in sentence.text else 0.0)
-    values.append(float(len(sentence.text.split())))
-    scores = analyzer.scores(sentence.text)
-    values.extend([scores.pos, scores.neu, scores.neg, scores.compound])
-
-    vector = np.asarray(values, dtype=np.float64)
-    assert vector.shape == (FEATURE_DIM,)
-    return vector
-
-
 def compute_feature_matrix(issue: IssueLog,
                            analyzer: SentimentAnalyzer | None = None
                            ) -> tuple[list[Sentence], np.ndarray]:
-    """Feature vectors for every sentence of a cleaned issue, in issue order."""
+    """The 29-dimensional feature vector of every sentence of a cleaned issue,
+    one row per sentence in issue order.
+
+    The summary counts as part of the description side for the
+    is_description flag, and summary or description sentences take
+    comment_position 0.  Comments per author and sentences per block are
+    counted once per issue.
+    """
     if analyzer is None:
         analyzer = SentimentAnalyzer()
     sentences = enumerate_sentences(issue)
     if not sentences:
         return [], np.zeros((0, FEATURE_DIM))
-    matrix = np.stack([
-        compute_features(s, issue, sentences, analyzer) for s in sentences
-    ])
-    return sentences, matrix
+    comment_count = len(issue.comments)
+    comments_by = Counter(c.author for c in issue.comments)
+    block_size = Counter((s.kind, s.comment_index) for s in sentences)
+    rows = []
+    for s in sentences:
+        if s.kind == "comment":
+            comment_position = (s.comment_index + 1) / comment_count
+        else:
+            comment_position = 0.0
+        values = [
+            1.0 if s.kind in ("summary", "description") else 0.0,
+            1.0 if issue.reporter and s.author == issue.reporter else 0.0,
+            float(comments_by[s.author]),
+            float(comment_count),
+            float(len(sentences)),
+            comment_position,
+            (s.block_index + 1) / block_size[s.kind, s.comment_index],
+            float(s.global_index),
+        ]
+        values.extend(keyword_flags(s.text))
+        values.append(1.0 if CODE_PLACEHOLDER in s.text else 0.0)
+        values.append(1.0 if URL_PLACEHOLDER in s.text else 0.0)
+        values.append(float(len(s.text.split())))
+        scores = analyzer.scores(s.text)
+        values.extend([scores.pos, scores.neu, scores.neg, scores.compound])
+        rows.append(values)
+    return sentences, np.asarray(rows, dtype=np.float64)

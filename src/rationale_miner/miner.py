@@ -16,6 +16,7 @@ import math
 import os
 import queue
 import threading
+from collections import Counter
 from contextlib import nullcontext
 from contextvars import ContextVar
 from concurrent.futures import Future, wait
@@ -286,20 +287,21 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
         for node in group:
             group_of[node] = gi
 
+    supports: dict[str, list[int]] = {}
+    for edge in graph.supporting:
+        if edge.solution in group_of:
+            supports.setdefault(edge.argument, []).append(group_of[edge.solution])
+
     attached: list[list[list[str]]] = [[] for _ in solution_groups]
     for group in argument_groups:
-        votes = [0] * len(solution_groups)
-        for node in group:
-            for edge in graph.supporting:
-                if edge.argument == node and edge.solution in group_of:
-                    votes[group_of[edge.solution]] += 1
-        best = max(votes, default=0)
-        if best == 0:
+        votes = Counter(gi for node in group for gi in supports.get(node, ()))
+        if not votes:
             warnings.append(
                 f"argument group {group} supports no surviving solution; dropped"
             )
             continue
-        tied = [gi for gi, v in enumerate(votes) if v == best]
+        best = max(votes.values())
+        tied = [gi for gi, v in votes.items() if v == best]
         target = min(tied, key=lambda gi: graph.order[solution_groups[gi][0]])
         attached[target].append(group)
 

@@ -8,6 +8,7 @@ module imports from the package beyond plain data types.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 
@@ -142,3 +143,40 @@ def oracle_sentence_prf(predicted: list[dict], gold: list[dict],
         gold_total = sum(len(pick(g)) for g in gold)
         out[category] = oracle_prf(tp, pred_total, gold_total)
     return out
+
+
+_ORACLE_QUOTE_BLOCK = re.compile(r"\{quote\}.*?\{quote\}", re.S)
+_ORACLE_CODE_BLOCKS = (
+    re.compile(r"\{code[^}\n]*\}.*?\{code\}", re.S),
+    re.compile(r"\{noformat\}.*?\{noformat\}", re.S),
+    re.compile(r"```.*?```", re.S),
+)
+_ORACLE_CODE_TAILS = (
+    re.compile(r"\{code[^}\n]*\}.*\Z", re.S),
+    re.compile(r"\{noformat\}.*\Z", re.S),
+    re.compile(r"```.*\Z", re.S),
+)
+
+
+def oracle_clean_text(text: str, encoding: str = "ascii") -> str:
+    """Markup cleaning as one regex pass per rule: quotes, quoted lines, every
+    code block kind, every unterminated code opener, then URLs with their
+    trailing punctuation kept outside the placeholder.  The lazy code-block
+    regexes rescan to the end of the text from each unterminated opener, so
+    this is quadratic on floods of them; keep inputs small."""
+    text = text.encode(encoding, errors="ignore").decode(encoding)
+    text = _ORACLE_QUOTE_BLOCK.sub("", text)
+    text = text.replace("{quote}", "")
+    text = "\n".join(line for line in text.split("\n")
+                     if not line.lstrip().startswith(">"))
+    for pattern in _ORACLE_CODE_BLOCKS + _ORACLE_CODE_TAILS:
+        text = pattern.sub("[code]", text)
+
+    def url(match: re.Match) -> str:
+        body, tail = match.group(0), ""
+        while body and body[-1] in ".,;:!?)]}\"'":
+            tail = body[-1] + tail
+            body = body[:-1]
+        return "[URL]" + tail
+
+    return re.sub(r"(?:https?|ftp)://\S+", url, text)

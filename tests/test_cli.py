@@ -264,6 +264,35 @@ def test_eval_reports_a_corrupt_mined_file_and_scores_the_rest(workspace, fixtur
     assert (tmp_path / "out" / "metrics.csv").read_bytes() == both
 
 
+@pytest.mark.parametrize("key,solutions,missing", [
+    ("FLINK-1321", [["c0-s0"], ["c0-s1", "zz-s9"]], "zz-s9"),  # the issue lacks zz-s9
+    ("FLINK-9999", [["c0-s0"], ["c0-s1"]], "c0-s0"),           # the corpus lacks the issue
+])
+def test_eval_reports_gold_sentences_the_corpus_lacks_and_scores_the_rest(
+        workspace, fixtures_dir, capsys, key, solutions, missing):
+    tmp_path, config, config_path = workspace
+    _add_second_issue(workspace, fixtures_dir)
+    assert main(["mine", "-c", str(config_path)]) == 0
+    out = tmp_path / "out"
+    if key == "FLINK-9999":
+        shutil.copy(out / "FLINK-1321.rationales.json", out / f"{key}.rationales.json")
+    record = json.loads((fixtures_dir / "flink-1320-gold.jsonl").read_text(encoding="utf-8"))
+    # both gold rationales overlap the first mined one equally: the tie needs their order
+    clone = dict(record, issue=key,
+                 rationales=[{"solution": s, "arguments": []} for s in solutions])
+    gold_path = tmp_path / "gold.jsonl"
+    gold_path.write_text(json.dumps(record) + "\n" + json.dumps(clone) + "\n",
+                         encoding="utf-8")
+    _rewrite(workspace, annotations_path=str(gold_path))
+    capsys.readouterr()
+    assert main(["eval", "-c", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"failed to evaluate {key}: gold names solution sentence {missing}, "
+        "which the corpus does not hold\n")
+    assert (out / "metrics.csv").read_bytes() == (
+        fixtures_dir / "metrics-expected.csv").read_bytes()
+
+
 @pytest.mark.parametrize("mode", ["prompt_head", "baseline"])
 def test_train_on_annotations_of_no_corpus_issue_is_a_typed_error(workspace, fixtures_dir,
                                                                   capsys, mode):

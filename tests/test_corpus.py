@@ -3,10 +3,11 @@ from __future__ import annotations
 import datetime as dt
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rationale_miner.corpus import (
@@ -20,6 +21,8 @@ from rationale_miner.corpus import (
     split_sentences,
 )
 from rationale_miner.errors import BadTimestamp, MalformedExport
+
+from oracles import oracle_clean_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -147,6 +150,42 @@ def test_clean_text_url_inside_code_block_vanishes():
 def test_clean_text_is_idempotent(text):
     once = clean_text(text)
     assert clean_text(once) == once
+
+
+_MARKUP = st.lists(st.sampled_from([
+    "{code", "{code}", "{code:java}", "{code:x}", "}", "{noformat}", "```", "`",
+    "{quote}", "\n", "\n> ", " ", "x", ".", ")", "http://a", "https://b.c/d",
+    "\u00e9", "'", "]",
+]), max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(_MARKUP, st.text(max_size=200)),
+       encoding=st.sampled_from(["ascii", "utf-8"]))
+@example(text="{code\n{code}x{code} {code y\n{code:j}z", encoding="ascii")
+# Block passes run before tail passes: the ``` block closes first and takes
+# the {code:x} inside it along, so the tail stays.
+@example(text="```{code:x}``` tail", encoding="ascii")
+@example(text="{code:x}```{code} tail ```", encoding="ascii")
+def test_clean_text_matches_the_regex_passes(text, encoding):
+    assert clean_text(text, encoding) == oracle_clean_text(text, encoding)
+
+
+_FLOODS = {
+    "code-parameters": "{code:java} x " * 15_000,
+    "code-opener": "{code x " * 25_000,
+    "noformat": "{noformat} x " * 16_000,
+    "backticks": "``` x " * 34_000,
+    "quote": "{quote} x " * 20_000,
+    "url-punctuation": "see http://a" + ")" * 500_000,
+}
+
+
+@pytest.mark.parametrize("flood", _FLOODS)
+def test_clean_text_is_linear_on_floods(flood):
+    started = time.perf_counter()
+    clean_text(_FLOODS[flood])
+    assert time.perf_counter() - started < 1.0
 
 
 def test_clean_issue_drops_bot_comments_densely(raw_issue):

@@ -11,6 +11,7 @@ from rationale_miner.errors import (
     MalformedExport,
     TooFewIssues,
     UnknownDimension,
+    UnknownSentence,
 )
 from rationale_miner.evaluation import (
     Annotation,
@@ -108,6 +109,12 @@ def test_map_to_gold_tie_breaks_toward_earliest_solution_sentence():
 def test_map_to_gold_zero_overlap_is_unmapped():
     order = {"a": 0, "q": 1}
     assert map_to_gold([_r(["q"])], [_r(["a"])], order) == [None]
+
+
+def test_map_to_gold_rejects_a_gold_solution_sentence_missing_from_order():
+    # the check does not wait for a tie that would need the missing sentence
+    with pytest.raises(UnknownSentence, match="zz-s9"):
+        map_to_gold([_r(["a"])], [_r(["a"]), _r(["b", "zz-s9"])], {"a": 0, "b": 1})
 
 
 def test_eval_sentences_membership_ignores_group_boundaries():
@@ -243,6 +250,13 @@ def test_pair_labels_from_annotation():
     assert labeled[("s1", "s3")] == "unrelated"      # different rationales
     assert labeled[("a1", "s3")] == "unrelated"
     assert labeled[("s1", "d0")] == "unrelated"  # labelled but never grouped
+
+
+def test_pair_labels_skip_design_sentences_missing_from_order():
+    record = _ann("e", {"s1": "solution", "zz": "argument", "a1": "argument"},
+                  [_r(["s1"], [["zz", "a1"]])])
+    assert pair_labels_from_annotation(record, {"s1": 0, "a1": 1}) == [
+        ("s1", "a1", "supporting")]
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationale_miner.corpus import parse_issue
+from rationale_miner.corpus import clean_issue, parse_issue
 from rationale_miner.features import (
     FEATURE_DIM,
     FEATURE_GROUPS,
     FEATURE_NAMES,
     POLARITY_WORDS,
     compute_feature_matrix,
-    compute_features,
     keyword_flags,
     word_tokens,
 )
@@ -52,6 +51,46 @@ def test_frozen_vectors_for_golden_issue(golden_issue):
     for sid, expected in fixture["vectors"].items():
         np.testing.assert_allclose(matrix[by_id[sid]], np.array(expected),
                                    atol=1e-12, err_msg=sid)
+
+
+def test_hand_computed_vectors_for_a_small_issue():
+    # bob writes 2 of the 3 comments; the comments hold 1, 2 and 3 sentences.
+    issue = clean_issue(parse_issue({
+        "key": "PLAN-7", "summary": "Plan cache", "reporter": "alice",
+        "description": "Add a plan cache.",
+        "comments": [
+            {"author": "bob", "body": "Why here?", "created": "2020-01-01T00:00:00Z"},
+            {"author": "carol", "body": "It could go in the planner. "
+             "But the planner is shared.", "created": "2020-01-02T00:00:00Z"},
+            {"author": "bob", "body": "So we keep it in the cache. The cache lives "
+             "in {code}Plan p;{code} now. Done!", "created": "2020-01-03T00:00:00Z"},
+        ],
+    }))
+    sentences, matrix = compute_feature_matrix(issue)
+    assert [s.id for s in sentences] == [
+        "sum-s0", "des-s0", "c0-s0", "c1-s0", "c1-s1", "c2-s0", "c2-s1", "c2-s2"]
+    # process and position blocks, row by row
+    np.testing.assert_allclose(matrix[:, :8], [
+        [1, 1, 0, 3, 8, 0, 1, 0],
+        [1, 1, 0, 3, 8, 0, 1, 1],
+        [0, 0, 2, 3, 8, 1 / 3, 1, 2],
+        [0, 0, 1, 3, 8, 2 / 3, 1 / 2, 3],
+        [0, 0, 1, 3, 8, 2 / 3, 1, 4],
+        [0, 0, 2, 3, 8, 1, 1 / 3, 5],
+        [0, 0, 2, 3, 8, 1, 2 / 3, 6],
+        [0, 0, 2, 3, 8, 1, 1, 7],
+    ], rtol=0, atol=1e-15)
+    keywords = dict.fromkeys(FEATURE_NAMES[8:22], 0.0)
+    neutral = [0.0, 1.0, 0.0, 0.0]
+    rows = {
+        "des-s0": [1, 1, 0, 3, 8, 0, 1, 1, *keywords.values(), 0, 0, 4, *neutral],
+        "c1-s0": [0, 0, 1, 3, 8, 2 / 3, 1 / 2, 3,
+                  *{**keywords, "kw_modal_can_could": 1.0}.values(), 0, 0, 6, *neutral],
+        "c2-s1": [0, 0, 2, 3, 8, 1, 2 / 3, 6, *keywords.values(), 1, 0, 6, *neutral],
+    }
+    for sid, expected in rows.items():
+        row = matrix[[s.id for s in sentences].index(sid)]
+        np.testing.assert_allclose(row, expected, rtol=0, atol=1e-15, err_msg=sid)
 
 
 def test_word_tokens_are_exact_lowercased_words():
@@ -140,10 +179,3 @@ def test_feature_ranges_hold_for_generated_issues(body, author_is_reporter):
         assert -1.0 <= named["sentiment_compound"] <= 1.0
         assert abs(named["sentiment_pos"] + named["sentiment_neu"]
                    + named["sentiment_neg"] - 1.0) < 1e-9
-
-
-def test_single_sentence_vector_matches_matrix_row(golden_issue):
-    sentences, matrix = compute_feature_matrix(golden_issue)
-    analyzer = SentimentAnalyzer()
-    one = compute_features(sentences[3], golden_issue, sentences, analyzer)
-    np.testing.assert_allclose(one, matrix[3], atol=0)

@@ -1,55 +1,73 @@
-"""Smoke tests: the scripts under ``scripts/`` run end to end."""
+"""README's Example commands run as written and give the documented outputs."""
 
 from __future__ import annotations
 
 import json
+import re
+import runpy
+import shlex
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from rationale_miner.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture
-def scripts(monkeypatch):
-    monkeypatch.syspath_prepend(str(SCRIPTS))
+def example_commands() -> list[list[str]]:
+    """The commands of the bash blocks in README's Example section, in order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Example\n", 1)[1].split("\n## ", 1)[0]
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip():
+                commands.append(shlex.split(line))
+    return commands
 
-    def run(module, *argv):
-        monkeypatch.setattr(sys, "argv", [f"{module.__name__}.py", *map(str, argv)])
-        module.main()
 
-    return run
+def test_scripts_run(tmp_path, fixtures_dir, monkeypatch, capsys):
+    for name in ("tests", "scripts"):
+        (tmp_path / name).symlink_to(ROOT / name)
+    monkeypatch.chdir(tmp_path)
+    commands = example_commands()
+    assert [argv[:2] for argv in commands if argv[0] not in ("mkdir", "cp")] == [
+        ["rationale-miner", "mine"],
+        ["python", "scripts/make_synthetic_corpus.py"],
+        ["rationale-miner", "stats"],
+        ["rationale-miner", "ablate"],
+    ]
+    printed = {}
+    for argv in commands:
+        match argv:
+            case ["mkdir", "-p", path]:
+                Path(path).mkdir(parents=True, exist_ok=True)
+            case ["cp", source, target]:
+                shutil.copy(source, target)
+            case ["python", script, *args]:
+                monkeypatch.setattr(sys, "argv", [script, *args])
+                runpy.run_path(script, run_name="__main__")
+            case ["rationale-miner", *args]:
+                assert main(args) == 0, argv
+            case _:
+                pytest.fail(f"README runs a command this test does not know: {argv}")
+        printed[argv[1]] = capsys.readouterr().out
 
+    mined = sorted(tmp_path.glob("out/**/*.rationales.*"))
+    assert [path.name for path in mined] == ["FLINK-1320.rationales.json",
+                                             "FLINK-1320.rationales.md"]
+    for path in mined:
+        expected = fixtures_dir / f"mined-expected.{path.suffix[1:]}"
+        assert path.read_bytes() == expected.read_bytes()
 
-def test_scripts_run(scripts, tmp_path, fixtures_dir, monkeypatch, capsys):
-    import make_synthetic_corpus
-    import mine_fixture_demo
-    import run_ablation_experiment
-
-    scripts(mine_fixture_demo, "--out-dir", tmp_path / "demo")
-    for suffix in ("json", "md"):
-        mined = tmp_path / "demo" / f"FLINK-1320.rationales.{suffix}"
-        assert mined.read_bytes() == (fixtures_dir / f"mined-expected.{suffix}").read_bytes()
-
-    scripts(run_ablation_experiment, "--min-sentences", 200)
-    assert "\nfull " in capsys.readouterr().out
-
-    scripts(make_synthetic_corpus, "--out", tmp_path / "synthetic")
-    corpus = tmp_path / "synthetic" / "corpus"
-    first = sorted(corpus.glob("*.json"))[0]
-    raw = json.loads(first.read_text(encoding="utf-8"))
-    raw["comments"].append({"author": "ci-bot", "body": "Build passed.",
-                            "created": "2030-01-01T00:00:00+00:00"})
-    first.write_text(json.dumps(raw), encoding="utf-8")
-    # the script loads through load_corpus, which cleans: bot comments go
-    loaded, split = [], run_ablation_experiment.split_dataset
-    monkeypatch.setattr(run_ablation_experiment, "split_dataset",
-                        lambda issues, seed: split(loaded.extend(issues) or issues, seed))
-    scripts(run_ablation_experiment, "--corpus", corpus,
-            "--annotations", tmp_path / "synthetic" / "annotations.jsonl",
-            "--json", tmp_path / "ablation.json")
-    assert len(loaded) == len(list(corpus.glob("*.json")))
-    assert all("bot" not in c.author for issue in loaded for c in issue.comments)
-    assert json.loads((tmp_path / "ablation.json").read_text(encoding="utf-8"))[0][
-        "dimension"] == "full"
+    assert printed["scripts/make_synthetic_corpus.py"] == (
+        "wrote 24 issues to data/synthetic/corpus\n"
+        "wrote 24 annotations to data/synthetic/annotations.jsonl\n")
+    assert printed["stats"].splitlines()[-1].split() == ["total", "24", "76", "201", "67"]
+    [ablation] = tmp_path.glob("out/**/ablation.json")
+    records = json.loads(ablation.read_text(encoding="utf-8"))
+    assert [r["dimension"] for r in records] == [
+        "full", "keyword", "position", "process", "sentiment", "structure"]
