@@ -8,7 +8,9 @@ Two endpoints, both JSON over POST:
 * ``/v1/generate``: ``{"prompt", "max_tokens"}`` in, ``{"text"}`` out.
 
 Transport failures (unreachable host, non-200 status) raise TransportError;
-structurally invalid payloads in either direction raise ProtocolError.
+structurally invalid payloads in either direction raise ProtocolError.  The
+request and response classes here are the one definition of a valid call:
+the scripted backend checks its requests and canned replies through them too.
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ class MaskProbsResponse:
                 raise ProtocolError("mask-probs response: probs must be numbers")
             values.append(float(p))
         return cls(probs=tuple(values))
+
+
+def checked_probs(request: MaskProbsRequest, payload) -> tuple[float, ...]:
+    """The probabilities of ``payload``, a reply to ``request``: a
+    ProtocolError unless it holds one valid probability per candidate."""
+    probs = MaskProbsResponse.from_json(payload).probs
+    if len(probs) != len(request.candidates):
+        raise ProtocolError(f"mask-probs response has {len(probs)} probs for "
+                            f"{len(request.candidates)} candidates")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -289,14 +301,7 @@ class RemoteBackend(Backend):
 
     def mask_probs(self, prompt: str, candidates: tuple[str, ...]) -> tuple[float, ...]:
         request = MaskProbsRequest(prompt=prompt, candidates=tuple(candidates))
-        body = self._post("/v1/mask-probs", request.to_json())
-        parsed = MaskProbsResponse.from_json(body)
-        if len(parsed.probs) != len(request.candidates):
-            raise ProtocolError(
-                f"mask-probs response has {len(parsed.probs)} probs for "
-                f"{len(request.candidates)} candidates"
-            )
-        return parsed.probs
+        return checked_probs(request, self._post("/v1/mask-probs", request.to_json()))
 
     def generate(self, prompt: str, max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
         request = GenerateRequest(prompt=prompt, max_tokens=max_tokens)

@@ -4,7 +4,8 @@ A script is a JSON object with ``mask_probs`` and ``generate`` sections.
 Each section holds ordered ``rules`` plus an optional ``default``; the first
 rule whose matcher hits the prompt wins.  Matchers are either ``contains`` (a
 substring or list of substrings that must all occur) or ``sha256`` (hex digest
-of the exact prompt bytes, for byte-sensitive fixtures).
+of the exact prompt bytes, for byte-sensitive fixtures).  Requests and canned
+replies pass the same protocol checks as a model server's.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import json
 from pathlib import Path
 
 from ..errors import ProtocolError
-from .protocol import Backend, DEFAULT_MAX_TOKENS
+from .protocol import (
+    DEFAULT_MAX_TOKENS,
+    Backend,
+    GenerateRequest,
+    GenerateResponse,
+    MaskProbsRequest,
+    checked_probs,
+)
 
 
 def _matches(rule: dict, prompt: str) -> bool:
@@ -29,11 +37,10 @@ def _matches(rule: dict, prompt: str) -> bool:
 
 
 class ScriptedBackend(Backend):
-    """Replays canned responses; records every prompt it was asked about."""
+    """Replays canned responses."""
 
     def __init__(self, script: dict):
         self.script = script
-        self.calls: list[tuple[str, str]] = []
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
@@ -57,20 +64,11 @@ class ScriptedBackend(Backend):
         return rule[payload_key]
 
     def mask_probs(self, prompt: str, candidates: tuple[str, ...]) -> tuple[float, ...]:
-        self.calls.append(("mask_probs", prompt))
-        probs = self._lookup("mask_probs", prompt, "probs")
-        if not isinstance(probs, list) or len(probs) != len(candidates):
-            raise ProtocolError(
-                f"scripted probs must list {len(candidates)} values, got {probs!r}"
-            )
-        values = tuple(float(p) for p in probs)
-        if any(not 0.0 <= p <= 1.0 for p in values):
-            raise ProtocolError(f"scripted probs out of range: {values!r}")
-        return values
+        request = MaskProbsRequest(prompt=prompt, candidates=tuple(candidates))
+        probs = self._lookup("mask_probs", request.prompt, "probs")
+        return checked_probs(request, {"probs": probs})
 
     def generate(self, prompt: str, max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
-        self.calls.append(("generate", prompt))
-        text = self._lookup("generate", prompt, "text")
-        if not isinstance(text, str):
-            raise ProtocolError(f"scripted generation must be a string, got {text!r}")
-        return text
+        request = GenerateRequest(prompt=prompt, max_tokens=max_tokens)
+        text = self._lookup("generate", request.prompt, "text")
+        return GenerateResponse.from_json({"text": text}).text

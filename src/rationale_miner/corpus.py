@@ -94,14 +94,19 @@ def _parse_timestamp(value: str) -> _dt.datetime:
 def parse_issue(raw: dict) -> IssueLog:
     """Build an IssueLog from a decoded export, sorting comments by timestamp.
 
-    Raises MalformedExport when required keys are missing or mistyped and
-    BadTimestamp when a comment timestamp cannot be parsed.
+    Raises MalformedExport when required keys are missing or mistyped or the
+    key is not a single path component, and BadTimestamp when a comment
+    timestamp cannot be parsed or the timestamps cannot be ordered.
     """
     if not isinstance(raw, dict):
         raise MalformedExport(f"issue export must be an object, got {type(raw).__name__}")
     for required in ("key", "summary"):
         if not isinstance(raw.get(required), str) or not raw.get(required):
             raise MalformedExport(f"issue export missing required field {required!r}")
+    key = raw["key"]
+    if key in (".", "..") or "/" in key or "\\" in key:
+        # Output files are named after the key, so it must be one path component.
+        raise MalformedExport(f"issue key {key!r} is not a single path component")
     description = raw.get("description") or ""
     if not isinstance(description, str):
         raise MalformedExport("field 'description' must be a string")
@@ -124,8 +129,12 @@ def parse_issue(raw: dict) -> IssueLog:
             Comment(author=entry["author"], body=entry["body"],
                     created=_parse_timestamp(entry["created"]))
         )
-    comments.sort(key=lambda c: c.created)
-    return IssueLog(key=raw["key"], summary=raw["summary"], description=description,
+    try:
+        comments.sort(key=lambda c: c.created)
+    except TypeError as exc:  # timestamps with and without an offset
+        raise BadTimestamp(f"issue {key}: cannot order comment timestamps "
+                           f"with and without an offset") from exc
+    return IssueLog(key=key, summary=raw["summary"], description=description,
                     reporter=reporter, comments=comments)
 
 
@@ -252,28 +261,21 @@ def clean_issue(issue: IssueLog, encoding: str = "ascii",
     )
 
 
-_TERMINATOR = re.compile(r"[.!?]+(?=\s|$)")
 _PARAGRAPH = re.compile(r"\n\s*\n")
 _TOKEN_LEAD = "([{\"'"
 
 
 def _split_flat(flat: str, abbreviations: frozenset[str]) -> list[str]:
-    pieces = []
-    start = 0
-    for match in _TERMINATOR.finditer(flat):
-        end = match.end()
-        candidate = flat[start:end].strip()
-        if not candidate:
-            start = end
-            continue
-        last_token = candidate.rsplit(" ", 1)[-1].lstrip(_TOKEN_LEAD)
-        if last_token.lower() in abbreviations:
-            continue
-        pieces.append(candidate)
-        start = end
-    tail = flat[start:].strip()
-    if tail:
-        pieces.append(tail)
+    """Sentences of ``flat``, a paragraph whose words are one space apart:
+    each ends with a token ending in ``.!?`` that is no known abbreviation."""
+    pieces, sentence = [], []
+    for token in flat.split(" "):
+        sentence.append(token)
+        if token[-1] in ".!?" and token.lstrip(_TOKEN_LEAD).lower() not in abbreviations:
+            pieces.append(" ".join(sentence))
+            sentence = []
+    if sentence:
+        pieces.append(" ".join(sentence))
     return pieces
 
 

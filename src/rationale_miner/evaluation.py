@@ -28,7 +28,7 @@ from .errors import (
     UnknownSentence,
 )
 from .features import FEATURE_DIM, FEATURE_GROUPS, compute_feature_matrix
-from .miner import Rationale
+from .miner import COMPLEMENTARY, SUPPORTING, UNRELATED, Rationale
 from .prompts import RELATION_LABELS
 
 CATEGORY_NONE = "none"
@@ -51,22 +51,13 @@ def _f1(precision: float, recall: float) -> float:
     return _safe_div(2 * precision * recall, precision + recall)
 
 
-def eval_binary(predicted: Iterable[str], gold: Iterable[str]) -> PRF:
-    """Plain binary precision/recall/F1 over two id sets."""
+def eval_binary(predicted: Iterable, gold: Iterable) -> PRF:
+    """Plain binary precision/recall/F1 over two id sets: sentence ids, or
+    the ``np.flatnonzero`` positions of aligned 0/1 arrays."""
     predicted, gold = set(predicted), set(gold)
     tp = len(predicted & gold)
     precision = _safe_div(tp, len(predicted))
     recall = _safe_div(tp, len(gold))
-    return PRF(precision, recall, _f1(precision, recall))
-
-
-def eval_binary_arrays(predicted: np.ndarray, gold: np.ndarray) -> PRF:
-    """Binary PRF over aligned 0/1 arrays (positive class only)."""
-    predicted = np.asarray(predicted).astype(bool)
-    gold = np.asarray(gold).astype(bool)
-    tp = int((predicted & gold).sum())
-    precision = _safe_div(tp, int(predicted.sum()))
-    recall = _safe_div(tp, int(gold.sum()))
     return PRF(precision, recall, _f1(precision, recall))
 
 
@@ -292,13 +283,13 @@ def pair_labels_from_annotation(annotation: Annotation,
         for sid2 in design[i + 1:]:
             a, b = member_of.get(sid1), member_of.get(sid2)
             if a is None or b is None or a[0] != b[0]:
-                label = "unrelated"
+                label = UNRELATED
             elif a[1] == b[1] and a[2] == b[2]:
-                label = "complementary"
+                label = COMPLEMENTARY
             elif a[1] != b[1]:
-                label = "supporting"
+                label = SUPPORTING
             else:
-                label = "unrelated"
+                label = UNRELATED
             labeled.append((sid1, sid2, label))
     return labeled
 
@@ -364,7 +355,7 @@ def run_ablation(train_texts: list[str], train_features: np.ndarray,
     model = train_baseline(train_texts, mask_features(train_features, slots),
                            np.asarray(train_labels))
     predictions = model.predict(test_texts, mask_features(test_features, slots))
-    prf = eval_binary_arrays(predictions, np.asarray(test_labels))
+    prf = eval_binary(np.flatnonzero(predictions), np.flatnonzero(test_labels))
     return AblationResult(dimension=dimension or "full", masked_slots=slots,
                           precision=prf.precision, recall=prf.recall, f1=prf.f1)
 

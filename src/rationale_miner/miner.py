@@ -27,7 +27,7 @@ import numpy as np
 
 from .backends.baseline import BaselineModel, PairBaselineModel, pair_features
 from .backends.heads import LogisticHead
-from .backends.protocol import Backend
+from .backends.protocol import DEFAULT_MAX_TOKENS, Backend
 from .corpus import IssueLog, Sentence, sentence_order
 from .errors import MalformedExport, SameSentence, UnknownSentence, UnparsableResponse
 from .features import FEATURE_NAMES, POLARITY_WORDS, compute_feature_matrix
@@ -42,9 +42,8 @@ from .prompts import (
 )
 from .sentiment import SentimentAnalyzer
 
-SUPPORTING = "supporting"
-COMPLEMENTARY = "complementary"
-UNRELATED = "unrelated"
+# In RELATION_LABELS order, which is also the pair baseline's class index.
+SUPPORTING, COMPLEMENTARY, UNRELATED = RELATION_LABELS
 
 SP_FEATURE_NAMES: tuple[str, ...] = tuple(
     f"polarity_{w}" for w in POLARITY_WORDS
@@ -381,7 +380,7 @@ def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
 def classify_pairs(design: list[Sentence], backend: Backend,
                    budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
                    workers: int | None = None,
-                   max_tokens: int = 8,
+                   max_tokens: int = DEFAULT_MAX_TOKENS,
                    pool: CallPool | None = None) -> tuple[list[PairDecision], list[str]]:
     """Relate every unordered design-sentence pair through the backend.
 

@@ -180,3 +180,27 @@ def oracle_clean_text(text: str, encoding: str = "ascii") -> str:
         return "[URL]" + tail
 
     return re.sub(r"(?:https?|ftp)://\S+", url, text)
+
+
+def oracle_split_sentences(text: str, abbreviations: tuple[str, ...]) -> list[str]:
+    """Sentence splitting that re-strips the whole sentence so far at every
+    terminator to find the token carrying it: quadratic on a run of
+    abbreviations, so keep inputs small."""
+    known = {a.lower() for a in abbreviations}
+    sentences = []
+    for paragraph in re.split(r"\n\s*\n", text):
+        flat = " ".join(paragraph.split())
+        start = 0
+        for match in re.finditer(r"[.!?]+(?=\s|$)", flat):
+            end = match.end()
+            candidate = flat[start:end].strip()
+            if not candidate:
+                start = end
+                continue
+            if candidate.rsplit(" ", 1)[-1].lstrip("([{\"'").lower() in known:
+                continue
+            sentences.append(candidate)
+            start = end
+        if flat[start:].strip():
+            sentences.append(flat[start:].strip())
+    return sentences

@@ -24,7 +24,7 @@ from rationale_miner.errors import BudgetExhausted, ProtocolError, TransportErro
 from rationale_miner.evaluation import (
     collect_extraction_data,
     dimension_slots,
-    eval_binary_arrays,
+    eval_binary,
     eval_rationales,
     eval_sentences,
     run_ablation,
@@ -294,12 +294,12 @@ def test_criterion_07_baseline_learnability(synthetic_split, tmp_path):
 
     model = train_baseline(train_texts, train_features, train_labels)
     predictions = model.predict(test_texts, test_features)
-    prf = eval_binary_arrays(predictions, test_labels)
+    prf = eval_binary(np.flatnonzero(predictions), np.flatnonzero(test_labels))
     assert prf.f1 >= 0.9
 
     majority = int(np.bincount(train_labels).argmax())
-    majority_prf = eval_binary_arrays(
-        np.full_like(test_labels, majority), test_labels)
+    majority_prf = eval_binary(
+        np.flatnonzero(np.full_like(test_labels, majority)), np.flatnonzero(test_labels))
     assert prf.f1 > majority_prf.f1
 
     first, second = tmp_path / "run1.json", tmp_path / "run2.json"

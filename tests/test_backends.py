@@ -23,6 +23,7 @@ from rationale_miner.backends.protocol import (
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.errors import ConfigError, ProtocolError, TransportError
 
+from recording import Recording
 from stub_server import expected_probs, expected_text, run_socket_stub, run_stub
 
 
@@ -377,10 +378,10 @@ def _script() -> dict:
 
 
 def test_scripted_backend_matches_rules_in_order():
-    backend = ScriptedBackend(_script())
-    assert backend.mask_probs("has alpha inside", ("a", "b")) == (0.9, 0.1)
-    assert backend.mask_probs("beta then gamma", ("a", "b")) == (0.2, 0.8)
-    assert backend.mask_probs("gamma alone", ("a", "b")) == (0.0, 0.0)
+    backend = Recording(ScriptedBackend(_script()))
+    assert backend.mask_probs("has alpha [MASK] inside", ("a", "b")) == (0.9, 0.1)
+    assert backend.mask_probs("beta then [MASK] gamma", ("a", "b")) == (0.2, 0.8)
+    assert backend.mask_probs("gamma [MASK] alone", ("a", "b")) == (0.0, 0.0)
     assert backend.mask_probs("exact [MASK] prompt", ("a", "b")) == (0.5, 0.5)
     assert backend.generate("about pair one here") == "supporting"
     assert backend.generate("anything else") == "unrelated"
@@ -389,26 +390,40 @@ def test_scripted_backend_matches_rules_in_order():
 
 def test_scripted_backend_errors_without_matching_rule_or_default():
     backend = ScriptedBackend({"mask_probs": {"rules": []}})
-    with pytest.raises(ProtocolError):
-        backend.mask_probs("anything", ("a",))
+    with pytest.raises(ProtocolError, match="no mask_probs rule matching"):
+        backend.mask_probs("anything [MASK]", ("a",))
 
 
 def test_scripted_backend_rejects_wrong_probs_length():
     backend = ScriptedBackend(_script())
-    with pytest.raises(ProtocolError):
-        backend.mask_probs("has alpha inside", ("a", "b", "c"))
+    with pytest.raises(ProtocolError, match="2 probs for 3 candidates"):
+        backend.mask_probs("has alpha [MASK] inside", ("a", "b", "c"))
 
 
 def test_scripted_backend_rejects_out_of_range_probs():
     backend = ScriptedBackend({"mask_probs": {"default": {"probs": [1.2]}}})
-    with pytest.raises(ProtocolError):
-        backend.mask_probs("x", ("a",))
+    with pytest.raises(ProtocolError, match="out of range"):
+        backend.mask_probs("x [MASK]", ("a",))
 
 
 def test_scripted_backend_rejects_non_string_generation():
     backend = ScriptedBackend({"generate": {"default": {"text": 3}}})
     with pytest.raises(ProtocolError):
         backend.generate("x")
+
+
+@pytest.mark.parametrize("probs,call", [
+    ([0.5, 0.5], lambda b: b.mask_probs("no mask here", ("a", "b"))),
+    ([0.5, 0.5], lambda b: b.mask_probs("[MASK] and [MASK]", ("a", "b"))),
+    ([], lambda b: b.mask_probs("one [MASK] slot", ())),
+    ([True, "0.5"], lambda b: b.mask_probs("one [MASK] slot", ("a", "b"))),
+    ([0.5, 0.5], lambda b: b.generate("x", max_tokens=0)),
+], ids=["no-mask", "two-masks", "no-candidates", "non-number-probs", "no-tokens"])
+def test_scripted_backend_rejects_what_a_server_is_held_to(probs, call):
+    backend = ScriptedBackend({"mask_probs": {"default": {"probs": probs}},
+                               "generate": {"default": {"text": "unrelated"}}})
+    with pytest.raises(ProtocolError):
+        call(backend)
 
 
 def test_scripted_backend_rejects_rule_without_matcher():

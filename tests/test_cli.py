@@ -194,6 +194,34 @@ def test_ingest_counts_broken_files(workspace, capsys):
     assert (tmp_path / "out" / "FLINK-1320.sentences.jsonl").exists()
 
 
+@pytest.mark.parametrize("key", ["../escaped-H-1", "sub/H-2", "..\\H-3", "..", "."])
+def test_ingest_skips_a_key_that_is_not_one_path_component(workspace, raw_issue,
+                                                           key, capsys):
+    tmp_path, config, config_path = workspace
+    (tmp_path / "corpus" / "escape.json").write_text(json.dumps(dict(raw_issue, key=key)),
+                                                     encoding="utf-8")
+    before = set(tmp_path.rglob("*"))
+    assert main(["ingest", "-c", str(config_path)]) == 1
+    assert "skipping escape.json: issue key" in capsys.readouterr().err
+    written = set(tmp_path.rglob("*")) - before
+    assert written == {tmp_path / "out", tmp_path / "out" / "FLINK-1320.sentences.jsonl"}
+
+
+def test_ingest_skips_an_issue_mixing_naive_and_offset_timestamps(workspace, raw_issue,
+                                                                  capsys):
+    tmp_path, config, config_path = workspace
+    comments = [dict(c) for c in raw_issue["comments"]]
+    comments[0]["created"] = "2014-01-08T10:22:31"
+    comments[1]["created"] = "2014-01-08T10:22:31.000+0000"
+    mixed = dict(raw_issue, key="FLINK-1399", comments=comments)
+    (tmp_path / "corpus" / "mixed.json").write_text(json.dumps(mixed), encoding="utf-8")
+    assert main(["ingest", "-c", str(config_path)]) == 1
+    err = capsys.readouterr().err
+    assert "skipping mixed.json: issue FLINK-1399: cannot order comment timestamps" in err
+    assert (tmp_path / "out" / "FLINK-1320.sentences.jsonl").exists()
+    assert not (tmp_path / "out" / "FLINK-1399.sentences.jsonl").exists()
+
+
 def test_mine_reproduces_golden_output(workspace, fixtures_dir):
     tmp_path, config, config_path = workspace
     assert main(["mine", "-c", str(config_path)]) == 0

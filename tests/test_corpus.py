@@ -22,7 +22,7 @@ from rationale_miner.corpus import (
 )
 from rationale_miner.errors import BadTimestamp, MalformedExport
 
-from oracles import oracle_clean_text
+from oracles import oracle_clean_text, oracle_split_sentences
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -249,6 +249,28 @@ def test_split_sentences_preserves_words(text):
     sentences = split_sentences(text)
     assert all(s == s.strip() and s for s in sentences)
     assert " ".join(" ".join(sentences).split()) == " ".join(text.split())
+
+
+_PROSE = st.lists(st.sampled_from([
+    "e.g.", "E.G.", "i.e.", "etc.", "(e.g.", "\"Dr.", "'cf.", "vs.", "x", "Word",
+    ".", "..", "!", "?", "?!", " ", "  ", "\n", "\n\n", "\t", "(", "\"", "'", "a.b",
+]), max_size=60).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(_PROSE, st.text(max_size=200)),
+       abbreviations=st.sampled_from([DEFAULT_ABBREVIATIONS, (), ("x.", "WORD.")]))
+@example(text="See (e.g. this). And e.g. that", abbreviations=DEFAULT_ABBREVIATIONS)
+def test_split_sentences_matches_the_rescanning_split(text, abbreviations):
+    assert split_sentences(text, abbreviations) == \
+        oracle_split_sentences(text, abbreviations)
+
+
+def test_split_sentences_is_linear_on_abbreviation_runs():
+    text = "e.g. " * 64_000  # 320 KB
+    started = time.perf_counter()
+    assert split_sentences(text) == [text.strip()]
+    assert time.perf_counter() - started < 0.1
 
 
 def test_split_sentences_honours_custom_abbreviations():

@@ -22,7 +22,6 @@ from rationale_miner.evaluation import (
     corpus_stats,
     dimension_slots,
     eval_binary,
-    eval_binary_arrays,
     eval_rationales,
     eval_sentences,
     load_annotations,
@@ -53,12 +52,6 @@ def test_eval_binary_no_overlap_and_empty_sides():
     assert eval_binary(set(), {"a"}) == PRF(0.0, 0.0, 0.0)
     assert eval_binary({"a"}, set()) == PRF(0.0, 0.0, 0.0)
     assert eval_binary(set(), set()) == PRF(0.0, 0.0, 0.0)
-
-
-def test_eval_binary_arrays_matches_set_form():
-    prf = eval_binary_arrays(np.array([1, 1, 0, 1]), np.array([1, 0, 0, 1]))
-    assert prf == PRF(2 / 3, 1.0, 0.8)
-    assert eval_binary_arrays(np.zeros(4), np.zeros(4)) == PRF(0.0, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from rationale_miner.miner import (
 )
 from rationale_miner.prompts import RELATION_LABELS
 
+from recording import Recording
+
 
 def _graph(nodes: list[str], supporting=(), complementary=()) -> RelationGraph:
     order = {node: i for i, node in enumerate(nodes)}
@@ -209,8 +211,8 @@ def test_prompt_head_classifier_combines_polarity_and_features():
 # pair classification through a scripted backend
 
 def _pair_backend(rules):
-    return ScriptedBackend({"generate": {"rules": rules,
-                                         "default": {"text": "unrelated"}}})
+    return Recording(ScriptedBackend({"generate": {"rules": rules,
+                                                   "default": {"text": "unrelated"}}}))
 
 
 def _abc_sentences():
@@ -302,8 +304,9 @@ def test_classify_pairs_earlier_sentence_is_always_sentence_one():
     a, b, c = _abc_sentences()
     backend = _pair_backend([])
     classify_pairs([c, a, b], backend)  # deliberately shuffled input
-    firsts = [p.split("Sentence 1: ", 1)[1].split(".", 1)[0]
-              for kind, p in backend.calls if kind == "generate"]
+    # The probes run on pool threads, so they are recorded in no fixed order.
+    firsts = sorted(p.split("Sentence 1: ", 1)[1].split(".", 1)[0]
+                    for kind, p in backend.calls if kind == "generate")
     assert firsts == ["Alpha proposes a cache",
                       "Alpha proposes a cache",
                       "Bravo supports the cache"]
