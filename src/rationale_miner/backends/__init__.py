@@ -3,10 +3,6 @@
 from .protocol import (
     ENV_AUTH_TOKEN,
     Backend,
-    GenerateRequest,
-    GenerateResponse,
-    MaskProbsRequest,
-    MaskProbsResponse,
     RemoteBackend,
 )
 from .scripted import ScriptedBackend
@@ -29,8 +25,7 @@ from .baseline import (
 )
 
 __all__ = [
-    "ENV_AUTH_TOKEN", "Backend", "GenerateRequest", "GenerateResponse",
-    "MaskProbsRequest", "MaskProbsResponse", "RemoteBackend",
+    "ENV_AUTH_TOKEN", "Backend", "RemoteBackend",
     "ScriptedBackend",
     "LogisticHead", "SoftmaxHead", "feature_fingerprint", "load_head",
     "save_head", "train_head",

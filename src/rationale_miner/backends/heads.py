@@ -167,7 +167,7 @@ def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict],
         raise ModelMissing(f"no {name} model at {file}")
     try:
         payload = json.loads(file.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ModelMissing(f"{name} at {file} is not a readable JSON file: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelMissing(f"{name} at {file} is not a JSON object")

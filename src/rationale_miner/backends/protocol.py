@@ -9,19 +9,19 @@ Two endpoints, both JSON over POST:
 
 Transport failures (unreachable host, non-200 status) raise TransportError;
 structurally invalid payloads in either direction raise ProtocolError.  The
-request and response classes here are the one definition of a valid call:
-the scripted backend checks its requests and canned replies through them too.
+two request-body builders and two reply checks here are the one definition
+of a valid call: the scripted backend checks its requests and canned replies
+through them too.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import ssl
 from abc import ABC, abstractmethod
 from base64 import b64encode
-from dataclasses import dataclass
+from collections.abc import Sequence
 from http.client import HTTPConnection, HTTPException, HTTPSConnection, RemoteDisconnected
 from urllib.parse import SplitResult, unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
@@ -33,108 +33,58 @@ ENV_AUTH_TOKEN = "RATIONALE_MINER_AUTH_TOKEN"
 DEFAULT_MAX_TOKENS = 8
 
 
-def _require(payload: dict, key: str, kind: type, context: str):
+def mask_probs_body(prompt: str, candidates: Sequence[str]) -> dict:
+    """The body of a mask-probs request: a ProtocolError unless ``prompt``
+    holds the mask token exactly once and there is a candidate."""
+    if prompt.count(MASK_TOKEN) != 1:
+        raise ProtocolError("mask-probs prompt must contain the mask token exactly once")
+    if not candidates:
+        raise ProtocolError("mask-probs request needs at least one candidate")
+    return {"prompt": prompt, "candidates": list(candidates)}
+
+
+def generate_body(prompt: str, max_tokens: int) -> dict:
+    """The body of a generate request: a ProtocolError unless
+    ``max_tokens`` >= 1."""
+    if max_tokens < 1:
+        raise ProtocolError("generate request needs max_tokens >= 1")
+    return {"prompt": prompt, "max_tokens": max_tokens}
+
+
+def checked_probs(candidates: Sequence[str], payload) -> tuple[float, ...]:
+    """The probabilities of ``payload``, a reply to a mask-probs request over
+    ``candidates``: a ProtocolError unless it holds one number in [0, 1] per
+    candidate."""
     if not isinstance(payload, dict):
-        raise ProtocolError(f"{context}: payload must be an object")
-    if key not in payload:
-        raise ProtocolError(f"{context}: missing field {key!r}")
-    value = payload[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ProtocolError(f"{context}: field {key!r} must be a number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise ProtocolError(f"{context}: field {key!r} must be {kind.__name__}")
-    return value
-
-
-@dataclass(frozen=True)
-class MaskProbsRequest:
-    prompt: str
-    candidates: tuple[str, ...]
-
-    def __post_init__(self):
-        if self.prompt.count(MASK_TOKEN) != 1:
-            raise ProtocolError("mask-probs prompt must contain the mask token exactly once")
-        if not self.candidates:
-            raise ProtocolError("mask-probs request needs at least one candidate")
-
-    def to_json(self) -> dict:
-        return {"prompt": self.prompt, "candidates": list(self.candidates)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MaskProbsRequest":
-        prompt = _require(payload, "prompt", str, "mask-probs request")
-        candidates = _require(payload, "candidates", list, "mask-probs request")
-        if not all(isinstance(c, str) for c in candidates):
-            raise ProtocolError("mask-probs request: candidates must be strings")
-        return cls(prompt=prompt, candidates=tuple(candidates))
-
-
-@dataclass(frozen=True)
-class MaskProbsResponse:
-    probs: tuple[float, ...]
-
-    def __post_init__(self):
-        for p in self.probs:
-            if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-                raise ProtocolError(f"mask probability out of range: {p!r}")
-
-    def to_json(self) -> dict:
-        return {"probs": list(self.probs)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "MaskProbsResponse":
-        probs = _require(payload, "probs", list, "mask-probs response")
-        values = []
-        for p in probs:
-            if not isinstance(p, (int, float)) or isinstance(p, bool):
-                raise ProtocolError("mask-probs response: probs must be numbers")
-            values.append(float(p))
-        return cls(probs=tuple(values))
-
-
-def checked_probs(request: MaskProbsRequest, payload) -> tuple[float, ...]:
-    """The probabilities of ``payload``, a reply to ``request``: a
-    ProtocolError unless it holds one valid probability per candidate."""
-    probs = MaskProbsResponse.from_json(payload).probs
-    if len(probs) != len(request.candidates):
+        raise ProtocolError("mask-probs response: payload must be an object")
+    if "probs" not in payload:
+        raise ProtocolError("mask-probs response: missing field 'probs'")
+    probs = payload["probs"]
+    if not isinstance(probs, list):
+        raise ProtocolError("mask-probs response: field 'probs' must be list")
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in probs):
+        raise ProtocolError("mask-probs response: probs must be numbers")
+    for p in probs:
+        # Compared as sent: nan fails, and an integer too large for a float
+        # is never converted.
+        if not 0.0 <= p <= 1.0:
+            raise ProtocolError(f"mask probability out of range: {p!r}")
+    if len(probs) != len(candidates):
         raise ProtocolError(f"mask-probs response has {len(probs)} probs for "
-                            f"{len(request.candidates)} candidates")
-    return probs
+                            f"{len(candidates)} candidates")
+    return tuple(float(p) for p in probs)
 
 
-@dataclass(frozen=True)
-class GenerateRequest:
-    prompt: str
-    max_tokens: int = DEFAULT_MAX_TOKENS
-
-    def __post_init__(self):
-        if self.max_tokens < 1:
-            raise ProtocolError("generate request needs max_tokens >= 1")
-
-    def to_json(self) -> dict:
-        return {"prompt": self.prompt, "max_tokens": self.max_tokens}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "GenerateRequest":
-        prompt = _require(payload, "prompt", str, "generate request")
-        max_tokens = _require(payload, "max_tokens", int, "generate request")
-        if isinstance(payload.get("max_tokens"), bool):
-            raise ProtocolError("generate request: max_tokens must be an integer")
-        return cls(prompt=prompt, max_tokens=max_tokens)
-
-
-@dataclass(frozen=True)
-class GenerateResponse:
-    text: str
-
-    def to_json(self) -> dict:
-        return {"text": self.text}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "GenerateResponse":
-        return cls(text=_require(payload, "text", str, "generate response"))
+def checked_text(payload) -> str:
+    """The text of ``payload``, a reply to a generate request: a
+    ProtocolError unless it holds a string ``text``."""
+    if not isinstance(payload, dict):
+        raise ProtocolError("generate response: payload must be an object")
+    if "text" not in payload:
+        raise ProtocolError("generate response: missing field 'text'")
+    if not isinstance(payload["text"], str):
+        raise ProtocolError("generate response: field 'text' must be str")
+    return payload["text"]
 
 
 class Backend(ABC):
@@ -291,7 +241,7 @@ class RemoteBackend(Backend):
             raise TransportError(f"POST {url} returned status {status}")
         try:
             return json.loads(body)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"POST {url} returned non-JSON body") from exc
 
     def close(self) -> None:
@@ -300,11 +250,8 @@ class RemoteBackend(Backend):
             self._idle.pop().close()
 
     def mask_probs(self, prompt: str, candidates: tuple[str, ...]) -> tuple[float, ...]:
-        request = MaskProbsRequest(prompt=prompt, candidates=tuple(candidates))
-        return checked_probs(request, self._post("/v1/mask-probs", request.to_json()))
+        body = mask_probs_body(prompt, candidates)
+        return checked_probs(candidates, self._post("/v1/mask-probs", body))
 
     def generate(self, prompt: str, max_tokens: int = DEFAULT_MAX_TOKENS) -> str:
-        request = GenerateRequest(prompt=prompt, max_tokens=max_tokens)
-        body = self._post("/v1/generate", request.to_json())
-        return GenerateResponse.from_json(body).text
-
+        return checked_text(self._post("/v1/generate", generate_body(prompt, max_tokens)))

@@ -111,7 +111,11 @@ def _load_issues(cfg: RunConfig) -> tuple[list[IssueLog], int]:
 
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file of that name, say
+        raise ConfigError(f"output_dir {cfg.output_dir!r} is not a usable directory: "
+                          f"{exc}") from exc
     return out
 
 

@@ -85,8 +85,9 @@ class RunConfig:
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if not isinstance(self.bot_authors, list) or not all(
-                isinstance(author, str) for author in self.bot_authors):
-            raise ConfigError("bot_authors must be a list of author substrings")
+                isinstance(author, str) and author for author in self.bot_authors):
+            # an empty substring would match, and drop, every comment
+            raise ConfigError("bot_authors must be a list of non-empty author substrings")
         try:
             "".encode(self.encoding)  # looks the codec up; refuses non-text codecs
         except (LookupError, TypeError) as exc:
@@ -110,11 +111,11 @@ def load_config(path: str | Path | None = None,
     values: dict = {}
     if path is not None:
         file = Path(path)
-        if not file.exists():
+        if not file.is_file():
             raise ConfigError(f"config file not found: {file}")
         try:
             loaded = json.loads(file.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")

@@ -91,6 +91,12 @@ def _parse_timestamp(value: str) -> _dt.datetime:
         raise BadTimestamp(f"unparseable timestamp: {value!r}") from exc
 
 
+def is_path_component(name: str) -> bool:
+    """Whether ``name`` names one file in a directory.  Output files are
+    named after issue keys, so a key must be one path component."""
+    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+
+
 def parse_issue(raw: dict) -> IssueLog:
     """Build an IssueLog from a decoded export, sorting comments by timestamp.
 
@@ -104,8 +110,7 @@ def parse_issue(raw: dict) -> IssueLog:
         if not isinstance(raw.get(required), str) or not raw.get(required):
             raise MalformedExport(f"issue export missing required field {required!r}")
     key = raw["key"]
-    if key in (".", "..") or "/" in key or "\\" in key:
-        # Output files are named after the key, so it must be one path component.
+    if not is_path_component(key):
         raise MalformedExport(f"issue key {key!r} is not a single path component")
     description = raw.get("description") or ""
     if not isinstance(description, str):
@@ -155,7 +160,7 @@ def load_corpus(path: str | Path, encoding: str = "ascii",
         try:
             raw = json.loads(file.read_text(encoding="utf-8"))
             issues.append(clean_issue(parse_issue(raw), encoding, bot_authors))
-        except (MiningError, OSError, ValueError) as exc:
+        except (MiningError, OSError, ValueError, RecursionError) as exc:
             skipped.append(f"{file.name}: {exc}")
     return issues, skipped
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .backends.baseline import PAIR_FEATURE_NAMES, pair_features, train_baseline
-from .corpus import IssueLog, Sentence, enumerate_sentences, sentence_order
+from .corpus import IssueLog, Sentence, enumerate_sentences, is_path_component, sentence_order
 from .errors import (
     ConfigError,
     CoverageMismatch,
@@ -171,6 +171,13 @@ class Annotation:
         for key in ("issue", "annotator", "labels"):
             if key not in payload:
                 raise MalformedExport(f"annotation missing field {key!r}")
+        for key in ("issue", "annotator"):
+            if not isinstance(payload[key], str):
+                raise MalformedExport(f"annotation {key} must be a string")
+        if not is_path_component(payload["issue"]):
+            # eval reads the mined file named after it
+            raise MalformedExport(f"annotation issue {payload['issue']!r} is not a single "
+                                  "path component")
         labels = payload["labels"]
         if not isinstance(labels, dict):
             raise MalformedExport("annotation labels must be an object")
@@ -202,7 +209,7 @@ def load_annotations(path: str | Path) -> list[Annotation]:
             continue
         try:
             records.append(Annotation.from_json(json.loads(line)))
-        except (ValueError, MalformedExport) as exc:
+        except (ValueError, RecursionError, MalformedExport) as exc:
             raise MalformedExport(f"{path}:{number}: {exc}") from exc
     return records
 

@@ -380,7 +380,6 @@ def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
 def classify_pairs(design: list[Sentence], backend: Backend,
                    budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
                    workers: int | None = None,
-                   max_tokens: int = DEFAULT_MAX_TOKENS,
                    pool: CallPool | None = None) -> tuple[list[PairDecision], list[str]]:
     """Relate every unordered design-sentence pair through the backend.
 
@@ -396,7 +395,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
     def ask(pair):
         s1, s2 = pair
         prompt = build_pair_prompt(s1, s2, budget)
-        return backend.generate(prompt.text, max_tokens=max_tokens)
+        return backend.generate(prompt.text, max_tokens=DEFAULT_MAX_TOKENS)
 
     with _calls(pool, workers) as calls:
         forward_raw = calls.map(ask, pairs)
@@ -572,7 +571,7 @@ def read_mined(path: str | Path) -> MinedFile:
     any other shape raises MalformedExport."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise MalformedExport(f"not a JSON document: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("issue"), str):
         raise MalformedExport("expected an object with an 'issue' string")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import re
 import socket
 import ssl
 import time
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 
 from rationale_miner.backends.protocol import (
     ENV_AUTH_TOKEN,
-    GenerateRequest,
-    GenerateResponse,
-    MaskProbsRequest,
-    MaskProbsResponse,
     RemoteBackend,
+    checked_probs,
+    checked_text,
+    generate_body,
+    mask_probs_body,
 )
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.errors import ConfigError, ProtocolError, TransportError
@@ -31,82 +32,64 @@ from stub_server import expected_probs, expected_text, run_socket_stub, run_stub
 # message validation
 
 def test_mask_probs_request_requires_exactly_one_mask():
-    with pytest.raises(ProtocolError):
-        MaskProbsRequest(prompt="no mask here", candidates=("a",))
-    with pytest.raises(ProtocolError):
-        MaskProbsRequest(prompt="[MASK] and [MASK]", candidates=("a",))
-    ok = MaskProbsRequest(prompt="one [MASK] slot", candidates=("a", "b"))
-    assert ok.to_json() == {"prompt": "one [MASK] slot", "candidates": ["a", "b"]}
+    with pytest.raises(ProtocolError, match="exactly once"):
+        mask_probs_body("no mask here", ("a",))
+    with pytest.raises(ProtocolError, match="exactly once"):
+        mask_probs_body("[MASK] and [MASK]", ("a",))
+    ok = mask_probs_body("one [MASK] slot", ("a", "b"))
+    assert ok == {"prompt": "one [MASK] slot", "candidates": ["a", "b"]}
 
 
 def test_mask_probs_request_requires_candidates():
-    with pytest.raises(ProtocolError):
-        MaskProbsRequest(prompt="a [MASK] b", candidates=())
+    with pytest.raises(ProtocolError, match="at least one candidate"):
+        mask_probs_body("a [MASK] b", ())
 
 
-@pytest.mark.parametrize("payload", [
-    {},
-    {"prompt": "x [MASK]"},
-    {"prompt": 7, "candidates": ["a"]},
-    {"prompt": "x [MASK]", "candidates": "a"},
-    {"prompt": "x [MASK]", "candidates": ["a", 3]},
-])
-def test_mask_probs_request_from_json_rejects_bad_payloads(payload):
-    with pytest.raises(ProtocolError):
-        MaskProbsRequest.from_json(payload)
-
-
-@pytest.mark.parametrize("probs", [[-0.1], [1.5], [float("nan")], [float("inf")]])
+@pytest.mark.parametrize("probs", [[-0.1], [1.5], [float("nan")], [float("inf")],
+                                   [10 ** 400], [0.5, 2]])
 def test_mask_probs_response_rejects_out_of_range(probs):
-    with pytest.raises(ProtocolError):
-        MaskProbsResponse(probs=tuple(probs))
+    # the value is shown as sent: a huge integer is never made a float
+    with pytest.raises(ProtocolError, match=f"out of range: {re.escape(repr(probs[-1]))}$"):
+        checked_probs(["w"] * len(probs), {"probs": probs})
 
 
-@pytest.mark.parametrize("payload", [
-    {},
-    {"probs": "high"},
-    {"probs": [0.5, "x"]},
-    {"probs": [0.5, True]},
-])
-def test_mask_probs_response_from_json_rejects_bad_payloads(payload):
-    with pytest.raises(ProtocolError):
-        MaskProbsResponse.from_json(payload)
+@pytest.mark.parametrize("payload,message", [
+    ({}, "missing field 'probs'"),
+    ({"probs": "high"}, "field 'probs' must be list"),
+    ({"probs": [0.5, "x"]}, "probs must be numbers"),
+    ({"probs": [0.5, True]}, "probs must be numbers"),
+    ([0.5], "payload must be an object"),
+    ({"probs": [0.5, 0.5, 0.5]}, "3 probs for 2 candidates"),
+], ids=[f"payload{n}" for n in range(6)])
+def test_mask_probs_response_from_json_rejects_bad_payloads(payload, message):
+    with pytest.raises(ProtocolError, match=message):
+        checked_probs(("a", "b"), payload)
 
 
 def test_generate_request_validates_max_tokens():
-    with pytest.raises(ProtocolError):
-        GenerateRequest(prompt="x", max_tokens=0)
-    with pytest.raises(ProtocolError):
-        GenerateRequest.from_json({"prompt": "x", "max_tokens": True})
-    with pytest.raises(ProtocolError):
-        GenerateRequest.from_json({"prompt": "x", "max_tokens": "many"})
-    assert GenerateRequest.from_json({"prompt": "x", "max_tokens": 4}).max_tokens == 4
+    with pytest.raises(ProtocolError, match="max_tokens >= 1"):
+        generate_body("x", 0)
+    assert generate_body("x", 4) == {"prompt": "x", "max_tokens": 4}
 
 
 def test_generate_response_requires_text():
-    with pytest.raises(ProtocolError):
-        GenerateResponse.from_json({"output": "x"})
-    assert GenerateResponse.from_json({"text": "ok"}).text == "ok"
+    with pytest.raises(ProtocolError, match="missing field 'text'"):
+        checked_text({"output": "x"})
+    with pytest.raises(ProtocolError, match="field 'text' must be str"):
+        checked_text({"text": 3})
+    with pytest.raises(ProtocolError, match="payload must be an object"):
+        checked_text("ok")
+    assert checked_text({"text": "ok"}) == "ok"
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    prefix=st.text(max_size=30).filter(lambda t: "[MASK]" not in t),
-    suffix=st.text(max_size=30).filter(lambda t: "[MASK]" not in t),
-    candidates=st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=6),
-)
-def test_mask_probs_request_round_trips_through_json(prefix, suffix, candidates):
-    original = MaskProbsRequest(prompt=f"{prefix}[MASK]{suffix}",
-                                candidates=tuple(candidates))
-    assert MaskProbsRequest.from_json(json.loads(json.dumps(original.to_json()))) == original
-
-
-@settings(max_examples=100, deadline=None)
-@given(probs=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=14))
+@given(probs=st.lists(st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0, 1]),
+                      max_size=14))
 def test_mask_probs_response_round_trips_through_json(probs):
-    original = MaskProbsResponse(probs=tuple(probs))
-    parsed = MaskProbsResponse.from_json(json.loads(json.dumps(original.to_json())))
-    assert parsed == original
+    payload = json.loads(json.dumps({"probs": probs}))
+    parsed = checked_probs(["w"] * len(probs), payload)
+    assert parsed == tuple(probs)
+    assert all(type(p) is float for p in parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +138,14 @@ def test_remote_backend_protocol_error_on_malformed_response(mode, failing):
                 backend.generate("go")
 
 
+def test_remote_backend_rejects_a_probability_too_large_for_a_float(monkeypatch):
+    backend = RemoteBackend("http://127.0.0.1:9")  # would fail if contacted
+    reply = b'{"probs": [1' + b"0" * 400 + b', 0.5]}'
+    monkeypatch.setattr(backend, "_round_trip", lambda *args: (200, reply))
+    with pytest.raises(ProtocolError, match="out of range: 1000"):
+        backend.mask_probs("a [MASK] b", ("x", "y"))
+
+
 def test_remote_backend_sends_configured_bearer_token(monkeypatch):
     monkeypatch.delenv(ENV_AUTH_TOKEN, raising=False)
     with run_stub() as server:
@@ -190,10 +181,8 @@ def test_remote_backend_sends_json_dumps_bytes():
         backend = RemoteBackend(server.url)
         backend.mask_probs("is [MASK] related", ("yes", "no"))
         backend.generate("caf\u00e9 continues", max_tokens=4)
-        sent = [
-            MaskProbsRequest(prompt="is [MASK] related", candidates=("yes", "no")).to_json(),
-            GenerateRequest(prompt="caf\u00e9 continues", max_tokens=4).to_json(),
-        ]
+        sent = [mask_probs_body("is [MASK] related", ("yes", "no")),
+                generate_body("caf\u00e9 continues", 4)]
         assert [body for _, _, body in server.requests] == [
             json.dumps(payload).encode() for payload in sent]
         assert all(headers["Content-Type"] == "application/json"
@@ -418,7 +407,9 @@ def test_scripted_backend_rejects_non_string_generation():
     ([], lambda b: b.mask_probs("one [MASK] slot", ())),
     ([True, "0.5"], lambda b: b.mask_probs("one [MASK] slot", ("a", "b"))),
     ([0.5, 0.5], lambda b: b.generate("x", max_tokens=0)),
-], ids=["no-mask", "two-masks", "no-candidates", "non-number-probs", "no-tokens"])
+    ([10 ** 400, 0.5], lambda b: b.mask_probs("one [MASK] slot", ("a", "b"))),
+], ids=["no-mask", "two-masks", "no-candidates", "non-number-probs", "no-tokens",
+        "huge-int-probs"])
 def test_scripted_backend_rejects_what_a_server_is_held_to(probs, call):
     backend = ScriptedBackend({"mask_probs": {"default": {"probs": probs}},
                                "generate": {"default": {"text": "unrelated"}}})
@@ -436,6 +427,31 @@ def test_scripted_backend_rejects_rule_missing_payload():
     backend = ScriptedBackend({"generate": {"rules": [{"contains": "x"}]}})
     with pytest.raises(ProtocolError):
         backend.generate("x marks the spot")
+
+
+@pytest.mark.parametrize("section", [
+    [],
+    {"rules": {"contains": "x", "text": "hi"}},
+    {"rules": ["x"]},
+    {"rules": [{"contains": 5, "text": "hi"}]},
+    {"rules": [{"contains": ["x", 5], "text": "hi"}]},
+    {"default": "hi"},
+], ids=["section-not-object", "rules-not-list", "rule-not-object", "contains-number",
+        "contains-non-string", "default-not-object"])
+def test_scripted_backend_rejects_a_script_of_the_wrong_shape(section):
+    backend = ScriptedBackend({"generate": section})
+    with pytest.raises(ProtocolError):
+        backend.generate("x marks the spot")
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '"text"'],
+                         ids=["missing", "not-json", "list", "string"])
+def test_scripted_backend_from_a_file_it_cannot_use_is_a_config_error(tmp_path, content):
+    path = tmp_path / "script.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    with pytest.raises(ConfigError, match="script"):
+        ScriptedBackend.from_file(path)
 
 
 def test_scripted_backend_from_file(tmp_path):

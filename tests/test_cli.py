@@ -91,6 +91,11 @@ def test_missing_config_file(tmp_path):
     assert main(["stats", "-c", str(tmp_path / "absent.json")]) == 2
 
 
+def test_a_config_path_that_names_a_directory_is_a_config_error(tmp_path, capsys):
+    assert main(["stats", "-c", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"config error: config file not found: {tmp_path}\n"
+
+
 def test_config_not_json(tmp_path):
     bad = tmp_path / "config.json"
     bad.write_text("{", encoding="utf-8")
@@ -145,6 +150,51 @@ def test_corpus_dir_must_exist(workspace):
     assert main(["ingest", "-c", str(workspace[2])]) == 2
 
 
+def test_an_empty_bot_author_is_a_config_error(workspace, capsys):
+    _rewrite(workspace, bot_authors=["bot", ""])  # "" would drop every comment
+    assert main(["ingest", "-c", str(workspace[2])]) == 2
+    assert capsys.readouterr().err == (
+        "config error: bot_authors must be a list of non-empty author substrings\n")
+    assert not (workspace[0] / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "mine", "eval"])
+def test_output_dir_that_names_a_file_is_a_config_error(workspace, capsys, command):
+    tmp_path, config, config_path = workspace
+    (tmp_path / "out").write_text("not a directory", encoding="utf-8")
+    assert main([command, "-c", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: output_dir ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "[]"],
+                         ids=["missing", "not-json", "not-an-object"])
+def test_a_script_that_cannot_be_used_is_a_config_error(workspace, capsys, content):
+    tmp_path, config, config_path = workspace
+    script = tmp_path / "script.json"
+    if content is not None:
+        script.write_text(content, encoding="utf-8")
+    _rewrite(workspace, script_path=str(script))
+    assert main(["mine", "-c", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert str(script) in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out" / "FLINK-1320.rationales.json").exists()
+
+
+def test_a_probability_too_large_for_a_float_fails_the_issue(workspace, capsys):
+    tmp_path, config, config_path = workspace
+    script = tmp_path / "script.json"
+    script.write_text('{"mask_probs": {"default": {"probs": [1%s, 0.5]}}}' % ("0" * 400),
+                      encoding="utf-8")
+    _rewrite(workspace, script_path=str(script))
+    assert main(["mine", "-c", str(config_path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "failed on FLINK-1320: mask probability out of range: 1000")
+
+
 def test_train_requires_annotations(workspace):
     _rewrite(workspace, annotations_path=None, mode="baseline",
              baseline_path=str(workspace[0] / "model.json"))
@@ -194,7 +244,8 @@ def test_ingest_counts_broken_files(workspace, capsys):
     assert (tmp_path / "out" / "FLINK-1320.sentences.jsonl").exists()
 
 
-@pytest.mark.parametrize("key", ["../escaped-H-1", "sub/H-2", "..\\H-3", "..", "."])
+@pytest.mark.parametrize("key", ["../escaped-H-1", "sub/H-2", "..\\H-3", "..", ".",
+                                 "nul\0H-4"])
 def test_ingest_skips_a_key_that_is_not_one_path_component(workspace, raw_issue,
                                                            key, capsys):
     tmp_path, config, config_path = workspace
@@ -632,6 +683,13 @@ def test_stats_reports_bad_annotation_lines(workspace, fixtures_dir, capsys):
     assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 1
     assert capsys.readouterr().err == (
         f"error: {gold}:1: annotation rationales must be a list\n")
+    for bad, message in [({"issue": ["FLINK-1320"]}, "annotation issue must be a string"),
+                         ({"annotator": 7}, "annotation annotator must be a string"),
+                         ({"issue": "../FLINK-1320"}, "annotation issue '../FLINK-1320' "
+                                                      "is not a single path component")]:
+        gold.write_text(json.dumps(dict(record, **bad)) + "\n", encoding="utf-8")
+        assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 1
+        assert capsys.readouterr().err == f"error: {gold}:1: {message}\n"
     gold.write_bytes(b"\xff\n")
     assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {gold}: 'utf-8' codec")
