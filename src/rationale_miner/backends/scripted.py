@@ -16,7 +16,7 @@ import hashlib
 import json
 from pathlib import Path
 
-from ..errors import ConfigError, ProtocolError
+from ..errors import ConfigError, ProtocolError, shown
 from .protocol import (
     DEFAULT_MAX_TOKENS,
     Backend,
@@ -29,17 +29,17 @@ from .protocol import (
 
 def _matches(rule, prompt: str) -> bool:
     if not isinstance(rule, dict):
-        raise ProtocolError(f"script rule is not an object: {rule!r}")
+        raise ProtocolError(f"script rule is not an object: {shown(rule)}")
     if "sha256" in rule:
         return hashlib.sha256(prompt.encode("utf-8")).hexdigest() == rule["sha256"]
     needles = rule.get("contains")
     if needles is None:
-        raise ProtocolError(f"script rule has no matcher: {rule!r}")
+        raise ProtocolError(f"script rule has no matcher: {shown(rule)}")
     if isinstance(needles, str):
         needles = [needles]
     if not isinstance(needles, list) or not all(isinstance(n, str) for n in needles):
         raise ProtocolError(f"script rule's contains must be a string or a list of "
-                            f"strings: {rule!r}")
+                            f"strings: {shown(rule)}")
     return all(needle in prompt for needle in needles)
 
 
@@ -78,7 +78,7 @@ class ScriptedBackend(Backend):
                 )
             rule = section["default"]
         if not isinstance(rule, dict) or payload_key not in rule:
-            raise ProtocolError(f"script rule lacks {payload_key!r}: {rule!r}")
+            raise ProtocolError(f"script rule lacks {payload_key!r}: {shown(rule)}")
         return rule[payload_key]
 
     def mask_probs(self, prompt: str, candidates: tuple[str, ...]) -> tuple[float, ...]:

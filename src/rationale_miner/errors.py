@@ -75,3 +75,17 @@ class UnknownDimension(MiningError):
 
 class ConfigError(MiningError):
     """A run configuration value is missing, malformed, or inconsistent."""
+
+
+# The most characters of an offending value that an error message echoes.
+SHOWN_CHARS = 200
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message, cut to its first SHOWN_CHARS
+    characters and its full length when longer, so that a huge or deeply
+    nested value gives a line of bounded length."""
+    text = repr(value)
+    if len(text) <= SHOWN_CHARS:
+        return text
+    return f"{text[:SHOWN_CHARS]}… ({len(text)} chars)"

@@ -26,6 +26,7 @@ from .errors import (
     TooFewIssues,
     UnknownDimension,
     UnknownSentence,
+    shown,
 )
 from .features import FEATURE_DIM, FEATURE_GROUPS, compute_feature_matrix
 from .miner import COMPLEMENTARY, SUPPORTING, UNRELATED, Rationale
@@ -176,14 +177,14 @@ class Annotation:
                 raise MalformedExport(f"annotation {key} must be a string")
         if not is_path_component(payload["issue"]):
             # eval reads the mined file named after it
-            raise MalformedExport(f"annotation issue {payload['issue']!r} is not a single "
-                                  "path component")
+            raise MalformedExport(f"annotation issue {shown(payload['issue'])} is not a "
+                                  "single path component")
         labels = payload["labels"]
         if not isinstance(labels, dict):
             raise MalformedExport("annotation labels must be an object")
         for sid, label in labels.items():
             if label not in CATEGORIES:
-                raise MalformedExport(f"annotation label for {sid} is {label!r}")
+                raise MalformedExport(f"annotation label for {sid} is {shown(label)}")
         rationales = payload.get("rationales", [])
         if not isinstance(rationales, list):
             raise MalformedExport("annotation rationales must be a list")

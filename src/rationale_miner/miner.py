@@ -16,7 +16,7 @@ import math
 import os
 import queue
 import threading
-from collections import Counter
+from collections import Counter, OrderedDict
 from contextlib import nullcontext
 from contextvars import ContextVar
 from concurrent.futures import Future, wait
@@ -55,6 +55,14 @@ SP_FEATURE_NAMES: tuple[str, ...] = tuple(
 ISSUE_RANK: ContextVar[int] = ContextVar("issue_rank", default=0)
 
 
+# The most replies a pool remembers.  The cap keeps a command's memory
+# bounded however many issues it mines: a full memory held 0.72-0.79 MB on
+# generated short and long issues (a key holds its prompt, of at most 512
+# tokens).  1,024 replies are those of the last ~70 short issues; a repeat
+# that has fallen out of the memory is only sent again.
+REPLY_MEMORY = 1024
+
+
 class CallPool:
     """Threads that make backend calls, at most ``workers`` at once (one per
     CPU when None).
@@ -65,6 +73,15 @@ class CallPool:
     Pool threads run nothing but the submitted calls, so none of them ever
     waits for another pool task.  Threads start with the first calls and stop
     on ``close``.
+
+    ``call_all`` sends each distinct request once: equal requests of one
+    batch share a call, and a request whose reply arrived earlier is answered
+    from memory (the last REPLY_MEMORY replies), without a slot.  A request is
+    a backend method with its arguments, so it names the backend, the
+    endpoint and the whole body.  This assumes that a backend answers a
+    request the same way every time.  A failed call is never remembered, and
+    a batch never waits on another batch's call in flight, so an issue's
+    waits and failures stay its own.  ``close`` empties the memory.
     """
 
     def __init__(self, workers: int | None = None):
@@ -73,6 +90,7 @@ class CallPool:
         self._order = itertools.count()
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
+        self._replies: OrderedDict = OrderedDict()
 
     def submit(self, fn, *args) -> Future:
         future: Future = Future()
@@ -84,20 +102,45 @@ class CallPool:
                 self._threads.append(thread)
         return future
 
-    def map(self, fn, items) -> list:
-        """``fn`` over ``items`` through the pool, results in item order.
+    def call_all(self, requests: list[tuple]) -> list:
+        """``fn(*args)`` for each request ``(fn, *args)``, in request order;
+        the requests must be hashable.
 
         On a failure the calls not yet started are dropped, and the first
-        failure in item order is raised once the started ones have finished.
+        failure in request order is raised once the started ones have
+        finished.
         """
-        futures = [self.submit(fn, item) for item in items]
+        replies: dict = {}
+        futures: dict = {}
+        for request in requests:
+            if request in replies or request in futures:
+                continue
+            with self._lock:
+                if request in self._replies:
+                    self._replies.move_to_end(request)
+                    replies[request] = self._replies[request]
+                    continue
+            futures[request] = self.submit(self._answer, request)
         try:
-            return [future.result() for future in futures]
+            for request, future in futures.items():
+                replies[request] = future.result()
         except BaseException:
-            for future in futures:
+            for future in futures.values():
                 future.cancel()
-            wait(futures)
+            wait(futures.values())
             raise
+        return [replies[request] for request in requests]
+
+    def _answer(self, request: tuple):
+        """Make the call ``request`` names, and remember its reply."""
+        fn, *args = request
+        reply = fn(*args)
+        with self._lock:
+            self._replies[request] = reply
+            self._replies.move_to_end(request)
+            if len(self._replies) > REPLY_MEMORY:
+                self._replies.popitem(last=False)
+        return reply
 
     def _serve(self) -> None:
         while True:
@@ -114,13 +157,16 @@ class CallPool:
                 future.set_result(result)
 
     def close(self) -> None:
-        """Stop the threads once every queued call has run."""
+        """Stop the threads once every queued call has run, and forget the
+        replies."""
         with self._lock:
             threads, self._threads = self._threads, []
             for _ in threads:  # ranked after every call
                 self._queue.put((math.inf, next(self._order), None, None, None))
         for thread in threads:
             thread.join()
+        with self._lock:
+            self._replies.clear()
 
     def __enter__(self) -> "CallPool":
         return self
@@ -317,13 +363,10 @@ def sp_matrix(sentences: list[Sentence], features: np.ndarray, summary: str,
     """Rows in SP_FEATURE_NAMES order: the polarity-word probabilities of each
     sentence's cloze prompt, then its features.  Needs at least one sentence.
     The probes go through ``pool``, or a pool of ``workers`` when it is None."""
-    prompts = [build_cloze_prompt(s, summary, budget) for s in sentences]
-
-    def probe(prompt):
-        return backend.mask_probs(prompt.text, POLARITY_WORDS)
-
+    requests = [(backend.mask_probs, build_cloze_prompt(s, summary, budget).text,
+                 POLARITY_WORDS) for s in sentences]
     with _calls(pool, workers) as calls:
-        polarity = calls.map(probe, prompts)
+        polarity = calls.call_all(requests)
     return np.hstack([np.asarray(polarity, dtype=np.float64), features])
 
 
@@ -392,13 +435,12 @@ def classify_pairs(design: list[Sentence], backend: Backend,
     pairs = _pairs(design)
     warnings: list[str] = []
 
-    def ask(pair):
-        s1, s2 = pair
-        prompt = build_pair_prompt(s1, s2, budget)
-        return backend.generate(prompt.text, max_tokens=DEFAULT_MAX_TOKENS)
+    def requests(ordered_pairs):
+        return [(backend.generate, build_pair_prompt(s1, s2, budget).text,
+                 DEFAULT_MAX_TOKENS) for s1, s2 in ordered_pairs]
 
     with _calls(pool, workers) as calls:
-        forward_raw = calls.map(ask, pairs)
+        forward_raw = calls.call_all(requests(pairs))
 
     needs_reverse = []
     forward_labels: list[str | None] = []
@@ -416,7 +458,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
             needs_reverse.append((s2, s1))
 
     with _calls(pool, workers) as calls:
-        reverse_raw = calls.map(ask, needs_reverse)
+        reverse_raw = calls.call_all(requests(needs_reverse))
     reverse_by_pair = {}
     for (s2, s1), raw in zip(needs_reverse, reverse_raw):
         reverse_by_pair[(s1.id, s2.id)] = raw

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import MissingLexicon
+from .errors import MissingLexicon, shown
 
 B_INCR = 0.293
 B_DECR = -0.293
@@ -131,11 +131,12 @@ def _load_lexicon_cached(path: str) -> dict[str, float]:
                     continue
                 parts = line.split("\t")
                 if len(parts) < 2:
-                    raise MissingLexicon(f"malformed lexicon line in {path}: {line!r}")
+                    raise MissingLexicon(f"malformed lexicon line in {path}: {shown(line)}")
                 try:
                     lexicon[parts[0]] = float(parts[1])
                 except ValueError as exc:
-                    raise MissingLexicon(f"non-numeric valence in {path}: {line!r}") from exc
+                    raise MissingLexicon(f"non-numeric valence in {path}: "
+                                         f"{shown(line)}") from exc
     except OSError as exc:
         raise MissingLexicon(f"cannot read sentiment lexicon at {path}") from exc
     return lexicon

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,51 @@ def test_a_probability_too_large_for_a_float_fails_the_issue(workspace, capsys):
     assert main(["mine", "-c", str(config_path)]) == 1
     assert capsys.readouterr().err.startswith(
         "failed on FLINK-1320: mask probability out of range: 1000")
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def _main_on_a_fresh_stack(argv: list[str]) -> int:
+    """``main(argv)`` in a thread of its own, whose stack starts as empty as
+    a command's: 980 levels of JSON fit below the recursion limit there but
+    not beneath pytest's frames."""
+    with ThreadPoolExecutor(max_workers=1) as thread:
+        return thread.submit(main, argv).result()
+
+
+# Script rules nested 980 deep.
+@pytest.mark.parametrize("rule", [_nested(980), '{"deep": %s}' % _nested(979),
+                                  '{"contains": %s}' % _nested(979),
+                                  '{"contains": "", "deep": %s}' % _nested(979)],
+                         ids=["not-an-object", "no-matcher", "bad-contains", "lacks-probs"])
+def test_a_deeply_nested_script_rule_gives_a_short_failed_on_line(workspace, capsys, rule):
+    tmp_path, config, config_path = workspace
+    script = tmp_path / "script.json"
+    script.write_text('{"mask_probs": {"rules": [%s]}}' % rule, encoding="utf-8")
+    _rewrite(workspace, script_path=str(script))
+    assert _main_on_a_fresh_stack(["mine", "-c", str(config_path)]) == 1
+    [line] = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("failed on FLINK-1320: script rule")]
+    assert line.endswith(" chars)")
+    assert len(line) < 400
+
+
+def test_a_deeply_nested_annotation_label_gives_a_short_error_line(workspace, fixtures_dir,
+                                                                    capsys):
+    tmp_path, config, config_path = workspace
+    record = json.loads((fixtures_dir / "flink-1320-gold.jsonl").read_text(encoding="utf-8"))
+    sid = next(iter(record["labels"]))
+    gold = tmp_path / "deep-gold.jsonl"
+    gold.write_text(json.dumps(record)[:-1] + ', "labels": {"%s": %s}}\n' % (sid, _nested(980)),
+                    encoding="utf-8")
+    assert _main_on_a_fresh_stack(["stats", "-c", str(config_path),
+                                   "--annotations", str(gold)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gold}:1: annotation label for {sid} is [[[")
+    assert err.endswith(" chars)\n")
+    assert len(err) < 400 + len(str(gold))
 
 
 def test_train_requires_annotations(workspace):

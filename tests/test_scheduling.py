@@ -6,9 +6,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import re
+import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
 
@@ -20,8 +23,10 @@ from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.config import build_backend, build_pair_classifier, load_config
 from rationale_miner.corpus import clean_issue, enumerate_sentences, parse_issue
 from rationale_miner.errors import TransportError
-from rationale_miner.miner import ISSUE_RANK, CallPool
+from rationale_miner.features import POLARITY_WORDS
+from rationale_miner.miner import ISSUE_RANK, REPLY_MEMORY, CallPool
 
+from recording import Recording
 from stub_server import run_stub
 
 ISSUES = 9
@@ -297,7 +302,7 @@ def test_pool_serves_lower_rank_first():
     assert served == ["gate", "b1", "b2", "c1", "c2"]
 
 
-def test_pool_map_raises_the_first_failure_in_item_order():
+def test_pool_call_all_raises_the_first_failure_in_request_order():
     def call(n: int) -> int:
         if n in (2, 4):
             raise TransportError(f"call {n}")
@@ -305,8 +310,154 @@ def test_pool_map_raises_the_first_failure_in_item_order():
 
     with CallPool(2) as pool:
         with pytest.raises(TransportError, match="call 2"):
-            pool.map(call, range(6))
-        assert pool.map(call, [0, 1, 3]) == [0, 1, 3]
+            pool.call_all([(call, n) for n in range(6)])
+        assert pool.call_all([(call, n) for n in (0, 1, 3)]) == [0, 1, 3]
+
+
+class _Counted:
+    """A call that counts how often it ran for each argument."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.runs: Counter = Counter()
+
+    def __call__(self, name: str) -> str:
+        with self.lock:
+            self.runs[name] += 1
+        return name.upper()
+
+
+def test_pool_sends_each_distinct_request_once():
+    call = _Counted()
+    with CallPool(2) as pool:
+        assert pool.call_all([(call, "a"), (call, "b"), (call, "a"), (call, "a")]) == [
+            "A", "B", "A", "A"]
+        assert call.runs == {"a": 1, "b": 1}
+        assert pool.call_all([(call, "b"), (call, "c"), (call, "c")]) == ["B", "C", "C"]
+        assert call.runs == {"a": 1, "b": 1, "c": 1}
+    # Closing the pool forgets what it was told.
+    assert pool.call_all([(call, "a")]) == ["A"]
+    assert call.runs["a"] == 2
+    pool.close()
+
+
+def test_pool_answers_from_memory_without_a_slot():
+    gate = threading.Event()
+    call = _Counted()
+
+    def held() -> str:
+        assert gate.wait(timeout=30)
+        return "held"
+
+    with CallPool(1) as pool, ThreadPoolExecutor(max_workers=1) as other:
+        assert pool.call_all([(call, "a")]) == ["A"]
+        blocked = pool.submit(held)  # takes the one slot
+        try:
+            again = other.submit(pool.call_all, [(call, "a"), (call, "a")])
+            assert again.result(timeout=30) == ["A", "A"]
+            assert not blocked.done()
+        finally:
+            gate.set()
+        assert blocked.result(timeout=30) == "held"
+    assert call.runs == {"a": 1}
+
+
+def test_pool_never_remembers_a_failure():
+    failures = {"x": 1}
+    calls = []
+
+    def flaky(name: str) -> str:
+        calls.append(name)
+        if failures.get(name):
+            failures[name] -= 1
+            raise TransportError(f"{name} reset")
+        return name
+
+    with CallPool(2) as pool:
+        with pytest.raises(TransportError, match="x reset"):
+            pool.call_all([(flaky, "x"), (flaky, "x")])
+        assert pool.call_all([(flaky, "x")]) == ["x"]
+        assert pool.call_all([(flaky, "x")]) == ["x"]
+    assert calls == ["x", "x"]
+
+
+def test_pool_does_not_join_a_call_of_another_batch_in_flight():
+    """A batch that asks for what another batch's call is still fetching
+    makes its own call, so its wait does not hang on the other batch."""
+    started, release = threading.Event(), threading.Event()
+    runs = []
+
+    def call(name: str) -> str:
+        runs.append(name)
+        if len(runs) == 1:
+            started.set()
+            assert release.wait(timeout=30)
+        return name
+
+    with CallPool(2) as pool, ThreadPoolExecutor(max_workers=1) as other:
+        first = other.submit(pool.call_all, [(call, "a")])
+        assert started.wait(timeout=30)
+        assert pool.call_all([(call, "a")]) == ["a"]
+        release.set()
+        assert first.result(timeout=30) == ["a"]
+    assert runs == ["a", "a"]
+
+
+def test_pool_memory_keeps_the_last_replies_up_to_its_cap():
+    call = _Counted()
+    names = [f"k{n}" for n in range(REPLY_MEMORY + 1)]
+    with CallPool(1) as pool:
+        pool.call_all([(call, name) for name in names])
+        assert len(pool._replies) == REPLY_MEMORY
+        # k0 was evicted; the rest are answered from memory, oldest first,
+        # which leaves k1 the least recently used.
+        pool.call_all([(call, name) for name in names[1:]])
+        assert sum(call.runs.values()) == len(names)
+        pool.call_all([(call, "k0")])
+        assert call.runs["k0"] == 2
+        pool.call_all([(call, "k1")])
+        assert call.runs["k1"] == 2
+        assert len(pool._replies) == REPLY_MEMORY
+
+
+def test_pool_memory_stays_whole_under_contention():
+    """Four callers share a pool of eight threads over more keys than the
+    memory holds, with a short switch interval: every reply is right and the
+    memory keeps to its cap."""
+    keys = [f"k{n}" for n in range(REPLY_MEMORY + 500)]
+
+    def ask(seed: int) -> None:
+        rng = random.Random(seed)
+        for _ in range(20):
+            batch = rng.sample(keys, 100)
+            assert pool.call_all([(str.upper, key) for key in batch]) == [
+                key.upper() for key in batch]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with CallPool(8) as pool, ThreadPoolExecutor(max_workers=4) as callers:
+            for job in [callers.submit(ask, seed) for seed in range(4)]:
+                job.result(timeout=60)
+            assert len(list(pool._replies)) == len(pool._replies) <= REPLY_MEMORY
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_the_whole_request_is_the_key():
+    """The same prompt with other candidates, or another ``max_tokens``, is
+    another call."""
+    backend = _Instrumented(ScriptedBackend(SCRIPT))
+    prompt = "Plan q1z-0 keeps the parser simple. is [MASK] related to the issue"
+    with CallPool(2) as pool:
+        pool.call_all([(backend.mask_probs, prompt, POLARITY_WORDS),
+                       (backend.mask_probs, prompt, POLARITY_WORDS),
+                       (backend.generate, prompt, 8),
+                       (backend.generate, prompt, 8)])
+        assert len(backend.prompts) == 2
+        pool.call_all([(backend.mask_probs, prompt, POLARITY_WORDS[:-1] + ("else",)),
+                       (backend.generate, prompt, 9)])
+        assert len(backend.prompts) == 4
 
 
 def test_transport_error_fails_only_its_issue(corpus, monkeypatch):
@@ -365,3 +516,124 @@ def test_pair_classifier_without_a_pool_keeps_to_workers(workers):
     build_pair_classifier(cfg, backend).relations(design)
     assert len(backend.prompts) >= 21
     assert backend.peak == workers
+
+
+# A corpus with repeated requests.  SHARE-0 holds _PLAN twice, and SHARE-2
+# shares its summary and its description (_PLAN, then _REASON) with SHARE-0,
+# so their cloze probes and the pair probe of that description are equal.
+# SHARE-1 sits between them, so SHARE-2 starts only once SHARE-0 is done.
+_SHARED_SUMMARY = "Pick a parser design for q0z"
+_PLAN = "Plan q0z-0 keeps the parser simple."
+_REASON = "Reason q0z-1 keeps the parser simple."
+SHARING = {
+    "SHARE-0": (_SHARED_SUMMARY, f"{_PLAN} {_REASON}",
+                [f"{_PLAN} The nightly build ran on 3 executors.",
+                 "Plan q0z-2 keeps the parser simple."]),
+    "SHARE-1": ("Pick a cache design for q1z",
+                "Plan q1z-0 keeps the parser simple. Attached the log of run 4.",
+                ["Reason q1z-1 keeps the parser simple."]),
+    "SHARE-2": (_SHARED_SUMMARY, f"{_PLAN} {_REASON}",
+                ["Bridge q2z-0 keeps the parser simple."]),
+}
+
+
+def _write_sharing(directory, keys) -> None:
+    directory.mkdir(exist_ok=True)
+    for key in keys:
+        summary, description, comments = SHARING[key]
+        (directory / f"{key}.json").write_text(json.dumps({
+            "key": key, "summary": summary, "reporter": "alice", "description": description,
+            "comments": [{"author": "bob", "created": f"2020-01-0{c + 2}T10:00:00.000+0000",
+                          "body": body} for c, body in enumerate(comments)],
+        }), encoding="utf-8")
+
+
+@pytest.fixture
+def sharing(corpus):
+    """The ``corpus`` config over the SHARING issues instead."""
+    tmp_path, config = corpus
+    for path in (tmp_path / "corpus").iterdir():
+        path.unlink()
+    _write_sharing(tmp_path / "corpus", SHARING)
+    return tmp_path, config
+
+
+def _recorded(monkeypatch) -> list[Recording]:
+    """The Recording backends that runs build from now on, in build order."""
+    built: list[Recording] = []
+
+    def build(cfg):
+        built.append(Recording(ScriptedBackend(SCRIPT)))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_backend", build)
+    return built
+
+
+@pytest.mark.parametrize("command", ["extract", "pair", "mine"])
+def test_a_command_sends_each_distinct_request_once(sharing, monkeypatch, command):
+    tmp_path, config = sharing
+    built = _recorded(monkeypatch)
+    runs = [_run(command, config, tmp_path / f"out-{workers}", "--workers", str(workers))
+            for workers in (1, 2, 4)]
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
+    assert runs[0][0] == 0
+    alone: list[list] = []
+    for key in SHARING:
+        _write_sharing(tmp_path / key, [key])
+        _run(command, config, tmp_path / f"out-{key}", "--corpus", str(tmp_path / key))
+        alone.append(built[-1].calls)
+    # Each run sent what the issues mined one by one send, and nothing twice.
+    for backend in built:
+        assert len(backend.calls) == len(set(backend.calls))
+    for backend in built[:3]:
+        assert set(backend.calls) == set().union(*alone)
+    assert len(built[0].calls) < sum(map(len, alone))
+
+
+def test_each_command_in_a_process_sends_its_requests_again(sharing, monkeypatch):
+    """Replies are remembered for one command: ``mine`` after ``extract``
+    in the same process and on the same backend sends every cloze probe
+    again."""
+    tmp_path, config = sharing
+    backend = Recording(ScriptedBackend(SCRIPT))
+    monkeypatch.setattr(cli, "build_backend", lambda cfg: backend)
+    assert _run("extract", config, tmp_path / "out")[0] == 0
+    extracted = list(backend.calls)
+    assert _run("mine", config, tmp_path / "out")[0] == 0
+    mined = backend.calls[len(extracted):]
+    assert {kind for kind, _ in extracted} == {"mask_probs"}
+    assert Counter(call for call in mined if call[0] == "mask_probs") == Counter(extracted)
+
+
+def test_a_failed_shared_request_fails_only_the_issue_that_sent_it(sharing, monkeypatch):
+    """The first call for a cloze probe of SHARE-0 and SHARE-2 fails.  That
+    failure is not remembered: the other issue sends the probe again and
+    writes what it writes without the failure."""
+    tmp_path, config = sharing
+    _, _, _, clean = _run("mine", config, tmp_path / "clean")
+
+    class FailsFirst(_Instrumented):
+        failed = False
+
+        def before(self, prompt):
+            if prompt.startswith(_REASON) and "[MASK]" in prompt:
+                with self.lock:
+                    first, self.failed = not self.failed, True
+                if first:
+                    raise TransportError("POST /v1/mask-probs failed: connection reset")
+
+    backend = FailsFirst(ScriptedBackend(SCRIPT))
+    _use_backend(monkeypatch, backend)
+    rc, _, stderr, files = _run("mine", config, tmp_path / "out", "--workers", "2")
+    assert rc == 1
+    failed = [line.split(":")[0].removeprefix("failed on ")
+              for line in stderr.splitlines() if line.startswith("failed on")]
+    assert len(failed) == 1 and failed[0] in ("SHARE-0", "SHARE-2")
+    survivors = {name: data for name, data in clean.items() if not name.startswith(failed[0])}
+    assert files == survivors
+    # The failed call raised before ``prompts`` kept it; the call made again
+    # is kept.
+    assert sum(prompt.startswith(_REASON) and "[MASK]" in prompt
+               for prompt in backend.prompts) == 1

@@ -194,3 +194,15 @@ def test_scores_are_valid_for_rule_heavy_text(tokens):
     got = SentimentAnalyzer().scores(" ".join(tokens))
     assert -1.0 <= got.compound <= 1.0
     assert abs(got.pos + got.neu + got.neg - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("line", ["x" * 5000, "word\t" + "9" * 5000 + "z"],
+                         ids=["malformed", "non-numeric"])
+def test_a_long_bad_lexicon_line_is_cut_in_the_message(tmp_path, line):
+    path = tmp_path / "lex.txt"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(MissingLexicon) as error:
+        load_lexicon(path)
+    message = str(error.value)
+    assert message.endswith(f"{repr(line)[:200]}… ({len(repr(line))} chars)")
+    assert len(message) < 300 + len(str(path))
