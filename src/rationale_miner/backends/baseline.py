@@ -19,9 +19,6 @@ import numpy as np
 from ..corpus import Sentence, pair_structure
 from ..features import FEATURE_NAMES, keyword_flags, word_tokens
 from .heads import (
-    DEFAULT_EPOCHS,
-    DEFAULT_L2,
-    DEFAULT_LR,
     LogisticHead,
     SoftmaxHead,
     feature_fingerprint,
@@ -31,6 +28,9 @@ from .heads import (
 )
 
 MIN_DOC_FREQ = 2
+
+# A sentence whose design score reaches this is a design sentence.
+DESIGN_THRESHOLD = 0.5
 
 PAIR_FEATURE_NAMES: tuple[str, ...] = (
     "in_same_comment", "distance", "token_jaccard",
@@ -117,7 +117,7 @@ class BaselineModel:
         return self.head.predict_proba(self._design_matrix(texts, features))
 
     def predict(self, texts: list[str], features: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(texts, features) >= 0.5).astype(np.int64)
+        return (self.predict_proba(texts, features) >= DESIGN_THRESHOLD).astype(np.int64)
 
     def to_json(self) -> dict:
         return {
@@ -148,16 +148,13 @@ class BaselineModel:
                           expected_fingerprint)
 
 
-def train_baseline(texts: list[str], features: np.ndarray, labels: np.ndarray,
-                   lr: float = DEFAULT_LR, epochs: int = DEFAULT_EPOCHS,
-                   l2: float = DEFAULT_L2) -> BaselineModel:
+def train_baseline(texts: list[str], features: np.ndarray, labels: np.ndarray) -> BaselineModel:
     """Fit the TF-IDF + features baseline; deterministic for fixed inputs."""
     vectorizer = TfidfVectorizer.fit(texts)
     features = np.asarray(features, dtype=np.float64)
     scaler = _Scaler.fit(features)
     X = np.hstack([vectorizer.transform(texts), scaler.transform(features)])
-    head = train_head(X, labels, num_classes=2, lr=lr, epochs=epochs, l2=l2,
-                      fingerprint=BASELINE_FINGERPRINT)
+    head = train_head(X, labels, num_classes=2, fingerprint=BASELINE_FINGERPRINT)
     return BaselineModel(vectorizer=vectorizer, scaler=scaler, head=head)
 
 
@@ -210,12 +207,10 @@ class PairBaselineModel:
                           expected_fingerprint)
 
 
-def train_pair_baseline(pair_matrix: np.ndarray, labels: np.ndarray,
-                        lr: float = DEFAULT_LR, epochs: int = DEFAULT_EPOCHS,
-                        l2: float = DEFAULT_L2) -> PairBaselineModel:
+def train_pair_baseline(pair_matrix: np.ndarray, labels: np.ndarray) -> PairBaselineModel:
     """Fit the ternary pair-relation baseline on pair feature vectors."""
     pair_matrix = np.asarray(pair_matrix, dtype=np.float64)
     scaler = _Scaler.fit(pair_matrix)
     head = train_head(scaler.transform(pair_matrix), labels, num_classes=3,
-                      lr=lr, epochs=epochs, l2=l2, fingerprint=PAIR_FINGERPRINT)
+                      fingerprint=PAIR_FINGERPRINT)
     return PairBaselineModel(scaler=scaler, head=head)

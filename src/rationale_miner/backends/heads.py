@@ -56,14 +56,8 @@ class LogisticHead:
     fingerprint: str = ""
     meta: dict = field(default_factory=dict)
 
-    def decision(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X, dtype=np.float64) @ self.weights + self.bias
-
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return expit(self.decision(X))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(X) >= 0.5).astype(np.int64)
+        return expit(np.asarray(X, dtype=np.float64) @ self.weights + self.bias)
 
     def to_json(self) -> dict:
         return {"kind": "logistic", "weights": self.weights.tolist(),
@@ -95,9 +89,6 @@ class SoftmaxHead:
         z = np.asarray(X, dtype=np.float64) @ self.weights.T + self.bias
         return _softmax(z)
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.predict_proba(X).argmax(axis=1)
-
     def to_json(self) -> dict:
         return {"kind": "softmax", "weights": self.weights.tolist(),
                 "bias": self.bias.tolist(), "fingerprint": self.fingerprint,
@@ -112,8 +103,6 @@ class SoftmaxHead:
 
 
 def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
-               lr: float = DEFAULT_LR, epochs: int = DEFAULT_EPOCHS,
-               l2: float = DEFAULT_L2,
                fingerprint: str = "") -> LogisticHead | SoftmaxHead:
     """Fit a head on integer labels; raises DegenerateData on a single class."""
     X = np.asarray(X, dtype=np.float64)
@@ -123,27 +112,28 @@ def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
     if len(np.unique(y)) < 2:
         raise DegenerateData("training data contains a single class")
     n, dim = X.shape
-    meta = {"lr": lr, "epochs": epochs, "l2": l2, "num_classes": num_classes}
+    meta = {"lr": DEFAULT_LR, "epochs": DEFAULT_EPOCHS, "l2": DEFAULT_L2,
+            "num_classes": num_classes}
 
     if num_classes == 2:
         w = np.zeros(dim)
         b = 0.0
         target = y.astype(np.float64)
-        for _ in range(epochs):
+        for _ in range(DEFAULT_EPOCHS):
             p = expit(X @ w + b)
             delta = p - target
-            w -= lr * (X.T @ delta / n + l2 * w)
-            b -= lr * float(delta.mean())
+            w -= DEFAULT_LR * (X.T @ delta / n + DEFAULT_L2 * w)
+            b -= DEFAULT_LR * float(delta.mean())
         return LogisticHead(weights=w, bias=b, fingerprint=fingerprint, meta=meta)
 
     W = np.zeros((num_classes, dim))
     b = np.zeros(num_classes)
     onehot = np.eye(num_classes)[y]
-    for _ in range(epochs):
+    for _ in range(DEFAULT_EPOCHS):
         P = _softmax(X @ W.T + b)
         delta = P - onehot
-        W -= lr * (delta.T @ X / n + l2 * W)
-        b -= lr * delta.mean(axis=0)
+        W -= DEFAULT_LR * (delta.T @ X / n + DEFAULT_L2 * W)
+        b -= DEFAULT_LR * delta.mean(axis=0)
     return SoftmaxHead(weights=W, bias=b, fingerprint=fingerprint, meta=meta)
 
 

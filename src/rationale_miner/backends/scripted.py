@@ -2,17 +2,15 @@
 
 A script is a JSON object with ``mask_probs`` and ``generate`` sections.
 Each section holds ordered ``rules`` plus an optional ``default``; the first
-rule whose matcher hits the prompt wins.  Matchers are either ``contains`` (a
-substring or list of substrings that must all occur) or ``sha256`` (hex digest
-of the exact prompt bytes, for byte-sensitive fixtures).  Requests and canned
-replies pass the same protocol checks as a model server's.  A script that
-cannot be read or is not a JSON object is a ConfigError; a section, rule or
-matcher of the wrong shape is a ProtocolError when a call reaches it.
+rule whose ``contains`` matcher hits the prompt wins: a substring, or a list
+of substrings that must all occur.  Requests and canned replies pass the same
+protocol checks as a model server's.  A script that cannot be read or is not
+a JSON object is a ConfigError; a section, rule or matcher of the wrong shape
+is a ProtocolError when a call reaches it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
@@ -30,8 +28,6 @@ from .protocol import (
 def _matches(rule, prompt: str) -> bool:
     if not isinstance(rule, dict):
         raise ProtocolError(f"script rule is not an object: {shown(rule)}")
-    if "sha256" in rule:
-        return hashlib.sha256(prompt.encode("utf-8")).hexdigest() == rule["sha256"]
     needles = rule.get("contains")
     if needles is None:
         raise ProtocolError(f"script rule has no matcher: {shown(rule)}")

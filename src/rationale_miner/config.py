@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .backends import RemoteBackend, ScriptedBackend
 from .backends.baseline import (
     BASELINE_FINGERPRINT,
     PAIR_FINGERPRINT,
@@ -19,7 +18,9 @@ from .backends.baseline import (
     PairBaselineModel,
 )
 from .backends.heads import feature_fingerprint, load_head
-from .backends.protocol import split_base_url
+from .backends.protocol import RemoteBackend, split_base_url
+from .backends.scripted import ScriptedBackend
+from .corpus import DEFAULT_BOT_AUTHORS, DEFAULT_ENCODING
 from .errors import ConfigError
 from .miner import (
     BaselineClassifier,
@@ -60,8 +61,8 @@ class RunConfig:
     pair_max_sequence: int = PAIR_MAX_SEQUENCE
     seed: int = 0
     workers: int | None = None
-    encoding: str = "ascii"
-    bot_authors: list[str] = field(default_factory=lambda: ["bot"])
+    encoding: str = DEFAULT_ENCODING
+    bot_authors: list[str] = field(default_factory=lambda: list(DEFAULT_BOT_AUTHORS))
 
     def validate(self) -> "RunConfig":
         for spec in fields(self):

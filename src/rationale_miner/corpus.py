@@ -27,6 +27,9 @@ DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
     "mr.", "mrs.", "ms.", "dr.", "prof.", "fig.", "approx.",
 )
 
+# Text is re-encoded to this codec when cleaned; other characters drop out.
+DEFAULT_ENCODING = "ascii"
+
 # Comments whose author id contains one of these substrings (case-insensitive)
 # are dropped before sentence enumeration.
 DEFAULT_BOT_AUTHORS: tuple[str, ...] = ("bot",)
@@ -143,23 +146,27 @@ def parse_issue(raw: dict) -> IssueLog:
                     reporter=reporter, comments=comments)
 
 
-def load_corpus(path: str | Path, encoding: str = "ascii",
+def load_corpus(path: str | Path, encoding: str = DEFAULT_ENCODING,
                 bot_authors: tuple[str, ...] = DEFAULT_BOT_AUTHORS
                 ) -> tuple[list[IssueLog], list[str]]:
     """Parse and clean every ``*.json`` file under ``path``, sorted by name.
 
     Returns the cleaned issues and a ``"<file name>: <reason>"`` line for each
-    file skipped because it could not be read or parsed.  A ``path`` that is
-    not a directory raises ConfigError.
+    file skipped because it could not be read or parsed, or because an
+    earlier file holds the same issue key (each key names its output files).
+    A ``path`` that is not a directory raises ConfigError.
     """
     root = Path(path)
     if not root.is_dir():
         raise ConfigError(f"corpus_dir is not a directory: {root}")
-    issues, skipped = [], []
+    issues, skipped, files = [], [], {}
     for file in sorted(root.glob("*.json")):
         try:
-            raw = json.loads(file.read_text(encoding="utf-8"))
-            issues.append(clean_issue(parse_issue(raw), encoding, bot_authors))
+            issue = parse_issue(json.loads(file.read_text(encoding="utf-8")))
+            if issue.key in files:
+                raise MalformedExport(f"issue key {issue.key} is already in {files[issue.key]}")
+            issues.append(clean_issue(issue, encoding, bot_authors))
+            files[issue.key] = file.name
         except (MiningError, OSError, ValueError, RecursionError) as exc:
             skipped.append(f"{file.name}: {exc}")
     return issues, skipped
@@ -223,7 +230,7 @@ def _replace_code(text: str) -> str:
     return text
 
 
-def clean_text(text: str, encoding: str = "ascii") -> str:
+def clean_text(text: str, encoding: str = DEFAULT_ENCODING) -> str:
     """Normalize markup: re-encode, delete quotes, replace code and URLs.
 
     The encoding filter runs first so markup patterns see the text they will
@@ -240,7 +247,7 @@ def clean_text(text: str, encoding: str = "ascii") -> str:
     return _URL.sub(_replace_url, _replace_code(text))
 
 
-def clean_issue(issue: IssueLog, encoding: str = "ascii",
+def clean_issue(issue: IssueLog, encoding: str = DEFAULT_ENCODING,
                 bot_authors: tuple[str, ...] = DEFAULT_BOT_AUTHORS) -> IssueLog:
     """Return a cleaned copy of ``issue`` with bot comments removed.
 
@@ -303,8 +310,7 @@ def split_sentences(text: str,
     return sentences
 
 
-def enumerate_sentences(issue: IssueLog,
-                        abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS) -> list[Sentence]:
+def enumerate_sentences(issue: IssueLog) -> list[Sentence]:
     """List every sentence of a (cleaned) issue in stable order with stable ids.
 
     The summary is never segmented: it contributes exactly one sentence when
@@ -324,10 +330,10 @@ def enumerate_sentences(issue: IssueLog,
     summary = " ".join(issue.summary.split())
     if summary:
         push("sum-s0", summary, "summary", None, 0, issue.reporter)
-    for j, text in enumerate(split_sentences(issue.description, abbreviations)):
+    for j, text in enumerate(split_sentences(issue.description)):
         push(f"des-s{j}", text, "description", None, j, issue.reporter)
     for k, comment in enumerate(issue.comments):
-        for j, text in enumerate(split_sentences(comment.body, abbreviations)):
+        for j, text in enumerate(split_sentences(comment.body)):
             push(f"c{k}-s{j}", text, "comment", k, j, comment.author)
     return sentences
 

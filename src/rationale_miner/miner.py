@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends.baseline import BaselineModel, PairBaselineModel, pair_features
+from .backends.baseline import DESIGN_THRESHOLD, BaselineModel, PairBaselineModel, pair_features
 from .backends.heads import LogisticHead
 from .backends.protocol import DEFAULT_MAX_TOKENS, Backend
 from .corpus import IssueLog, Sentence, sentence_order
@@ -398,11 +398,11 @@ class BaselineClassifier:
 
 def extract_design_sentences(sentences: list[Sentence], features: np.ndarray,
                              summary: str, classifier) -> tuple[list[Sentence], np.ndarray]:
-    """Design sentences (score >= 0.5) with the full score vector."""
+    """Design sentences (score >= DESIGN_THRESHOLD) with the full score vector."""
     if not sentences:
         return [], np.zeros(0)
     scores = np.asarray(classifier.scores(sentences, features, summary))
-    selected = [s for s, score in zip(sentences, scores) if score >= 0.5]
+    selected = [s for s, score in zip(sentences, scores) if score >= DESIGN_THRESHOLD]
     return selected, scores
 
 

@@ -48,17 +48,12 @@ class TokenBudget:
 @dataclass(frozen=True)
 class ClozePrompt:
     text: str
-    sentence_id: str
     truncated: bool
 
 
 @dataclass(frozen=True)
 class PairPrompt:
     text: str
-    sentence1_id: str
-    sentence2_id: str
-    in_same_comment: bool
-    distance: int
 
 
 def _defuse_mask(text: str) -> str:
@@ -93,7 +88,7 @@ def build_cloze_prompt(sentence: Sentence, summary: str,
         )
     body, truncated = _truncate(_defuse_mask(sentence.text), budget, cap)
     text = f"{body} is {MASK_TOKEN} related to the issue: {summary}"
-    return ClozePrompt(text=text, sentence_id=sentence.id, truncated=truncated)
+    return ClozePrompt(text=text, truncated=truncated)
 
 
 def _render_pair(s1_text: str, s2_text: str, in_same_comment: bool, distance: int) -> str:
@@ -133,11 +128,7 @@ def build_pair_prompt(s1: Sentence, s2: Sentence,
         )
     body1, _ = _truncate(_defuse_mask(s1.text), budget, cap)
     body2, _ = _truncate(_defuse_mask(s2.text), budget, cap)
-    return PairPrompt(
-        text=_render_pair(body1, body2, in_same_comment, distance),
-        sentence1_id=s1.id, sentence2_id=s2.id,
-        in_same_comment=in_same_comment, distance=distance,
-    )
+    return PairPrompt(text=_render_pair(body1, body2, in_same_comment, distance))
 
 
 def parse_relation_label(response: str) -> str:

@@ -84,9 +84,9 @@ class SentimentScores(NamedTuple):
 NEUTRAL = SentimentScores(0.0, 1.0, 0.0, 0.0)
 
 
-def normalize(score: float, alpha: float = NORMALIZE_ALPHA) -> float:
+def normalize(score: float) -> float:
     """Map an unbounded valence sum into [-1, 1]."""
-    norm = score / math.sqrt(score * score + alpha)
+    norm = score / math.sqrt(score * score + NORMALIZE_ALPHA)
     return max(-1.0, min(1.0, norm))
 
 

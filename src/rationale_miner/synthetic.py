@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import datetime as _dt
 import random
+from itertools import groupby
 
 from .corpus import Comment, IssueLog
 from .evaluation import CATEGORY_NONE, CATEGORY_SOLUTION, Annotation
+from .miner import Rationale
 
 PROJECTS = ("ALPHA", "BRAVO", "CHARLIE")
 
@@ -47,13 +49,22 @@ def _noise_sentence(rng: random.Random) -> str:
     return template.format(n=rng.randrange(2, 40))
 
 
+def _block_rationales(labels: dict[str, str]) -> list[Rationale]:
+    """One argument-less rationale per block that holds design sentences."""
+    design = [sid for sid, label in labels.items() if label == CATEGORY_SOLUTION]
+    return [Rationale(solution=list(ids), arguments=[])
+            for _, ids in groupby(design, key=lambda sid: sid.rsplit("-s", 1)[0])]
+
+
 def make_design_corpus(seed: int = 0, min_sentences: int = 200,
                        design_rate: float = 0.4
                        ) -> tuple[list[IssueLog], list[Annotation]]:
     """Generate labeled issues totalling at least ``min_sentences`` sentences.
 
     Issues are spread over three projects.  The returned annotations label
-    every sentence, design ones as solutions.
+    every sentence, design ones as solutions, and make the design sentences
+    of each block (the description, or one comment) one rationale's solution:
+    pairs inside a block are complementary, pairs across blocks unrelated.
     """
     rng = random.Random(seed)
     base = _dt.datetime(2020, 1, 1, tzinfo=_dt.timezone.utc)
@@ -92,6 +103,6 @@ def make_design_corpus(seed: int = 0, min_sentences: int = 200,
         issues.append(IssueLog(key=key, summary=summary, description=description,
                                reporter="dev1", comments=comments))
         annotations.append(Annotation(issue=key, annotator="synthetic",
-                                      labels=labels, rationales=[]))
+                                      labels=labels, rationales=_block_rationales(labels)))
         total_sentences += len(labels)
     return issues, annotations

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import base64
-import hashlib
 import json
 import re
 import socket
@@ -354,8 +353,6 @@ def _script() -> dict:
             "rules": [
                 {"contains": "alpha", "probs": [0.9, 0.1]},
                 {"contains": ["beta", "gamma"], "probs": [0.2, 0.8]},
-                {"sha256": hashlib.sha256(b"exact [MASK] prompt").hexdigest(),
-                 "probs": [0.5, 0.5]},
             ],
             "default": {"probs": [0.0, 0.0]},
         },
@@ -371,10 +368,17 @@ def test_scripted_backend_matches_rules_in_order():
     assert backend.mask_probs("has alpha [MASK] inside", ("a", "b")) == (0.9, 0.1)
     assert backend.mask_probs("beta then [MASK] gamma", ("a", "b")) == (0.2, 0.8)
     assert backend.mask_probs("gamma [MASK] alone", ("a", "b")) == (0.0, 0.0)
-    assert backend.mask_probs("exact [MASK] prompt", ("a", "b")) == (0.5, 0.5)
     assert backend.generate("about pair one here") == "supporting"
     assert backend.generate("anything else") == "unrelated"
-    assert [c[0] for c in backend.calls] == ["mask_probs"] * 4 + ["generate"] * 2
+    assert [c[0] for c in backend.calls] == ["mask_probs"] * 3 + ["generate"] * 2
+
+
+@pytest.mark.parametrize("rule", [{"probs": [0.5]},
+                                  {"sha256": "0" * 64, "probs": [0.5]}])
+def test_scripted_backend_rule_without_contains_has_no_matcher(rule):
+    backend = ScriptedBackend({"mask_probs": {"rules": [rule]}})
+    with pytest.raises(ProtocolError, match="script rule has no matcher"):
+        backend.mask_probs("anything [MASK]", ("a",))
 
 
 def test_scripted_backend_errors_without_matching_rule_or_default():

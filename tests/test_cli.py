@@ -319,6 +319,28 @@ def test_ingest_skips_an_issue_mixing_naive_and_offset_timestamps(workspace, raw
     assert not (tmp_path / "out" / "FLINK-1399.sentences.jsonl").exists()
 
 
+def test_mine_skips_a_later_file_holding_an_issue_key_already_read(workspace, raw_issue,
+                                                                   capsys):
+    # Both files would write FLINK-1320.rationales.*, so only the first is mined.
+    tmp_path, config, config_path = workspace
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    (corpus / "FLINK-1320.json").rename(corpus / "a.json")
+    shorter = dict(raw_issue, comments=raw_issue["comments"][:1])
+    (corpus / "b.json").write_text(json.dumps(shorter), encoding="utf-8")
+    assert main(["mine", "-c", str(config_path)]) == 1
+    both = capsys.readouterr()
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    (corpus / "b.json").unlink()
+    shutil.rmtree(out)
+    assert main(["mine", "-c", str(config_path)]) == 0
+    alone = capsys.readouterr()
+    assert both.out == alone.out and len(both.out.splitlines()) == 1
+    assert both.err == ("skipping b.json: issue key FLINK-1320 is already in a.json\n"
+                        + alone.err)
+    assert written == {path.name: path.read_bytes() for path in out.iterdir()}
+
+
 def test_mine_reproduces_golden_output(workspace, fixtures_dir):
     tmp_path, config, config_path = workspace
     assert main(["mine", "-c", str(config_path)]) == 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationale_miner.corpus import Sentence, enumerate_sentences
+from rationale_miner.corpus import Sentence, enumerate_sentences, pair_structure
 from rationale_miner.errors import (
     BudgetExhausted,
     CrossIssue,
@@ -46,7 +46,7 @@ def test_cloze_prompt_bytes_match_golden(golden_issue):
     prompt = build_cloze_prompt(by_id["des-s1"], golden_issue.summary)
     assert prompt.text == _GOLDEN_PROMPTS["cloze"]
     assert not prompt.truncated
-    assert prompt.sentence_id == "des-s1"
+    assert prompt.text.startswith(by_id["des-s1"].text + " is ")
 
 
 def test_pair_prompt_bytes_match_golden(golden_issue):
@@ -54,8 +54,8 @@ def test_pair_prompt_bytes_match_golden(golden_issue):
     by_id = {s.id: s for s in sentences}
     prompt = build_pair_prompt(by_id["des-s1"], by_id["c0-s0"])
     assert prompt.text == _GOLDEN_PROMPTS["pair"]
-    assert not prompt.in_same_comment
-    assert prompt.distance == 1
+    assert pair_structure(by_id["des-s1"], by_id["c0-s0"]) == (False, 1)
+    assert "are not in the same comment and their distance is 1." in prompt.text
 
 
 def test_pair_prompt_same_comment_bytes_match_golden(golden_issue):
@@ -63,8 +63,8 @@ def test_pair_prompt_same_comment_bytes_match_golden(golden_issue):
     by_id = {s.id: s for s in sentences}
     prompt = build_pair_prompt(by_id["c0-s0"], by_id["c0-s1"])
     assert prompt.text == _GOLDEN_PROMPTS["pair_same_comment"]
-    assert prompt.in_same_comment
-    assert prompt.distance == 1
+    assert pair_structure(by_id["c0-s0"], by_id["c0-s1"]) == (True, 1)
+    assert "are in the same comment and their distance is 1." in prompt.text
 
 
 # ---------------------------------------------------------------------------
@@ -135,11 +135,12 @@ def test_pair_budget_exhausted_on_tiny_budget():
 def test_pair_distance_and_same_comment_flags(golden_issue):
     by_id = {s.id: s for s in enumerate_sentences(golden_issue)}
     cross_comment = build_pair_prompt(by_id["c0-s0"], by_id["c1-s0"])
-    assert not cross_comment.in_same_comment
-    assert cross_comment.distance == 3
+    assert pair_structure(by_id["c0-s0"], by_id["c1-s0"]) == (False, 3)
     assert "are not in the same comment and their distance is 3." in cross_comment.text
     description_pair = build_pair_prompt(by_id["des-s0"], by_id["des-s1"])
-    assert not description_pair.in_same_comment  # only comments share comments
+    # only comments share comments
+    assert pair_structure(by_id["des-s0"], by_id["des-s1"]) == (False, 1)
+    assert "are not in the same comment and their distance is 1." in description_pair.text
 
 
 @settings(max_examples=100, deadline=None)

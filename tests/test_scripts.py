@@ -39,6 +39,9 @@ def test_scripts_run(tmp_path, fixtures_dir, monkeypatch, capsys):
         ["python", "scripts/make_synthetic_corpus.py"],
         ["rationale-miner", "stats"],
         ["rationale-miner", "ablate"],
+        ["rationale-miner", "train"],
+        ["rationale-miner", "mine"],
+        ["rationale-miner", "eval"],
     ]
     printed = {}
     for argv in commands:
@@ -56,7 +59,7 @@ def test_scripts_run(tmp_path, fixtures_dir, monkeypatch, capsys):
                 pytest.fail(f"README runs a command this test does not know: {argv}")
         printed[argv[1]] = capsys.readouterr().out
 
-    mined = sorted(tmp_path.glob("out/**/*.rationales.*"))
+    mined = sorted(tmp_path.glob("out/fixture/*.rationales.*"))
     assert [path.name for path in mined] == ["FLINK-1320.rationales.json",
                                              "FLINK-1320.rationales.md"]
     for path in mined:
@@ -71,3 +74,14 @@ def test_scripts_run(tmp_path, fixtures_dir, monkeypatch, capsys):
     records = json.loads(ablation.read_text(encoding="utf-8"))
     assert [r["dimension"] for r in records] == [
         "full", "keyword", "position", "process", "sentiment", "structure"]
+
+    assert printed["train"] == (
+        "design baseline trained on 201 sentences -> out/models/baseline.json\n"
+        "pair baseline trained on 77 pairs -> out/models/pair-baseline.json\n")
+    assert len(list(tmp_path.glob("out/baseline/*.rationales.json"))) == 24
+    assert [line.split() for line in printed["eval"].splitlines()] == [
+        ["rationale", "P=1.0000", "R=1.0000", "F1=1.0000"],
+        ["sentence_solution", "P=1.0000", "R=1.0000", "F1=1.0000"],
+        ["sentence_argument", "P=0.0000", "R=0.0000", "F1=0.0000"],
+        ["extraction", "P=1.0000", "R=1.0000", "F1=1.0000"],
+        ["metrics", "->", "out/baseline/metrics.csv"]]

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 from rationale_miner.corpus import enumerate_sentences
+from rationale_miner.evaluation import collect_pair_data
+from rationale_miner.prompts import RELATION_LABELS
 from rationale_miner.synthetic import PROJECTS, make_design_corpus
 
 _DESIGN_MARKER = "solution"
@@ -62,3 +64,23 @@ def test_design_rate_extremes():
     for record in all_ann:
         for sid, label in record.labels.items():
             assert label == ("none" if sid == "sum-s0" else "solution")
+
+
+def test_each_block_of_design_sentences_is_one_rationale():
+    issues, annotations = make_design_corpus(seed=3, min_sentences=120)
+    for issue, annotation in zip(issues, annotations):
+        design = [s for s in enumerate_sentences(issue)
+                  if annotation.labels[s.id] == "solution"]
+        blocks: dict[tuple, list[str]] = {}
+        for s in design:
+            blocks.setdefault((s.kind, s.comment_index), []).append(s.id)
+        assert [r.solution for r in annotation.rationales] == list(blocks.values())
+        assert all(r.arguments == [] for r in annotation.rationales)
+
+
+def test_seed_0_gives_the_pair_baseline_two_relation_classes():
+    issues, annotations = make_design_corpus(seed=0, min_sentences=200)
+    _, labels = collect_pair_data(issues, annotations)
+    counts = {label: int((labels == RELATION_LABELS.index(label)).sum())
+              for label in RELATION_LABELS}
+    assert counts == {"supporting": 0, "complementary": 11, "unrelated": 66}
