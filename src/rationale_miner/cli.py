@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 when any issue failed to process (or a runtime
-error stopped a command), 2 on configuration errors.
+error or a failed write stopped a command), 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -171,10 +171,11 @@ def _run_step(step: _Step, issue: IssueLog, context: Any,
 
 def _report(issue: IssueLog, job: Future) -> int:
     """Write a finished issue's warnings, then its stdout line, or only its
-    ``failed on`` line; 1 if it failed, else 0."""
+    ``failed on`` line; 1 if it failed, else 0.  A MiningError, or an
+    OSError from writing the issue's outputs, fails that issue alone."""
     try:
         line, warnings = job.result()
-    except MiningError as exc:
+    except (MiningError, OSError) as exc:
         print(f"failed on {issue.key}: {exc}", file=sys.stderr)
         return 1
     for warning in warnings:
@@ -193,8 +194,8 @@ def _each_issue(cfg: RunConfig, build: Callable[[RunConfig], ContextManager[Any]
     its calls take only the slots that issue k leaves idle.  The step writes
     the issue's outputs and returns its stdout line and its warnings.
     Warnings, lines and ``failed on`` lines come out in corpus order.  A
-    MiningError fails that issue alone; any failed issue or skipped file
-    makes the exit code 1.
+    MiningError or OSError fails that issue alone; any failed issue or
+    skipped file makes the exit code 1.
     """
     issues, failures = _load_issues(cfg)
     with build(cfg) as context, ThreadPoolExecutor(max_workers=2) as drivers:
@@ -427,16 +428,15 @@ def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
         print(f"no mined outputs under {out}", file=sys.stderr)
         return 1
     for path in mined:
+        target = path.with_name(path.name[: -len(".json")] + ".md")
         try:
             mined = read_mined(path)
-        except MalformedExport as exc:
+            target.write_text(render_markdown(mined.issue, mined.rationales, mined.text_of),
+                              encoding="utf-8")
+        except (MalformedExport, OSError) as exc:
             failures += 1
             print(f"failed to export {path.name}: {exc}", file=sys.stderr)
             continue
-        markdown = render_markdown(mined.issue, [r.to_json() for r in mined.rationales],
-                                   mined.text_of)
-        target = path.with_name(path.name[: -len(".json")] + ".md")
-        target.write_text(markdown, encoding="utf-8")
         print(f"{path.name} -> {target.name}")
     return 1 if failures else 0
 
@@ -482,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except MiningError as exc:
+    except (MiningError, OSError) as exc:  # an OSError: a file the command writes
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -121,7 +121,8 @@ def eval_sentences(predicted: list[Rationale], gold: list[Rationale],
 
     A predicted solution (or argument) sentence is correct only when its
     rationale maps to a gold rationale listing that sentence in the same
-    category; argument group boundaries do not matter here.
+    category; argument group boundaries do not matter here.  A category with
+    no sentence on either side scores 0, unlike ``eval_rationales``.
     """
     assignments = map_to_gold(predicted, gold, order)
     results = {}
@@ -194,9 +195,10 @@ class Annotation:
 
 
 def load_annotations(path: str | Path) -> list[Annotation]:
-    """Read one annotation per line from a JSONL file.  A missing file is a
-    ConfigError; a line that is not an annotation is a MalformedExport naming
-    the file and line."""
+    """Read one annotation per line from a JSONL file, at most one per issue.
+    A missing file is a ConfigError; a line that is not an annotation, or
+    that annotates an issue an earlier line holds, is a MalformedExport
+    naming the file and line."""
     if not Path(path).is_file():
         raise ConfigError(f"annotations file not found: {path}")
     try:
@@ -204,14 +206,20 @@ def load_annotations(path: str | Path) -> list[Annotation]:
     except UnicodeDecodeError as exc:
         raise MalformedExport(f"{path}: {exc}") from exc
     records = []
+    line_of: dict[str, int] = {}  # issue -> the line annotating it
     for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            records.append(Annotation.from_json(json.loads(line)))
+            record = Annotation.from_json(json.loads(line))
         except (ValueError, RecursionError, MalformedExport) as exc:
             raise MalformedExport(f"{path}:{number}: {exc}") from exc
+        if record.issue in line_of:
+            raise MalformedExport(f"{path}:{number}: issue {record.issue} is already "
+                                  f"annotated on line {line_of[record.issue]}")
+        line_of[record.issue] = number
+        records.append(record)
     return records
 
 

@@ -274,15 +274,11 @@ def _assign_roles(graph: RelationGraph) -> dict[str, str]:
     """Role per node: incoming supporting edges make a solution, outgoing an
     argument; conflicts go to the majority side and ties to solution.  Nodes
     without supporting edges are solutions (rationales may lack arguments)."""
-    incoming: dict[str, int] = {node: 0 for node in graph.nodes}
-    outgoing: dict[str, int] = {node: 0 for node in graph.nodes}
+    balance: Counter = Counter()
     for edge in graph.supporting:
-        outgoing[edge.argument] += 1
-        incoming[edge.solution] += 1
-    roles = {}
-    for node in graph.nodes:
-        roles[node] = "argument" if outgoing[node] > incoming[node] else "solution"
-    return roles
+        balance[edge.argument] += 1
+        balance[edge.solution] -= 1
+    return {node: "argument" if balance[node] > 0 else "solution" for node in graph.nodes}
 
 
 def _grouped(nodes: list[str], edges: list[tuple[str, str]],
@@ -311,26 +307,21 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
     """
     warnings: list[str] = []
     roles = _assign_roles(graph)
-    solution_nodes = [n for n in graph.nodes if roles[n] == "solution"]
-    argument_nodes = [n for n in graph.nodes if roles[n] == "argument"]
-
-    usable_comp: dict[str, list[tuple[str, str]]] = {"solution": [], "argument": []}
+    same_role: list[tuple[str, str]] = []
     for a, b in graph.complementary:
         if roles[a] == roles[b]:
-            usable_comp[roles[a]].append((a, b))
+            same_role.append((a, b))
         else:
             warnings.append(
                 f"complementary edge {a}~{b} crosses roles "
                 f"({roles[a]} vs {roles[b]}); ignored"
             )
 
-    solution_groups = _grouped(solution_nodes, usable_comp["solution"], graph.order)
-    argument_groups = _grouped(argument_nodes, usable_comp["argument"], graph.order)
-
-    group_of: dict[str, int] = {}
-    for gi, group in enumerate(solution_groups):
-        for node in group:
-            group_of[node] = gi
+    # Every group holds nodes of one role, as its edges join nodes of one role.
+    groups = _grouped(graph.nodes, same_role, graph.order)
+    solution_groups = [g for g in groups if roles[g[0]] == "solution"]
+    argument_groups = [g for g in groups if roles[g[0]] == "argument"]
+    group_of = {node: gi for gi, group in enumerate(solution_groups) for node in group}
 
     supports: dict[str, list[int]] = {}
     for edge in graph.supporting:
@@ -345,10 +336,9 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
                 f"argument group {group} supports no surviving solution; dropped"
             )
             continue
-        best = max(votes.values())
-        tied = [gi for gi, v in votes.items() if v == best]
-        target = min(tied, key=lambda gi: graph.order[solution_groups[gi][0]])
-        attached[target].append(group)
+        # Solution groups are in order of their first node, so on a tie the
+        # smallest index is the group holding the smallest global index.
+        attached[min(votes, key=lambda gi: (-votes[gi], gi))].append(group)
 
     rationales = [
         Rationale(solution=group, arguments=attached[gi])
@@ -432,62 +422,40 @@ def classify_pairs(design: list[Sentence], backend: Backend,
     wins.  Responses with no label word downgrade the pair to unrelated.
     The queries go through ``pool``, or a pool of ``workers`` when it is None.
     """
-    pairs = _pairs(design)
     warnings: list[str] = []
 
-    def requests(ordered_pairs):
-        return [(backend.generate, build_pair_prompt(s1, s2, budget).text,
-                 DEFAULT_MAX_TOKENS) for s1, s2 in ordered_pairs]
+    def labels(pairs: list[tuple[Sentence, Sentence]], reverse: bool) -> list[str | None]:
+        """The label the backend gives each pair, asked reversed when
+        ``reverse``; None, with a warning, for a reply that names none."""
+        asked = [(s2, s1) if reverse else (s1, s2) for s1, s2 in pairs]
+        with _calls(pool, workers) as calls:
+            replies = calls.call_all([(backend.generate, build_pair_prompt(a, b, budget).text,
+                                       DEFAULT_MAX_TOKENS) for a, b in asked])
+        what = "reverse response" if reverse else "response"
+        parsed = []
+        for (s1, s2), raw in zip(pairs, replies):
+            try:
+                parsed.append(parse_relation_label(raw))
+            except UnparsableResponse:
+                warnings.append(f"pair {s1.id}/{s2.id}: unparsable {what} {raw!r}; "
+                                "treated as unrelated")
+                parsed.append(None)
+        return parsed
 
-    with _calls(pool, workers) as calls:
-        forward_raw = calls.call_all(requests(pairs))
-
-    needs_reverse = []
-    forward_labels: list[str | None] = []
-    for (s1, s2), raw in zip(pairs, forward_raw):
-        try:
-            label = parse_relation_label(raw)
-        except UnparsableResponse:
-            warnings.append(
-                f"pair {s1.id}/{s2.id}: unparsable response {raw!r}; treated as unrelated"
-            )
-            forward_labels.append(None)
-            continue
-        forward_labels.append(label)
-        if label == SUPPORTING:
-            needs_reverse.append((s2, s1))
-
-    with _calls(pool, workers) as calls:
-        reverse_raw = calls.call_all(requests(needs_reverse))
-    reverse_by_pair = {}
-    for (s2, s1), raw in zip(needs_reverse, reverse_raw):
-        reverse_by_pair[(s1.id, s2.id)] = raw
-
+    pairs = _pairs(design)
+    forward = labels(pairs, reverse=False)
+    reverse = iter(labels([p for p, label in zip(pairs, forward) if label == SUPPORTING],
+                          reverse=True))
     decisions: list[PairDecision] = []
-    for (s1, s2), label in zip(pairs, forward_labels):
-        if label is None or label == UNRELATED:
-            continue
+    for (s1, s2), label in zip(pairs, forward):
+        ids = (s1.id, s2.id)
         if label == COMPLEMENTARY:
-            decisions.append(PairDecision(kind=COMPLEMENTARY, argument=None,
-                                          solution=None, pair=(s1.id, s2.id)))
-            continue
-        raw_reverse = reverse_by_pair[(s1.id, s2.id)]
-        try:
-            reverse_label = parse_relation_label(raw_reverse)
-        except UnparsableResponse:
-            warnings.append(
-                f"pair {s1.id}/{s2.id}: unparsable reverse response "
-                f"{raw_reverse!r}; treated as unrelated"
-            )
-            continue
-        if reverse_label == SUPPORTING:
+            decisions.append(PairDecision(COMPLEMENTARY, None, None, ids))
+        elif label == SUPPORTING and (back := next(reverse)) is not None:
             # Both directions claim support; keep the one whose solution
             # comes first in the issue.
-            decisions.append(PairDecision(kind=SUPPORTING, argument=s2.id,
-                                          solution=s1.id, pair=(s1.id, s2.id)))
-        else:
-            decisions.append(PairDecision(kind=SUPPORTING, argument=s1.id,
-                                          solution=s2.id, pair=(s1.id, s2.id)))
+            argument, solution = ids[::-1] if back == SUPPORTING else ids
+            decisions.append(PairDecision(SUPPORTING, argument, solution, ids))
     return decisions, warnings
 
 
@@ -522,13 +490,11 @@ class BaselinePairClassifier:
         labels = self.model.predict(np.array([pair_features(s1, s2) for s1, s2 in pairs]))
         decisions = []
         for (s1, s2), label in zip(pairs, labels):
-            kind = RELATION_LABELS[label]
+            kind, ids = RELATION_LABELS[label], (s1.id, s2.id)
             if kind == SUPPORTING:
-                decisions.append(PairDecision(kind=SUPPORTING, argument=s2.id,
-                                              solution=s1.id, pair=(s1.id, s2.id)))
+                decisions.append(PairDecision(SUPPORTING, s2.id, s1.id, ids))
             elif kind == COMPLEMENTARY:
-                decisions.append(PairDecision(kind=COMPLEMENTARY, argument=None,
-                                              solution=None, pair=(s1.id, s2.id)))
+                decisions.append(PairDecision(COMPLEMENTARY, None, None, ids))
         return decisions, []
 
 
@@ -595,7 +561,7 @@ class MineResult:
         }
 
     def to_markdown(self) -> str:
-        return render_markdown(self.issue_key, [r.to_json() for r in self.rationales],
+        return render_markdown(self.issue_key, self.rationales,
                                {s.id: s.text for s in self.sentences})
 
 
@@ -630,7 +596,7 @@ def read_mined(path: str | Path) -> MinedFile:
                      rationales=[Rationale.from_json(r) for r in rationales])
 
 
-def render_markdown(issue_key: str, rationales: list[dict],
+def render_markdown(issue_key: str, rationales: list[Rationale],
                     text_of: dict[str, str]) -> str:
     """Human-readable summary of mined rationales; ids resolve through
     ``text_of`` and fall back to the bare id."""
@@ -640,11 +606,11 @@ def render_markdown(issue_key: str, rationales: list[dict],
     for i, rationale in enumerate(rationales, start=1):
         lines.extend([f"## Rationale {i}", "", "Solution:"])
         lines.extend(f"- [{sid}] {text_of.get(sid, '')}".rstrip()
-                     for sid in rationale["solution"])
+                     for sid in rationale.solution)
         lines.append("")
-        if rationale["arguments"]:
+        if rationale.arguments:
             lines.append("Arguments:")
-            for gi, group in enumerate(rationale["arguments"], start=1):
+            for gi, group in enumerate(rationale.arguments, start=1):
                 lines.append(f"- group {gi}:")
                 lines.extend(f"  - [{sid}] {text_of.get(sid, '')}".rstrip()
                              for sid in group)

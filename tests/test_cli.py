@@ -763,6 +763,19 @@ def test_stats_reports_bad_annotation_lines(workspace, fixtures_dir, capsys):
     assert capsys.readouterr().err.startswith(f"error: {gold}: 'utf-8' codec")
 
 
+@pytest.mark.parametrize("command", ["eval", "stats", "train", "ablate"])
+def test_a_second_annotation_of_one_issue_is_an_error(workspace, fixtures_dir, capsys,
+                                                       command):
+    tmp_path, config, config_path = workspace
+    record = json.loads((fixtures_dir / "flink-1320-gold.jsonl").read_text(encoding="utf-8"))
+    again = dict(record, labels={sid: "none" for sid in record["labels"]}, rationales=[])
+    gold = tmp_path / "twice-gold.jsonl"
+    gold.write_text(json.dumps(record) + "\n" + json.dumps(again) + "\n", encoding="utf-8")
+    assert main([command, "-c", str(config_path), "--annotations", str(gold)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {gold}:2: issue FLINK-1320 is already annotated on line 1\n")
+
+
 def test_stats_with_missing_annotations_is_a_config_error(workspace, capsys):
     tmp_path, config, config_path = workspace
     gold = tmp_path / "absent.jsonl"
@@ -831,6 +844,52 @@ def test_export_rebuilds_markdown(workspace, fixtures_dir, capsys):
     assert "FLINK-1320.rationales.json -> FLINK-1320.rationales.md" in (
         capsys.readouterr().out)
     assert md_path.read_bytes() == (fixtures_dir / "mined-expected.md").read_bytes()
+
+
+def test_mine_fails_only_the_issue_whose_output_cannot_be_written(workspace, fixtures_dir,
+                                                                   capsys):
+    tmp_path, config, config_path = workspace
+    _add_second_issue(workspace, fixtures_dir)
+    out = tmp_path / "out"
+    assert main(["mine", "-c", str(config_path)]) == 0
+    clean = {p.name: p.read_bytes() for p in out.glob("FLINK-1321.*")}
+    shutil.rmtree(out)
+    (out / "FLINK-1320.rationales.json").mkdir(parents=True)
+    capsys.readouterr()
+    assert main(["mine", "-c", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("failed on FLINK-1320: [Errno 21] Is a directory: ")
+    assert captured.out == f"FLINK-1321: 2 rationale(s) -> {out / 'FLINK-1321.rationales.json'}\n"
+    assert {p.name: p.read_bytes() for p in out.glob("FLINK-1321.*")} == clean
+
+
+def test_export_reports_a_target_it_cannot_write_and_goes_on(workspace, fixtures_dir, capsys):
+    tmp_path, config, config_path = workspace
+    _add_second_issue(workspace, fixtures_dir)
+    out = tmp_path / "out"
+    assert main(["mine", "-c", str(config_path)]) == 0
+    (out / "FLINK-1320.rationales.md").unlink()
+    (out / "FLINK-1320.rationales.md").mkdir()
+    markdown = (out / "FLINK-1321.rationales.md").read_bytes()
+    (out / "FLINK-1321.rationales.md").unlink()
+    capsys.readouterr()
+    assert main(["export", "-c", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        "failed to export FLINK-1320.rationales.json: [Errno 21] Is a directory: ")
+    assert captured.out == "FLINK-1321.rationales.json -> FLINK-1321.rationales.md\n"
+    assert (out / "FLINK-1321.rationales.md").read_bytes() == markdown
+
+
+@pytest.mark.parametrize("command,target", [("eval", "metrics.csv"), ("split", "split.json")])
+def test_a_command_whose_output_cannot_be_written_is_an_error(workspace, fixtures_dir,
+                                                               capsys, command, target):
+    tmp_path, config, config_path = workspace
+    _add_second_issue(workspace, fixtures_dir)
+    (tmp_path / "out" / target).mkdir(parents=True)
+    assert main([command, "-c", str(config_path)]) == 1
+    assert capsys.readouterr().err.endswith(
+        f"error: [Errno 21] Is a directory: '{tmp_path / 'out' / target}'\n")
 
 
 def test_export_without_mined_output_fails(workspace, capsys):

@@ -14,6 +14,7 @@ from rationale_miner.miner import (
     PairDecision,
     PromptHeadClassifier,
     PromptPairClassifier,
+    Rationale,
     RelationGraph,
     SP_FEATURE_NAMES,
     SupportingEdge,
@@ -337,7 +338,7 @@ def test_render_markdown_missing_text_and_empty_cases():
     assert "No rationales mined." in text
     text = render_markdown(
         "DEMO-1",
-        [{"solution": ["x"], "arguments": [["y"]]}],
+        [Rationale(solution=["x"], arguments=[["y"]])],
         {"x": "The fix."},
     )
     assert "- [x] The fix." in text
