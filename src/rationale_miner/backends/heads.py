@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..errors import DegenerateData, FingerprintMismatch, ModelMissing
+from ..errors import DegenerateData, FingerprintMismatch, ModelMissing, shown
 
 DEFAULT_LR = 0.1
 DEFAULT_EPOCHS = 500
@@ -164,13 +164,13 @@ def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict],
     fingerprint = payload.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise FingerprintMismatch(
-            f"{name} at {file} was trained on feature order {fingerprint!r}, "
+            f"{name} at {file} was trained on feature order {shown(fingerprint)}, "
             f"expected {expected_fingerprint!r}"
         )
     kind = payload.get("kind")
     build = builders.get(kind) if isinstance(kind, str) else None
     if build is None:
-        raise ModelMissing(f"{name} at {file} has unknown kind {kind!r}")
+        raise ModelMissing(f"{name} at {file} has unknown kind {shown(kind)}")
     try:
         return build(payload)
     except (KeyError, TypeError, ValueError) as exc:

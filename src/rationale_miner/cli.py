@@ -1,7 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 when any issue failed to process (or a runtime
-error or a failed write stopped a command), 2 on configuration errors.
+Every command but ``export`` reads the corpus first.  Exit codes: 0 on
+success, 1 when a corpus file was skipped or an item (an issue, an annotation,
+a mined file) failed, or a runtime error or a failed write stopped the
+command, 2 on configuration errors.
 """
 
 from __future__ import annotations
@@ -101,14 +103,6 @@ def _analyzer(cfg: RunConfig) -> SentimentAnalyzer:
     return SentimentAnalyzer(lexicon_path=cfg.lexicon_path)
 
 
-def _load_issues(cfg: RunConfig) -> tuple[list[IssueLog], int]:
-    """The cleaned corpus and the number of files skipped, each reported."""
-    issues, skipped = load_corpus(cfg.corpus_dir, cfg.encoding, tuple(cfg.bot_authors))
-    for line in skipped:
-        print(f"skipping {line}", file=sys.stderr)
-    return issues, len(skipped)
-
-
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     try:
@@ -158,6 +152,9 @@ class _Pipeline:
 
 
 _Step = Callable[[IssueLog, Any], tuple[str, list[str]]]
+# A command: it gets the config, the cleaned corpus and the parsed flags, and
+# returns the number of items (issues, annotations, mined files) it failed.
+_Command = Callable[[RunConfig, list[IssueLog], argparse.Namespace], int]
 
 
 def _run_step(step: _Step, issue: IssueLog, context: Any,
@@ -184,9 +181,8 @@ def _report(issue: IssueLog, job: Future) -> int:
     return 0
 
 
-def _each_issue(cfg: RunConfig, build: Callable[[RunConfig], ContextManager[Any]],
-                step: _Step) -> int:
-    """Load the corpus, then run ``step(issue, context)`` on every issue,
+def _each_issue(build: Callable[[RunConfig], ContextManager[Any]], step: _Step) -> _Command:
+    """The command that runs ``step(issue, context)`` on every issue,
     ``context`` being what ``build(cfg)`` enters; it is left once every
     issue is done.
 
@@ -194,19 +190,22 @@ def _each_issue(cfg: RunConfig, build: Callable[[RunConfig], ContextManager[Any]
     its calls take only the slots that issue k leaves idle.  The step writes
     the issue's outputs and returns its stdout line and its warnings.
     Warnings, lines and ``failed on`` lines come out in corpus order.  A
-    MiningError or OSError fails that issue alone; any failed issue or
-    skipped file makes the exit code 1.
+    MiningError or OSError fails that issue alone; the command returns the
+    number of failed issues.
     """
-    issues, failures = _load_issues(cfg)
-    with build(cfg) as context, ThreadPoolExecutor(max_workers=2) as drivers:
-        running: deque = deque()
-        for rank, issue in enumerate(issues):
-            running.append((issue, drivers.submit(_run_step, step, issue, context, rank)))
-            if len(running) == 2:
+    def run(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
+        failures = 0
+        with build(cfg) as context, ThreadPoolExecutor(max_workers=2) as drivers:
+            running: deque = deque()
+            for rank, issue in enumerate(issues):
+                running.append((issue, drivers.submit(_run_step, step, issue, context, rank)))
+                if len(running) == 2:
+                    failures += _report(*running.popleft())
+            while running:
                 failures += _report(*running.popleft())
-        while running:
-            failures += _report(*running.popleft())
-    return 1 if failures else 0
+        return failures
+
+    return run
 
 
 def _ingest(issue: IssueLog, out: Path) -> tuple[str, list[str]]:
@@ -250,27 +249,10 @@ def _mine(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
     return f"{issue.key}: {len(result.rationales)} rationale(s) -> {json_path}", result.warnings
 
 
-def cmd_ingest(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _each_issue(cfg, lambda cfg: nullcontext(_outdir(cfg)), _ingest)
-
-
-def cmd_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _each_issue(cfg, lambda cfg: _Pipeline(cfg, relate=False), _extract)
-
-
-def cmd_pair(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _each_issue(cfg, _Pipeline, _pair)
-
-
-def cmd_mine(cfg: RunConfig, args: argparse.Namespace) -> int:
-    return _each_issue(cfg, _Pipeline, _mine)
-
-
 _NO_TRAINING_DATA = "the annotations label no sentence of the corpus"
 
 
-def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
-    issues, failures = _load_issues(cfg)
+def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     annotations = _require_annotations(cfg)
     analyzer = _analyzer(cfg)
     if cfg.mode == "baseline":
@@ -312,16 +294,14 @@ def cmd_train(cfg: RunConfig, args: argparse.Namespace) -> int:
         _ensure_parent(cfg.head_path)
         save_head(head, cfg.head_path)
         print(f"cloze head trained on {len(rows)} sentences -> {cfg.head_path}")
-    return 1 if failures else 0
+    return 0
 
 
-def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
-    issues, failures = _load_issues(cfg)
+def cmd_eval(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     annotations = _require_annotations(cfg)
     out = _outdir(cfg)
-    order_by_issue = {
-        issue.key: sentence_order(enumerate_sentences(issue)) for issue in issues
-    }
+    by_key = {issue.key: issue for issue in issues}
+    failures = 0
     rows: dict[str, list[PRF]] = {
         "rationale": [], "sentence_solution": [], "sentence_argument": [],
         "extraction": [],
@@ -335,14 +315,15 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             continue
         try:
             mined = read_mined(mined_path)
-        except MalformedExport as exc:
+        except (MalformedExport, OSError) as exc:
             failures += 1
             print(f"failed to evaluate {mined_path.name}: {exc}", file=sys.stderr)
             continue
         gold = annotation.rationales
+        issue = by_key.get(annotation.issue)
+        order = sentence_order(enumerate_sentences(issue)) if issue is not None else {}
         try:
-            sentence_scores = eval_sentences(mined.rationales, gold,
-                                             order_by_issue.get(annotation.issue, {}))
+            sentence_scores = eval_sentences(mined.rationales, gold, order)
         except UnknownSentence as exc:
             failures += 1
             print(f"failed to evaluate {annotation.issue}: {exc}", file=sys.stderr)
@@ -366,11 +347,10 @@ def cmd_eval(cfg: RunConfig, args: argparse.Namespace) -> int:
             print(f"{metric:20s} P={mean.precision:.4f} R={mean.recall:.4f} "
                   f"F1={mean.f1:.4f}")
     print(f"metrics -> {csv_path}")
-    return 1 if failures else 0
+    return failures
 
 
-def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
-    issues, failures = _load_issues(cfg)
+def cmd_split(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     train, test = split_dataset(issues, cfg.seed)
     out = _outdir(cfg)
     payload = {
@@ -381,11 +361,10 @@ def cmd_split(cfg: RunConfig, args: argparse.Namespace) -> int:
     _write_json(out / "split.json", payload)
     print(f"train ({len(train)}): {', '.join(payload['train'])}")
     print(f"test ({len(test)}): {', '.join(payload['test'])}")
-    return 1 if failures else 0
+    return 0
 
 
-def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
-    issues, failures = _load_issues(cfg)
+def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     annotations = _require_annotations(cfg)
     analyzer = _analyzer(cfg)
     train, test = split_dataset(issues, cfg.seed)
@@ -405,11 +384,10 @@ def cmd_ablate(cfg: RunConfig, args: argparse.Namespace) -> int:
     out = _outdir(cfg)
     path = _write_json(out / "ablation.json", [result.__dict__ for result in results])
     print(f"ablation -> {path}")
-    return 1 if failures else 0
+    return 0
 
 
-def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
-    issues, failures = _load_issues(cfg)
+def cmd_stats(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     annotations = load_annotations(cfg.annotations_path) if cfg.annotations_path else None
     table = corpus_stats(issues, annotations)
     header = f"{'project':12s} {'issues':>6s} {'comments':>8s} {'sentences':>9s} {'design':>6s}"
@@ -417,17 +395,17 @@ def cmd_stats(cfg: RunConfig, args: argparse.Namespace) -> int:
     for row in table:
         print(f"{row['project']:12s} {row['issues']:6d} {row['comments']:8d} "
               f"{row['sentences']:9d} {row['design_sentences']:6d}")
-    return 1 if failures else 0
+    return 0
 
 
-def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
+def cmd_export(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     out = _outdir(cfg)
     failures = 0
-    mined = sorted(out.glob("*.rationales.json"))
-    if not mined:
+    paths = sorted(out.glob("*.rationales.json"))
+    if not paths:
         print(f"no mined outputs under {out}", file=sys.stderr)
         return 1
-    for path in mined:
+    for path in paths:
         target = path.with_name(path.name[: -len(".json")] + ".md")
         try:
             mined = read_mined(path)
@@ -438,7 +416,24 @@ def cmd_export(cfg: RunConfig, args: argparse.Namespace) -> int:
             print(f"failed to export {path.name}: {exc}", file=sys.stderr)
             continue
         print(f"{path.name} -> {target.name}")
-    return 1 if failures else 0
+    return failures
+
+
+# Each command: its help text and its function.
+_COMMANDS: dict[str, tuple[str, _Command]] = {
+    "ingest": ("parse, clean, and segment the corpus",
+               _each_issue(lambda cfg: nullcontext(_outdir(cfg)), _ingest)),
+    "extract": ("classify design sentences",
+                _each_issue(lambda cfg: _Pipeline(cfg, relate=False), _extract)),
+    "pair": ("classify relations between design sentences", _each_issue(_Pipeline, _pair)),
+    "mine": ("run the full pipeline and write rationales", _each_issue(_Pipeline, _mine)),
+    "train": ("train classifier heads from annotations", cmd_train),
+    "eval": ("score mined output against gold annotations", cmd_eval),
+    "split": ("hold out one issue per project", cmd_split),
+    "ablate": ("retrain with feature blocks removed", cmd_ablate),
+    "stats": ("print corpus statistics", cmd_stats),
+    "export": ("render mined rationales to markdown", cmd_export),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -447,26 +442,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mine design rationales from issue-tracker discussion logs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "ingest": (cmd_ingest, "parse, clean, and segment the corpus"),
-        "extract": (cmd_extract, "classify design sentences"),
-        "pair": (cmd_pair, "classify relations between design sentences"),
-        "mine": (cmd_mine, "run the full pipeline and write rationales"),
-        "train": (cmd_train, "train classifier heads from annotations"),
-        "eval": (cmd_eval, "score mined output against gold annotations"),
-        "split": (cmd_split, "hold out one issue per project"),
-        "ablate": (cmd_ablate, "retrain with feature blocks removed"),
-        "stats": (cmd_stats, "print corpus statistics"),
-        "export": (cmd_export, "render mined rationales to markdown"),
-    }
-    for name, (func, help_text) in commands.items():
+    for name, (help_text, _) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         _add_common(command)
         if name == "ablate":
             command.add_argument("--dimension", action="append",
+                                 choices=sorted(FEATURE_GROUPS),
                                  help="feature block to ablate (repeatable); "
                                       "default: all blocks")
-        command.set_defaults(func=func)
     return parser
 
 
@@ -474,17 +457,20 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(cfg, args)
+        issues, skipped = [], []
+        if args.command != "export":  # export reads mined files, not the corpus
+            issues, skipped = load_corpus(cfg.corpus_dir, cfg.encoding,
+                                          tuple(cfg.bot_authors))
+            for line in skipped:
+                print(f"skipping {line}", file=sys.stderr)
+        failed = _COMMANDS[args.command][1](cfg, issues, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (MiningError, OSError) as exc:  # an OSError: a file the command writes
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if skipped or failed else 0
 
 
 if __name__ == "__main__":

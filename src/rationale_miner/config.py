@@ -116,6 +116,8 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"config file not found: {file}")
         try:
             loaded = json.loads(file.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {file}: {exc}") from exc
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import BadTimestamp, ConfigError, MalformedExport, MiningError
+from .errors import BadTimestamp, ConfigError, MalformedExport, MiningError, shown
 
 DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
     "e.g.", "i.e.", "etc.", "cf.", "vs.", "al.",
@@ -82,7 +82,7 @@ class Sentence:
 def _parse_timestamp(value: str) -> _dt.datetime:
     """Parse an ISO-8601 timestamp, tolerating 'Z' and '+0000' style offsets."""
     if not isinstance(value, str) or not value.strip():
-        raise BadTimestamp(f"timestamp is not a string: {value!r}")
+        raise BadTimestamp(f"timestamp is not a string: {shown(value)}")
     text = value.strip()
     if text.endswith(("Z", "z")):
         text = text[:-1] + "+00:00"
@@ -91,7 +91,7 @@ def _parse_timestamp(value: str) -> _dt.datetime:
     try:
         return _dt.datetime.fromisoformat(text)
     except ValueError as exc:
-        raise BadTimestamp(f"unparseable timestamp: {value!r}") from exc
+        raise BadTimestamp(f"unparseable timestamp: {shown(value)}") from exc
 
 
 def is_path_component(name: str) -> bool:
@@ -114,7 +114,7 @@ def parse_issue(raw: dict) -> IssueLog:
             raise MalformedExport(f"issue export missing required field {required!r}")
     key = raw["key"]
     if not is_path_component(key):
-        raise MalformedExport(f"issue key {key!r} is not a single path component")
+        raise MalformedExport(f"issue key {shown(key)} is not a single path component")
     description = raw.get("description") or ""
     if not isinstance(description, str):
         raise MalformedExport("field 'description' must be a string")

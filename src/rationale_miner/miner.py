@@ -29,7 +29,7 @@ from .backends.baseline import DESIGN_THRESHOLD, BaselineModel, PairBaselineMode
 from .backends.heads import LogisticHead
 from .backends.protocol import DEFAULT_MAX_TOKENS, Backend
 from .corpus import IssueLog, Sentence, sentence_order
-from .errors import MalformedExport, SameSentence, UnknownSentence, UnparsableResponse
+from .errors import MalformedExport, SameSentence, UnknownSentence, UnparsableResponse, shown
 from .features import FEATURE_NAMES, POLARITY_WORDS, compute_feature_matrix
 from .prompts import (
     CLOZE_MAX_SEQUENCE,
@@ -437,7 +437,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
             try:
                 parsed.append(parse_relation_label(raw))
             except UnparsableResponse:
-                warnings.append(f"pair {s1.id}/{s2.id}: unparsable {what} {raw!r}; "
+                warnings.append(f"pair {s1.id}/{s2.id}: unparsable {what} {shown(raw)}; "
                                 "treated as unrelated")
                 parsed.append(None)
         return parsed

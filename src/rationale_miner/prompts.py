@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .backends.protocol import MASK_TOKEN
 from .corpus import Sentence, pair_structure
-from .errors import BudgetExhausted, CrossIssue, SameSentence, UnparsableResponse
+from .errors import BudgetExhausted, CrossIssue, SameSentence, UnparsableResponse, shown
 
 # Slots reserved for the fixed cloze wording plus sequence special tokens.
 FIXED_PROMPT_SLOTS = 8
@@ -137,5 +137,5 @@ def parse_relation_label(response: str) -> str:
     hits = [(lowered.find(label), label) for label in RELATION_LABELS]
     hits = [(pos, label) for pos, label in hits if pos >= 0]
     if not hits:
-        raise UnparsableResponse(f"no relation label in response: {response!r}")
+        raise UnparsableResponse(f"no relation label in response: {shown(response)}")
     return min(hits)[1]

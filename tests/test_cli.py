@@ -903,3 +903,100 @@ def test_load_config_defaults_are_valid():
     assert cfg.backend is None
     assert cfg.cloze_budget().max_sequence == 384
     assert cfg.pair_budget().max_sequence == 512
+
+
+def test_eval_reports_an_unreadable_mined_file_and_scores_the_rest(workspace, fixtures_dir,
+                                                                   capsys):
+    tmp_path, config, config_path = workspace
+    gold_path = _add_second_issue(workspace, fixtures_dir)
+    _rewrite(workspace, annotations_path=str(gold_path))
+    assert main(["mine", "-c", str(config_path)]) == 0
+    mined = tmp_path / "out" / "FLINK-1321.rationales.json"
+    mined.unlink()
+    mined.mkdir()
+    capsys.readouterr()
+    assert main(["eval", "-c", str(config_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"failed to evaluate FLINK-1321.rationales.json: [Errno 21] Is a directory: '{mined}'\n")
+    metrics = (tmp_path / "out" / "metrics.csv").read_bytes()
+    assert metrics == (fixtures_dir / "metrics-expected.csv").read_bytes()
+
+
+def test_ablate_rejects_an_unknown_dimension_before_any_work(workspace, fixtures_dir, capsys):
+    tmp_path, config, config_path = workspace
+    gold_path = _add_second_issue(workspace, fixtures_dir)
+    _rewrite(workspace, annotations_path=str(gold_path))
+    with pytest.raises(SystemExit) as exit_:
+        main(["ablate", "-c", str(config_path), "--dimension", "bogus"])
+    assert exit_.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --dimension: invalid choice: 'bogus'" in captured.err
+    assert not (tmp_path / "out" / "ablation.json").exists()
+
+
+def test_an_unreadable_config_file_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # Patched, since a chmod does not stop a superuser from reading.
+    config = tmp_path / "config.json"
+    config.write_text("{}", encoding="utf-8")
+    read_text = Path.read_text
+
+    def refuse(self, *args, **kwargs):
+        if self == config:
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["stats", "-c", str(config)]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot read config file {config}: "
+                                       f"[Errno 13] Permission denied: '{config}'\n")
+
+
+def _written(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("command", ["ingest", "extract", "pair", "mine", "train", "eval",
+                                     "split", "ablate", "stats"])
+def test_a_skipped_corpus_file_is_reported_first_and_only_sets_the_exit_code(
+        workspace, fixtures_dir, capsys, command):
+    tmp_path, config, config_path = workspace
+    gold_path = _add_second_issue(workspace, fixtures_dir)
+    _rewrite(workspace, annotations_path=str(gold_path))
+    outs = {name: tmp_path / name for name in ("clean", "broken")}
+    if command == "eval":
+        for out in outs.values():
+            assert main(["mine", "-c", str(config_path), "--out", str(out)]) == 0
+    runs = {}
+    for name, out in outs.items():
+        if name == "broken":
+            (tmp_path / "corpus" / "broken.json").write_text("{not json", encoding="utf-8")
+        head = ["--head", str(out / "head.json")] if command == "train" else []
+        capsys.readouterr()
+        code = main([command, "-c", str(config_path), "--out", str(out), *head])
+        captured = capsys.readouterr()
+        runs[name] = (code, captured.out.replace(str(out), "OUT"),
+                      captured.err.replace(str(out), "OUT").splitlines(), _written(out))
+    clean_code, clean_out, clean_err, clean_files = runs["clean"]
+    code, out, [skipping, *err], files = runs["broken"]
+    assert (clean_code, code) == (0, 1)
+    assert skipping.startswith("skipping broken.json: ")
+    assert (out, err, files) == (clean_out, clean_err, clean_files)
+
+
+def test_export_reads_no_corpus(workspace, capsys):
+    tmp_path, config, config_path = workspace
+    assert main(["mine", "-c", str(config_path)]) == 0
+    capsys.readouterr()
+    assert main(["export", "-c", str(config_path), "--corpus", str(tmp_path / "absent")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == "FLINK-1320.rationales.json -> FLINK-1320.rationales.md\n"
+
+
+def test_readme_command_block_names_every_subcommand():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^rationale-miner (\w+) +--config cfg\.json", readme, flags=re.M)
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if action.dest == "command")
+    assert listed == list(subcommands)

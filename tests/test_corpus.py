@@ -72,6 +72,21 @@ def test_parse_issue_rejects_bad_timestamps():
         parse_issue(raw)
 
 
+@pytest.mark.parametrize("raw", [
+    {"key": "A/" + "k" * 100_000, "summary": "x"},
+    {"key": "A-1", "summary": "x",
+     "comments": [{"author": "a", "body": "b", "created": ["t"] * 20_000}]},
+    {"key": "A-1", "summary": "x",
+     "comments": [{"author": "a", "body": "b", "created": "t" * 100_000}]},
+], ids=["key", "timestamp-not-a-string", "timestamp-unparseable"])
+def test_a_huge_key_or_timestamp_is_cut_in_the_skipping_line(tmp_path, raw):
+    (tmp_path / "huge.json").write_text(json.dumps(raw), encoding="utf-8")
+    issues, [line] = load_corpus(tmp_path)
+    assert issues == []
+    assert line.startswith("huge.json: ") and re.search(r"… \(\d+ chars\)", line)
+    assert len(line) < 300
+
+
 @pytest.mark.parametrize("stamp", [
     "2014-01-08T10:22:31.000+0000",
     "2014-01-08T10:22:31+00:00",

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -197,6 +199,21 @@ def test_load_head_unknown_kind(tmp_path):
     path.write_text('{"kind": "tree", "weights": [], "bias": 0}', encoding="utf-8")
     with pytest.raises(ModelMissing):
         load_head(path)
+
+
+@pytest.mark.parametrize("field,error", [("kind", ModelMissing),
+                                         ("fingerprint", FingerprintMismatch)])
+def test_a_huge_kind_or_fingerprint_is_cut_in_the_message(tmp_path, field, error):
+    path = tmp_path / "head.json"
+    save_head(LogisticHead(weights=np.zeros(2), bias=0.0, fingerprint="new"), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[field] = "x" * 100_000
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(error) as raised:
+        load_head(path, expected_fingerprint="new")
+    message = str(raised.value)
+    assert f"'{'x' * 199}… (100002 chars)" in message
+    assert len(message) < 400 + len(str(path))
 
 
 @settings(max_examples=50, deadline=None)

@@ -287,6 +287,18 @@ def test_classify_pairs_unparsable_forward_downgrades_to_unrelated():
     assert "c0-s0/c1-s0" in warnings[0] and "unparsable" in warnings[0]
 
 
+def test_a_huge_unparsable_reply_is_cut_in_the_warning():
+    a, b, c = _abc_sentences()
+    reply = "hmm " * 25_000
+    backend = _pair_backend([
+        {"contains": ["Sentence 1: Alpha", "Sentence 2: Bravo"], "text": reply},
+    ])
+    _, [warning] = classify_pairs([a, b, c], backend)
+    assert warning.startswith("pair c0-s0/c1-s0: unparsable response 'hmm hmm")
+    assert warning.endswith(f" ({len(repr(reply))} chars); treated as unrelated")
+    assert len(warning) < 300
+
+
 def test_classify_pairs_unparsable_reverse_downgrades_to_unrelated():
     a, b, c = _abc_sentences()
     backend = _pair_backend([

@@ -215,3 +215,12 @@ def test_parse_relation_label_first_occurrence_wins(response, expected):
 def test_parse_relation_label_rejects_unlabeled_responses(response):
     with pytest.raises(UnparsableResponse):
         parse_relation_label(response)
+
+
+def test_a_huge_unlabeled_response_is_cut_in_the_message():
+    response = "hmm " * 25_000
+    with pytest.raises(UnparsableResponse) as error:
+        parse_relation_label(response)
+    message = str(error.value)
+    assert message.endswith(f"{repr(response)[:200]}… ({len(repr(response))} chars)")
+    assert len(message) < 300
