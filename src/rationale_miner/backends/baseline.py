@@ -107,7 +107,6 @@ class BaselineModel:
     vectorizer: TfidfVectorizer
     scaler: _Scaler
     head: LogisticHead
-    fingerprint: str = BASELINE_FINGERPRINT
 
     def _design_matrix(self, texts: list[str], features: np.ndarray) -> np.ndarray:
         dense = self.scaler.transform(np.asarray(features, dtype=np.float64))
@@ -125,7 +124,6 @@ class BaselineModel:
             "kind": "design_baseline",
             "vocabulary": self.vectorizer.vocabulary,
             "idf": self.vectorizer.idf.tolist(),
-            "fingerprint": self.fingerprint,
         }
 
     @classmethod
@@ -135,17 +133,15 @@ class BaselineModel:
             idf=np.asarray(payload["idf"], dtype=np.float64),
         )
         return cls(vectorizer=vectorizer, scaler=_Scaler.from_json(payload),
-                   head=LogisticHead.from_json(payload),
-                   fingerprint=payload.get("fingerprint", ""))
+                   head=LogisticHead.from_json(payload))
 
     def save(self, path: str | Path) -> None:
         write_model(self.to_json(), path)
 
     @classmethod
-    def load(cls, path: str | Path, expected_fingerprint: str | None = None
-             ) -> "BaselineModel":
+    def load(cls, path: str | Path) -> "BaselineModel":
         return read_model(path, "baseline", {"design_baseline": cls.from_json},
-                          expected_fingerprint)
+                          BASELINE_FINGERPRINT)
 
 
 def train_baseline(texts: list[str], features: np.ndarray, labels: np.ndarray) -> BaselineModel:
@@ -180,7 +176,6 @@ def pair_features(s1: Sentence, s2: Sentence) -> np.ndarray:
 class PairBaselineModel:
     scaler: _Scaler
     head: SoftmaxHead
-    fingerprint: str = PAIR_FINGERPRINT
 
     def predict_proba(self, pair_matrix: np.ndarray) -> np.ndarray:
         return self.head.predict_proba(self.scaler.transform(pair_matrix))
@@ -189,22 +184,19 @@ class PairBaselineModel:
         return self.predict_proba(pair_matrix).argmax(axis=1)
 
     def to_json(self) -> dict:
-        return {**self.head.to_json(), **self.scaler.to_json(),
-                "kind": "pair_baseline", "fingerprint": self.fingerprint}
+        return {**self.head.to_json(), **self.scaler.to_json(), "kind": "pair_baseline"}
 
     @classmethod
     def from_json(cls, payload: dict) -> "PairBaselineModel":
-        return cls(scaler=_Scaler.from_json(payload), head=SoftmaxHead.from_json(payload),
-                   fingerprint=payload.get("fingerprint", ""))
+        return cls(scaler=_Scaler.from_json(payload), head=SoftmaxHead.from_json(payload))
 
     def save(self, path: str | Path) -> None:
         write_model(self.to_json(), path)
 
     @classmethod
-    def load(cls, path: str | Path, expected_fingerprint: str | None = None
-             ) -> "PairBaselineModel":
+    def load(cls, path: str | Path) -> "PairBaselineModel":
         return read_model(path, "pair baseline", {"pair_baseline": cls.from_json},
-                          expected_fingerprint)
+                          PAIR_FINGERPRINT)
 
 
 def train_pair_baseline(pair_matrix: np.ndarray, labels: np.ndarray) -> PairBaselineModel:

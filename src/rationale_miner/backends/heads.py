@@ -138,9 +138,11 @@ def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
 
 
 def write_model(payload: dict, path: str | Path) -> None:
-    """Write a model file: indented JSON with sorted keys and a final newline."""
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    """Write a model file, and its directory if missing: indented JSON with
+    sorted keys and a final newline."""
+    file = Path(path)
+    file.parent.mkdir(parents=True, exist_ok=True)
+    file.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict], Any]],

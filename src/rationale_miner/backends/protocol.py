@@ -26,7 +26,7 @@ from http.client import HTTPConnection, HTTPException, HTTPSConnection, RemoteDi
 from urllib.parse import SplitResult, unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
-from ..errors import ConfigError, ProtocolError, TransportError
+from ..errors import ConfigError, ProtocolError, TransportError, shown
 
 MASK_TOKEN = "[MASK]"
 ENV_AUTH_TOKEN = "RATIONALE_MINER_AUTH_TOKEN"
@@ -68,7 +68,7 @@ def checked_probs(candidates: Sequence[str], payload) -> tuple[float, ...]:
         # Compared as sent: nan fails, and an integer too large for a float
         # is never converted.
         if not 0.0 <= p <= 1.0:
-            raise ProtocolError(f"mask probability out of range: {p!r}")
+            raise ProtocolError(f"mask probability out of range: {shown(p)}")
     if len(probs) != len(candidates):
         raise ProtocolError(f"mask-probs response has {len(probs)} probs for "
                             f"{len(candidates)} candidates")
@@ -109,10 +109,11 @@ def split_base_url(url: str) -> SplitResult:
         parts = urlsplit(url)
         parts.port  # raises ValueError on a malformed port
     except ValueError as exc:
-        raise ConfigError(f"backend_url is not a valid URL: {url!r} ({exc})") from exc
+        raise ConfigError(f"backend_url is not a valid URL: {shown(url)} "
+                          f"({shown(str(exc))})") from exc
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"backend_url must be an http:// or https:// URL with a host, "
-                          f"got {url!r}")
+                          f"got {shown(url)}")
     return parts
 
 
@@ -124,7 +125,7 @@ def _environment_proxy(url: SplitResult) -> SplitResult | None:
         return None
     parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
     if parts.scheme != "http" or not parts.hostname:
-        raise ConfigError(f"unsupported {url.scheme} proxy {proxy!r}: "
+        raise ConfigError(f"unsupported {url.scheme} proxy {shown(proxy)}: "
                           "only http:// proxies are supported")
     return parts
 

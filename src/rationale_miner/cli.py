@@ -37,6 +37,7 @@ from .errors import (
     MalformedExport,
     MiningError,
     UnknownSentence,
+    shown,
 )
 from .evaluation import (
     Annotation,
@@ -108,13 +109,9 @@ def _outdir(cfg: RunConfig) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file of that name, say
-        raise ConfigError(f"output_dir {cfg.output_dir!r} is not a usable directory: "
-                          f"{exc}") from exc
+        raise ConfigError(f"output_dir {shown(cfg.output_dir)} is not a usable directory: "
+                          f"{exc.strerror}") from exc
     return out
-
-
-def _ensure_parent(path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
 def _write_json(path: Path, payload) -> Path:
@@ -262,14 +259,12 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
         if not texts:
             raise DegenerateData(_NO_TRAINING_DATA)
         model = train_baseline(texts, features, labels)
-        _ensure_parent(cfg.baseline_path)
         model.save(cfg.baseline_path)
         print(f"design baseline trained on {len(texts)} sentences -> {cfg.baseline_path}")
         if cfg.pair_baseline_path:
             matrix, pair_labels = collect_pair_data(issues, annotations)
             if len(np.unique(pair_labels)) >= 2:
                 pair_model = train_pair_baseline(matrix, pair_labels)
-                _ensure_parent(cfg.pair_baseline_path)
                 pair_model.save(cfg.pair_baseline_path)
                 print(f"pair baseline trained on {len(pair_labels)} pairs "
                       f"-> {cfg.pair_baseline_path}")
@@ -291,7 +286,6 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
             raise DegenerateData(_NO_TRAINING_DATA)
         head = train_head(np.asarray(rows), np.asarray(labels),
                           num_classes=2, fingerprint=SP_FINGERPRINT)
-        _ensure_parent(cfg.head_path)
         save_head(head, cfg.head_path)
         print(f"cloze head trained on {len(rows)} sentences -> {cfg.head_path}")
     return 0

@@ -11,17 +11,12 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .backends.baseline import (
-    BASELINE_FINGERPRINT,
-    PAIR_FINGERPRINT,
-    BaselineModel,
-    PairBaselineModel,
-)
+from .backends.baseline import BaselineModel, PairBaselineModel
 from .backends.heads import feature_fingerprint, load_head
 from .backends.protocol import RemoteBackend, split_base_url
 from .backends.scripted import ScriptedBackend
 from .corpus import DEFAULT_BOT_AUTHORS, DEFAULT_ENCODING
-from .errors import ConfigError
+from .errors import ConfigError, shown
 from .miner import (
     BaselineClassifier,
     BaselinePairClassifier,
@@ -70,11 +65,11 @@ class RunConfig:
             value = getattr(self, spec.name)
             if accepted and (not isinstance(value, accepted) or isinstance(value, bool)):
                 raise ConfigError(f"{spec.name} must be {spec.type.replace('|', 'or')}, "
-                                  f"got {value!r}")
+                                  f"got {shown(value)}")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise ConfigError(f"mode must be one of {MODES}, got {shown(self.mode)}")
         if self.backend is not None and self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
+            raise ConfigError(f"backend must be one of {BACKENDS}, got {shown(self.backend)}")
         if self.backend == "remote":
             if not self.backend_url:
                 raise ConfigError("backend_url is required when backend is 'remote'")
@@ -92,7 +87,8 @@ class RunConfig:
         try:
             "".encode(self.encoding)  # looks the codec up; refuses non-text codecs
         except (LookupError, TypeError) as exc:
-            raise ConfigError(f"encoding must name a text codec, got {self.encoding!r}") from exc
+            raise ConfigError(f"encoding must name a text codec, "
+                              f"got {shown(self.encoding)}") from exc
         return self
 
     def cloze_budget(self) -> TokenBudget:
@@ -128,7 +124,7 @@ def load_config(path: str | Path | None = None,
             values[key] = value
     unknown = set(values) - known
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {shown(sorted(unknown))}")
     try:
         return RunConfig(**values).validate()
     except TypeError as exc:
@@ -158,9 +154,7 @@ def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
                                     workers=cfg.workers, pool=pool)
     if not cfg.baseline_path:
         raise ConfigError("baseline_path is required in baseline mode")
-    model = BaselineModel.load(cfg.baseline_path,
-                               expected_fingerprint=BASELINE_FINGERPRINT)
-    return BaselineClassifier(model=model)
+    return BaselineClassifier(model=BaselineModel.load(cfg.baseline_path))
 
 
 def build_pair_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
@@ -173,6 +167,4 @@ def build_pair_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
                                     workers=cfg.workers, pool=pool)
     if not cfg.pair_baseline_path:
         raise ConfigError("pair_baseline_path is required in baseline mode")
-    model = PairBaselineModel.load(cfg.pair_baseline_path,
-                                   expected_fingerprint=PAIR_FINGERPRINT)
-    return BaselinePairClassifier(model=model)
+    return BaselinePairClassifier(model=PairBaselineModel.load(cfg.pair_baseline_path))

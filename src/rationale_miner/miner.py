@@ -4,8 +4,8 @@ A mined rationale is one solution group (design sentences that complement each
 other) plus zero or more argument groups attached to it through supporting
 relations.  Both classification stages sit behind a small interface: a
 classifier ``scores`` sentences, a pair classifier gives the ``relations`` of
-design-sentence pairs.  Roles and groups are then decided deterministically
-from the relation graph.
+design-sentence pairs: the edges of the relation graph.  Roles and groups are
+then decided deterministically from that graph.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .corpus import IssueLog, Sentence, sentence_order
 from .errors import MalformedExport, SameSentence, UnknownSentence, UnparsableResponse, shown
 from .features import FEATURE_NAMES, POLARITY_WORDS, compute_feature_matrix
 from .prompts import (
-    CLOZE_MAX_SEQUENCE,
-    PAIR_MAX_SEQUENCE,
+    CLOZE_BUDGET,
+    PAIR_BUDGET,
     RELATION_LABELS,
     TokenBudget,
     build_cloze_prompt,
@@ -184,6 +184,10 @@ def _calls(pool: CallPool | None, workers: int | None):
 class SupportingEdge:
     argument: str
     solution: str
+
+
+# A supporting edge, or a complementary pair of ids, the earlier sentence first.
+Edge = SupportingEdge | tuple[str, str]
 
 
 @dataclass
@@ -348,7 +352,7 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
 
 
 def sp_matrix(sentences: list[Sentence], features: np.ndarray, summary: str,
-              backend: Backend, budget: TokenBudget = TokenBudget(CLOZE_MAX_SEQUENCE),
+              backend: Backend, budget: TokenBudget = CLOZE_BUDGET,
               workers: int | None = None, pool: CallPool | None = None) -> np.ndarray:
     """Rows in SP_FEATURE_NAMES order: the polarity-word probabilities of each
     sentence's cloze prompt, then its features.  Needs at least one sentence.
@@ -366,7 +370,7 @@ class PromptHeadClassifier:
 
     backend: Backend
     head: LogisticHead
-    budget: TokenBudget = TokenBudget(CLOZE_MAX_SEQUENCE)
+    budget: TokenBudget = CLOZE_BUDGET
     workers: int | None = None
     pool: CallPool | None = None
 
@@ -396,14 +400,6 @@ def extract_design_sentences(sentences: list[Sentence], features: np.ndarray,
     return selected, scores
 
 
-@dataclass
-class PairDecision:
-    kind: str  # supporting | complementary
-    argument: str | None  # supporting only
-    solution: str | None
-    pair: tuple[str, str]
-
-
 def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
     """Every unordered design-sentence pair, the earlier sentence first."""
     ordered = sorted(design, key=lambda s: s.global_index)
@@ -411,10 +407,11 @@ def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
 
 
 def classify_pairs(design: list[Sentence], backend: Backend,
-                   budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE),
+                   budget: TokenBudget = PAIR_BUDGET,
                    workers: int | None = None,
-                   pool: CallPool | None = None) -> tuple[list[PairDecision], list[str]]:
-    """Relate every unordered design-sentence pair through the backend.
+                   pool: CallPool | None = None) -> tuple[list[Edge], list[str]]:
+    """The edges of every unordered design-sentence pair, in pair order, as
+    the backend relates them, with the warnings.
 
     The earlier sentence is always Sentence 1 in the first query.  A
     supporting answer triggers the reversed query; if both directions claim
@@ -446,17 +443,16 @@ def classify_pairs(design: list[Sentence], backend: Backend,
     forward = labels(pairs, reverse=False)
     reverse = iter(labels([p for p, label in zip(pairs, forward) if label == SUPPORTING],
                           reverse=True))
-    decisions: list[PairDecision] = []
+    edges: list[Edge] = []
     for (s1, s2), label in zip(pairs, forward):
-        ids = (s1.id, s2.id)
         if label == COMPLEMENTARY:
-            decisions.append(PairDecision(COMPLEMENTARY, None, None, ids))
+            edges.append((s1.id, s2.id))
         elif label == SUPPORTING and (back := next(reverse)) is not None:
             # Both directions claim support; keep the one whose solution
             # comes first in the issue.
-            argument, solution = ids[::-1] if back == SUPPORTING else ids
-            decisions.append(PairDecision(SUPPORTING, argument, solution, ids))
-    return decisions, warnings
+            edges.append(SupportingEdge(s2.id, s1.id) if back == SUPPORTING
+                         else SupportingEdge(s1.id, s2.id))
+    return edges, warnings
 
 
 @dataclass
@@ -464,11 +460,11 @@ class PromptPairClassifier:
     """Relates design sentences through pair prompts (``classify_pairs``)."""
 
     backend: Backend
-    budget: TokenBudget = TokenBudget(PAIR_MAX_SEQUENCE)
+    budget: TokenBudget = PAIR_BUDGET
     workers: int | None = None
     pool: CallPool | None = None
 
-    def relations(self, design: list[Sentence]) -> tuple[list[PairDecision], list[str]]:
+    def relations(self, design: list[Sentence]) -> tuple[list[Edge], list[str]]:
         return classify_pairs(design, self.backend, self.budget, self.workers,
                               pool=self.pool)
 
@@ -483,32 +479,29 @@ class BaselinePairClassifier:
 
     model: PairBaselineModel
 
-    def relations(self, design: list[Sentence]) -> tuple[list[PairDecision], list[str]]:
+    def relations(self, design: list[Sentence]) -> tuple[list[Edge], list[str]]:
         pairs = _pairs(design)
         if not pairs:
             return [], []
         labels = self.model.predict(np.array([pair_features(s1, s2) for s1, s2 in pairs]))
-        decisions = []
+        edges: list[Edge] = []
         for (s1, s2), label in zip(pairs, labels):
-            kind, ids = RELATION_LABELS[label], (s1.id, s2.id)
+            kind = RELATION_LABELS[label]
             if kind == SUPPORTING:
-                decisions.append(PairDecision(SUPPORTING, s2.id, s1.id, ids))
+                edges.append(SupportingEdge(argument=s2.id, solution=s1.id))
             elif kind == COMPLEMENTARY:
-                decisions.append(PairDecision(COMPLEMENTARY, None, None, ids))
-        return decisions, []
+                edges.append((s1.id, s2.id))
+        return edges, []
 
 
-def build_relation_graph(design: list[Sentence],
-                         decisions: list[PairDecision]) -> RelationGraph:
+def build_relation_graph(design: list[Sentence], edges: list[Edge]) -> RelationGraph:
+    """The graph over ``design`` with ``edges``, each kind sorted by sentence order."""
     ordered = sorted(design, key=lambda s: s.global_index)
     order = sentence_order(ordered)
-    supporting = [
-        SupportingEdge(argument=d.argument, solution=d.solution)
-        for d in decisions if d.kind == SUPPORTING
-    ]
-    complementary = [d.pair for d in decisions if d.kind == COMPLEMENTARY]
-    supporting.sort(key=lambda e: (order[e.argument], order[e.solution]))
-    complementary.sort(key=lambda p: (order[p[0]], order[p[1]]))
+    supporting = sorted((e for e in edges if isinstance(e, SupportingEdge)),
+                        key=lambda e: (order[e.argument], order[e.solution]))
+    complementary = sorted((e for e in edges if not isinstance(e, SupportingEdge)),
+                           key=lambda p: (order[p[0]], order[p[1]]))
     return RelationGraph(nodes=[s.id for s in ordered], order=order,
                          supporting=supporting, complementary=complementary)
 
@@ -526,8 +519,8 @@ def extract_stage(issue: IssueLog, classifier,
 def relate_stage(design: list[Sentence], pairs) -> tuple[RelationGraph, list[str]]:
     """Stage 2 of ``mine_issue``: the relation graph over the design
     sentences, with the warnings of the pair classifier ``pairs``."""
-    decisions, warnings = pairs.relations(design)
-    return build_relation_graph(design, decisions), warnings
+    edges, warnings = pairs.relations(design)
+    return build_relation_graph(design, edges), warnings
 
 
 def design_entries(sentences: list[Sentence], scores: np.ndarray,

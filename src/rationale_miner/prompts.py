@@ -45,6 +45,10 @@ class TokenBudget:
         return len(self.tokenize(text))
 
 
+CLOZE_BUDGET = TokenBudget(CLOZE_MAX_SEQUENCE)
+PAIR_BUDGET = TokenBudget(PAIR_MAX_SEQUENCE)
+
+
 @dataclass(frozen=True)
 class ClozePrompt:
     text: str
@@ -70,15 +74,13 @@ def _truncate(text: str, budget: TokenBudget, cap: int) -> tuple[str, bool]:
 
 
 def build_cloze_prompt(sentence: Sentence, summary: str,
-                       budget: TokenBudget | None = None) -> ClozePrompt:
+                       budget: TokenBudget = CLOZE_BUDGET) -> ClozePrompt:
     """Render the relatedness cloze for one sentence against the issue summary.
 
     The sentence keeps its leading tokens up to the budget left over after the
     summary and the fixed slots; a budget that cannot fit a single sentence
     token raises BudgetExhausted.
     """
-    if budget is None:
-        budget = TokenBudget(CLOZE_MAX_SEQUENCE)
     summary = _defuse_mask(summary)
     cap = budget.max_sequence - budget.count(summary) - FIXED_PROMPT_SLOTS
     if cap < 1:
@@ -105,15 +107,13 @@ def _render_pair(s1_text: str, s2_text: str, in_same_comment: bool, distance: in
 
 
 def build_pair_prompt(s1: Sentence, s2: Sentence,
-                      budget: TokenBudget | None = None) -> PairPrompt:
+                      budget: TokenBudget = PAIR_BUDGET) -> PairPrompt:
     """Render the relation prompt for an ordered sentence pair.
 
     Each sentence gets an independent cap of half the budget left after the
     fixed layout; tokens unused by a short sentence are not reallocated to the
     other one.
     """
-    if budget is None:
-        budget = TokenBudget(PAIR_MAX_SEQUENCE)
     if s1.issue_key != s2.issue_key:
         raise CrossIssue(f"cannot pair {s1.id} ({s1.issue_key}) with {s2.id} ({s2.issue_key})")
     if s1.id == s2.id:

@@ -87,6 +87,59 @@ def oracle_construct(nodes: list[str], order: dict[str, int],
     return rationales
 
 
+_RELATION_WORDS = ("supporting", "complementary", "unrelated")
+
+
+def oracle_relation_word(reply: str) -> str | None:
+    """The relation word that starts earliest in ``reply``, in any case; None
+    when no relation word occurs."""
+    lowered = reply.lower()
+    for start in range(len(lowered)):
+        for word in _RELATION_WORDS:
+            if lowered.startswith(word, start):
+                return word
+    return None
+
+
+def oracle_pair_relations(ids: list[str], replies: dict[tuple[str, str], str]
+                          ) -> tuple[list[tuple[str, str]], list[tuple[str, str]], list[str]]:
+    """The pair rule, for sentence ids in issue order and the reply to each
+    ordered pair (``replies[a, b]`` answers the prompt with ``a`` as Sentence
+    1): (supporting edges as (argument, solution), complementary pairs,
+    warnings), the edges sorted by issue order.
+
+    Each pair is asked earlier sentence first.  Complementary gives the pair.
+    Supporting asks the reverse order: supporting again makes the earlier
+    sentence the solution, any other word keeps the forward reading (Sentence
+    1 argues for Sentence 2).  A reply with no relation word gives no edge
+    and a warning; every forward warning comes before every reverse one.
+    Replies are echoed whole, so keep them short.
+    """
+    supporting, complementary, forward_warnings, reverse_warnings = [], [], [], []
+    for i, first in enumerate(ids):
+        for second in ids[i + 1:]:
+            label = oracle_relation_word(replies[first, second])
+            if label is None:
+                forward_warnings.append(f"pair {first}/{second}: unparsable response "
+                                        f"{replies[first, second]!r}; treated as unrelated")
+            elif label == "complementary":
+                complementary.append((first, second))
+            elif label == "supporting":
+                back = oracle_relation_word(replies[second, first])
+                if back is None:
+                    reverse_warnings.append(
+                        f"pair {first}/{second}: unparsable reverse response "
+                        f"{replies[second, first]!r}; treated as unrelated")
+                elif back == "supporting":
+                    supporting.append((second, first))
+                else:
+                    supporting.append((first, second))
+    position = {sid: i for i, sid in enumerate(ids)}
+    supporting.sort(key=lambda e: (position[e[0]], position[e[1]]))
+    complementary.sort(key=lambda e: (position[e[0]], position[e[1]]))
+    return supporting, complementary, forward_warnings + reverse_warnings
+
+
 def oracle_prf(tp: int, predicted_total: int, gold_total: int) -> tuple[float, float, float]:
     precision = tp / predicted_total if predicted_total else 0.0
     recall = tp / gold_total if gold_total else 0.0

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import io
 import json
 import logging
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -16,12 +18,7 @@ import pytest
 
 import rationale_miner
 from rationale_miner import cli
-from rationale_miner.backends.baseline import (
-    BASELINE_FINGERPRINT,
-    PAIR_FINGERPRINT,
-    BaselineModel,
-    PairBaselineModel,
-)
+from rationale_miner.backends.baseline import BaselineModel, PairBaselineModel
 from rationale_miner.backends.heads import load_head
 from rationale_miner.cli import main
 from rationale_miner.config import SP_FINGERPRINT, build_backend, load_config
@@ -166,6 +163,38 @@ def test_output_dir_that_names_a_file_is_a_config_error(workspace, capsys, comma
     assert main([command, "-c", str(config_path)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("config error: output_dir ")
+    assert captured.out == ""
+
+
+_HUGE = "x" * 100_000
+
+
+@pytest.mark.parametrize("changes,command", [
+    ({"seed": list(range(50_000))}, "stats"),
+    ({"mode": _HUGE}, "stats"),
+    ({"backend": _HUGE}, "stats"),
+    ({"encoding": _HUGE}, "stats"),
+    ({_HUGE: 1}, "stats"),
+    ({"backend": "remote", "backend_url": "ftp://" + _HUGE}, "stats"),
+    ({"backend": "remote", "backend_url": "http://models:" + _HUGE}, "stats"),
+    ({"output_dir": _HUGE}, "ingest"),
+    ({"backend": "remote", "backend_url": "http://127.0.0.1:9"}, "extract"),  # the proxy
+], ids=["seed", "mode", "backend", "encoding", "key", "url-scheme", "url-port",
+        "output-dir", "proxy"])
+def test_a_huge_config_value_is_cut_in_the_config_error(workspace, capsys, monkeypatch,
+                                                        changes, command):
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    for name in ("http_proxy", "HTTP_PROXY"):
+        monkeypatch.setenv(name, "socks5://" + _HUGE)
+    tmp_path, config, config_path = workspace
+    if "output_dir" in changes:
+        changes = {"output_dir": str(tmp_path / _HUGE)}
+    _rewrite(workspace, **changes)
+    assert main([command, "-c", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+    assert len(captured.err) < 500
     assert captured.out == ""
 
 
@@ -464,11 +493,9 @@ def test_train_baseline_writes_models(workspace, capsys):
     _rewrite(workspace, mode="baseline", baseline_path=str(baseline_path),
              pair_baseline_path=str(pair_path))
     assert main(["train", "-c", str(config_path)]) == 0
-    model = BaselineModel.load(baseline_path,
-                               expected_fingerprint=BASELINE_FINGERPRINT)
+    model = BaselineModel.load(baseline_path)
     assert len(model.head.weights) == len(model.vectorizer.vocabulary) + 29
-    pair_model = PairBaselineModel.load(pair_path,
-                                        expected_fingerprint=PAIR_FINGERPRINT)
+    pair_model = PairBaselineModel.load(pair_path)
     assert pair_model.head.weights.shape[0] == 3
     out = capsys.readouterr().out
     assert "design baseline trained on 10 sentences" in out
@@ -590,6 +617,31 @@ def test_baseline_mode_runs_end_to_end_without_a_backend(workspace, fixtures_dir
                                       "complementary": relations["complementary"]}
         assert (out / f"{key}.rationales.md").exists()
     assert (out / "metrics.csv").exists()
+
+
+def test_baseline_mode_output_on_the_synthetic_corpus_is_pinned(tmp_path, monkeypatch):
+    """Both baselines trained on the seed-0 synthetic corpus, then ``pair`` and
+    ``mine``: one sha256 over the names and bytes of the models and outputs.
+    Recorded with numpy 2.4 on x86-64."""
+    root = Path(__file__).parents[1]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["make_synthetic_corpus.py", "--out", "syn", "--seed", "0"])
+    runpy.run_path(str(root / "scripts" / "make_synthetic_corpus.py"), run_name="__main__")
+    run = tmp_path / "run"
+    (tmp_path / "config.json").write_text(json.dumps({
+        "mode": "baseline", "corpus_dir": "syn/corpus", "output_dir": "run/out",
+        "annotations_path": "syn/annotations.jsonl",
+        "baseline_path": "run/models/baseline.json",
+        "pair_baseline_path": "run/models/pair.json",
+    }), encoding="utf-8")
+    for command in ("train", "pair", "mine"):
+        assert main([command, "-c", "config.json"]) == 0, command
+    digest = hashlib.sha256()
+    for path in sorted(p for p in run.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(run).as_posix().encode() + b"\0"
+                      + path.read_bytes() + b"\0")
+    assert digest.hexdigest() == \
+        "971d6cf333a52f8bf34055edce2a2db4881ea9f89d2f50365f17bae3165cec6e"
 
 
 @pytest.mark.parametrize("url", ["localhost:8080", "ftp://models.example/", "http://",

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rationale_miner.backends.baseline import pair_features
 from rationale_miner.backends.heads import LogisticHead
@@ -11,7 +13,6 @@ from rationale_miner.errors import ProtocolError, SameSentence, UnknownSentence
 from rationale_miner.features import FEATURE_NAMES, POLARITY_WORDS
 from rationale_miner.miner import (
     BaselinePairClassifier,
-    PairDecision,
     PromptHeadClassifier,
     PromptPairClassifier,
     Rationale,
@@ -23,10 +24,12 @@ from rationale_miner.miner import (
     construct_rationales,
     extract_design_sentences,
     mine_issue,
+    relate_stage,
     render_markdown,
 )
 from rationale_miner.prompts import RELATION_LABELS
 
+from oracles import oracle_pair_relations
 from recording import Recording
 
 
@@ -233,12 +236,9 @@ def test_classify_pairs_forward_supporting():
         {"contains": ["Sentence 1: Bravo", "Sentence 2: Alpha"],
          "text": "unrelated"},
     ])
-    decisions, warnings = classify_pairs([a, b, c], backend)
+    edges, warnings = classify_pairs([a, b, c], backend)
     assert warnings == []
-    assert decisions == [
-        PairDecision(kind="supporting", argument="c0-s0", solution="c1-s0",
-                     pair=("c0-s0", "c1-s0")),
-    ]
+    assert edges == [SupportingEdge(argument="c0-s0", solution="c1-s0")]
 
 
 def test_classify_pairs_both_supporting_prefers_earlier_solution():
@@ -249,12 +249,9 @@ def test_classify_pairs_both_supporting_prefers_earlier_solution():
         {"contains": ["Sentence 1: Charlie", "Sentence 2: Alpha"],
          "text": "supporting"},
     ])
-    decisions, warnings = classify_pairs([a, b, c], backend)
+    edges, warnings = classify_pairs([a, b, c], backend)
     assert warnings == []
-    assert decisions == [
-        PairDecision(kind="supporting", argument="c2-s0", solution="c0-s0",
-                     pair=("c0-s0", "c2-s0")),
-    ]
+    assert edges == [SupportingEdge(argument="c2-s0", solution="c0-s0")]
 
 
 def test_classify_pairs_complementary_needs_no_reverse_query():
@@ -263,12 +260,9 @@ def test_classify_pairs_complementary_needs_no_reverse_query():
         {"contains": ["Sentence 1: Bravo", "Sentence 2: Charlie"],
          "text": "these look complementary to me"},
     ])
-    decisions, warnings = classify_pairs([a, b, c], backend)
+    edges, warnings = classify_pairs([a, b, c], backend)
     assert warnings == []
-    assert decisions == [
-        PairDecision(kind="complementary", argument=None, solution=None,
-                     pair=("c1-s0", "c2-s0")),
-    ]
+    assert edges == [("c1-s0", "c2-s0")]
     reversed_prompts = [p for kind, p in backend.calls
                         if kind == "generate" and "Sentence 1: Charlie" in p
                         and "Sentence 2: Bravo" in p]
@@ -281,8 +275,8 @@ def test_classify_pairs_unparsable_forward_downgrades_to_unrelated():
         {"contains": ["Sentence 1: Alpha", "Sentence 2: Bravo"],
          "text": "hmm, hard to say"},
     ])
-    decisions, warnings = classify_pairs([a, b, c], backend)
-    assert decisions == []
+    edges, warnings = classify_pairs([a, b, c], backend)
+    assert edges == []
     assert len(warnings) == 1
     assert "c0-s0/c1-s0" in warnings[0] and "unparsable" in warnings[0]
 
@@ -307,8 +301,8 @@ def test_classify_pairs_unparsable_reverse_downgrades_to_unrelated():
         {"contains": ["Sentence 1: Bravo", "Sentence 2: Alpha"],
          "text": "???"},
     ])
-    decisions, warnings = classify_pairs([a, b, c], backend)
-    assert decisions == []
+    edges, warnings = classify_pairs([a, b, c], backend)
+    assert edges == []
     assert len(warnings) == 1
     assert "reverse" in warnings[0]
 
@@ -330,15 +324,12 @@ def test_classify_pairs_earlier_sentence_is_always_sentence_one():
 
 def test_build_relation_graph_sorts_edges_by_order():
     a, b, c = _abc_sentences()
-    decisions = [
-        PairDecision(kind="supporting", argument="c2-s0", solution="c0-s0",
-                     pair=("c0-s0", "c2-s0")),
-        PairDecision(kind="supporting", argument="c1-s0", solution="c0-s0",
-                     pair=("c0-s0", "c1-s0")),
-        PairDecision(kind="complementary", argument=None, solution=None,
-                     pair=("c1-s0", "c2-s0")),
+    edges = [
+        SupportingEdge(argument="c2-s0", solution="c0-s0"),
+        SupportingEdge(argument="c1-s0", solution="c0-s0"),
+        ("c1-s0", "c2-s0"),
     ]
-    graph = build_relation_graph([c, a, b], decisions)
+    graph = build_relation_graph([c, a, b], edges)
     assert graph.nodes == ["c0-s0", "c1-s0", "c2-s0"]
     assert [(e.argument, e.solution) for e in graph.supporting] == [
         ("c1-s0", "c0-s0"), ("c2-s0", "c0-s0")]
@@ -401,16 +392,14 @@ def test_baseline_pair_classifier_direction_and_labels():
     b = _sentence("c1-s0", "Recompiling is slow.", 1, 1)
     c = _sentence("c2-s0", "Cache the statistics too.", 2, 2)
     model = _FixedLabels(["supporting", "complementary", "unrelated"])
-    decisions, warnings = BaselinePairClassifier(model).relations([c, a, b])
+    edges, warnings = BaselinePairClassifier(model).relations([c, a, b])
     # one row per unordered pair, the earlier sentence first, as in training
     assert np.array_equal(model.rows, np.array(
         [pair_features(a, b), pair_features(a, c), pair_features(b, c)]))
-    assert decisions == [
+    assert edges == [
         # supporting: the earlier sentence is the solution
-        PairDecision(kind="supporting", argument="c1-s0", solution="c0-s0",
-                     pair=("c0-s0", "c1-s0")),
-        PairDecision(kind="complementary", argument=None, solution=None,
-                     pair=("c0-s0", "c2-s0")),
+        SupportingEdge(argument="c1-s0", solution="c0-s0"),
+        ("c0-s0", "c2-s0"),
     ]
     assert warnings == []
 
@@ -420,3 +409,57 @@ def test_baseline_pair_classifier_asks_nothing_below_two_sentences():
     assert BaselinePairClassifier(model).relations(
         [_sentence("c0-s0", "One.", 0, 0)]) == ([], [])
     assert model.rows is None
+
+
+# ---------------------------------------------------------------------------
+# the pair rule against its oracle
+
+_REPLIES = ("supporting", "complementary", "unrelated", "Supporting, I think.",
+            "COMPLEMENTARY", "unrelated, not supporting", "they are complementary-ish",
+            "hard to say", "")
+
+
+# 2-6 sentences of one issue, in issue order.
+_DESIGNS = st.integers(2, 6).map(lambda n: [
+    _sentence(f"c{i}-s0", f"Point {i} of the design.", i, i) for i in range(n)])
+
+
+def _relations(graph) -> tuple[list, list]:
+    return [(e.argument, e.solution) for e in graph.supporting], graph.complementary
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prompt_pairs_follow_the_pair_rule(data):
+    ordered = data.draw(_DESIGNS)
+    replies = {(a.id, b.id): data.draw(st.sampled_from(_REPLIES))
+               for a in ordered for b in ordered if a is not b}
+    backend = ScriptedBackend({"generate": {"rules": [
+        {"contains": [f"Sentence 1: {a.text}\n", f"Sentence 2: {b.text}\n"],
+         "text": replies[a.id, b.id]} for a in ordered for b in ordered if a is not b]}})
+    graph, warnings = relate_stage(data.draw(st.permutations(ordered)),
+                                   PromptPairClassifier(backend, workers=2))
+    ids = [s.id for s in ordered]
+    supporting, complementary, expected_warnings = oracle_pair_relations(ids, replies)
+    assert graph.nodes == ids
+    assert _relations(graph) == (supporting, complementary)
+    assert warnings == expected_warnings
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_baseline_pairs_follow_the_pair_rule(data):
+    ordered = data.draw(_DESIGNS)
+    ids = [s.id for s in ordered]
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    labels = [data.draw(st.sampled_from(RELATION_LABELS)) for _ in pairs]
+    # The baseline labels each pair once, and a supporting pair takes the
+    # earlier sentence as its solution: the rule's "supporting both ways".
+    replies = {}
+    for (a, b), label in zip(pairs, labels):
+        replies[a, b], replies[b, a] = label, "supporting"
+    graph, warnings = relate_stage(data.draw(st.permutations(ordered)),
+                                   BaselinePairClassifier(_FixedLabels(labels)))
+    supporting, complementary, expected_warnings = oracle_pair_relations(ids, replies)
+    assert _relations(graph) == (supporting, complementary)
+    assert warnings == expected_warnings == []

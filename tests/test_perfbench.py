@@ -43,3 +43,29 @@ def test_traced_pass_writes_what_cli_mine_writes(perfbench, golden_corpus, fixtu
     assert worker.digest(traced_out) == \
         worker.digest(cli_out, (".rationales.json", ".rationales.md"))
     assert {span[1] for span in tracer.spans} >= {"features", "extract", "pairs", "output"}
+
+
+def test_traced_pass_of_extract_pair_mine_over_an_issue_below_two_design_sentences(
+        perfbench, golden_corpus, fixtures_dir, tmp_path):
+    # The plan of the rerun workload; the second issue's only sentence is its
+    # summary, so its traced pass builds a graph from no pair edges.
+    worker, tracing = perfbench
+    (golden_corpus / "FLINK-1321.json").write_text(json.dumps({
+        "key": "FLINK-1321", "summary": "Document the cache", "reporter": "dave",
+    }), encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "mode": "prompt_head", "backend": "scripted",
+        "script_path": str(fixtures_dir / "flink-1320-script.json"),
+        "head_path": str(fixtures_dir / "golden-head.json"),
+    }), encoding="utf-8")
+    cli_out, traced_out = tmp_path / "cli", tmp_path / "traced"
+    assert cli.main(["mine", "--config", str(config), "--corpus", str(golden_corpus),
+                     "--out", str(cli_out)]) == 0
+    counts = worker.traced_pass({"config": str(config),
+                                 "commands": ["extract", "pair", "mine"]},
+                                golden_corpus, traced_out, tracing.Tracer())
+    assert (counts["issues"], counts["failed"]) == (6, 0)
+    assert worker.digest(traced_out) == \
+        worker.digest(cli_out, (".rationales.json", ".rationales.md"))
+    assert "FLINK-1321.rationales.json" in {path.name for path in traced_out.iterdir()}
