@@ -17,11 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from ..corpus import Sentence, pair_structure
-from ..features import FEATURE_NAMES, keyword_flags, word_tokens
+from ..features import FEATURE_DIM, FEATURE_NAMES, keyword_flags, word_tokens
+from ..prompts import RELATION_LABELS
 from .heads import (
     LogisticHead,
     SoftmaxHead,
     feature_fingerprint,
+    float_array,
     read_model,
     train_head,
     write_model,
@@ -97,9 +99,9 @@ class _Scaler:
         return {"scaler_mean": self.mean.tolist(), "scaler_scale": self.scale.tolist()}
 
     @classmethod
-    def from_json(cls, payload: dict) -> "_Scaler":
-        return cls(mean=np.asarray(payload["scaler_mean"], dtype=np.float64),
-                   scale=np.asarray(payload["scaler_scale"], dtype=np.float64))
+    def from_json(cls, payload: dict, width: int) -> "_Scaler":
+        return cls(mean=float_array(payload, "scaler_mean", width),
+                   scale=float_array(payload, "scaler_scale", width))
 
 
 @dataclass
@@ -128,12 +130,11 @@ class BaselineModel:
 
     @classmethod
     def from_json(cls, payload: dict) -> "BaselineModel":
-        vectorizer = TfidfVectorizer(
-            vocabulary=list(payload["vocabulary"]),
-            idf=np.asarray(payload["idf"], dtype=np.float64),
-        )
-        return cls(vectorizer=vectorizer, scaler=_Scaler.from_json(payload),
-                   head=LogisticHead.from_json(payload))
+        vocabulary = list(payload["vocabulary"])
+        vectorizer = TfidfVectorizer(vocabulary=vocabulary,
+                                     idf=float_array(payload, "idf", len(vocabulary)))
+        return cls(vectorizer=vectorizer, scaler=_Scaler.from_json(payload, FEATURE_DIM),
+                   head=LogisticHead.from_json(payload, len(vocabulary) + FEATURE_DIM))
 
     def save(self, path: str | Path) -> None:
         write_model(self.to_json(), path)
@@ -188,7 +189,9 @@ class PairBaselineModel:
 
     @classmethod
     def from_json(cls, payload: dict) -> "PairBaselineModel":
-        return cls(scaler=_Scaler.from_json(payload), head=SoftmaxHead.from_json(payload))
+        width = len(PAIR_FEATURE_NAMES)
+        return cls(scaler=_Scaler.from_json(payload, width),
+                   head=SoftmaxHead.from_json(payload, len(RELATION_LABELS), width))
 
     def save(self, path: str | Path) -> None:
         write_model(self.to_json(), path)
@@ -203,6 +206,6 @@ def train_pair_baseline(pair_matrix: np.ndarray, labels: np.ndarray) -> PairBase
     """Fit the ternary pair-relation baseline on pair feature vectors."""
     pair_matrix = np.asarray(pair_matrix, dtype=np.float64)
     scaler = _Scaler.fit(pair_matrix)
-    head = train_head(scaler.transform(pair_matrix), labels, num_classes=3,
+    head = train_head(scaler.transform(pair_matrix), labels, len(RELATION_LABELS),
                       fingerprint=PAIR_FINGERPRINT)
     return PairBaselineModel(scaler=scaler, head=head)

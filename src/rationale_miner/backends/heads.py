@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -43,6 +44,15 @@ def expit(z: np.ndarray) -> np.ndarray:
                        count=z.size).reshape(z.shape)
 
 
+def float_array(payload: dict, key: str, *shape: int | None) -> np.ndarray:
+    """``payload[key]`` as a float64 array of ``shape``, where None stands
+    for any length; a ValueError otherwise."""
+    value = np.asarray(payload[key], dtype=np.float64)
+    if value.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, value.shape)):
+        raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
+    return value
+
+
 def feature_fingerprint(names: tuple[str, ...] | list[str]) -> str:
     """Short stable digest of an ordered feature-name list."""
     joined = ";".join(names)
@@ -65,8 +75,8 @@ class LogisticHead:
                 "meta": self.meta}
 
     @classmethod
-    def from_json(cls, payload: dict) -> "LogisticHead":
-        return cls(weights=np.asarray(payload["weights"], dtype=np.float64),
+    def from_json(cls, payload: dict, width: int | None = None) -> "LogisticHead":
+        return cls(weights=float_array(payload, "weights", width),
                    bias=float(payload["bias"]),
                    fingerprint=payload.get("fingerprint", ""),
                    meta=payload.get("meta", {}))
@@ -95,9 +105,9 @@ class SoftmaxHead:
                 "meta": self.meta}
 
     @classmethod
-    def from_json(cls, payload: dict) -> "SoftmaxHead":
-        return cls(weights=np.asarray(payload["weights"], dtype=np.float64),
-                   bias=np.asarray(payload["bias"], dtype=np.float64),
+    def from_json(cls, payload: dict, classes: int, width: int) -> "SoftmaxHead":
+        return cls(weights=float_array(payload, "weights", classes, width),
+                   bias=float_array(payload, "bias", classes),
                    fingerprint=payload.get("fingerprint", ""),
                    meta=payload.get("meta", {}))
 
@@ -149,44 +159,47 @@ def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict],
                expected_fingerprint: str | None = None) -> Any:
     """Build the model held in a file written by ``write_model``.
 
-    ``builders`` maps each accepted ``kind`` to the constructor of that model.
-    A missing or unreadable file, content that is not a JSON object, another
-    kind and a missing or malformed field raise ModelMissing.  A fingerprint
-    other than ``expected_fingerprint`` (when given) raises FingerprintMismatch.
+    ``builders`` maps each accepted ``kind`` to the constructor of that model,
+    which checks the shape of each field against the widths its reader needs.
+    A missing or unreadable file (a name too long to exist among them),
+    content that is not a JSON object, another kind and a missing or
+    malformed field raise ModelMissing.  A fingerprint other than
+    ``expected_fingerprint`` (when given) raises FingerprintMismatch.
     """
-    file = Path(path)
-    if not file.exists():
-        raise ModelMissing(f"no {name} model at {file}")
+    where = shown(str(path))
+    if not os.path.exists(path):
+        raise ModelMissing(f"no {name} model at {where}")
     try:
-        payload = json.loads(file.read_text(encoding="utf-8"))
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
-        raise ModelMissing(f"{name} at {file} is not a readable JSON file: {exc}") from exc
+        raise ModelMissing(f"{name} at {where} is not a readable JSON file: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ModelMissing(f"{name} at {file} is not a JSON object")
+        raise ModelMissing(f"{name} at {where} is not a JSON object")
     fingerprint = payload.get("fingerprint", "")
     if expected_fingerprint is not None and fingerprint != expected_fingerprint:
         raise FingerprintMismatch(
-            f"{name} at {file} was trained on feature order {shown(fingerprint)}, "
+            f"{name} at {where} was trained on feature order {shown(fingerprint)}, "
             f"expected {expected_fingerprint!r}"
         )
     kind = payload.get("kind")
     build = builders.get(kind) if isinstance(kind, str) else None
     if build is None:
-        raise ModelMissing(f"{name} at {file} has unknown kind {shown(kind)}")
+        raise ModelMissing(f"{name} at {where} has unknown kind {shown(kind)}")
     try:
         return build(payload)
     except (KeyError, TypeError, ValueError) as exc:
-        raise ModelMissing(f"{name} at {file} has a missing or malformed field: "
-                           f"{exc!r}") from exc
+        raise ModelMissing(f"{name} at {where} has a missing or malformed field: "
+                           f"{shown(exc)}") from exc
 
 
 def save_head(head: LogisticHead | SoftmaxHead, path: str | Path) -> None:
     write_model(head.to_json(), path)
 
 
-def load_head(path: str | Path,
-              expected_fingerprint: str | None = None) -> LogisticHead | SoftmaxHead:
-    """Load a saved head, checking its feature-order fingerprint if given."""
+def load_head(path: str | Path, expected_fingerprint: str | None = None,
+              width: int | None = None) -> LogisticHead:
+    """Load a saved logistic head, checking its feature-order fingerprint and
+    its number of weights if given."""
     return read_model(path, "head",
-                      {"logistic": LogisticHead.from_json, "softmax": SoftmaxHead.from_json},
+                      {"logistic": lambda payload: LogisticHead.from_json(payload, width)},
                       expected_fingerprint)

@@ -51,9 +51,11 @@ class ScriptedBackend(Backend):
             with open(path, encoding="utf-8") as handle:
                 script = json.load(handle)
         except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"cannot read script {path}: {exc}") from exc
+            # an OSError's strerror leaves out the path it carries
+            raise ConfigError(f"cannot read script {shown(str(path))}: "
+                              f"{getattr(exc, 'strerror', None) or exc}") from exc
         if not isinstance(script, dict):
-            raise ConfigError(f"script {path} must hold a JSON object")
+            raise ConfigError(f"script {shown(str(path))} must hold a JSON object")
         return cls(script)
 
     def _lookup(self, section_name: str, prompt: str, payload_key: str):

@@ -255,7 +255,7 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
     if cfg.mode == "baseline":
         if not cfg.baseline_path:
             raise ConfigError("baseline_path is required to train in baseline mode")
-        texts, features, labels, _ = collect_extraction_data(issues, annotations, analyzer)
+        texts, features, labels = collect_extraction_data(issues, annotations, analyzer)
         if not texts:
             raise DegenerateData(_NO_TRAINING_DATA)
         model = train_baseline(texts, features, labels)
@@ -362,9 +362,9 @@ def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace)
     annotations = _require_annotations(cfg)
     analyzer = _analyzer(cfg)
     train, test = split_dataset(issues, cfg.seed)
-    train_texts, train_features, train_labels, _ = collect_extraction_data(
+    train_texts, train_features, train_labels = collect_extraction_data(
         train, annotations, analyzer)
-    test_texts, test_features, test_labels, _ = collect_extraction_data(
+    test_texts, test_features, test_labels = collect_extraction_data(
         test, annotations, analyzer)
     dimensions: list[str | None] = [None]
     dimensions.extend(args.dimension or sorted(FEATURE_GROUPS))

@@ -8,6 +8,7 @@ in the config file or a flag.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -107,13 +108,13 @@ def load_config(path: str | Path | None = None,
     known = {f.name for f in fields(RunConfig)}
     values: dict = {}
     if path is not None:
-        file = Path(path)
-        if not file.is_file():
-            raise ConfigError(f"config file not found: {file}")
+        if not os.path.isfile(path):  # a name too long to exist included
+            raise ConfigError(f"config file not found: {shown(str(path))}")
         try:
-            loaded = json.loads(file.read_text(encoding="utf-8"))
+            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise ConfigError(f"cannot read config file {file}: {exc}") from exc
+            raise ConfigError(f"cannot read config file {shown(str(path))}: "
+                              f"{exc.strerror}") from exc
         except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
@@ -149,7 +150,7 @@ def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
     if cfg.mode == "prompt_head":
         if not cfg.head_path:
             raise ConfigError("head_path is required in prompt_head mode")
-        head = load_head(cfg.head_path, expected_fingerprint=SP_FINGERPRINT)
+        head = load_head(cfg.head_path, SP_FINGERPRINT, len(SP_FEATURE_NAMES))
         return PromptHeadClassifier(backend=backend, head=head, budget=cfg.cloze_budget(),
                                     workers=cfg.workers, pool=pool)
     if not cfg.baseline_path:

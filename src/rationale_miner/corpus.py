@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import json
+import os
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -154,11 +155,12 @@ def load_corpus(path: str | Path, encoding: str = DEFAULT_ENCODING,
     Returns the cleaned issues and a ``"<file name>: <reason>"`` line for each
     file skipped because it could not be read or parsed, or because an
     earlier file holds the same issue key (each key names its output files).
-    A ``path`` that is not a directory raises ConfigError.
+    A ``path`` that is not a directory, or too long a name to be one, raises
+    ConfigError.
     """
+    if not os.path.isdir(path):
+        raise ConfigError(f"corpus_dir is not a directory: {shown(str(path))}")
     root = Path(path)
-    if not root.is_dir():
-        raise ConfigError(f"corpus_dir is not a directory: {root}")
     issues, skipped, files = [], [], {}
     for file in sorted(root.glob("*.json")):
         try:

@@ -61,10 +61,6 @@ class DegenerateData(MiningError):
     """Training data contains a single class; no head can be fit."""
 
 
-class CoverageMismatch(MiningError):
-    """Annotation streams for one issue do not cover the same sentence ids."""
-
-
 class TooFewIssues(MiningError):
     """A project has too few issues to reserve one for the test split."""
 

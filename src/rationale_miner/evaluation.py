@@ -10,6 +10,7 @@ membership inside that gold rationale.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +22,6 @@ from .backends.baseline import PAIR_FEATURE_NAMES, pair_features, train_baseline
 from .corpus import IssueLog, Sentence, enumerate_sentences, is_path_component, sentence_order
 from .errors import (
     ConfigError,
-    CoverageMismatch,
     MalformedExport,
     TooFewIssues,
     UnknownDimension,
@@ -196,11 +196,11 @@ class Annotation:
 
 def load_annotations(path: str | Path) -> list[Annotation]:
     """Read one annotation per line from a JSONL file, at most one per issue.
-    A missing file is a ConfigError; a line that is not an annotation, or
-    that annotates an issue an earlier line holds, is a MalformedExport
-    naming the file and line."""
-    if not Path(path).is_file():
-        raise ConfigError(f"annotations file not found: {path}")
+    A missing file (or too long a name to be one) is a ConfigError; a line
+    that is not an annotation, or that annotates an issue an earlier line
+    holds, is a MalformedExport naming the file and line."""
+    if not os.path.isfile(path):
+        raise ConfigError(f"annotations file not found: {shown(str(path))}")
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -227,53 +227,6 @@ def save_annotations(annotations: list[Annotation], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in annotations:
             handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-
-
-def _filter_rationales(rationales: list[Rationale], keep: set[str]) -> list[Rationale]:
-    filtered = []
-    for r in rationales:
-        solution = [sid for sid in r.solution if sid in keep]
-        arguments = [[sid for sid in g if sid in keep] for g in r.arguments]
-        arguments = [g for g in arguments if g]
-        if solution:
-            filtered.append(Rationale(solution=solution, arguments=arguments))
-    return filtered
-
-
-def adjudicate(stream_a: Annotation, stream_b: Annotation,
-               expert: Annotation) -> Annotation:
-    """Merge two annotator streams with an expert tie-breaker.
-
-    All three must label exactly the same sentence ids (CoverageMismatch
-    otherwise).  Each sentence takes the majority label, and a three-way split
-    takes the expert's.  Rationale groupings come from the first stream whose
-    labels agree with the adjudicated ones, preferring the expert, then
-    stream A; if nobody matches, the expert's groupings are filtered down to
-    the adjudicated design sentences.
-    """
-    streams = (expert, stream_a, stream_b)
-    coverage = set(stream_a.labels)
-    for stream in (stream_b, expert):
-        if set(stream.labels) != coverage:
-            raise CoverageMismatch(
-                f"annotators cover different sentences for {stream_a.issue}: "
-                f"{sorted(coverage ^ set(stream.labels))}"
-            )
-    final: dict[str, str] = {}
-    for sid in sorted(coverage):
-        votes = [s.labels[sid] for s in (stream_a, stream_b, expert)]
-        counts = {label: votes.count(label) for label in set(votes)}
-        majority = [label for label, count in counts.items() if count >= 2]
-        final[sid] = majority[0] if majority else expert.labels[sid]
-    for stream in streams:
-        if stream.labels == final:
-            rationales = stream.rationales
-            break
-    else:
-        keep = {sid for sid, label in final.items() if label != CATEGORY_NONE}
-        rationales = _filter_rationales(expert.rationales, keep)
-    return Annotation(issue=stream_a.issue, annotator="adjudicated",
-                      labels=final, rationales=rationales)
 
 
 def pair_labels_from_annotation(annotation: Annotation,
@@ -396,19 +349,17 @@ def annotated_issues(issues: list[IssueLog], annotations: list[Annotation],
 def collect_extraction_data(issues: list[IssueLog],
                             annotations: list[Annotation],
                             analyzer=None):
-    """Flatten ``annotated_issues`` into (texts, features, labels, ids) for
+    """Flatten ``annotated_issues`` into (texts, features, labels) for
     training the design-sentence classifiers."""
     texts: list[str] = []
     rows: list[np.ndarray] = []
     labels: list[int] = []
-    ids: list[tuple[str, str]] = []
-    for issue, sentences, matrix, design in annotated_issues(issues, annotations, analyzer):
+    for _, sentences, matrix, design in annotated_issues(issues, annotations, analyzer):
         texts.extend(s.text for s in sentences)
         rows.extend(matrix)
         labels.extend(design)
-        ids.extend((issue.key, s.id) for s in sentences)
     features = np.array(rows) if rows else np.zeros((0, FEATURE_DIM))
-    return texts, features, np.array(labels, dtype=np.int64), ids
+    return texts, features, np.array(labels, dtype=np.int64)
 
 
 def collect_pair_data(issues: list[IssueLog], annotations: list[Annotation]):

@@ -131,14 +131,15 @@ def _load_lexicon_cached(path: str) -> dict[str, float]:
                     continue
                 parts = line.split("\t")
                 if len(parts) < 2:
-                    raise MissingLexicon(f"malformed lexicon line in {path}: {shown(line)}")
+                    raise MissingLexicon(f"malformed lexicon line in {shown(path)}: "
+                                         f"{shown(line)}")
                 try:
                     lexicon[parts[0]] = float(parts[1])
                 except ValueError as exc:
-                    raise MissingLexicon(f"non-numeric valence in {path}: "
+                    raise MissingLexicon(f"non-numeric valence in {shown(path)}: "
                                          f"{shown(line)}") from exc
     except OSError as exc:
-        raise MissingLexicon(f"cannot read sentiment lexicon at {path}") from exc
+        raise MissingLexicon(f"cannot read sentiment lexicon at {shown(path)}") from exc
     return lexicon
 
 

@@ -288,8 +288,8 @@ def test_criterion_06_sentiment_fidelity(fixtures_dir):
 
 def test_criterion_07_baseline_learnability(synthetic_split, tmp_path):
     started = time.perf_counter()
-    (train_texts, train_features, train_labels, _) = synthetic_split[0]
-    (test_texts, test_features, test_labels, _) = synthetic_split[1]
+    (train_texts, train_features, train_labels) = synthetic_split[0]
+    (test_texts, test_features, test_labels) = synthetic_split[1]
     assert len(train_texts) + len(test_texts) >= 200
 
     model = train_baseline(train_texts, train_features, train_labels)
@@ -314,8 +314,8 @@ def test_criterion_08_ablation_mechanics(synthetic_split):
             ("process", "position", "keyword", "structure", "sentiment")] == [
         5, 3, 14, 3, 4]
 
-    (train_texts, train_features, train_labels, _) = synthetic_split[0]
-    (test_texts, test_features, test_labels, _) = synthetic_split[1]
+    (train_texts, train_features, train_labels) = synthetic_split[0]
+    (test_texts, test_features, test_labels) = synthetic_split[1]
     full = run_ablation(train_texts, train_features, train_labels,
                         test_texts, test_features, test_labels, None)
     for dimension in ("process", "position", "keyword", "structure", "sentiment"):

@@ -19,6 +19,7 @@ from rationale_miner.backends.baseline import (
 )
 from rationale_miner.corpus import Sentence
 from rationale_miner.errors import FingerprintMismatch, ModelMissing
+from rationale_miner.features import FEATURE_DIM
 
 
 def _refingerprint(path, fingerprint: str) -> None:
@@ -90,7 +91,7 @@ def _toy_design_data():
     negatives = [f"thanks for the quick report number {i}" for i in range(10)]
     texts = positives + negatives
     labels = np.array([1] * 10 + [0] * 10)
-    features = np.zeros((20, 2))
+    features = np.zeros((20, FEATURE_DIM))
     features[:, 0] = labels  # one informative dense column
     return texts, features, labels
 

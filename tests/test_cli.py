@@ -14,12 +14,13 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rationale_miner
 from rationale_miner import cli
 from rationale_miner.backends.baseline import BaselineModel, PairBaselineModel
-from rationale_miner.backends.heads import load_head
+from rationale_miner.backends.heads import LogisticHead, SoftmaxHead, load_head, save_head
 from rationale_miner.cli import main
 from rationale_miner.config import SP_FINGERPRINT, build_backend, load_config
 
@@ -91,7 +92,7 @@ def test_missing_config_file(tmp_path):
 
 def test_a_config_path_that_names_a_directory_is_a_config_error(tmp_path, capsys):
     assert main(["stats", "-c", str(tmp_path)]) == 2
-    assert capsys.readouterr().err == f"config error: config file not found: {tmp_path}\n"
+    assert capsys.readouterr().err == f"config error: config file not found: '{tmp_path}'\n"
 
 
 def test_config_not_json(tmp_path):
@@ -591,6 +592,74 @@ def test_bad_pair_baseline_file_is_a_typed_error(workspace, capsys, how):
     assert err.startswith("error: ") and str(path) in err
 
 
+# Model files that their reader cannot use (a head of another kind, or an
+# array of another width than the reader needs) and the fault each names.
+_MISSHAPEN = {
+    "three-class-head": "unknown kind 'softmax'",
+    "five-weight-head": "weights has shape (5,), expected (43,)",
+    "short-idf": "idf has shape (",
+    "short-pair-scaler": "scaler_mean has shape (5,), expected (6,)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MISSHAPEN))
+def test_a_model_file_of_the_wrong_shape_is_a_typed_error(workspace, capsys, case):
+    tmp_path, config, config_path = workspace
+    head = tmp_path / "head.json"
+    baseline, pair = tmp_path / "baseline.json", tmp_path / "pair.json"
+    if case == "three-class-head":
+        save_head(SoftmaxHead(np.zeros((3, 43)), np.zeros(3), SP_FINGERPRINT), head)
+        _rewrite(workspace, head_path=str(head))
+    elif case == "five-weight-head":
+        save_head(LogisticHead(np.zeros(5), 0.0, SP_FINGERPRINT), head)
+        _rewrite(workspace, head_path=str(head))
+    else:
+        _rewrite(workspace, mode="baseline", baseline_path=str(baseline),
+                 pair_baseline_path=str(pair))
+        assert main(["train", "-c", str(config_path)]) == 0
+        path, key = (baseline, "idf") if case == "short-idf" else (pair, "scaler_mean")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload[key].pop()
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["mine", "-c", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert _MISSHAPEN[case] in captured.err
+    assert len(captured.err) < 300 + len(str(tmp_path))
+    assert captured.out == ""
+
+
+# Each path key with a name too long to exist, the changes that make a
+# command read it, and the error of a path that does not exist.
+_HUGE_PATHS = {
+    "config": ({}, "stats", 2, "config error: config file not found: "),
+    "corpus_dir": ({}, "stats", 2, "config error: corpus_dir is not a directory: "),
+    "annotations_path": ({}, "stats", 2, "config error: annotations file not found: "),
+    "script_path": ({}, "mine", 2, "config error: cannot read script "),
+    "lexicon_path": ({}, "mine", 1, "error: cannot read sentiment lexicon at "),
+    "head_path": ({}, "mine", 1, "error: no head model at "),
+    "baseline_path": ({"mode": "baseline"}, "mine", 1, "error: no baseline model at "),
+}
+
+
+@pytest.mark.parametrize("key", list(_HUGE_PATHS))
+def test_a_huge_path_gives_the_error_of_a_missing_one(workspace, capsys, key):
+    tmp_path, config, config_path = workspace
+    changes, command, code, error = _HUGE_PATHS[key]
+    huge = str(tmp_path / _HUGE)
+    if key == "config":
+        config_path = huge
+    else:
+        _rewrite(workspace, **changes, **{key: huge})
+    assert main([command, "-c", str(config_path)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{error}'{tmp_path}")
+    assert captured.err.count("\n") == 1 and f"… ({len(repr(huge))} chars)" in captured.err
+    assert len(captured.err) < 300 + len(str(tmp_path))
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # baseline mode needs no backend; prompt_head mode does
 
@@ -832,7 +901,7 @@ def test_stats_with_missing_annotations_is_a_config_error(workspace, capsys):
     tmp_path, config, config_path = workspace
     gold = tmp_path / "absent.jsonl"
     assert main(["stats", "-c", str(config_path), "--annotations", str(gold)]) == 2
-    assert capsys.readouterr().err == f"config error: annotations file not found: {gold}\n"
+    assert capsys.readouterr().err == f"config error: annotations file not found: '{gold}'\n"
 
 
 def test_split_holds_out_one_issue_per_project(workspace, fixtures_dir):
@@ -1000,8 +1069,8 @@ def test_an_unreadable_config_file_is_a_config_error(tmp_path, monkeypatch, caps
 
     monkeypatch.setattr(Path, "read_text", refuse)
     assert main(["stats", "-c", str(config)]) == 2
-    assert capsys.readouterr().err == (f"config error: cannot read config file {config}: "
-                                       f"[Errno 13] Permission denied: '{config}'\n")
+    assert capsys.readouterr().err == (f"config error: cannot read config file '{config}': "
+                                       "Permission denied\n")
 
 
 def _written(out: Path) -> dict[str, bytes]:

@@ -5,9 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from rationale_miner.corpus import IssueLog
+from rationale_miner.corpus import IssueLog, enumerate_sentences
 from rationale_miner.errors import (
-    CoverageMismatch,
     MalformedExport,
     TooFewIssues,
     UnknownDimension,
@@ -16,7 +15,6 @@ from rationale_miner.errors import (
 from rationale_miner.evaluation import (
     Annotation,
     PRF,
-    adjudicate,
     collect_extraction_data,
     collect_pair_data,
     corpus_stats,
@@ -168,61 +166,12 @@ def test_annotations_jsonl_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# adjudication
+# pair labels from groupings
 
 def _ann(annotator, labels, rationales=()):
     return Annotation(issue="DEMO-1", annotator=annotator, labels=dict(labels),
                       rationales=list(rationales))
 
-
-def test_adjudicate_majority_vote_and_grouping_source():
-    a = _ann("a", {"s0": "solution", "s1": "argument", "s2": "none"},
-             [_r(["s0"], [["s1"]])])
-    b = _ann("b", {"s0": "solution", "s1": "none", "s2": "none"})
-    expert = _ann("e", {"s0": "solution", "s1": "argument", "s2": "argument"},
-                  [_r(["s0"], [["s1"], ["s2"]])])
-    merged = adjudicate(a, b, expert)
-    assert merged.annotator == "adjudicated"
-    assert merged.issue == "DEMO-1"
-    assert merged.labels == {"s0": "solution", "s1": "argument", "s2": "none"}
-    # expert's labels disagree with the outcome, stream A's agree: A's groupings win
-    assert merged.rationales == a.rationales
-
-
-def test_adjudicate_three_way_split_takes_expert_label():
-    a = _ann("a", {"s0": "none"})
-    b = _ann("b", {"s0": "argument"})
-    expert = _ann("e", {"s0": "solution"}, [_r(["s0"])])
-    merged = adjudicate(a, b, expert)
-    assert merged.labels == {"s0": "solution"}
-    assert merged.rationales == expert.rationales  # expert matches the outcome
-
-
-def test_adjudicate_coverage_mismatch():
-    a = _ann("a", {"s0": "none", "s1": "none"})
-    b = _ann("b", {"s0": "none"})
-    expert = _ann("e", {"s0": "none", "s1": "none"})
-    with pytest.raises(CoverageMismatch):
-        adjudicate(a, b, expert)
-
-
-def test_adjudicate_falls_back_to_filtered_expert_groupings():
-    # every stream is wrong somewhere, so none matches the adjudicated labels
-    a = _ann("a", {"s0": "solution", "s1": "argument", "s2": "none"})
-    b = _ann("b", {"s0": "solution", "s1": "none", "s2": "solution"})
-    expert = _ann(
-        "e", {"s0": "none", "s1": "argument", "s2": "solution"},
-        [_r(["s2", "s9"], [["s1"], ["s8"]]), _r(["s9"], [["s0"]])],
-    )
-    merged = adjudicate(a, b, expert)
-    assert merged.labels == {"s0": "solution", "s1": "argument", "s2": "solution"}
-    # expert groupings survive only where the ids stay design sentences; the
-    # second rationale loses its whole solution and disappears
-    assert merged.rationales == [_r(["s2"], [["s1"]])]
-
-
-# ---------------------------------------------------------------------------
-# pair labels from groupings
 
 def test_pair_labels_from_annotation():
     order = {"s1": 0, "s2": 1, "a1": 2, "a2": 3, "b1": 4, "s3": 5, "d0": 6}
@@ -336,18 +285,18 @@ def test_run_ablation_zeroed_block_hurts():
 
 def test_collect_extraction_data_from_golden_issue(golden_issue, fixtures_dir):
     gold = load_annotations(fixtures_dir / "flink-1320-gold.jsonl")
-    texts, features, labels, ids = collect_extraction_data([golden_issue], gold)
-    assert len(texts) == 10
+    texts, features, labels = collect_extraction_data([golden_issue], gold)
+    sentences = enumerate_sentences(golden_issue)
+    assert texts == [s.text for s in sentences] and len(texts) == 10
     assert features.shape == (10, 29)
     assert labels.sum() == 6  # six design sentences in the gold labels
-    assert all(key == "FLINK-1320" for key, _ in ids)
-    by_id = {sid: label for (_, sid), label in zip(ids, labels)}
+    by_id = {s.id: label for s, label in zip(sentences, labels)}
     assert by_id["c0-s0"] == 1 and by_id["sum-s0"] == 0
 
 
 def test_collect_extraction_data_skips_unannotated_issues(golden_issue):
-    texts, features, labels, ids = collect_extraction_data([golden_issue], [])
-    assert texts == [] and ids == []
+    texts, features, labels = collect_extraction_data([golden_issue], [])
+    assert texts == []
     assert features.shape == (0, 29)
     assert labels.shape == (0,)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationale_miner.backends import heads
+from rationale_miner.backends.baseline import PairBaselineModel, train_pair_baseline
 from rationale_miner.backends.heads import (
     LogisticHead,
     SoftmaxHead,
@@ -170,14 +171,18 @@ def test_save_load_round_trip_logistic(tmp_path):
 
 
 def test_save_load_round_trip_softmax(tmp_path):
-    head = SoftmaxHead(weights=np.arange(6, dtype=np.float64).reshape(3, 2),
-                       bias=np.array([0.1, 0.2, 0.3]), fingerprint="aa")
-    path = tmp_path / "head.json"
-    save_head(head, path)
-    loaded = load_head(path)
+    # A softmax head is saved and loaded only as the pair baseline's head.
+    model = train_pair_baseline(np.repeat(np.eye(3, 6), 4, axis=0), np.repeat([0, 1, 2], 4))
+    path = tmp_path / "pair.json"
+    model.save(path)
+    loaded = PairBaselineModel.load(path).head
     assert isinstance(loaded, SoftmaxHead)
-    assert np.array_equal(loaded.weights, head.weights)
-    assert np.array_equal(loaded.bias, head.bias)
+    assert np.array_equal(loaded.weights, model.head.weights)
+    assert np.array_equal(loaded.bias, model.head.bias)
+    assert loaded.meta == model.head.meta
+    save_head(model.head, tmp_path / "head.json")
+    with pytest.raises(ModelMissing, match="unknown kind 'softmax'"):
+        load_head(tmp_path / "head.json")
 
 
 def test_load_head_fingerprint_mismatch(tmp_path):
@@ -201,9 +206,17 @@ def test_load_head_unknown_kind(tmp_path):
         load_head(path)
 
 
-@pytest.mark.parametrize("field,error", [("kind", ModelMissing),
-                                         ("fingerprint", FingerprintMismatch)])
-def test_a_huge_kind_or_fingerprint_is_cut_in_the_message(tmp_path, field, error):
+_REFUSED_FLOAT = "ValueError(\"could not convert string to float: '"
+
+
+@pytest.mark.parametrize("field,error,cut", [
+    ("kind", ModelMissing, f"'{'x' * 199}… (100002 chars)"),
+    ("fingerprint", FingerprintMismatch, f"'{'x' * 199}… (100002 chars)"),
+    # the builder's exception, which quotes the whole value
+    ("weights", ModelMissing, f"{_REFUSED_FLOAT}{'x' * (200 - len(_REFUSED_FLOAT))}… "
+                              "(100051 chars)"),
+], ids=["kind-ModelMissing", "fingerprint-FingerprintMismatch", "weights-ModelMissing"])
+def test_a_huge_kind_or_fingerprint_is_cut_in_the_message(tmp_path, field, error, cut):
     path = tmp_path / "head.json"
     save_head(LogisticHead(weights=np.zeros(2), bias=0.0, fingerprint="new"), path)
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -212,7 +225,7 @@ def test_a_huge_kind_or_fingerprint_is_cut_in_the_message(tmp_path, field, error
     with pytest.raises(error) as raised:
         load_head(path, expected_fingerprint="new")
     message = str(raised.value)
-    assert f"'{'x' * 199}… (100002 chars)" in message
+    assert cut in message
     assert len(message) < 400 + len(str(path))
 
 

@@ -60,7 +60,7 @@ def test_saved_pair_baseline_bytes(tmp_path):
 def test_saved_design_baseline_bytes_on_the_synthetic_split(tmp_path):
     issues, annotations = make_design_corpus(seed=0, min_sentences=200)
     train, _ = split_dataset(issues, seed=0)
-    texts, features, labels, _ = collect_extraction_data(train, annotations,
+    texts, features, labels = collect_extraction_data(train, annotations,
                                                          SentimentAnalyzer())
     train_baseline(texts, features, labels).save(tmp_path / "baseline.json")
     assert _sha256(tmp_path / "baseline.json") == \
