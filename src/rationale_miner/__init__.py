@@ -5,25 +5,3 @@ description, and comments, classifies pairwise relations between them
 (supporting or complementary), and folds the resulting graph into rationales:
 solution groups with their attached argument groups.
 """
-
-from .corpus import IssueLog, Sentence, clean_issue, enumerate_sentences, parse_issue
-from .errors import MiningError
-from .miner import (
-    ConstructionResult,
-    MineResult,
-    Rationale,
-    RelationGraph,
-    SupportingEdge,
-    construct_rationales,
-    mine_issue,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "IssueLog", "Sentence", "clean_issue", "enumerate_sentences", "parse_issue",
-    "MiningError",
-    "ConstructionResult", "MineResult", "Rationale", "RelationGraph",
-    "SupportingEdge", "construct_rationales", "mine_issue",
-    "__version__",
-]

@@ -44,11 +44,11 @@ def expit(z: np.ndarray) -> np.ndarray:
                        count=z.size).reshape(z.shape)
 
 
-def float_array(payload: dict, key: str, *shape: int | None) -> np.ndarray:
-    """``payload[key]`` as a float64 array of ``shape``, where None stands
-    for any length; a ValueError otherwise."""
+def float_array(payload: dict, key: str, *shape: int) -> np.ndarray:
+    """``payload[key]`` as a float64 array of ``shape``; a ValueError
+    otherwise."""
     value = np.asarray(payload[key], dtype=np.float64)
-    if value.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, value.shape)):
+    if value.shape != shape:
         raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
     return value
 
@@ -75,7 +75,7 @@ class LogisticHead:
                 "meta": self.meta}
 
     @classmethod
-    def from_json(cls, payload: dict, width: int | None = None) -> "LogisticHead":
+    def from_json(cls, payload: dict, width: int) -> "LogisticHead":
         return cls(weights=float_array(payload, "weights", width),
                    bias=float(payload["bias"]),
                    fingerprint=payload.get("fingerprint", ""),
@@ -156,7 +156,7 @@ def write_model(payload: dict, path: str | Path) -> None:
 
 
 def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict], Any]],
-               expected_fingerprint: str | None = None) -> Any:
+               expected_fingerprint: str) -> Any:
     """Build the model held in a file written by ``write_model``.
 
     ``builders`` maps each accepted ``kind`` to the constructor of that model,
@@ -164,7 +164,7 @@ def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict],
     A missing or unreadable file (a name too long to exist among them),
     content that is not a JSON object, another kind and a missing or
     malformed field raise ModelMissing.  A fingerprint other than
-    ``expected_fingerprint`` (when given) raises FingerprintMismatch.
+    ``expected_fingerprint`` raises FingerprintMismatch.
     """
     where = shown(str(path))
     if not os.path.exists(path):
@@ -176,7 +176,7 @@ def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict],
     if not isinstance(payload, dict):
         raise ModelMissing(f"{name} at {where} is not a JSON object")
     fingerprint = payload.get("fingerprint", "")
-    if expected_fingerprint is not None and fingerprint != expected_fingerprint:
+    if fingerprint != expected_fingerprint:
         raise FingerprintMismatch(
             f"{name} at {where} was trained on feature order {shown(fingerprint)}, "
             f"expected {expected_fingerprint!r}"
@@ -196,10 +196,9 @@ def save_head(head: LogisticHead | SoftmaxHead, path: str | Path) -> None:
     write_model(head.to_json(), path)
 
 
-def load_head(path: str | Path, expected_fingerprint: str | None = None,
-              width: int | None = None) -> LogisticHead:
+def load_head(path: str | Path, expected_fingerprint: str, width: int) -> LogisticHead:
     """Load a saved logistic head, checking its feature-order fingerprint and
-    its number of weights if given."""
+    its number of weights."""
     return read_model(path, "head",
                       {"logistic": lambda payload: LogisticHead.from_json(payload, width)},
                       expected_fingerprint)

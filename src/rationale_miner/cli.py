@@ -100,10 +100,6 @@ def _overrides(args: argparse.Namespace) -> dict:
     return values
 
 
-def _analyzer(cfg: RunConfig) -> SentimentAnalyzer:
-    return SentimentAnalyzer(lexicon_path=cfg.lexicon_path)
-
-
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     try:
@@ -136,7 +132,7 @@ class _Pipeline:
         self.backend = build_backend(cfg) if cfg.mode == "prompt_head" else None
         self.classifier = build_classifier(cfg, self.backend, self.calls)
         self.pairs = build_pair_classifier(cfg, self.backend, self.calls) if relate else None
-        self.analyzer = _analyzer(cfg)
+        self.analyzer = SentimentAnalyzer(cfg.lexicon_path)
         self.out = _outdir(cfg)
 
     def __enter__(self) -> "_Pipeline":
@@ -251,7 +247,7 @@ _NO_TRAINING_DATA = "the annotations label no sentence of the corpus"
 
 def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     annotations = _require_annotations(cfg)
-    analyzer = _analyzer(cfg)
+    analyzer = SentimentAnalyzer(cfg.lexicon_path)
     if cfg.mode == "baseline":
         if not cfg.baseline_path:
             raise ConfigError("baseline_path is required to train in baseline mode")
@@ -360,7 +356,7 @@ def cmd_split(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
 
 def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     annotations = _require_annotations(cfg)
-    analyzer = _analyzer(cfg)
+    analyzer = SentimentAnalyzer(cfg.lexicon_path)
     train, test = split_dataset(issues, cfg.seed)
     train_texts, train_features, train_labels = collect_extraction_data(
         train, annotations, analyzer)

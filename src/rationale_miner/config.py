@@ -16,7 +16,7 @@ from .backends.baseline import BaselineModel, PairBaselineModel
 from .backends.heads import feature_fingerprint, load_head
 from .backends.protocol import RemoteBackend, split_base_url
 from .backends.scripted import ScriptedBackend
-from .corpus import DEFAULT_BOT_AUTHORS, DEFAULT_ENCODING
+from .corpus import DEFAULT_BOT_AUTHORS, DEFAULT_ENCODING, can_name_a_file
 from .errors import ConfigError, shown
 from .miner import (
     BaselineClassifier,
@@ -67,6 +67,10 @@ class RunConfig:
             if accepted and (not isinstance(value, accepted) or isinstance(value, bool)):
                 raise ConfigError(f"{spec.name} must be {spec.type.replace('|', 'or')}, "
                                   f"got {shown(value)}")
+            if (spec.name.endswith(("_dir", "_path")) and value is not None
+                    and not can_name_a_file(value)):
+                raise ConfigError(f"{spec.name} holds a NUL or a character the file "
+                                  f"system cannot encode: {shown(value)}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {shown(self.mode)}")
         if self.backend is not None and self.backend not in BACKENDS:

@@ -95,10 +95,21 @@ def _parse_timestamp(value: str) -> _dt.datetime:
         raise BadTimestamp(f"unparseable timestamp: {shown(value)}") from exc
 
 
+def can_name_a_file(name: str) -> bool:
+    """Whether the file system can take ``name`` as a path: it holds no NUL,
+    and the file-system encoding can encode every character of it."""
+    try:
+        os.fsencode(name)
+    except UnicodeEncodeError:  # a lone surrogate, say
+        return False
+    return "\0" not in name
+
+
 def is_path_component(name: str) -> bool:
     """Whether ``name`` names one file in a directory.  Output files are
     named after issue keys, so a key must be one path component."""
-    return name not in ("", ".", "..") and not any(c in name for c in "/\\\0")
+    return (name not in ("", ".", "..") and not any(c in name for c in "/\\")
+            and can_name_a_file(name))
 
 
 def parse_issue(raw: dict) -> IssueLog:

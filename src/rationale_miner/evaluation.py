@@ -31,6 +31,7 @@ from .errors import (
 from .features import FEATURE_DIM, FEATURE_GROUPS, compute_feature_matrix
 from .miner import COMPLEMENTARY, SUPPORTING, UNRELATED, Rationale
 from .prompts import RELATION_LABELS
+from .sentiment import SentimentAnalyzer
 
 CATEGORY_NONE = "none"
 CATEGORY_ARGUMENT = "argument"
@@ -330,7 +331,7 @@ def run_ablation(train_texts: list[str], train_features: np.ndarray,
 
 
 def annotated_issues(issues: list[IssueLog], annotations: list[Annotation],
-                     analyzer=None
+                     analyzer: SentimentAnalyzer
                      ) -> Iterator[tuple[IssueLog, list[Sentence], np.ndarray, list[int]]]:
     """Each annotated issue with its sentences, their feature matrix and
     their design labels (1 design, 0 not), in corpus order.  Sentences
@@ -348,7 +349,7 @@ def annotated_issues(issues: list[IssueLog], annotations: list[Annotation],
 
 def collect_extraction_data(issues: list[IssueLog],
                             annotations: list[Annotation],
-                            analyzer=None):
+                            analyzer: SentimentAnalyzer):
     """Flatten ``annotated_issues`` into (texts, features, labels) for
     training the design-sentence classifiers."""
     texts: list[str] = []

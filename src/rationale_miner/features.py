@@ -76,8 +76,7 @@ def keyword_flags(text: str) -> list[float]:
     return flags
 
 
-def compute_feature_matrix(issue: IssueLog,
-                           analyzer: SentimentAnalyzer | None = None
+def compute_feature_matrix(issue: IssueLog, analyzer: SentimentAnalyzer
                            ) -> tuple[list[Sentence], np.ndarray]:
     """The 29-dimensional feature vector of every sentence of a cleaned issue,
     one row per sentence in issue order.
@@ -87,8 +86,6 @@ def compute_feature_matrix(issue: IssueLog,
     comment_position 0.  Comments per author and sentences per block are
     counted once per issue.
     """
-    if analyzer is None:
-        analyzer = SentimentAnalyzer()
     sentences = enumerate_sentences(issue)
     if not sentences:
         return [], np.zeros((0, FEATURE_DIM))

@@ -63,9 +63,17 @@ ISSUE_RANK: ContextVar[int] = ContextVar("issue_rank", default=0)
 REPLY_MEMORY = 1024
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform
+    has one (taskset and cpusets narrow it), else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class CallPool:
     """Threads that make backend calls, at most ``workers`` at once (one per
-    CPU when None).
+    usable CPU when None).
 
     Queued calls are served in (issue rank, submission) order, the rank being
     ``ISSUE_RANK`` on the submitting thread.  The oldest issue of a run thus
@@ -85,7 +93,7 @@ class CallPool:
     """
 
     def __init__(self, workers: int | None = None):
-        self.size = workers or os.cpu_count() or 1
+        self.size = workers or usable_cpus()
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._order = itertools.count()
         self._threads: list[threading.Thread] = []
@@ -426,7 +434,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
         ``reverse``; None, with a warning, for a reply that names none."""
         asked = [(s2, s1) if reverse else (s1, s2) for s1, s2 in pairs]
         with _calls(pool, workers) as calls:
-            replies = calls.call_all([(backend.generate, build_pair_prompt(a, b, budget).text,
+            replies = calls.call_all([(backend.generate, build_pair_prompt(a, b, budget),
                                        DEFAULT_MAX_TOKENS) for a, b in asked])
         what = "reverse response" if reverse else "response"
         parsed = []
@@ -506,8 +514,7 @@ def build_relation_graph(design: list[Sentence], edges: list[Edge]) -> RelationG
                          supporting=supporting, complementary=complementary)
 
 
-def extract_stage(issue: IssueLog, classifier,
-                  analyzer: SentimentAnalyzer | None = None
+def extract_stage(issue: IssueLog, classifier, analyzer: SentimentAnalyzer
                   ) -> tuple[list[Sentence], np.ndarray, list[Sentence]]:
     """Stage 1 of ``mine_issue``: every sentence of the issue, the score of
     each, and the design sentences in issue order."""
@@ -612,7 +619,7 @@ def render_markdown(issue_key: str, rationales: list[Rationale],
 
 
 def mine_issue(issue: IssueLog, classifier, pairs,
-               analyzer: SentimentAnalyzer | None = None) -> MineResult:
+               analyzer: SentimentAnalyzer) -> MineResult:
     """Run the whole pipeline for one cleaned issue (see ``clean_issue``):
     ``extract_stage`` with ``classifier``, ``relate_stage`` with the pair
     classifier ``pairs``, then ``construct_rationales``."""

@@ -55,11 +55,6 @@ class ClozePrompt:
     truncated: bool
 
 
-@dataclass(frozen=True)
-class PairPrompt:
-    text: str
-
-
 def _defuse_mask(text: str) -> str:
     # A literal mask marker inside issue text would duplicate the cloze slot,
     # so it is lowercased away.
@@ -107,7 +102,7 @@ def _render_pair(s1_text: str, s2_text: str, in_same_comment: bool, distance: in
 
 
 def build_pair_prompt(s1: Sentence, s2: Sentence,
-                      budget: TokenBudget = PAIR_BUDGET) -> PairPrompt:
+                      budget: TokenBudget = PAIR_BUDGET) -> str:
     """Render the relation prompt for an ordered sentence pair.
 
     Each sentence gets an independent cap of half the budget left after the
@@ -128,7 +123,7 @@ def build_pair_prompt(s1: Sentence, s2: Sentence,
         )
     body1, _ = _truncate(_defuse_mask(s1.text), budget, cap)
     body2, _ = _truncate(_defuse_mask(s2.text), budget, cap)
-    return PairPrompt(text=_render_pair(body1, body2, in_same_comment, distance))
+    return _render_pair(body1, body2, in_same_comment, distance)
 
 
 def parse_relation_label(response: str) -> str:

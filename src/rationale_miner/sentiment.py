@@ -159,11 +159,11 @@ def _words_and_emoticons(text: str) -> list[str]:
 
 
 class SentimentAnalyzer:
-    """Scores text against a valence lexicon with VADER-style rules."""
+    """Scores text against the valence lexicon at ``lexicon_path`` (the
+    packaged one when None) with VADER-style rules."""
 
-    def __init__(self, lexicon: dict[str, float] | None = None,
-                 lexicon_path: str | Path | None = None):
-        self.lexicon = dict(lexicon) if lexicon is not None else load_lexicon(lexicon_path)
+    def __init__(self, lexicon_path: str | Path | None = None):
+        self.lexicon = load_lexicon(lexicon_path)
 
     def scores(self, text: str) -> SentimentScores:
         if not text or not text.split():

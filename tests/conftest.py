@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from rationale_miner.corpus import clean_issue, parse_issue
+from rationale_miner.sentiment import SentimentAnalyzer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -14,6 +15,12 @@ FIXTURES = Path(__file__).parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def analyzer() -> SentimentAnalyzer:
+    """The sentiment analyzer over the packaged lexicon."""
+    return SentimentAnalyzer()
 
 
 @pytest.fixture()

@@ -152,7 +152,7 @@ def test_criterion_02_truncation_laws():
                 build_pair_prompt(s1, s2, budget)
             continue
         prompt = build_pair_prompt(s1, s2, budget)
-        lines = prompt.text.splitlines()
+        lines = prompt.splitlines()
         kept1 = next(l for l in lines if l.startswith("Sentence 1: ")).split()[2:]
         kept2 = next(l for l in lines if l.startswith("Sentence 2: ")).split()[2:]
         assert len(kept1) == min(len1, cap)
@@ -259,12 +259,12 @@ def test_criterion_04_metrics_match_oracle():
     assert disagreements == 0
 
 
-def test_criterion_05_golden_mine_byte_exact(golden_issue, fixtures_dir):
+def test_criterion_05_golden_mine_byte_exact(golden_issue, fixtures_dir, analyzer):
     backend = ScriptedBackend.from_file(fixtures_dir / "flink-1320-script.json")
     head = load_head(fixtures_dir / "golden-head.json",
-                     expected_fingerprint=SP_FINGERPRINT)
+                     expected_fingerprint=SP_FINGERPRINT, width=43)
     classifier = PromptHeadClassifier(backend=backend, head=head)
-    result = mine_issue(golden_issue, classifier, PromptPairClassifier(backend))
+    result = mine_issue(golden_issue, classifier, PromptPairClassifier(backend), analyzer)
     produced = (json.dumps(result.to_json(), indent=2) + "\n").encode("utf-8")
     assert produced == (fixtures_dir / "mined-expected.json").read_bytes()
 

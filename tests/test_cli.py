@@ -23,6 +23,7 @@ from rationale_miner.backends.baseline import BaselineModel, PairBaselineModel
 from rationale_miner.backends.heads import LogisticHead, SoftmaxHead, load_head, save_head
 from rationale_miner.cli import main
 from rationale_miner.config import SP_FINGERPRINT, build_backend, load_config
+from rationale_miner.errors import shown
 
 from stub_server import run_stub
 from test_scheduling import ISSUES, corpus  # noqa: F401  (corpus is a fixture)
@@ -321,7 +322,7 @@ def test_ingest_counts_broken_files(workspace, capsys):
 
 
 @pytest.mark.parametrize("key", ["../escaped-H-1", "sub/H-2", "..\\H-3", "..", ".",
-                                 "nul\0H-4"])
+                                 "nul\0H-4", "surrogate-\ud800H-5"])
 def test_ingest_skips_a_key_that_is_not_one_path_component(workspace, raw_issue,
                                                            key, capsys):
     tmp_path, config, config_path = workspace
@@ -332,6 +333,25 @@ def test_ingest_skips_a_key_that_is_not_one_path_component(workspace, raw_issue,
     assert "skipping escape.json: issue key" in capsys.readouterr().err
     written = set(tmp_path.rglob("*")) - before
     assert written == {tmp_path / "out", tmp_path / "out" / "FLINK-1320.sentences.jsonl"}
+
+
+@pytest.mark.parametrize("key,name,command", [
+    ("output_dir", "a\0b", "ingest"),
+    ("output_dir", "a\ud800b", "ingest"),
+    ("lexicon_path", "lexicon-\ud800.txt", "extract"),
+    ("corpus_dir", "x" * 100_000 + "\0", "stats"),
+], ids=["output-dir-nul", "output-dir-surrogate", "lexicon-path-surrogate", "huge-corpus-dir"])
+def test_a_path_the_file_system_cannot_take_is_a_config_error(workspace, capsys, key, name,
+                                                              command):
+    tmp_path, config, config_path = workspace
+    path = str(tmp_path / name)
+    _rewrite(workspace, **{key: path})
+    assert main([command, "-c", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: {key} holds a NUL or a character the file "
+                            f"system cannot encode: {shown(path)}\n")
+    assert len(captured.err) < 400
+    assert captured.out == ""
 
 
 def test_ingest_skips_an_issue_mixing_naive_and_offset_timestamps(workspace, raw_issue,
@@ -503,12 +523,30 @@ def test_train_baseline_writes_models(workspace, capsys):
     assert "pair baseline trained on 15 pairs" in out
 
 
+def test_train_reads_the_configured_lexicon(workspace):
+    tmp_path, config, config_path = workspace
+    packaged = (Path(rationale_miner.__file__).parent / "data" / "sentiment_lexicon.txt"
+                ).read_text(encoding="utf-8")
+    copy, revalued = tmp_path / "copy.txt", tmp_path / "revalued.txt"
+    copy.write_text(packaged, encoding="utf-8")
+    # "cache" is a word of the fixture's summary; the packaged lexicon lacks it
+    revalued.write_text(packaged + "cache\t3.0\n", encoding="utf-8")
+    models = []
+    for lexicon in (None, copy, revalued):
+        baseline_path = tmp_path / f"baseline-{len(models)}.json"
+        _rewrite(workspace, mode="baseline", baseline_path=str(baseline_path),
+                 lexicon_path=lexicon and str(lexicon))
+        assert main(["train", "-c", str(config_path)]) == 0
+        models.append(baseline_path.read_bytes())
+    assert models[0] == models[1] != models[2]
+
+
 def test_train_prompt_head_writes_head(workspace):
     tmp_path, config, config_path = workspace
     head_out = tmp_path / "trained-head.json"
     _rewrite(workspace, head_path=str(head_out))
     assert main(["train", "-c", str(config_path)]) == 0
-    head = load_head(head_out, expected_fingerprint=SP_FINGERPRINT)
+    head = load_head(head_out, expected_fingerprint=SP_FINGERPRINT, width=43)
     assert head.weights.shape == (43,)
 
 

@@ -145,6 +145,7 @@ def test_annotation_round_trip_and_design_ids():
     {"issue": "X-1", "annotator": "a"},
     {"issue": "X-1", "annotator": "a", "labels": ["s0"]},
     {"issue": "X-1", "annotator": "a", "labels": {"s0": "maybe"}},
+    {"issue": "X-\ud800", "annotator": "a", "labels": {}},  # names no file
 ])
 def test_annotation_from_json_rejects_bad_payloads(payload):
     with pytest.raises(MalformedExport):
@@ -283,9 +284,9 @@ def test_run_ablation_zeroed_block_hurts():
 # ---------------------------------------------------------------------------
 # data collection and corpus stats
 
-def test_collect_extraction_data_from_golden_issue(golden_issue, fixtures_dir):
+def test_collect_extraction_data_from_golden_issue(golden_issue, fixtures_dir, analyzer):
     gold = load_annotations(fixtures_dir / "flink-1320-gold.jsonl")
-    texts, features, labels = collect_extraction_data([golden_issue], gold)
+    texts, features, labels = collect_extraction_data([golden_issue], gold, analyzer)
     sentences = enumerate_sentences(golden_issue)
     assert texts == [s.text for s in sentences] and len(texts) == 10
     assert features.shape == (10, 29)
@@ -294,8 +295,8 @@ def test_collect_extraction_data_from_golden_issue(golden_issue, fixtures_dir):
     assert by_id["c0-s0"] == 1 and by_id["sum-s0"] == 0
 
 
-def test_collect_extraction_data_skips_unannotated_issues(golden_issue):
-    texts, features, labels = collect_extraction_data([golden_issue], [])
+def test_collect_extraction_data_skips_unannotated_issues(golden_issue, analyzer):
+    texts, features, labels = collect_extraction_data([golden_issue], [], analyzer)
     assert texts == []
     assert features.shape == (0, 29)
     assert labels.shape == (0,)

@@ -43,17 +43,17 @@ def test_feature_groups_partition_the_vector():
                       "structure": 3, "sentiment": 4}
 
 
-def test_frozen_vectors_for_golden_issue(golden_issue):
+def test_frozen_vectors_for_golden_issue(golden_issue, analyzer):
     fixture = json.loads(
         (FIXTURES / "features-flink-1320.json").read_text(encoding="utf-8"))
-    sentences, matrix = compute_feature_matrix(golden_issue)
+    sentences, matrix = compute_feature_matrix(golden_issue, analyzer)
     by_id = {s.id: i for i, s in enumerate(sentences)}
     for sid, expected in fixture["vectors"].items():
         np.testing.assert_allclose(matrix[by_id[sid]], np.array(expected),
                                    atol=1e-12, err_msg=sid)
 
 
-def test_hand_computed_vectors_for_a_small_issue():
+def test_hand_computed_vectors_for_a_small_issue(analyzer):
     # bob writes 2 of the 3 comments; the comments hold 1, 2 and 3 sentences.
     issue = clean_issue(parse_issue({
         "key": "PLAN-7", "summary": "Plan cache", "reporter": "alice",
@@ -66,7 +66,7 @@ def test_hand_computed_vectors_for_a_small_issue():
              "in {code}Plan p;{code} now. Done!", "created": "2020-01-03T00:00:00Z"},
         ],
     }))
-    sentences, matrix = compute_feature_matrix(issue)
+    sentences, matrix = compute_feature_matrix(issue, analyzer)
     assert [s.id for s in sentences] == [
         "sum-s0", "des-s0", "c0-s0", "c1-s0", "c1-s1", "c2-s0", "c2-s1", "c2-s2"]
     # process and position blocks, row by row
@@ -122,8 +122,8 @@ def test_keyword_flags_group_membership():
     assert flags["kw_what"] == 0.0
 
 
-def test_structure_flags_use_placeholders(golden_issue):
-    sentences, matrix = compute_feature_matrix(golden_issue)
+def test_structure_flags_use_placeholders(golden_issue, analyzer):
+    sentences, matrix = compute_feature_matrix(golden_issue, analyzer)
     by_id = {s.id: i for i, s in enumerate(sentences)}
     code_slot = FEATURE_NAMES.index("has_code")
     url_slot = FEATURE_NAMES.index("has_url")
@@ -132,18 +132,18 @@ def test_structure_flags_use_placeholders(golden_issue):
     assert (matrix[:, url_slot] == 0.0).all()
 
 
-def test_matrix_shape_and_order(golden_issue):
-    sentences, matrix = compute_feature_matrix(golden_issue)
+def test_matrix_shape_and_order(golden_issue, analyzer):
+    sentences, matrix = compute_feature_matrix(golden_issue, analyzer)
     assert matrix.shape == (len(sentences), FEATURE_DIM)
     assert matrix.dtype == np.float64
     global_slot = FEATURE_NAMES.index("global_index")
     assert list(matrix[:, global_slot]) == list(range(len(sentences)))
 
 
-def test_empty_issue_yields_empty_matrix():
+def test_empty_issue_yields_empty_matrix(analyzer):
     issue = parse_issue({"key": "A-1", "summary": "x"})
     issue.summary = ""
-    sentences, matrix = compute_feature_matrix(issue)
+    sentences, matrix = compute_feature_matrix(issue, analyzer)
     assert sentences == []
     assert matrix.shape == (0, FEATURE_DIM)
 

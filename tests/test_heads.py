@@ -55,7 +55,7 @@ SCIPY_EXPIT = [
 
 
 def test_unit_head_fixture_scores_expected_probability(fixtures_dir):
-    head = load_head(fixtures_dir / "head-unit.json")
+    head = load_head(fixtures_dir / "head-unit.json", "", 2)
     probs = head.predict_proba(np.array([[0.5, 0.5]]))
     # w.x + b = 1.0*0.5 + 0.5*0.5 - 0.25 = 0.5
     assert probs[0] == pytest.approx(0.6224593312018546, abs=1e-12)
@@ -95,7 +95,7 @@ def test_trained_head_is_the_one_scipy_would_train(tmp_path, monkeypatch):
 
 def test_golden_head_fixture_matches_feature_fingerprint(fixtures_dir):
     head = load_head(fixtures_dir / "golden-head.json",
-                     expected_fingerprint=feature_fingerprint(SP_FEATURE_NAMES))
+                     expected_fingerprint=feature_fingerprint(SP_FEATURE_NAMES), width=43)
     assert head.fingerprint == "ec8e1042f1f993ae"
     design = np.zeros(43)
     design[0] = 0.9
@@ -162,7 +162,7 @@ def test_save_load_round_trip_logistic(tmp_path):
                         fingerprint="f" * 16, meta={"note": "unit"})
     path = tmp_path / "head.json"
     save_head(head, path)
-    loaded = load_head(path, expected_fingerprint="f" * 16)
+    loaded = load_head(path, expected_fingerprint="f" * 16, width=2)
     assert isinstance(loaded, LogisticHead)
     assert np.array_equal(loaded.weights, head.weights)
     assert loaded.bias == head.bias
@@ -182,28 +182,28 @@ def test_save_load_round_trip_softmax(tmp_path):
     assert loaded.meta == model.head.meta
     save_head(model.head, tmp_path / "head.json")
     with pytest.raises(ModelMissing, match="unknown kind 'softmax'"):
-        load_head(tmp_path / "head.json")
+        load_head(tmp_path / "head.json", model.head.fingerprint, 6)
 
 
 def test_load_head_fingerprint_mismatch(tmp_path):
     path = tmp_path / "head.json"
     save_head(LogisticHead(weights=np.zeros(2), bias=0.0, fingerprint="old"), path)
     with pytest.raises(FingerprintMismatch):
-        load_head(path, expected_fingerprint="new")
-    # omitting the expectation skips the check entirely
-    assert load_head(path).fingerprint == "old"
+        load_head(path, expected_fingerprint="new", width=2)
+    # the saved fingerprint itself passes the check
+    assert load_head(path, "old", 2).fingerprint == "old"
 
 
 def test_load_head_missing_file(tmp_path):
     with pytest.raises(ModelMissing):
-        load_head(tmp_path / "nope.json")
+        load_head(tmp_path / "nope.json", "", 2)
 
 
 def test_load_head_unknown_kind(tmp_path):
     path = tmp_path / "head.json"
     path.write_text('{"kind": "tree", "weights": [], "bias": 0}', encoding="utf-8")
     with pytest.raises(ModelMissing):
-        load_head(path)
+        load_head(path, "", 0)
 
 
 _REFUSED_FLOAT = "ValueError(\"could not convert string to float: '"
@@ -223,7 +223,7 @@ def test_a_huge_kind_or_fingerprint_is_cut_in_the_message(tmp_path, field, error
     payload[field] = "x" * 100_000
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(error) as raised:
-        load_head(path, expected_fingerprint="new")
+        load_head(path, expected_fingerprint="new", width=2)
     message = str(raised.value)
     assert cut in message
     assert len(message) < 400 + len(str(path))

@@ -349,23 +349,23 @@ def test_render_markdown_missing_text_and_empty_cases():
     assert text.endswith("\n") and not text.endswith("\n\n")
 
 
-def test_mine_issue_single_design_sentence_skips_pair_stage(golden_issue):
+def test_mine_issue_single_design_sentence_skips_pair_stage(golden_issue, analyzer):
     class OneHot:
         def scores(self, sentences, features, summary):
             return np.array([1.0 if s.id == "c0-s0" else 0.0 for s in sentences])
 
     # a backend with no generate section raises if the pair stage ever runs
     backend = ScriptedBackend({})
-    result = mine_issue(golden_issue, OneHot(), PromptPairClassifier(backend))
+    result = mine_issue(golden_issue, OneHot(), PromptPairClassifier(backend), analyzer)
     assert result.design_ids == ["c0-s0"]
     assert result.graph.supporting == [] and result.graph.complementary == []
     assert [r.solution for r in result.rationales] == [["c0-s0"]]
     assert result.warnings == []
 
 
-def test_mine_issue_no_design_sentences(golden_issue):
+def test_mine_issue_no_design_sentences(golden_issue, analyzer):
     result = mine_issue(golden_issue, _FixedScores([0.0] * 10),
-                        PromptPairClassifier(ScriptedBackend({})))
+                        PromptPairClassifier(ScriptedBackend({})), analyzer)
     assert result.design_ids == []
     assert result.rationales == []
     assert result.to_json()["rationales"] == []

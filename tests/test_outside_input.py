@@ -54,7 +54,7 @@ def _rejected_as_a_reply(path):
     _raises(ConfigError, "config file is not valid JSON", load_config),
     _raises(MalformedExport, "not a JSON document", read_mined),
     _raises(MalformedExport, r"deep\.json:1: ", load_annotations),
-    _raises(ModelMissing, "not a readable JSON file", load_head),
+    _raises(ModelMissing, "not a readable JSON file", lambda path: load_head(path, "", 2)),
     _rejected_as_a_reply,
     _raises(ConfigError, "cannot read script", ScriptedBackend.from_file),
 ], ids=["load_corpus", "load_config", "read_mined", "load_annotations", "read_model",

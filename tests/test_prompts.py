@@ -53,18 +53,18 @@ def test_pair_prompt_bytes_match_golden(golden_issue):
     sentences = enumerate_sentences(golden_issue)
     by_id = {s.id: s for s in sentences}
     prompt = build_pair_prompt(by_id["des-s1"], by_id["c0-s0"])
-    assert prompt.text == _GOLDEN_PROMPTS["pair"]
+    assert prompt == _GOLDEN_PROMPTS["pair"]
     assert pair_structure(by_id["des-s1"], by_id["c0-s0"]) == (False, 1)
-    assert "are not in the same comment and their distance is 1." in prompt.text
+    assert "are not in the same comment and their distance is 1." in prompt
 
 
 def test_pair_prompt_same_comment_bytes_match_golden(golden_issue):
     sentences = enumerate_sentences(golden_issue)
     by_id = {s.id: s for s in sentences}
     prompt = build_pair_prompt(by_id["c0-s0"], by_id["c0-s1"])
-    assert prompt.text == _GOLDEN_PROMPTS["pair_same_comment"]
+    assert prompt == _GOLDEN_PROMPTS["pair_same_comment"]
     assert pair_structure(by_id["c0-s0"], by_id["c0-s1"]) == (True, 1)
-    assert "are in the same comment and their distance is 1." in prompt.text
+    assert "are in the same comment and their distance is 1." in prompt
 
 
 # ---------------------------------------------------------------------------
@@ -105,10 +105,10 @@ def test_pair_caps_are_independent():
     long_one = _sentence(" ".join(f"a{i}" for i in range(400)), global_index=0, sid="p")
     short_one = _sentence("short text", global_index=5, sid="q")
     prompt = build_pair_prompt(long_one, short_one)
-    body1 = prompt.text.split("Sentence 1: ", 1)[1].split("\nSentence 2: ", 1)[0]
-    body2 = prompt.text.split("\nSentence 2: ", 1)[1].split("\nTwo sentences", 1)[0]
+    body1 = prompt.split("Sentence 1: ", 1)[1].split("\nSentence 2: ", 1)[0]
+    body2 = prompt.split("\nSentence 2: ", 1)[1].split("\nTwo sentences", 1)[0]
     template_len = TokenBudget(PAIR_MAX_SEQUENCE).count(
-        prompt.text.replace(body1, "", 1).replace(body2, "", 1))
+        prompt.replace(body1, "", 1).replace(body2, "", 1))
     cap = (PAIR_MAX_SEQUENCE - template_len) // 2
     # The long sentence is clipped to the cap; the short one keeps its two
     # tokens and its unused allowance is not handed to the long one.
@@ -136,11 +136,11 @@ def test_pair_distance_and_same_comment_flags(golden_issue):
     by_id = {s.id: s for s in enumerate_sentences(golden_issue)}
     cross_comment = build_pair_prompt(by_id["c0-s0"], by_id["c1-s0"])
     assert pair_structure(by_id["c0-s0"], by_id["c1-s0"]) == (False, 3)
-    assert "are not in the same comment and their distance is 3." in cross_comment.text
+    assert "are not in the same comment and their distance is 3." in cross_comment
     description_pair = build_pair_prompt(by_id["des-s0"], by_id["des-s1"])
     # only comments share comments
     assert pair_structure(by_id["des-s0"], by_id["des-s1"]) == (False, 1)
-    assert "are not in the same comment and their distance is 1." in description_pair.text
+    assert "are not in the same comment and their distance is 1." in description_pair
 
 
 @settings(max_examples=100, deadline=None)
@@ -182,15 +182,15 @@ def test_pair_truncation_law(len1, len2, max_sequence):
     budget = TokenBudget(max_sequence=max_sequence)
     empty = build_pair_prompt(_sentence("", sid="x"), _sentence("", sid="y", global_index=3),
                               TokenBudget(max_sequence=600))
-    template_len = TokenBudget(max_sequence=600).count(empty.text)
+    template_len = TokenBudget(max_sequence=600).count(empty)
     cap = (max_sequence - template_len) // 2
     if cap < 1:
         with pytest.raises(BudgetExhausted):
             build_pair_prompt(s1, s2, budget)
         return
     prompt = build_pair_prompt(s1, s2, budget)
-    body1 = prompt.text.split("Sentence 1: ", 1)[1].split("\nSentence 2: ", 1)[0]
-    body2 = prompt.text.split("\nSentence 2: ", 1)[1].split("\nTwo sentences", 1)[0]
+    body1 = prompt.split("Sentence 1: ", 1)[1].split("\nSentence 2: ", 1)[0]
+    body2 = prompt.split("\nSentence 2: ", 1)[1].split("\nTwo sentences", 1)[0]
     assert len(body1.split()) == min(len1, cap)
     assert len(body2.split()) == min(len2, cap)
     assert body1.split() == [f"a{i}" for i in range(min(len1, cap))]

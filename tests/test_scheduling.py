@@ -6,6 +6,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -24,7 +25,7 @@ from rationale_miner.config import build_backend, build_pair_classifier, load_co
 from rationale_miner.corpus import clean_issue, enumerate_sentences, parse_issue
 from rationale_miner.errors import TransportError
 from rationale_miner.features import POLARITY_WORDS
-from rationale_miner.miner import ISSUE_RANK, REPLY_MEMORY, CallPool
+from rationale_miner.miner import ISSUE_RANK, REPLY_MEMORY, CallPool, usable_cpus
 
 from recording import Recording
 from stub_server import run_stub
@@ -300,6 +301,16 @@ def test_pool_serves_lower_rank_first():
         assert [f.result(timeout=30) for f in [held, *older, *later]] == [
             "gate", "b1", "b2", "c1", "c2"]
     assert served == ["gate", "b1", "b2", "c1", "c2"]
+
+
+def test_an_unset_workers_sizes_the_pool_by_the_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert usable_cpus() == 1
+    assert CallPool().size == 1
+    assert CallPool(3).size == 3
+    monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
+    assert CallPool().size == 64
 
 
 def test_pool_call_all_raises_the_first_failure_in_request_order():

@@ -22,11 +22,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 _SUITE = json.loads((FIXTURES / "sentiment-suite.json").read_text(encoding="utf-8"))
 
 
-@pytest.fixture(scope="module")
-def analyzer() -> SentimentAnalyzer:
-    return SentimentAnalyzer()
-
-
 @pytest.mark.parametrize("case", _SUITE, ids=[c["text"][:40] for c in _SUITE])
 def test_recorded_suite_compound_matches_to_four_decimals(analyzer, case):
     got = analyzer.scores(case["text"])
@@ -131,8 +126,10 @@ def test_normalize_is_bounded_and_odd():
     assert normalize(2.5) == pytest.approx(-normalize(-2.5))
 
 
-def test_custom_lexicon_dict_is_used():
-    custom = SentimentAnalyzer(lexicon={"zorp": 2.0})
+def test_custom_lexicon_file_is_used(tmp_path):
+    path = tmp_path / "lexicon.txt"
+    path.write_text("zorp\t2.0\n", encoding="utf-8")
+    custom = SentimentAnalyzer(path)
     assert custom.scores("This is zorp.").compound > 0
     assert custom.scores("This is good.").compound == 0.0
 
