@@ -26,7 +26,7 @@ from .miner import (
     PromptPairClassifier,
     SP_FEATURE_NAMES,
 )
-from .prompts import CLOZE_MAX_SEQUENCE, PAIR_MAX_SEQUENCE, TokenBudget
+from .prompts import CLOZE_MAX_SEQUENCE, PAIR_MAX_SEQUENCE
 
 MODES = ("prompt_head", "baseline")
 BACKENDS = ("remote", "scripted")
@@ -96,11 +96,11 @@ class RunConfig:
                               f"got {shown(self.encoding)}") from exc
         return self
 
-    def cloze_budget(self) -> TokenBudget:
-        return TokenBudget(self.cloze_max_sequence)
+    def cloze_budget(self) -> int:
+        return self.cloze_max_sequence
 
-    def pair_budget(self) -> TokenBudget:
-        return TokenBudget(self.pair_max_sequence)
+    def pair_budget(self) -> int:
+        return self.pair_max_sequence
 
 
 def load_config(path: str | Path | None = None,

@@ -32,10 +32,9 @@ from .corpus import IssueLog, Sentence, sentence_order
 from .errors import MalformedExport, SameSentence, UnknownSentence, UnparsableResponse, shown
 from .features import FEATURE_NAMES, POLARITY_WORDS, compute_feature_matrix
 from .prompts import (
-    CLOZE_BUDGET,
-    PAIR_BUDGET,
+    CLOZE_MAX_SEQUENCE,
+    PAIR_MAX_SEQUENCE,
     RELATION_LABELS,
-    TokenBudget,
     build_cloze_prompt,
     build_pair_prompt,
     parse_relation_label,
@@ -203,7 +202,6 @@ class RelationGraph:
     """Typed relations over the design sentences of one issue."""
 
     nodes: list[str]  # design-sentence ids in global order
-    order: dict[str, int]  # sentence id -> global index
     supporting: list[SupportingEdge] = field(default_factory=list)
     complementary: list[tuple[str, str]] = field(default_factory=list)
 
@@ -259,29 +257,6 @@ class ConstructionResult:
     warnings: list[str] = field(default_factory=list)
 
 
-class _DisjointSet:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-        self.size = {item: 1 for item in items}
-
-    def find(self, item):
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def _assign_roles(graph: RelationGraph) -> dict[str, str]:
     """Role per node: incoming supporting edges make a solution, outgoing an
     argument; conflicts go to the majority side and ties to solution.  Nodes
@@ -293,17 +268,26 @@ def _assign_roles(graph: RelationGraph) -> dict[str, str]:
     return {node: "argument" if balance[node] > 0 else "solution" for node in graph.nodes}
 
 
-def _grouped(nodes: list[str], edges: list[tuple[str, str]],
-             order: dict[str, int]) -> list[list[str]]:
-    dsu = _DisjointSet(nodes)
+def _grouped(nodes: list[str], edges: list[tuple[str, str]]) -> list[list[str]]:
+    """The connected components of ``edges`` over ``nodes``, each in node
+    order, in order of their first node.
+
+    Each node's group is a list of node positions; an edge merges the smaller
+    group into the larger, so a position moves O(log n) times.
+    """
+    group_of = [[i] for i in range(len(nodes))]
+    position = {node: i for i, node in enumerate(nodes)}
     for a, b in edges:
-        dsu.union(a, b)
-    clusters: dict[str, list[str]] = {}
-    for node in nodes:
-        clusters.setdefault(dsu.find(node), []).append(node)
-    groups = [sorted(members, key=order.__getitem__) for members in clusters.values()]
-    groups.sort(key=lambda g: order[g[0]])
-    return groups
+        small, large = group_of[position[a]], group_of[position[b]]
+        if small is large:
+            continue
+        if len(small) > len(large):
+            small, large = large, small
+        large.extend(small)
+        for i in small:
+            group_of[i] = large
+    groups = sorted(sorted(group) for group in {id(g): g for g in group_of}.values())
+    return [[nodes[i] for i in group] for group in groups]
 
 
 def construct_rationales(graph: RelationGraph) -> ConstructionResult:
@@ -330,7 +314,7 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
             )
 
     # Every group holds nodes of one role, as its edges join nodes of one role.
-    groups = _grouped(graph.nodes, same_role, graph.order)
+    groups = _grouped(graph.nodes, same_role)
     solution_groups = [g for g in groups if roles[g[0]] == "solution"]
     argument_groups = [g for g in groups if roles[g[0]] == "argument"]
     group_of = {node: gi for gi, group in enumerate(solution_groups) for node in group}
@@ -360,7 +344,7 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
 
 
 def sp_matrix(sentences: list[Sentence], features: np.ndarray, summary: str,
-              backend: Backend, budget: TokenBudget = CLOZE_BUDGET,
+              backend: Backend, budget: int = CLOZE_MAX_SEQUENCE,
               workers: int | None = None, pool: CallPool | None = None) -> np.ndarray:
     """Rows in SP_FEATURE_NAMES order: the polarity-word probabilities of each
     sentence's cloze prompt, then its features.  Needs at least one sentence.
@@ -378,7 +362,7 @@ class PromptHeadClassifier:
 
     backend: Backend
     head: LogisticHead
-    budget: TokenBudget = CLOZE_BUDGET
+    budget: int = CLOZE_MAX_SEQUENCE
     workers: int | None = None
     pool: CallPool | None = None
 
@@ -415,7 +399,7 @@ def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
 
 
 def classify_pairs(design: list[Sentence], backend: Backend,
-                   budget: TokenBudget = PAIR_BUDGET,
+                   budget: int = PAIR_MAX_SEQUENCE,
                    workers: int | None = None,
                    pool: CallPool | None = None) -> tuple[list[Edge], list[str]]:
     """The edges of every unordered design-sentence pair, in pair order, as
@@ -468,7 +452,7 @@ class PromptPairClassifier:
     """Relates design sentences through pair prompts (``classify_pairs``)."""
 
     backend: Backend
-    budget: TokenBudget = PAIR_BUDGET
+    budget: int = PAIR_MAX_SEQUENCE
     workers: int | None = None
     pool: CallPool | None = None
 
@@ -510,8 +494,8 @@ def build_relation_graph(design: list[Sentence], edges: list[Edge]) -> RelationG
                         key=lambda e: (order[e.argument], order[e.solution]))
     complementary = sorted((e for e in edges if not isinstance(e, SupportingEdge)),
                            key=lambda p: (order[p[0]], order[p[1]]))
-    return RelationGraph(nodes=[s.id for s in ordered], order=order,
-                         supporting=supporting, complementary=complementary)
+    return RelationGraph(nodes=[s.id for s in ordered], supporting=supporting,
+                         complementary=complementary)
 
 
 def extract_stage(issue: IssueLog, classifier, analyzer: SentimentAnalyzer

@@ -1,5 +1,9 @@
 """Prompt construction for the two model queries, under explicit token budgets.
 
+A budget is a maximum sequence length: a hard cap on whitespace-separated
+tokens.  Truncation rebuilds text from a token prefix joined with single
+spaces.
+
 Relatedness of one sentence to its issue is probed with a cloze prompt whose
 mask slot is filled from a fixed candidate list.  The relation between two
 design sentences is probed with an instruction prompt that names the issue
@@ -30,26 +34,6 @@ RELATION_LABELS = ("supporting", "complementary", "unrelated")
 
 
 @dataclass(frozen=True)
-class TokenBudget:
-    """Sequence-length budget: a hard cap on whitespace-separated tokens.
-
-    Truncation rebuilds text from a token prefix joined with single spaces.
-    """
-
-    max_sequence: int
-
-    def tokenize(self, text: str) -> list[str]:
-        return text.split()
-
-    def count(self, text: str) -> int:
-        return len(self.tokenize(text))
-
-
-CLOZE_BUDGET = TokenBudget(CLOZE_MAX_SEQUENCE)
-PAIR_BUDGET = TokenBudget(PAIR_MAX_SEQUENCE)
-
-
-@dataclass(frozen=True)
 class ClozePrompt:
     text: str
     truncated: bool
@@ -61,15 +45,15 @@ def _defuse_mask(text: str) -> str:
     return text.replace(MASK_TOKEN, "[mask]")
 
 
-def _truncate(text: str, budget: TokenBudget, cap: int) -> tuple[str, bool]:
-    tokens = budget.tokenize(text)
+def _truncate(text: str, cap: int) -> tuple[str, bool]:
+    tokens = text.split()
     if len(tokens) <= cap:
         return text, False
     return " ".join(tokens[:cap]), True
 
 
 def build_cloze_prompt(sentence: Sentence, summary: str,
-                       budget: TokenBudget = CLOZE_BUDGET) -> ClozePrompt:
+                       budget: int = CLOZE_MAX_SEQUENCE) -> ClozePrompt:
     """Render the relatedness cloze for one sentence against the issue summary.
 
     The sentence keeps its leading tokens up to the budget left over after the
@@ -77,13 +61,14 @@ def build_cloze_prompt(sentence: Sentence, summary: str,
     token raises BudgetExhausted.
     """
     summary = _defuse_mask(summary)
-    cap = budget.max_sequence - budget.count(summary) - FIXED_PROMPT_SLOTS
+    summary_len = len(summary.split())
+    cap = budget - summary_len - FIXED_PROMPT_SLOTS
     if cap < 1:
         raise BudgetExhausted(
-            f"summary of {budget.count(summary)} tokens leaves no room for sentence "
-            f"tokens under max_sequence={budget.max_sequence}"
+            f"summary of {summary_len} tokens leaves no room for sentence "
+            f"tokens under max_sequence={budget}"
         )
-    body, truncated = _truncate(_defuse_mask(sentence.text), budget, cap)
+    body, truncated = _truncate(_defuse_mask(sentence.text), cap)
     text = f"{body} is {MASK_TOKEN} related to the issue: {summary}"
     return ClozePrompt(text=text, truncated=truncated)
 
@@ -102,7 +87,7 @@ def _render_pair(s1_text: str, s2_text: str, in_same_comment: bool, distance: in
 
 
 def build_pair_prompt(s1: Sentence, s2: Sentence,
-                      budget: TokenBudget = PAIR_BUDGET) -> str:
+                      budget: int = PAIR_MAX_SEQUENCE) -> str:
     """Render the relation prompt for an ordered sentence pair.
 
     Each sentence gets an independent cap of half the budget left after the
@@ -114,15 +99,15 @@ def build_pair_prompt(s1: Sentence, s2: Sentence,
     if s1.id == s2.id:
         raise SameSentence(f"cannot pair sentence {s1.id} with itself")
     in_same_comment, distance = pair_structure(s1, s2)
-    template_len = budget.count(_render_pair("", "", in_same_comment, distance))
-    cap = (budget.max_sequence - template_len) // 2
+    template_len = len(_render_pair("", "", in_same_comment, distance).split())
+    cap = (budget - template_len) // 2
     if cap < 1:
         raise BudgetExhausted(
             f"pair template of {template_len} tokens leaves no room for sentence "
-            f"tokens under max_sequence={budget.max_sequence}"
+            f"tokens under max_sequence={budget}"
         )
-    body1, _ = _truncate(_defuse_mask(s1.text), budget, cap)
-    body2, _ = _truncate(_defuse_mask(s2.text), budget, cap)
+    body1, _ = _truncate(_defuse_mask(s1.text), cap)
+    body2, _ = _truncate(_defuse_mask(s2.text), cap)
     return _render_pair(body1, body2, in_same_comment, distance)
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import string
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -116,12 +115,11 @@ def scalar_inc_dec(word: str, valence: float, is_cap_diff: bool) -> float:
     return scalar
 
 
-def _default_lexicon_path() -> Path:
-    return Path(str(resources.files("rationale_miner").joinpath("data/sentiment_lexicon.txt")))
-
-
-@lru_cache(maxsize=8)
-def _load_lexicon_cached(path: str) -> dict[str, float]:
+def load_lexicon(path: str | Path | None = None) -> dict[str, float]:
+    """Read a tab-separated token/valence lexicon (the packaged one when
+    None); extra columns are ignored.  An unreadable file, one that is not
+    UTF-8, or a malformed line raises MissingLexicon."""
+    path = str(path or resources.files("rationale_miner").joinpath("data/sentiment_lexicon.txt"))
     lexicon: dict[str, float] = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -138,14 +136,9 @@ def _load_lexicon_cached(path: str) -> dict[str, float]:
                 except ValueError as exc:
                     raise MissingLexicon(f"non-numeric valence in {shown(path)}: "
                                          f"{shown(line)}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MissingLexicon(f"cannot read sentiment lexicon at {shown(path)}") from exc
     return lexicon
-
-
-def load_lexicon(path: str | Path | None = None) -> dict[str, float]:
-    """Load a tab-separated token/valence lexicon; extra columns are ignored."""
-    return dict(_load_lexicon_cached(str(path) if path else str(_default_lexicon_path())))
 
 
 def _words_and_emoticons(text: str) -> list[str]:
@@ -160,7 +153,8 @@ def _words_and_emoticons(text: str) -> list[str]:
 
 class SentimentAnalyzer:
     """Scores text against the valence lexicon at ``lexicon_path`` (the
-    packaged one when None) with VADER-style rules."""
+    packaged one when None), read once when the analyzer is built, with
+    VADER-style rules."""
 
     def __init__(self, lexicon_path: str | Path | None = None):
         self.lexicon = load_lexicon(lexicon_path)

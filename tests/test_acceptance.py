@@ -42,7 +42,6 @@ from rationale_miner.miner import (
 )
 from rationale_miner.prompts import (
     PAIR_INSTRUCTION,
-    TokenBudget,
     build_cloze_prompt,
     build_pair_prompt,
 )
@@ -105,14 +104,13 @@ def test_criterion_02_truncation_laws():
         summary = " ".join(f"s{i}" for i in range(summary_len))
         body = " ".join(f"t{i}" for i in range(sent_len))
         sentence = _sentence("c0-s0", body)
-        budget = TokenBudget(max_seq)
         cap = max_seq - summary_len - 8
         tuples += 1
         if cap < 1:
             with pytest.raises(BudgetExhausted):
-                build_cloze_prompt(sentence, summary, budget)
+                build_cloze_prompt(sentence, summary, max_seq)
             continue
-        prompt = build_cloze_prompt(sentence, summary, budget)
+        prompt = build_cloze_prompt(sentence, summary, max_seq)
         kept = prompt.text.split(" is [MASK] related to the issue:")[0].split()
         assert len(kept) == min(sent_len, cap)
         assert kept == body.split()[: len(kept)]  # leading prefix survives
@@ -144,14 +142,13 @@ def test_criterion_02_truncation_laws():
         s2 = _sentence("c5-s0" if not same else "c0-s1",
                        " ".join(f"b{i}" for i in range(len2)),
                        comment_index=0 if same else 5, global_index=gi2)
-        budget = TokenBudget(max_seq)
         cap = (max_seq - template_tokens(same, gi2 - gi1)) // 2
         tuples += 1
         if cap < 1:
             with pytest.raises(BudgetExhausted):
-                build_pair_prompt(s1, s2, budget)
+                build_pair_prompt(s1, s2, max_seq)
             continue
-        prompt = build_pair_prompt(s1, s2, budget)
+        prompt = build_pair_prompt(s1, s2, max_seq)
         lines = prompt.splitlines()
         kept1 = next(l for l in lines if l.startswith("Sentence 1: ")).split()[2:]
         kept2 = next(l for l in lines if l.startswith("Sentence 2: ")).split()[2:]
@@ -178,7 +175,7 @@ def test_criterion_03_construction_matches_bruteforce_oracle():
                          for i in range(n) for j in range(i + 1, n)
                          if rng.random() < 0.15]
         graph = RelationGraph(
-            nodes=nodes, order=order,
+            nodes=nodes,
             supporting=[SupportingEdge(argument=a, solution=s)
                         for a, s in supporting],
             complementary=complementary,

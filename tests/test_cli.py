@@ -541,6 +541,17 @@ def test_train_reads_the_configured_lexicon(workspace):
     assert models[0] == models[1] != models[2]
 
 
+def test_a_lexicon_that_is_not_utf8_is_a_typed_error(workspace, capsys):
+    tmp_path, config, config_path = workspace
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_bytes(b"\xff\xfe")
+    _rewrite(workspace, lexicon_path=str(lexicon))
+    assert main(["extract", "-c", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read sentiment lexicon at {str(lexicon)!r}\n"
+    assert captured.out == ""
+
+
 def test_train_prompt_head_writes_head(workspace):
     tmp_path, config, config_path = workspace
     head_out = tmp_path / "trained-head.json"
@@ -1060,8 +1071,8 @@ def test_load_config_defaults_are_valid():
     cfg = load_config()
     assert cfg.mode == "prompt_head"
     assert cfg.backend is None
-    assert cfg.cloze_budget().max_sequence == 384
-    assert cfg.pair_budget().max_sequence == 512
+    assert cfg.cloze_budget() == 384
+    assert cfg.pair_budget() == 512
 
 
 def test_eval_reports_an_unreadable_mined_file_and_scores_the_rest(workspace, fixtures_dir,

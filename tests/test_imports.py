@@ -1,9 +1,11 @@
-"""Every name that a module under src/ or scripts/ imports is used in it.
+"""Every name that a module under src/ or scripts/ imports is used in it,
+and every module-level constant and class under src/ is referenced from
+src/, scripts/ or perfbench/.
 
-No linter runs on this repository, so this catches an import that a deletion
-leaves behind.  A package's ``__init__.py`` holds only its docstring: callers
-import each name from the module that defines it, so no re-export layer can
-grow back.
+No linter runs on this repository, so this catches an import or a constant
+that a deletion leaves behind.  A package's ``__init__.py`` holds only its
+docstring: callers import each name from the module that defines it, so no
+re-export layer can grow back.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGES = sorted((ROOT / "src").rglob("__init__.py"))
 MODULES = sorted(path for path in (ROOT / "src").rglob("*.py") if path.name != "__init__.py")
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -42,6 +45,52 @@ def test_an_unused_import_is_found():
     tree = ast.parse("import os.path\nimport json\nfrom x import (a, b as c)\n"
                      "print(os.sep, c)\n")
     assert _unused_imports(tree) == ["2 json", "3 a"]
+
+
+def _defined(tree: ast.Module) -> dict[str, int]:
+    """``name -> line`` of each class and assigned name at the top of ``tree``."""
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    return defined
+
+
+def _referenced(trees) -> set[str]:
+    """Every name that ``trees`` read, as a name, an attribute or an import."""
+    names: set[str] = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+    return names
+
+
+def test_every_module_level_constant_and_class_under_src_is_referenced():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES + PERFBENCH}
+    referenced = _referenced(trees.values())
+    unreferenced = [f"{path.relative_to(ROOT).as_posix()}:{line} {name}"
+                    for path, tree in trees.items() if path.is_relative_to(ROOT / "src")
+                    for name, line in _defined(tree).items() if name not in referenced]
+    assert unreferenced == []
+
+
+def test_an_unreferenced_constant_or_class_is_found():
+    module = ast.parse("X = 1\nY: int = 2\nclass C: pass\nclass D: pass\n"
+                       "A, B = X, 3\ndef f():\n    return D\n")
+    other = ast.parse("import m\nfrom m import Y\nprint(m.A, m.C)\n")
+    referenced = _referenced([module, other])
+    assert sorted(name for name in _defined(module) if name not in referenced) == ["B"]
 
 
 def _only_a_docstring(tree: ast.Module) -> bool:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import timeit
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,9 +36,8 @@ from recording import Recording
 
 
 def _graph(nodes: list[str], supporting=(), complementary=()) -> RelationGraph:
-    order = {node: i for i, node in enumerate(nodes)}
     return RelationGraph(
-        nodes=list(nodes), order=order,
+        nodes=list(nodes),
         supporting=[SupportingEdge(argument=a, solution=s) for a, s in supporting],
         complementary=[tuple(p) for p in complementary],
     )
@@ -161,6 +162,31 @@ def test_construct_empty_graph():
     result = construct_rationales(_graph([]))
     assert result.rationales == []
     assert result.warnings == []
+
+
+# Graph shapes over nodes n0..n(k-1) that grow one group to every node, or
+# attach every group to one solution.  Both edge orders of the chain, as a
+# merge that always folds one side into the other is quadratic in one of them.
+_LARGE_GRAPHS = {
+    "complementary-chain": lambda nodes: {"complementary": list(zip(nodes, nodes[1:]))},
+    "complementary-chain-reversed":
+        lambda nodes: {"complementary": list(zip(nodes, nodes[1:]))[::-1]},
+    "complementary-star": lambda nodes: {"complementary": [(nodes[0], n) for n in nodes[1:]]},
+    "supporting-star": lambda nodes: {"supporting": [(n, nodes[0]) for n in nodes[1:]]},
+}
+
+
+@pytest.mark.parametrize("shape", list(_LARGE_GRAPHS))
+def test_construction_time_per_node_holds_as_graphs_grow(shape):
+    # Per-node time against itself on a quarter of the nodes, so that a busy
+    # host slows both sides alike; quadratic grouping takes four times as long.
+    def per_node(n: int) -> float:
+        nodes = [f"n{i}" for i in range(n)]
+        graph = _graph(nodes, **_LARGE_GRAPHS[shape](nodes))
+        return min(timeit.repeat(lambda: construct_rationales(graph),
+                                 number=1, repeat=3)) / n
+
+    assert per_node(12_000) < 2 * per_node(3_000)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from rationale_miner.prompts import (
     FIXED_PROMPT_SLOTS,
     MASK_TOKEN,
     PAIR_MAX_SEQUENCE,
-    TokenBudget,
     build_cloze_prompt,
     build_pair_prompt,
     parse_relation_label,
@@ -78,8 +77,7 @@ def test_default_budgets():
 
 def test_cloze_truncation_keeps_leading_tokens():
     sentence = _sentence(" ".join(f"w{i}" for i in range(50)))
-    budget = TokenBudget(max_sequence=30)
-    prompt = build_cloze_prompt(sentence, "title words here", budget)
+    prompt = build_cloze_prompt(sentence, "title words here", 30)
     assert prompt.truncated
     cap = 30 - 3 - FIXED_PROMPT_SLOTS
     body = prompt.text.split(" is [MASK] related")[0]
@@ -88,10 +86,9 @@ def test_cloze_truncation_keeps_leading_tokens():
 
 def test_cloze_budget_exhausted_when_summary_fills_budget():
     sentence = _sentence("some sentence")
-    budget = TokenBudget(max_sequence=12)
     summary = " ".join("t" for _ in range(5))  # 12 - 5 - 8 < 1
     with pytest.raises(BudgetExhausted):
-        build_cloze_prompt(sentence, summary, budget)
+        build_cloze_prompt(sentence, summary, 12)
 
 
 def test_cloze_defuses_embedded_mask_tokens():
@@ -107,8 +104,7 @@ def test_pair_caps_are_independent():
     prompt = build_pair_prompt(long_one, short_one)
     body1 = prompt.split("Sentence 1: ", 1)[1].split("\nSentence 2: ", 1)[0]
     body2 = prompt.split("\nSentence 2: ", 1)[1].split("\nTwo sentences", 1)[0]
-    template_len = TokenBudget(PAIR_MAX_SEQUENCE).count(
-        prompt.replace(body1, "", 1).replace(body2, "", 1))
+    template_len = len(prompt.replace(body1, "", 1).replace(body2, "", 1).split())
     cap = (PAIR_MAX_SEQUENCE - template_len) // 2
     # The long sentence is clipped to the cap; the short one keeps its two
     # tokens and its unused allowance is not handed to the long one.
@@ -129,7 +125,7 @@ def test_pair_budget_exhausted_on_tiny_budget():
     a = _sentence("one", sid="a")
     b = _sentence("two", sid="b", global_index=1)
     with pytest.raises(BudgetExhausted):
-        build_pair_prompt(a, b, TokenBudget(max_sequence=10))
+        build_pair_prompt(a, b, 10)
 
 
 def test_pair_distance_and_same_comment_flags(golden_issue):
@@ -152,13 +148,12 @@ def test_pair_distance_and_same_comment_flags(golden_issue):
 def test_cloze_truncation_law(sentence_len, summary_len, max_sequence):
     sentence = _sentence(" ".join(f"w{i}" for i in range(sentence_len)))
     summary = " ".join(f"t{i}" for i in range(summary_len))
-    budget = TokenBudget(max_sequence=max_sequence)
     cap = max_sequence - summary_len - FIXED_PROMPT_SLOTS
     if cap < 1:
         with pytest.raises(BudgetExhausted):
-            build_cloze_prompt(sentence, summary, budget)
+            build_cloze_prompt(sentence, summary, max_sequence)
         return
-    prompt = build_cloze_prompt(sentence, summary, budget)
+    prompt = build_cloze_prompt(sentence, summary, max_sequence)
     body = prompt.text.split(" is [MASK] related", 1)[0]
     used = len(body.split())
     assert used == min(sentence_len, cap)
@@ -167,7 +162,7 @@ def test_cloze_truncation_law(sentence_len, summary_len, max_sequence):
     assert prompt.text.count(MASK_TOKEN) == 1
     # Whole-prompt accounting: everything but the mask word and two slack
     # slots stays within the budget.
-    assert budget.count(prompt.text) <= max_sequence - 2
+    assert len(prompt.text.split()) <= max_sequence - 2
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,16 +174,15 @@ def test_cloze_truncation_law(sentence_len, summary_len, max_sequence):
 def test_pair_truncation_law(len1, len2, max_sequence):
     s1 = _sentence(" ".join(f"a{i}" for i in range(len1)), sid="p", global_index=0)
     s2 = _sentence(" ".join(f"b{i}" for i in range(len2)), sid="q", global_index=3)
-    budget = TokenBudget(max_sequence=max_sequence)
     empty = build_pair_prompt(_sentence("", sid="x"), _sentence("", sid="y", global_index=3),
-                              TokenBudget(max_sequence=600))
-    template_len = TokenBudget(max_sequence=600).count(empty)
+                              600)
+    template_len = len(empty.split())
     cap = (max_sequence - template_len) // 2
     if cap < 1:
         with pytest.raises(BudgetExhausted):
-            build_pair_prompt(s1, s2, budget)
+            build_pair_prompt(s1, s2, max_sequence)
         return
-    prompt = build_pair_prompt(s1, s2, budget)
+    prompt = build_pair_prompt(s1, s2, max_sequence)
     body1 = prompt.split("Sentence 1: ", 1)[1].split("\nSentence 2: ", 1)[0]
     body2 = prompt.split("\nSentence 2: ", 1)[1].split("\nTwo sentences", 1)[0]
     assert len(body1.split()) == min(len1, cap)

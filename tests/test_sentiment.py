@@ -134,6 +134,14 @@ def test_custom_lexicon_file_is_used(tmp_path):
     assert custom.scores("This is good.").compound == 0.0
 
 
+def test_a_lexicon_rewritten_in_place_is_read_again(tmp_path):
+    path = tmp_path / "lexicon.txt"
+    path.write_text("cache\t2.0\n", encoding="utf-8")
+    assert SentimentAnalyzer(path).scores("the cache works").compound > 0
+    path.write_text("cache\t-2.0\n", encoding="utf-8")
+    assert SentimentAnalyzer(path).scores("the cache works").compound < 0
+
+
 def test_load_lexicon_ignores_comments_and_extra_columns(tmp_path):
     path = tmp_path / "lex.txt"
     path.write_text("# header line\nzorp\t1.5\t0.8\t[1, 2, 3]\n\nblah\t-2.0\n",
