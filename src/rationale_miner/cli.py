@@ -12,8 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from contextlib import closing, nullcontext
 from pathlib import Path
 from typing import Any, Callable, ContextManager
@@ -55,10 +54,10 @@ from .evaluation import (
 )
 from .features import FEATURE_GROUPS
 from .miner import (
-    ISSUE_RANK,
     CallPool,
     design_entries,
     extract_stage,
+    in_issue_order,
     mine_issue,
     read_mined,
     relate_stage,
@@ -150,15 +149,6 @@ _Step = Callable[[IssueLog, Any], tuple[str, list[str]]]
 _Command = Callable[[RunConfig, list[IssueLog], argparse.Namespace], int]
 
 
-def _run_step(step: _Step, issue: IssueLog, context: Any,
-              rank: int) -> tuple[str, list[str]]:
-    token = ISSUE_RANK.set(rank)
-    try:
-        return step(issue, context)
-    finally:
-        ISSUE_RANK.reset(token)
-
-
 def _report(issue: IssueLog, job: Future) -> int:
     """Write a finished issue's warnings, then its stdout line, or only its
     ``failed on`` line; 1 if it failed, else 0.  A MiningError, or an
@@ -175,28 +165,16 @@ def _report(issue: IssueLog, job: Future) -> int:
 
 
 def _each_issue(build: Callable[[RunConfig], ContextManager[Any]], step: _Step) -> _Command:
-    """The command that runs ``step(issue, context)`` on every issue,
-    ``context`` being what ``build(cfg)`` enters; it is left once every
-    issue is done.
-
-    Two issues are mined at a time: issue k+1 starts while issue k runs, and
-    its calls take only the slots that issue k leaves idle.  The step writes
-    the issue's outputs and returns its stdout line and its warnings.
-    Warnings, lines and ``failed on`` lines come out in corpus order.  A
-    MiningError or OSError fails that issue alone; the command returns the
-    number of failed issues.
+    """The command that runs ``step(issue, context)`` on every issue through
+    ``in_issue_order``, ``context`` being what ``build(cfg)`` enters; it is
+    left once every issue is done.  The step writes the issue's outputs and
+    returns its stdout line and its warnings, which ``_report`` writes in
+    corpus order.  The command returns the number of failed issues.
     """
     def run(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
-        failures = 0
-        with build(cfg) as context, ThreadPoolExecutor(max_workers=2) as drivers:
-            running: deque = deque()
-            for rank, issue in enumerate(issues):
-                running.append((issue, drivers.submit(_run_step, step, issue, context, rank)))
-                if len(running) == 2:
-                    failures += _report(*running.popleft())
-            while running:
-                failures += _report(*running.popleft())
-        return failures
+        with build(cfg) as context, closing(
+                in_issue_order(issues, lambda issue: step(issue, context))) as done:
+            return sum(_report(issue, job) for issue, job in done)
 
     return run
 
@@ -289,6 +267,8 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
 
 def cmd_eval(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     annotations = _require_annotations(cfg)
+    if not annotations:
+        raise DegenerateData(f"{shown(cfg.annotations_path)} holds no annotation to score")
     out = _outdir(cfg)
     by_key = {issue.key: issue for issue in issues}
     failures = 0
@@ -362,6 +342,9 @@ def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace)
         train, annotations, analyzer)
     test_texts, test_features, test_labels = collect_extraction_data(
         test, annotations, analyzer)
+    for split, texts in (("training", train_texts), ("held-out", test_texts)):
+        if not texts:
+            raise DegenerateData(f"{_NO_TRAINING_DATA}'s {split} split")
     dimensions: list[str | None] = [None]
     dimensions.extend(args.dimension or sorted(FEATURE_GROUPS))
     results = []

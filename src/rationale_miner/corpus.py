@@ -80,18 +80,26 @@ class Sentence:
     issue_key: str
 
 
+_TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(\d{1,6}))?)?"
+                        r"(?:([Zz])|([+-])(\d\d):?([0-5]\d))?", re.ASCII)
+
+
 def _parse_timestamp(value: str) -> _dt.datetime:
-    """Parse an ISO-8601 timestamp, tolerating 'Z' and '+0000' style offsets."""
+    """Parse the one timestamp form accepted on every Python version: a date,
+    'T' or a space, HH:MM with optional seconds and a fraction of 1-6 digits,
+    then an optional Z or +HH:MM/+HHMM offset; anything else raises BadTimestamp."""
     if not isinstance(value, str) or not value.strip():
         raise BadTimestamp(f"timestamp is not a string: {shown(value)}")
-    text = value.strip()
-    if text.endswith(("Z", "z")):
-        text = text[:-1] + "+00:00"
-    # Jira writes numeric offsets without a colon (e.g. +0000).
-    text = re.sub(r"([+-]\d{2})(\d{2})$", r"\1:\2", text)
+    match = _TIMESTAMP.fullmatch(value.strip())
     try:
-        return _dt.datetime.fromisoformat(text)
-    except ValueError as exc:
+        if match is None:
+            raise ValueError("not of the accepted form")
+        *parts, fraction, zulu, sign, hours, minutes = match.groups()
+        offset = _dt.timedelta(hours=int(hours or 0), minutes=int(minutes or 0))
+        zone = _dt.timezone(-offset if sign == "-" else offset) if zulu or sign else None
+        return _dt.datetime(*(int(part or 0) for part in parts),
+                            int((fraction or "0").ljust(6, "0")), tzinfo=zone)
+    except ValueError as exc:  # no match, or a field out of range
         raise BadTimestamp(f"unparseable timestamp: {shown(value)}") from exc
 
 

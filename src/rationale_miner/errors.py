@@ -58,7 +58,7 @@ class UnparsableResponse(MiningError):
 
 
 class DegenerateData(MiningError):
-    """Training data contains a single class; no head can be fit."""
+    """The data leaves nothing to train on or to score."""
 
 
 class TooFewIssues(MiningError):

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import queue
 import threading
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
-from contextvars import ContextVar
-from concurrent.futures import Future, wait
+from contextvars import ContextVar, copy_context
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -49,8 +49,8 @@ SP_FEATURE_NAMES: tuple[str, ...] = tuple(
 ) + FEATURE_NAMES
 
 
-# The corpus position of the issue whose backend calls the current thread
-# submits.  A driver that mines several issues at once sets it per issue.
+# The corpus position of the issue that the current context mines:
+# ``in_issue_order`` sets it per issue, and ``CallPool`` serves calls by it.
 ISSUE_RANK: ContextVar[int] = ContextVar("issue_rank", default=0)
 
 
@@ -71,15 +71,15 @@ def usable_cpus() -> int:
 
 
 class CallPool:
-    """Threads that make backend calls, at most ``workers`` at once (one per
-    usable CPU when None).
+    """Backend calls made on a thread-pool executor, at most ``workers`` at
+    once (one per usable CPU when None).
 
     Queued calls are served in (issue rank, submission) order, the rank being
     ``ISSUE_RANK`` on the submitting thread.  The oldest issue of a run thus
     takes every free slot, and a later issue only the slots it leaves idle.
-    Pool threads run nothing but the submitted calls, so none of them ever
-    waits for another pool task.  Threads start with the first calls and stop
-    on ``close``.
+    Each submission hands the executor one turn, which runs the best queued
+    call, so no executor thread ever waits for another pool task.  ``close``
+    waits for every queued call; a closed pool takes no more calls.
 
     ``call_all`` sends each distinct request once: equal requests of one
     batch share a call, and a request whose reply arrived earlier is answered
@@ -95,19 +95,27 @@ class CallPool:
         self.size = workers or usable_cpus()
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._order = itertools.count()
-        self._threads: list[threading.Thread] = []
+        self._executor = ThreadPoolExecutor(max_workers=self.size)
         self._lock = threading.Lock()
         self._replies: OrderedDict = OrderedDict()
 
     def submit(self, fn, *args) -> Future:
         future: Future = Future()
-        with self._lock:
-            self._queue.put((ISSUE_RANK.get(), next(self._order), future, fn, args))
-            if len(self._threads) < self.size:
-                thread = threading.Thread(target=self._serve, daemon=True)
-                thread.start()
-                self._threads.append(thread)
+        self._queue.put((ISSUE_RANK.get(), next(self._order), future, fn, args))
+        self._executor.submit(self._turn)
         return future
+
+    def _turn(self) -> None:
+        """Run the best queued call; each turn's submission queued one."""
+        _, _, future, fn, args = self._queue.get_nowait()
+        if not future.set_running_or_notify_cancel():
+            return
+        try:
+            result = fn(*args)
+        except BaseException as exc:  # handed to the waiting caller
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
 
     def call_all(self, requests: list[tuple]) -> list:
         """``fn(*args)`` for each request ``(fn, *args)``, in request order;
@@ -149,29 +157,10 @@ class CallPool:
                 self._replies.popitem(last=False)
         return reply
 
-    def _serve(self) -> None:
-        while True:
-            _, _, future, fn, args = self._queue.get()
-            if future is None:
-                return
-            if not future.set_running_or_notify_cancel():
-                continue
-            try:
-                result = fn(*args)
-            except BaseException as exc:  # handed to the waiting caller
-                future.set_exception(exc)
-            else:
-                future.set_result(result)
-
     def close(self) -> None:
         """Stop the threads once every queued call has run, and forget the
         replies."""
-        with self._lock:
-            threads, self._threads = self._threads, []
-            for _ in threads:  # ranked after every call
-                self._queue.put((math.inf, next(self._order), None, None, None))
-        for thread in threads:
-            thread.join()
+        self._executor.shutdown(wait=True)
         with self._lock:
             self._replies.clear()
 
@@ -185,6 +174,23 @@ class CallPool:
 def _calls(pool: CallPool | None, workers: int | None):
     """``pool``, or when there is none a pool of ``workers`` for one call."""
     return nullcontext(pool) if pool is not None else CallPool(workers)
+
+
+def in_issue_order(issues: list[IssueLog], step: Callable[[IssueLog], Any]
+                   ) -> Iterator[tuple[IssueLog, Future]]:
+    """Run ``step(issue)`` on every issue, two at a time, and yield each
+    issue with its job, in corpus order.  Each step runs in its own context,
+    with its corpus position as ``ISSUE_RANK``, so the calls of issue k+1
+    take only the pool slots that issue k, still running, leaves idle."""
+    with ThreadPoolExecutor(max_workers=2) as drivers:
+        running: deque = deque()
+        for rank, issue in enumerate(issues):
+            context = copy_context()
+            context.run(ISSUE_RANK.set, rank)
+            running.append((issue, drivers.submit(context.run, step, issue)))
+            if len(running) == 2:
+                yield running.popleft()
+        yield from running
 
 
 @dataclass(frozen=True)

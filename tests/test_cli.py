@@ -11,6 +11,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -23,7 +24,9 @@ from rationale_miner.backends.baseline import BaselineModel, PairBaselineModel
 from rationale_miner.backends.heads import LogisticHead, SoftmaxHead, load_head, save_head
 from rationale_miner.cli import main
 from rationale_miner.config import SP_FINGERPRINT, build_backend, load_config
+from rationale_miner.corpus import load_corpus
 from rationale_miner.errors import shown
+from rationale_miner.evaluation import split_dataset
 
 from stub_server import run_stub
 from test_scheduling import ISSUES, corpus  # noqa: F401  (corpus is a fixture)
@@ -993,6 +996,44 @@ def test_ablate_single_dimension_flag(workspace, fixtures_dir):
     results = json.loads((tmp_path / "out" / "ablation.json").read_text(
         encoding="utf-8"))
     assert [r["dimension"] for r in results] == ["full", "sentiment"]
+
+
+@pytest.mark.parametrize("annotated, empty", [("train", "held-out"), ("test", "training")])
+def test_ablate_with_one_split_unannotated_is_a_typed_error(workspace, fixtures_dir, capsys,
+                                                          annotated, empty):
+    """Gold for one side of the split only leaves the other side with no
+    labelled sentence: ablate stops before any training, with no numpy
+    warning, and writes nothing."""
+    tmp_path, config, config_path = workspace
+    gold_path = _add_second_issue(workspace, fixtures_dir)
+    train, test = split_dataset(load_corpus(tmp_path / "corpus")[0], 0)
+    [kept] = {"train": train, "test": test}[annotated]
+    [line] = [line for line in gold_path.read_text(encoding="utf-8").splitlines()
+              if json.loads(line)["issue"] == kept.key]
+    gold_path.write_text(line + "\n", encoding="utf-8")
+    _rewrite(workspace, annotations_path=str(gold_path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ablate", "-c", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the annotations label no sentence of the corpus's "
+                            f"{empty} split\n")
+    assert not (tmp_path / "out" / "ablation.json").exists()
+
+
+def test_eval_with_no_annotation_is_a_typed_error(workspace, capsys):
+    tmp_path, config, config_path = workspace
+    gold_path = tmp_path / "gold.jsonl"
+    gold_path.write_text("\n\n", encoding="utf-8")
+    _rewrite(workspace, annotations_path=str(gold_path))
+    assert main(["mine", "-c", str(config_path)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "-c", str(config_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {shown(str(gold_path))} holds no annotation to score\n"
+    assert not (tmp_path / "out" / "metrics.csv").exists()
 
 
 def test_stats_prints_table(workspace, capsys):

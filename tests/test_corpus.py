@@ -100,6 +100,51 @@ def test_parse_issue_accepts_common_timestamp_styles(stamp):
         2014, 1, 8, 10, 22, 31, tzinfo=dt.timezone.utc)
 
 
+_UTC = dt.timezone.utc
+
+
+@pytest.mark.parametrize("stamp, created", [
+    ("2014-01-08T10:22:31.000+0000", dt.datetime(2014, 1, 8, 10, 22, 31, tzinfo=_UTC)),
+    ("2014-01-08T10:22:31+00:00", dt.datetime(2014, 1, 8, 10, 22, 31, tzinfo=_UTC)),
+    ("2014-01-08T10:22:31Z", dt.datetime(2014, 1, 8, 10, 22, 31, tzinfo=_UTC)),
+    ("2014-01-08T10:22:31z", dt.datetime(2014, 1, 8, 10, 22, 31, tzinfo=_UTC)),
+    ("2014-01-08 10:22", dt.datetime(2014, 1, 8, 10, 22)),
+    (" 2014-01-08T10:22:31 ", dt.datetime(2014, 1, 8, 10, 22, 31)),
+    ("2014-01-08T10:22:31.5+0000", dt.datetime(2014, 1, 8, 10, 22, 31, 500000, tzinfo=_UTC)),
+    ("2014-01-08T10:22:31.12345+00:00",
+     dt.datetime(2014, 1, 8, 10, 22, 31, 123450, tzinfo=_UTC)),
+    ("2014-01-08T10:22:31.123456-01:30", dt.datetime(
+        2014, 1, 8, 10, 22, 31, 123456, tzinfo=dt.timezone(-dt.timedelta(hours=1, minutes=30)))),
+    ("2020-01-01T00:00:00+00:00", dt.datetime(2020, 1, 1, tzinfo=_UTC)),  # isoformat()
+    ("2014-01-08", None),
+    ("20140108T102231Z", None),
+    ("2014-01-08T10", None),
+    ("2014-01-08t10:22:31", None),
+    ("2014-01-08_10:22", None),
+    ("2014-W02-3T10:22", None),
+    ("2014-01-08T10:22:31,5", None),
+    ("2014-01-08T10:22:31.1234567", None),
+    ("2014-01-08T10:22:31+00", None),
+    ("2014-01-08T10:22:31+00:00:00", None),
+    ("2014-01-08T10:22:31+0099", None),
+    ("2014-01-08T10:22:31+2400", None),
+    ("2014-01-08T10:22:31 +0000", None),
+    ("2014-13-08T10:22:31", None),
+    ("2014-01-08T24:00", None),
+    ("\u0662\u0660\u0661\u0664-01-08T10:22", None),  # digits outside ASCII
+])
+def test_the_timestamp_grammar_is_the_same_on_every_python(stamp, created):
+    """A date, 'T' or a space, HH:MM with optional seconds and a 1-6 digit
+    fraction, then an optional Z or +HH[:]MM offset; nothing else."""
+    raw = {"key": "A-1", "summary": "x",
+           "comments": [{"author": "a", "body": "b", "created": stamp}]}
+    if created is None:
+        with pytest.raises(BadTimestamp, match="unparseable timestamp"):
+            parse_issue(raw)
+    else:
+        assert parse_issue(raw).comments[0].created == created
+
+
 def test_load_corpus_reads_files_sorted(tmp_path):
     for key in ("B-2", "A-1"):
         (tmp_path / f"{key}.json").write_text(

@@ -5,7 +5,8 @@ src/, scripts/ or perfbench/.
 No linter runs on this repository, so this catches an import or a constant
 that a deletion leaves behind.  A package's ``__init__.py`` holds only its
 docstring: callers import each name from the module that defines it, so no
-re-export layer can grow back.
+re-export layer can grow back.  Only ``miner.py`` schedules a run: no
+other module under src/ builds a thread or an executor or sets ``ISSUE_RANK``.
 """
 
 from __future__ import annotations
@@ -108,3 +109,41 @@ def test_an_export_in_a_package_init_is_found():
     assert not _only_a_docstring(ast.parse('"""Doc."""\nfrom .a import b\n'))
     assert not _only_a_docstring(ast.parse('"""Doc."""\n__version__ = "1"\n'))
     assert not _only_a_docstring(ast.parse(""))
+
+
+# What builds a thread or an executor, by the name it is called by.
+_SCHEDULERS = {"Thread", "Timer", "ThreadPoolExecutor", "ProcessPoolExecutor", "Process"}
+
+
+def _schedules(tree: ast.Module) -> list[str]:
+    """``line what`` of each thread or executor that ``tree`` builds and of
+    each use of ``ISSUE_RANK.set`` in it, called or passed on."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _SCHEDULERS:
+                found.append(f"{node.lineno} {name}")
+        elif (isinstance(node, ast.Attribute) and node.attr == "set"
+              and isinstance(node.value, ast.Name) and node.value.id == "ISSUE_RANK"):
+            found.append(f"{node.lineno} ISSUE_RANK.set")
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.is_relative_to(ROOT / "src") and path.name != "miner.py"],
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_only_the_miner_schedules_the_run(path):
+    """``miner.py`` owns the run's schedule: the call pool's executor, the
+    issue drivers and the issue ranks."""
+    assert _schedules(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_a_thread_an_executor_or_a_rank_outside_the_miner_is_found():
+    tree = ast.parse("import threading\nfrom concurrent import futures as f\n"
+                     "threading.Thread(target=print)\nwith f.ThreadPoolExecutor(2) as x:\n"
+                     "    ISSUE_RANK.set(1)\nother.set(1)\nset(x)\nCallPool(2)\n"
+                     "copy_context().run(ISSUE_RANK.set, 2)\n")
+    assert sorted(_schedules(tree)) == ["3 Thread", "4 ThreadPoolExecutor", "5 ISSUE_RANK.set",
+                                        "9 ISSUE_RANK.set"]

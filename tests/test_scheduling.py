@@ -18,14 +18,15 @@ from contextvars import copy_context
 
 import pytest
 
-from rationale_miner import cli
+from rationale_miner import cli, miner
 from rationale_miner.backends.protocol import Backend
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.config import build_backend, build_pair_classifier, load_config
 from rationale_miner.corpus import clean_issue, enumerate_sentences, parse_issue
 from rationale_miner.errors import TransportError
 from rationale_miner.features import POLARITY_WORDS
-from rationale_miner.miner import ISSUE_RANK, REPLY_MEMORY, CallPool, usable_cpus
+from rationale_miner.miner import (
+    ISSUE_RANK, REPLY_MEMORY, CallPool, in_issue_order, usable_cpus)
 
 from recording import Recording
 from stub_server import run_stub
@@ -303,6 +304,35 @@ def test_pool_serves_lower_rank_first():
     assert served == ["gate", "b1", "b2", "c1", "c2"]
 
 
+def test_a_failed_step_leaves_its_driver_thread_at_the_default_rank(monkeypatch):
+    """Each step runs with its issue's corpus position as its rank, also
+    after a step that raised; once a step is done, failed or not, the rank
+    on its driver thread is the default."""
+    after: list[int] = []
+
+    class Watched(ThreadPoolExecutor):
+        def submit(self, fn, /, *args):
+            def watched():
+                try:
+                    return fn(*args)
+                finally:
+                    after.append(ISSUE_RANK.get())
+            return super().submit(watched)
+
+    def step(issue: str) -> int:
+        if issue == "boom":
+            raise TransportError("connection reset")
+        return ISSUE_RANK.get()
+
+    monkeypatch.setattr(miner, "ThreadPoolExecutor", Watched)
+    done = list(in_issue_order(["a", "boom", "b", "boom", "c"], step))
+    assert [issue for issue, _ in done] == ["a", "boom", "b", "boom", "c"]
+    assert [job.result() for issue, job in done if issue != "boom"] == [0, 2, 4]
+    assert all(isinstance(job.exception(), TransportError)
+               for issue, job in done if issue == "boom")
+    assert after == [0] * 5
+
+
 def test_an_unset_workers_sizes_the_pool_by_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
@@ -347,9 +377,32 @@ def test_pool_sends_each_distinct_request_once():
         assert pool.call_all([(call, "b"), (call, "c"), (call, "c")]) == ["B", "C", "C"]
         assert call.runs == {"a": 1, "b": 1, "c": 1}
     # Closing the pool forgets what it was told.
-    assert pool.call_all([(call, "a")]) == ["A"]
-    assert call.runs["a"] == 2
+    assert not pool._replies
+
+
+def test_a_closed_pool_has_no_live_thread_and_runs_no_call():
+    """Three calls meet at a barrier, so each runs on its own pool thread;
+    after ``close`` none of those threads is alive, and the pool refuses a
+    call instead of running it."""
+    meet = threading.Barrier(3, timeout=30)
+    threads = set()
+
+    def call(name: str) -> str:
+        threads.add(threading.current_thread())
+        meet.wait()
+        return name
+
+    pool = CallPool(3)
+    assert pool.call_all([(call, name) for name in "abc"]) == ["a", "b", "c"]
     pool.close()
+    assert len(threads) == 3
+    assert not any(thread.is_alive() for thread in threads)
+    counted = _Counted()
+    with pytest.raises(RuntimeError):
+        pool.call_all([(counted, "d")])
+    with pytest.raises(RuntimeError):
+        pool.submit(counted, "e")
+    assert not counted.runs
 
 
 def test_pool_answers_from_memory_without_a_slot():
