@@ -130,7 +130,10 @@ class BaselineModel:
 
     @classmethod
     def from_json(cls, payload: dict) -> "BaselineModel":
-        vocabulary = list(payload["vocabulary"])
+        vocabulary = payload["vocabulary"]
+        if not (isinstance(vocabulary, list) and all(isinstance(w, str) for w in vocabulary)
+                and len(set(vocabulary)) == len(vocabulary)):
+            raise ValueError("vocabulary must be a list of distinct strings")
         vectorizer = TfidfVectorizer(vocabulary=vocabulary,
                                      idf=float_array(payload, "idf", len(vocabulary)))
         return cls(vectorizer=vectorizer, scaler=_Scaler.from_json(payload, FEATURE_DIM),
@@ -141,7 +144,7 @@ class BaselineModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "BaselineModel":
-        return read_model(path, "baseline", {"design_baseline": cls.from_json},
+        return read_model(path, "baseline", "design_baseline", cls.from_json,
                           BASELINE_FINGERPRINT)
 
 
@@ -198,7 +201,7 @@ class PairBaselineModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "PairBaselineModel":
-        return read_model(path, "pair baseline", {"pair_baseline": cls.from_json},
+        return read_model(path, "pair baseline", "pair_baseline", cls.from_json,
                           PAIR_FINGERPRINT)
 
 

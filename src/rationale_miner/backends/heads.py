@@ -44,13 +44,25 @@ def expit(z: np.ndarray) -> np.ndarray:
                        count=z.size).reshape(z.shape)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a JSON number, not a bool, that a float holds finitely."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def float_array(payload: dict, key: str, *shape: int) -> np.ndarray:
-    """``payload[key]`` as a float64 array of ``shape``; a ValueError
-    otherwise."""
-    value = np.asarray(payload[key], dtype=np.float64)
+    """``payload[key]`` as a float64 array of ``shape``; a ValueError unless
+    it holds finite numbers of that shape."""
+    value = np.array(payload[key], dtype=object)
     if value.shape != shape:
         raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
-    return value
+    if not all(map(_finite, value.flat)):
+        raise ValueError(f"{key} holds a value that is not a finite number")
+    return value.astype(np.float64)
 
 
 def feature_fingerprint(names: tuple[str, ...] | list[str]) -> str:
@@ -77,7 +89,7 @@ class LogisticHead:
     @classmethod
     def from_json(cls, payload: dict, width: int) -> "LogisticHead":
         return cls(weights=float_array(payload, "weights", width),
-                   bias=float(payload["bias"]),
+                   bias=float(float_array(payload, "bias")),
                    fingerprint=payload.get("fingerprint", ""),
                    meta=payload.get("meta", {}))
 
@@ -155,16 +167,16 @@ def write_model(payload: dict, path: str | Path) -> None:
     file.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict], Any]],
+def read_model(path: str | Path, name: str, kind: str, build: Callable[[dict], Any],
                expected_fingerprint: str) -> Any:
     """Build the model held in a file written by ``write_model``.
 
-    ``builders`` maps each accepted ``kind`` to the constructor of that model,
-    which checks the shape of each field against the widths its reader needs.
-    A missing or unreadable file (a name too long to exist among them),
-    content that is not a JSON object, another kind and a missing or
-    malformed field raise ModelMissing.  A fingerprint other than
-    ``expected_fingerprint`` raises FingerprintMismatch.
+    ``build`` is the constructor of a model of ``kind``, which checks the
+    shape of each field against the widths its reader needs.  A missing or
+    unreadable file (a name too long to exist among them), content that is
+    not a JSON object, another kind and a missing or malformed field raise
+    ModelMissing.  A fingerprint other than ``expected_fingerprint`` raises
+    FingerprintMismatch.
     """
     where = shown(str(path))
     if not os.path.exists(path):
@@ -181,10 +193,8 @@ def read_model(path: str | Path, name: str, builders: dict[str, Callable[[dict],
             f"{name} at {where} was trained on feature order {shown(fingerprint)}, "
             f"expected {expected_fingerprint!r}"
         )
-    kind = payload.get("kind")
-    build = builders.get(kind) if isinstance(kind, str) else None
-    if build is None:
-        raise ModelMissing(f"{name} at {where} has unknown kind {shown(kind)}")
+    if payload.get("kind") != kind:
+        raise ModelMissing(f"{name} at {where} has unknown kind {shown(payload.get('kind'))}")
     try:
         return build(payload)
     except (KeyError, TypeError, ValueError) as exc:
@@ -199,6 +209,6 @@ def save_head(head: LogisticHead | SoftmaxHead, path: str | Path) -> None:
 def load_head(path: str | Path, expected_fingerprint: str, width: int) -> LogisticHead:
     """Load a saved logistic head, checking its feature-order fingerprint and
     its number of weights."""
-    return read_model(path, "head",
-                      {"logistic": lambda payload: LogisticHead.from_json(payload, width)},
+    return read_model(path, "head", "logistic",
+                      lambda payload: LogisticHead.from_json(payload, width),
                       expected_fingerprint)

@@ -22,7 +22,13 @@ import ssl
 from abc import ABC, abstractmethod
 from base64 import b64encode
 from collections.abc import Sequence
-from http.client import HTTPConnection, HTTPException, HTTPSConnection, RemoteDisconnected
+from http.client import (
+    HTTPConnection,
+    HTTPException,
+    HTTPSConnection,
+    IncompleteRead,
+    RemoteDisconnected,
+)
 from urllib.parse import SplitResult, unquote, urlsplit
 from urllib.request import getproxies, proxy_bypass
 
@@ -31,6 +37,10 @@ from ..errors import ConfigError, ProtocolError, TransportError, shown
 MASK_TOKEN = "[MASK]"
 ENV_AUTH_TOKEN = "RATIONALE_MINER_AUTH_TOKEN"
 DEFAULT_MAX_TOKENS = 8
+# The most bytes of a reply body read.  A valid reply (14 probabilities, or a
+# text of at most max_tokens tokens) is far shorter; the cap keeps a server or
+# proxy that sends a huge or endless body from filling memory.
+MAX_REPLY_BYTES = 1 << 20
 
 
 def mask_probs_body(prompt: str, candidates: Sequence[str]) -> dict:
@@ -137,7 +147,8 @@ class _Unanswered(ConnectionError):
 def _exchange(conn: HTTPConnection, target: str, body: bytes,
               headers: dict) -> tuple[int, bytes]:
     """Status and body of one POST on ``conn``, read in full.  A failure
-    closes ``conn``; one before any response byte is an _Unanswered."""
+    closes ``conn``; one before any response byte is an _Unanswered, and a
+    body longer than MAX_REPLY_BYTES is a ProtocolError."""
     try:
         try:
             conn.request("POST", target, body, headers)
@@ -147,7 +158,12 @@ def _exchange(conn: HTTPConnection, target: str, body: bytes,
             response = conn.getresponse()
         except RemoteDisconnected as exc:  # closed with no status line byte
             raise _Unanswered(*exc.args) from exc
-        return response.status, response.read()
+        body = response.read(MAX_REPLY_BYTES + 1)
+        if len(body) > MAX_REPLY_BYTES:
+            raise ProtocolError(f"POST {target}: reply body over {MAX_REPLY_BYTES} bytes")
+        if response.length:  # read(amt) returns a body cut short without raising
+            raise IncompleteRead(body, response.length)
+        return response.status, body
     except BaseException:
         conn.close()
         raise

@@ -14,6 +14,7 @@ import json
 import sys
 from concurrent.futures import Future
 from contextlib import closing, nullcontext
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, ContextManager
 
@@ -52,7 +53,7 @@ from .evaluation import (
     run_ablation,
     split_dataset,
 )
-from .features import FEATURE_GROUPS
+from .features import FEATURE_BLOCKS
 from .miner import (
     CallPool,
     design_entries,
@@ -92,11 +93,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    values = {}
-    for flag, (key, _, _) in _OVERRIDE_FLAGS.items():
-        if getattr(args, flag, None) is not None:
-            values[key] = getattr(args, flag)
-    return values
+    """Each config key's flag value; None for a flag not given."""
+    return {key: getattr(args, flag) for flag, (key, _, _) in _OVERRIDE_FLAGS.items()}
 
 
 def _outdir(cfg: RunConfig) -> Path:
@@ -184,12 +182,9 @@ def _ingest(issue: IssueLog, out: Path) -> tuple[str, list[str]]:
     path = out / f"{issue.key}.sentences.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
         for s in sentences:
-            handle.write(json.dumps({
-                "id": s.id, "text": s.text, "kind": s.kind,
-                "comment_index": s.comment_index,
-                "block_index": s.block_index,
-                "global_index": s.global_index, "author": s.author,
-            }) + "\n")
+            record = asdict(s)
+            del record["issue_key"]  # the file name holds it
+            handle.write(json.dumps(record) + "\n")
     return f"{issue.key}: {len(sentences)} sentences -> {path}", []
 
 
@@ -346,7 +341,7 @@ def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace)
         if not texts:
             raise DegenerateData(f"{_NO_TRAINING_DATA}'s {split} split")
     dimensions: list[str | None] = [None]
-    dimensions.extend(args.dimension or sorted(FEATURE_GROUPS))
+    dimensions.extend(args.dimension or sorted(FEATURE_BLOCKS))
     results = []
     for dimension in dimensions:
         result = run_ablation(train_texts, train_features, train_labels,
@@ -420,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(command)
         if name == "ablate":
             command.add_argument("--dimension", action="append",
-                                 choices=sorted(FEATURE_GROUPS),
+                                 choices=sorted(FEATURE_BLOCKS),
                                  help="feature block to ablate (repeatable); "
                                       "default: all blocks")
     return parser

@@ -33,6 +33,11 @@ BACKENDS = ("remote", "scripted")
 
 SP_FINGERPRINT = feature_fingerprint(SP_FEATURE_NAMES)
 
+# The most ``workers``.  A pool starts a thread per queued call while none is
+# idle, and one issue can queue d(d-1)/2 pair prompts at once, so an
+# unbounded value could start thousands of threads.
+MAX_WORKERS = 256
+
 # The values that each declared field type takes (a bool is no int here);
 # bot_authors is checked on its own.
 _ACCEPTED = {"str": (str,), "str | None": (str, type(None)),
@@ -85,6 +90,8 @@ class RunConfig:
             raise ConfigError("max_sequence values must be positive")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.workers is not None and self.workers > MAX_WORKERS:
+            raise ConfigError(f"workers must be at most {MAX_WORKERS}")
         if not isinstance(self.bot_authors, list) or not all(
                 isinstance(author, str) and author for author in self.bot_authors):
             # an empty substring would match, and drop, every comment
@@ -130,10 +137,7 @@ def load_config(path: str | Path | None = None,
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {shown(sorted(unknown))}")
-    try:
-        return RunConfig(**values).validate()
-    except TypeError as exc:
-        raise ConfigError(f"bad config value: {exc}") from exc
+    return RunConfig(**values).validate()
 
 
 def build_backend(cfg: RunConfig):

@@ -135,12 +135,9 @@ def parse_issue(raw: dict) -> IssueLog:
     key = raw["key"]
     if not is_path_component(key):
         raise MalformedExport(f"issue key {shown(key)} is not a single path component")
-    description = raw.get("description") or ""
-    if not isinstance(description, str):
-        raise MalformedExport("field 'description' must be a string")
-    reporter = raw.get("reporter") or ""
-    if not isinstance(reporter, str):
-        raise MalformedExport("field 'reporter' must be a string")
+    for optional in ("description", "reporter"):  # absent or null: empty
+        if not isinstance(raw.get(optional, ""), (str, type(None))):
+            raise MalformedExport(f"field {optional!r} must be a string")
     raw_comments = raw.get("comments", [])
     if not isinstance(raw_comments, list):
         raise MalformedExport("field 'comments' must be a list")
@@ -162,8 +159,8 @@ def parse_issue(raw: dict) -> IssueLog:
     except TypeError as exc:  # timestamps with and without an offset
         raise BadTimestamp(f"issue {key}: cannot order comment timestamps "
                            f"with and without an offset") from exc
-    return IssueLog(key=key, summary=raw["summary"], description=description,
-                    reporter=reporter, comments=comments)
+    return IssueLog(key=key, summary=raw["summary"], description=raw.get("description") or "",
+                    reporter=raw.get("reporter") or "", comments=comments)
 
 
 def load_corpus(path: str | Path, encoding: str = DEFAULT_ENCODING,

@@ -9,10 +9,11 @@ membership inside that gold rationale.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -28,7 +29,7 @@ from .errors import (
     UnknownSentence,
     shown,
 )
-from .features import FEATURE_DIM, FEATURE_GROUPS, compute_feature_matrix
+from .features import FEATURE_BLOCKS, FEATURE_DIM, FEATURE_NAMES, compute_feature_matrix
 from .miner import COMPLEMENTARY, SUPPORTING, UNRELATED, Rationale
 from .prompts import RELATION_LABELS
 from .sentiment import SentimentAnalyzer
@@ -159,14 +160,6 @@ class Annotation:
     def design_ids(self) -> list[str]:
         return [sid for sid, label in self.labels.items() if label != CATEGORY_NONE]
 
-    def to_json(self) -> dict:
-        return {
-            "issue": self.issue,
-            "annotator": self.annotator,
-            "labels": self.labels,
-            "rationales": [r.to_json() for r in self.rationales],
-        }
-
     @classmethod
     def from_json(cls, payload: dict) -> "Annotation":
         if not isinstance(payload, dict):
@@ -227,7 +220,7 @@ def load_annotations(path: str | Path) -> list[Annotation]:
 def save_annotations(annotations: list[Annotation], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in annotations:
-            handle.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            handle.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
 
 def pair_labels_from_annotation(annotation: Annotation,
@@ -249,18 +242,17 @@ def pair_labels_from_annotation(annotation: Annotation,
             for sid in group:
                 member_of[sid] = (ri, CATEGORY_ARGUMENT, gi)
     labeled = []
-    for i, sid1 in enumerate(design):
-        for sid2 in design[i + 1:]:
-            a, b = member_of.get(sid1), member_of.get(sid2)
-            if a is None or b is None or a[0] != b[0]:
-                label = UNRELATED
-            elif a[1] == b[1] and a[2] == b[2]:
-                label = COMPLEMENTARY
-            elif a[1] != b[1]:
-                label = SUPPORTING
-            else:
-                label = UNRELATED
-            labeled.append((sid1, sid2, label))
+    for sid1, sid2 in itertools.combinations(design, 2):
+        a, b = member_of.get(sid1), member_of.get(sid2)
+        if a is None or b is None or a[0] != b[0]:
+            label = UNRELATED
+        elif a[1] == b[1] and a[2] == b[2]:
+            label = COMPLEMENTARY
+        elif a[1] != b[1]:
+            label = SUPPORTING
+        else:
+            label = UNRELATED
+        labeled.append((sid1, sid2, label))
     return labeled
 
 
@@ -300,13 +292,12 @@ class AblationResult:
 
 def dimension_slots(dimension: str) -> list[int]:
     """Feature indices zeroed when ablating a named dimension."""
-    if dimension not in FEATURE_GROUPS:
+    if dimension not in FEATURE_BLOCKS:
         raise UnknownDimension(
             f"unknown feature dimension {dimension!r}; "
-            f"expected one of {sorted(FEATURE_GROUPS)}"
+            f"expected one of {sorted(FEATURE_BLOCKS)}"
         )
-    start, stop = FEATURE_GROUPS[dimension]
-    return list(range(start, stop))
+    return [FEATURE_NAMES.index(name) for name in FEATURE_BLOCKS[dimension]]
 
 
 def mask_features(features: np.ndarray, slots: list[int]) -> np.ndarray:
@@ -386,25 +377,15 @@ def corpus_stats(issues: list[IssueLog],
                  annotations: list[Annotation] | None = None) -> list[dict]:
     """Per-project issue/comment/sentence counts, plus design counts if
     annotations are given; ends with a total row."""
-    design_by_issue = {}
-    for record in annotations or []:
-        design_by_issue[record.issue] = len(record.design_ids())
+    design_by_issue = {record.issue: len(record.design_ids()) for record in annotations or []}
+    counts = ("issues", "comments", "sentences", "design_sentences")
     rows: dict[str, dict] = {}
     for issue in issues:
-        row = rows.setdefault(issue.project, {
-            "project": issue.project, "issues": 0, "comments": 0,
-            "sentences": 0, "design_sentences": 0,
-        })
-        row["issues"] += 1
-        row["comments"] += len(issue.comments)
-        row["sentences"] += len(enumerate_sentences(issue))
-        row["design_sentences"] += design_by_issue.get(issue.key, 0)
+        row = rows.setdefault(issue.project, {"project": issue.project,
+                                              **dict.fromkeys(counts, 0)})
+        for name, value in zip(counts, (1, len(issue.comments), len(enumerate_sentences(issue)),
+                                        design_by_issue.get(issue.key, 0))):
+            row[name] += value
     ordered = [rows[p] for p in sorted(rows)]
-    total = {
-        "project": "total",
-        "issues": sum(r["issues"] for r in ordered),
-        "comments": sum(r["comments"] for r in ordered),
-        "sentences": sum(r["sentences"] for r in ordered),
-        "design_sentences": sum(r["design_sentences"] for r in ordered),
-    }
-    return ordered + [total]
+    return ordered + [{"project": "total",
+                       **{name: sum(row[name] for row in ordered) for name in counts}}]

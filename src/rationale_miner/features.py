@@ -2,8 +2,8 @@
 
 Every sentence maps to a fixed 29-dimensional vector laid out as five blocks:
 process (5), position (3), keyword (14), structure (3), sentiment (4).  The
-order is frozen in FEATURE_NAMES; trained heads store a fingerprint of it and
-refuse to run against a different layout.
+order is frozen in FEATURE_BLOCKS, which FEATURE_NAMES flattens; trained heads
+store a fingerprint of it and refuse to run against a different layout.
 """
 
 from __future__ import annotations
@@ -31,28 +31,22 @@ GREETING_WORDS: tuple[str, ...] = ("hi", "hello", "bye", "thanks", "thx", "thank
 CAUSAL_WORDS: tuple[str, ...] = ("so", "therefore", "then")
 TRANSITION_WORDS: tuple[str, ...] = ("but", "yet", "however")
 
-FEATURE_NAMES: tuple[str, ...] = (
-    "is_description", "is_creator", "author_comment_count", "comment_count",
-    "sentence_count",
-    "comment_position", "sentence_position", "global_index",
-    "kw_what", "kw_why", "kw_when", "kw_who", "kw_which", "kw_how",
-    "kw_modal_should_shall", "kw_modal_can_could", "kw_modal_may_might",
-    "kw_question_mark", "kw_exclamation_mark", "kw_greeting", "kw_causal",
-    "kw_transition",
-    "has_code", "has_url", "word_count",
-    "sentiment_pos", "sentiment_neu", "sentiment_neg", "sentiment_compound",
-)
+# Each block's feature names, in vector order; ablation masks one block.
+FEATURE_BLOCKS: dict[str, tuple[str, ...]] = {
+    "process": ("is_description", "is_creator", "author_comment_count", "comment_count",
+                "sentence_count"),
+    "position": ("comment_position", "sentence_position", "global_index"),
+    "keyword": ("kw_what", "kw_why", "kw_when", "kw_who", "kw_which", "kw_how",
+                "kw_modal_should_shall", "kw_modal_can_could", "kw_modal_may_might",
+                "kw_question_mark", "kw_exclamation_mark", "kw_greeting", "kw_causal",
+                "kw_transition"),
+    "structure": ("has_code", "has_url", "word_count"),
+    "sentiment": ("sentiment_pos", "sentiment_neu", "sentiment_neg", "sentiment_compound"),
+}
+
+FEATURE_NAMES: tuple[str, ...] = sum(FEATURE_BLOCKS.values(), ())
 
 FEATURE_DIM = len(FEATURE_NAMES)
-
-# Contiguous slots of each block, used by the ablation runner.
-FEATURE_GROUPS: dict[str, tuple[int, int]] = {
-    "process": (0, 5),
-    "position": (5, 8),
-    "keyword": (8, 22),
-    "structure": (22, 25),
-    "sentiment": (25, 29),
-}
 
 _WORD = re.compile(r"[A-Za-z0-9']+")
 

@@ -19,7 +19,7 @@ from collections import Counter, OrderedDict, deque
 from contextlib import nullcontext
 from contextvars import ContextVar, copy_context
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
@@ -225,12 +225,8 @@ class RelationGraph:
                 raise SameSentence(f"complementary edge relates {a} to itself")
 
     def to_json(self) -> dict:
-        return {
-            "supporting": [
-                {"argument": e.argument, "solution": e.solution} for e in self.supporting
-            ],
-            "complementary": [list(pair) for pair in self.complementary],
-        }
+        return {"supporting": [asdict(e) for e in self.supporting],
+                "complementary": [list(pair) for pair in self.complementary]}
 
 
 @dataclass
@@ -239,7 +235,7 @@ class Rationale:
     arguments: list[list[str]]
 
     def to_json(self) -> dict:
-        return {"solution": self.solution, "arguments": self.arguments}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload) -> "Rationale":
@@ -400,8 +396,7 @@ def extract_design_sentences(sentences: list[Sentence], features: np.ndarray,
 
 def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
     """Every unordered design-sentence pair, the earlier sentence first."""
-    ordered = sorted(design, key=lambda s: s.global_index)
-    return [(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1:]]
+    return list(itertools.combinations(sorted(design, key=lambda s: s.global_index), 2))
 
 
 def classify_pairs(design: list[Sentence], backend: Backend,

@@ -118,7 +118,8 @@ def scalar_inc_dec(word: str, valence: float, is_cap_diff: bool) -> float:
 def load_lexicon(path: str | Path | None = None) -> dict[str, float]:
     """Read a tab-separated token/valence lexicon (the packaged one when
     None); extra columns are ignored.  An unreadable file, one that is not
-    UTF-8, or a malformed line raises MissingLexicon."""
+    UTF-8, a malformed line or a valence that is not a finite number raises
+    MissingLexicon."""
     path = str(path or resources.files("rationale_miner").joinpath("data/sentiment_lexicon.txt"))
     lexicon: dict[str, float] = {}
     try:
@@ -132,10 +133,14 @@ def load_lexicon(path: str | Path | None = None) -> dict[str, float]:
                     raise MissingLexicon(f"malformed lexicon line in {shown(path)}: "
                                          f"{shown(line)}")
                 try:
-                    lexicon[parts[0]] = float(parts[1])
+                    valence = float(parts[1])
                 except ValueError as exc:
                     raise MissingLexicon(f"non-numeric valence in {shown(path)}: "
                                          f"{shown(line)}") from exc
+                if not math.isfinite(valence):
+                    raise MissingLexicon(f"non-finite valence in {shown(path)}: "
+                                         f"{shown(line)}")
+                lexicon[parts[0]] = valence
     except (OSError, UnicodeDecodeError) as exc:
         raise MissingLexicon(f"cannot read sentiment lexicon at {shown(path)}") from exc
     return lexicon
@@ -265,8 +270,6 @@ class SentimentAnalyzer:
         return valence
 
     def _aggregate(self, sentiments: list[float], text: str) -> SentimentScores:
-        if not sentiments:
-            return NEUTRAL
         total_valence = float(sum(sentiments))
         punct = _punctuation_emphasis(text)
         if total_valence > 0:

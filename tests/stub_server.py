@@ -29,6 +29,8 @@ import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from rationale_miner.backends.protocol import MAX_REPLY_BYTES
+
 
 def expected_probs(prompt: str, count: int) -> list[float]:
     return [round(((len(prompt) + i) % 10) / 10.0, 6) for i in range(count)]
@@ -186,8 +188,16 @@ class SocketStub:
 _REPLY_BODY = json.dumps({"text": "ok"}).encode()
 _REPLY = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
           b"Content-Length: %d\r\n\r\n%s" % (len(_REPLY_BODY), _REPLY_BODY))
+# A body one byte over the client's cap, whole and in 64 KiB chunks.
+_LONG_BODY = b"x" * (MAX_REPLY_BYTES + 1)
+_LONG_CHUNKS = (_LONG_BODY[i:i + 65536] for i in range(0, len(_LONG_BODY), 65536))
 _REPLIES = {"partial": _REPLY[:-3],
-            "close": _REPLY.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1)}
+            "close": _REPLY.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1),
+            "long": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(_LONG_BODY)
+                    + _LONG_BODY,
+            "long-chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                            + b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk)
+                                       for chunk in _LONG_CHUNKS) + b"0\r\n\r\n"}
 
 
 def _read_request(conn: socket.socket, buffer: bytes) -> bytes | None:
@@ -211,7 +221,8 @@ def run_socket_stub(script: list[str]):
     connection, ``ok-close`` answers and then closes it without saying so,
     ``close`` answers with ``Connection: close`` and closes it, ``drop``
     closes it without a reply, ``partial`` sends a reply cut short and
-    closes."""
+    closes, and ``long`` and ``long-chunked`` send a body one byte over
+    MAX_REPLY_BYTES, with a Content-Length or in chunks, and close."""
     listener = socket.create_server(("127.0.0.1", 0))
     stub = SocketStub(listener.getsockname()[1])
 
@@ -224,7 +235,10 @@ def run_socket_stub(script: list[str]):
                     return
                 step = script.pop(0)
                 if step != "drop":
-                    conn.sendall(_REPLIES.get(step, _REPLY))
+                    try:
+                        conn.sendall(_REPLIES.get(step, _REPLY))
+                    except OSError:  # the client closed it mid-reply
+                        return
         if step == "ok-close":
             stub.closed.set()
 

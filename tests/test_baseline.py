@@ -122,6 +122,23 @@ def test_baseline_round_trip_preserves_predictions(tmp_path):
                           model.predict_proba(texts, features))
 
 
+@pytest.mark.parametrize("replace", [
+    lambda n: "abcdefghijklmnopqrstuvwxyz"[:n],  # a string of as many letters
+    lambda n: ["cache"] * n,
+    lambda n: list(range(n)),
+], ids=["string", "repeated-word", "numbers"])
+def test_a_baseline_vocabulary_must_be_a_list_of_distinct_strings(tmp_path, replace):
+    texts, features, labels = _toy_design_data()
+    path = tmp_path / "model.json"
+    train_baseline(texts, features, labels).save(path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    # every width still fits: only the vocabulary's shape is wrong
+    payload["vocabulary"] = replace(len(payload["vocabulary"]))
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ModelMissing, match="vocabulary must be a list of distinct strings"):
+        BaselineModel.load(path)
+
+
 def test_baseline_fingerprint_checks(tmp_path):
     texts, features, labels = _toy_design_data()
     path = tmp_path / "model.json"

@@ -11,6 +11,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,9 +24,9 @@ from rationale_miner import cli
 from rationale_miner.backends.baseline import BaselineModel, PairBaselineModel
 from rationale_miner.backends.heads import LogisticHead, SoftmaxHead, load_head, save_head
 from rationale_miner.cli import main
-from rationale_miner.config import SP_FINGERPRINT, build_backend, load_config
+from rationale_miner.config import MAX_WORKERS, SP_FINGERPRINT, build_backend, load_config
 from rationale_miner.corpus import load_corpus
-from rationale_miner.errors import shown
+from rationale_miner.errors import ConfigError, shown
 from rationale_miner.evaluation import split_dataset
 
 from stub_server import run_stub
@@ -291,6 +292,41 @@ def test_mine_requires_head_path(workspace):
     assert main(["mine", "-c", str(workspace[2])]) == 2
 
 
+_BASELINE_MODE = {"mode": "baseline", "backend": None, "script_path": None, "head_path": None}
+
+
+@pytest.mark.parametrize("command,unset", [
+    ("train", "head_path"),  # prompt_head mode
+    ("extract", "baseline_path"),
+    ("pair", "pair_baseline_path"),
+])
+def test_a_missing_model_path_is_a_config_error(workspace, capsys, command, unset):
+    tmp_path, config, config_path = workspace
+    if command == "train":
+        _rewrite(workspace, head_path=None)
+    else:
+        baseline = str(tmp_path / "baseline.json")
+        _rewrite(workspace, **_BASELINE_MODE, baseline_path=baseline)
+        assert main(["train", "-c", str(config_path)]) == 0  # the design baseline alone
+        _rewrite(workspace, **_BASELINE_MODE,
+                 baseline_path=None if command == "extract" else baseline)
+    capsys.readouterr()
+    assert main([command, "-c", str(config_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {unset} is required ")
+
+
+def test_workers_above_the_maximum_is_a_config_error(workspace, capsys):
+    assert load_config(overrides={"workers": MAX_WORKERS}).workers == MAX_WORKERS
+    with pytest.raises(ConfigError, match=f"workers must be at most {MAX_WORKERS}$"):
+        load_config(overrides={"workers": MAX_WORKERS + 1})
+    threads = threading.active_count()
+    assert main(["mine", "-c", str(workspace[2]), "--workers", "100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: workers must be at most {MAX_WORKERS}\n"
+    assert captured.out == ""
+    assert threading.active_count() <= threads  # no pool was built
+
+
 def test_flag_overrides_reach_the_config(workspace):
     # an invalid mode injected through a flag fails validation the same way
     assert main(["stats", "-c", str(workspace[2]), "--mode", "wizard"]) == 2
@@ -524,6 +560,24 @@ def test_train_baseline_writes_models(workspace, capsys):
     out = capsys.readouterr().out
     assert "design baseline trained on 10 sentences" in out
     assert "pair baseline trained on 15 pairs" in out
+
+
+def test_train_skips_the_pair_baseline_when_annotations_yield_one_relation_class(
+        workspace, fixtures_dir, capsys):
+    tmp_path, config, config_path = workspace
+    record = json.loads((fixtures_dir / "flink-1320-gold.jsonl").read_text(encoding="utf-8"))
+    gold = tmp_path / "gold.jsonl"
+    # design labels, but no rationale: every design pair is unrelated
+    gold.write_text(json.dumps({**record, "rationales": []}) + "\n", encoding="utf-8")
+    pair_path = tmp_path / "pair.json"
+    _rewrite(workspace, mode="baseline", baseline_path=str(tmp_path / "baseline.json"),
+             pair_baseline_path=str(pair_path), annotations_path=str(gold))
+    assert main(["train", "-c", str(config_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"design baseline trained on 10 sentences -> {tmp_path / 'baseline.json'}",
+        "pair baseline skipped: annotations yield a single relation class",
+    ]
+    assert not pair_path.exists()
 
 
 def test_train_reads_the_configured_lexicon(workspace):

@@ -65,6 +65,34 @@ def test_parse_issue_rejects_malformed_exports(broken):
         parse_issue(broken)
 
 
+_ABSENT = object()
+
+
+@pytest.mark.parametrize("field", ["description", "reporter"])
+@pytest.mark.parametrize("value,parsed", [
+    (_ABSENT, ""), (None, ""), ("", ""), ("alice", "alice"),
+    (0, None), (False, None), ([], None), ({}, None), (7, None), (["alice"], None),
+], ids=["absent", "null", "empty", "string", "zero", "false", "empty-list", "empty-object",
+        "number", "list"])
+def test_parse_issue_takes_a_string_or_nothing_as_description_and_reporter(field, value,
+                                                                          parsed):
+    raw = {"key": "A-1", "summary": "x"}
+    if value is not _ABSENT:
+        raw[field] = value
+    if parsed is None:
+        with pytest.raises(MalformedExport, match=f"field '{field}' must be a string"):
+            parse_issue(raw)
+    else:
+        assert getattr(parse_issue(raw), field) == parsed
+
+
+@pytest.mark.parametrize("comment", [3, None, "author body created",
+                                     ["author", "body", "created"]])
+def test_parse_issue_rejects_a_comment_that_is_not_an_object(comment):
+    with pytest.raises(MalformedExport, match="comment 0 must be an object"):
+        parse_issue({"key": "A-1", "summary": "x", "comments": [comment]})
+
+
 def test_parse_issue_rejects_bad_timestamps():
     raw = {"key": "A-1", "summary": "x",
            "comments": [{"author": "a", "body": "b", "created": "yesterday"}]}

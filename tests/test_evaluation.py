@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -134,7 +135,7 @@ def test_annotation_round_trip_and_design_ids():
         labels={"s0": "solution", "s1": "argument", "s2": "none"},
         rationales=[_r(["s0"], [["s1"]])],
     )
-    parsed = Annotation.from_json(json.loads(json.dumps(record.to_json())))
+    parsed = Annotation.from_json(json.loads(json.dumps(asdict(record))))
     assert parsed == record
     assert record.design_ids() == ["s0", "s1"]
 
@@ -310,6 +311,14 @@ def test_collect_pair_data_from_golden_issue(golden_issue, fixtures_dir):
     assert (labels == 0).sum() == 6
     assert (labels == 1).sum() == 2
     assert (labels == 2).sum() == 7
+
+
+def test_collect_pair_data_skips_unannotated_issues(golden_issue, fixtures_dir):
+    gold = load_annotations(fixtures_dir / "flink-1320-gold.jsonl")
+    matrix, labels = collect_pair_data([_issue("OTHER-1"), golden_issue], gold)
+    expected_matrix, expected_labels = collect_pair_data([golden_issue], gold)
+    assert np.array_equal(matrix, expected_matrix)
+    assert np.array_equal(labels, expected_labels)
 
 
 def test_corpus_stats_rows(golden_issue):

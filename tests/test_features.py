@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationale_miner.corpus import clean_issue, parse_issue
+from rationale_miner.evaluation import dimension_slots
 from rationale_miner.features import (
+    FEATURE_BLOCKS,
     FEATURE_DIM,
-    FEATURE_GROUPS,
     FEATURE_NAMES,
     POLARITY_WORDS,
     compute_feature_matrix,
@@ -35,10 +36,9 @@ def test_layout_constants():
 
 
 def test_feature_groups_partition_the_vector():
-    slots = sorted(
-        slot for start, stop in FEATURE_GROUPS.values() for slot in range(start, stop))
+    slots = sorted(slot for block in FEATURE_BLOCKS for slot in dimension_slots(block))
     assert slots == list(range(29))
-    widths = {name: stop - start for name, (start, stop) in FEATURE_GROUPS.items()}
+    widths = {name: len(names) for name, names in FEATURE_BLOCKS.items()}
     assert widths == {"process": 5, "position": 3, "keyword": 14,
                       "structure": 3, "sentiment": 4}
 

@@ -169,6 +169,14 @@ def test_load_lexicon_non_numeric_valence_raises(tmp_path):
         load_lexicon(path)
 
 
+@pytest.mark.parametrize("valence", ["nan", "inf", "-Infinity", "1e400"])
+def test_load_lexicon_non_finite_valence_raises(tmp_path, valence):
+    path = tmp_path / "lex.txt"
+    path.write_text(f"good\t{valence}\n", encoding="utf-8")
+    with pytest.raises(MissingLexicon, match="non-finite valence"):
+        load_lexicon(path)
+
+
 def test_load_lexicon_returns_a_private_copy():
     first = load_lexicon()
     first["mutated"] = 99.0
