@@ -257,3 +257,25 @@ def oracle_split_sentences(text: str, abbreviations: tuple[str, ...]) -> list[st
         if flat[start:].strip():
             sentences.append(flat[start:].strip())
     return sentences
+
+
+def _occurs(needle: str, text: str) -> bool:
+    """Whether ``needle`` is some slice of ``text``, by trying every start."""
+    return any(text[start:start + len(needle)] == needle
+               for start in range(len(text) - len(needle) + 1))
+
+
+def oracle_script_rule(section: dict, prompt: str) -> dict | None:
+    """The rule of a well-formed script section that answers ``prompt``: the
+    first of all rules whose ``contains`` substrings (one string, or a list)
+    each occur in it, else the section's default; None when neither exists."""
+    matching = []
+    for rule in section.get("rules", []):
+        needles = rule["contains"]
+        if isinstance(needles, str):
+            needles = [needles]
+        if all(_occurs(needle, prompt) for needle in needles):
+            matching.append(rule)
+    if matching:
+        return matching[0]
+    return section.get("default")

@@ -25,6 +25,7 @@ from rationale_miner.backends.protocol import (
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.errors import ConfigError, ProtocolError, TransportError, shown
 
+from oracles import oracle_script_rule
 from recording import Recording
 from stub_server import expected_probs, expected_text, run_socket_stub, run_stub
 
@@ -421,9 +422,8 @@ def test_scripted_backend_matches_rules_in_order():
 @pytest.mark.parametrize("rule", [{"probs": [0.5]},
                                   {"sha256": "0" * 64, "probs": [0.5]}])
 def test_scripted_backend_rule_without_contains_has_no_matcher(rule):
-    backend = ScriptedBackend({"mask_probs": {"rules": [rule]}})
-    with pytest.raises(ProtocolError, match="script rule has no matcher"):
-        backend.mask_probs("anything [MASK]", ("a",))
+    with pytest.raises(ConfigError, match="script rule has no matcher"):
+        ScriptedBackend({"mask_probs": {"rules": [rule]}})
 
 
 def test_scripted_backend_errors_without_matching_rule_or_default():
@@ -467,15 +467,13 @@ def test_scripted_backend_rejects_what_a_server_is_held_to(probs, call):
 
 
 def test_scripted_backend_rejects_rule_without_matcher():
-    backend = ScriptedBackend({"generate": {"rules": [{"text": "hi"}]}})
-    with pytest.raises(ProtocolError):
-        backend.generate("x")
+    with pytest.raises(ConfigError):
+        ScriptedBackend({"generate": {"rules": [{"text": "hi"}]}})
 
 
 def test_scripted_backend_rejects_rule_missing_payload():
-    backend = ScriptedBackend({"generate": {"rules": [{"contains": "x"}]}})
-    with pytest.raises(ProtocolError):
-        backend.generate("x marks the spot")
+    with pytest.raises(ConfigError):
+        ScriptedBackend({"generate": {"rules": [{"contains": "x"}]}})
 
 
 @pytest.mark.parametrize("section", [
@@ -485,12 +483,41 @@ def test_scripted_backend_rejects_rule_missing_payload():
     {"rules": [{"contains": 5, "text": "hi"}]},
     {"rules": [{"contains": ["x", 5], "text": "hi"}]},
     {"default": "hi"},
+    # a bad rule after one that matches every prompt, so no call reaches it
+    *({"rules": [{"contains": [], "text": "hi"}, rule]}
+      for rule in ({"contains": 5, "text": "hi"}, {"contains": "x"}, "x")),
 ], ids=["section-not-object", "rules-not-list", "rule-not-object", "contains-number",
-        "contains-non-string", "default-not-object"])
+        "contains-non-string", "default-not-object", "unreachable-bad-contains",
+        "unreachable-lacks-text", "unreachable-not-an-object"])
 def test_scripted_backend_rejects_a_script_of_the_wrong_shape(section):
+    with pytest.raises(ConfigError):
+        ScriptedBackend({"generate": section})
+
+
+_NEEDLE = st.text(alphabet="ab", max_size=2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_scripted_backend_answers_as_the_first_match_oracle(data):
+    """Well-formed scripts, with string and list matchers, with and without a
+    default, asked prompts built from their own needles."""
+    rule = st.fixed_dictionaries({"contains": _NEEDLE | st.lists(_NEEDLE, max_size=3),
+                                  "text": st.text(max_size=4)})
+    section = {"rules": data.draw(st.lists(rule, max_size=5))}
+    if data.draw(st.booleans()):
+        section["default"] = {"text": data.draw(st.text(max_size=4))}
+    needles = [needle for r in section["rules"]
+               for needle in ([r["contains"]] if isinstance(r["contains"], str) else r["contains"])]
+    part = st.sampled_from(needles) | _NEEDLE if needles else _NEEDLE
+    prompt = " ".join(data.draw(st.lists(part, max_size=4)))
     backend = ScriptedBackend({"generate": section})
-    with pytest.raises(ProtocolError):
-        backend.generate("x marks the spot")
+    answer = oracle_script_rule(section, prompt)
+    if answer is None:
+        with pytest.raises(ProtocolError, match="no generate rule matching"):
+            backend.generate(prompt)
+    else:
+        assert backend.generate(prompt) == answer["text"]
 
 
 @pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '"text"'],

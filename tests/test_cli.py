@@ -220,6 +220,23 @@ def test_a_script_that_cannot_be_used_is_a_config_error(workspace, capsys, conte
     assert not (tmp_path / "out" / "FLINK-1320.rationales.json").exists()
 
 
+def test_a_malformed_rule_no_prompt_reaches_is_a_config_error(workspace, fixtures_dir, capsys):
+    """The fixture script with a rule after one that every prompt matches."""
+    tmp_path, config, config_path = workspace
+    document = json.loads((fixtures_dir / "flink-1320-script.json").read_text(encoding="utf-8"))
+    document["generate"]["rules"] += [{"contains": [], "text": "unrelated"},
+                                      {"contains": 5, "text": "supporting"}]
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps(document), encoding="utf-8")
+    _rewrite(workspace, script_path=str(script))
+    assert main(["mine", "-c", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("config error: script rule's contains must be a string or a list "
+                            "of strings: {'contains': 5, 'text': 'supporting'}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_probability_too_large_for_a_float_fails_the_issue(workspace, capsys):
     tmp_path, config, config_path = workspace
     script = tmp_path / "script.json"
@@ -248,14 +265,14 @@ def _main_on_a_fresh_stack(argv: list[str]) -> int:
                                   '{"contains": %s}' % _nested(979),
                                   '{"contains": "", "deep": %s}' % _nested(979)],
                          ids=["not-an-object", "no-matcher", "bad-contains", "lacks-probs"])
-def test_a_deeply_nested_script_rule_gives_a_short_failed_on_line(workspace, capsys, rule):
+def test_a_deeply_nested_script_rule_gives_a_short_config_error_line(workspace, capsys, rule):
     tmp_path, config, config_path = workspace
     script = tmp_path / "script.json"
     script.write_text('{"mask_probs": {"rules": [%s]}}' % rule, encoding="utf-8")
     _rewrite(workspace, script_path=str(script))
-    assert _main_on_a_fresh_stack(["mine", "-c", str(config_path)]) == 1
-    [line] = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("failed on FLINK-1320: script rule")]
+    assert _main_on_a_fresh_stack(["mine", "-c", str(config_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: script rule")
     assert line.endswith(" chars)")
     assert len(line) < 400
 

@@ -43,7 +43,8 @@ _NOISE_P0 = [0.1] + [0.0] * 13
 # 0.9 and not when it is 0.1.  Pair answers depend on the tags alone: a
 # "Murky" second sentence is unparsable (a warning), a "Bridge" is an
 # argument complementary to an earlier plan (a construction warning), and a
-# "Doomed" sentence has a rule without an answer (the issue fails).
+# "Doomed" sentence's well-formed rule answers null, a reply that fails its
+# check on every call (the issue fails).
 SCRIPT = {
     "mask_probs": {
         "rules": [{"contains": tag + " q", "probs": _DESIGN_P0}
@@ -52,7 +53,7 @@ SCRIPT = {
     },
     "generate": {
         "rules": [
-            {"contains": "Doomed"},
+            {"contains": "Doomed", "text": None},
             {"contains": "Sentence 2: Murky", "text": "hard to say"},
             {"contains": ["Sentence 1: Reason", "Sentence 2: Plan"], "text": "supporting"},
             {"contains": ["Sentence 1: Bridge", "Sentence 2: Plan"], "text": "supporting"},
@@ -541,7 +542,7 @@ def test_transport_error_fails_only_its_issue(corpus, monkeypatch):
     failed = [line for line in stderr.splitlines() if line.startswith("failed on")]
     assert failed == [
         "failed on SCHED-3: POST /v1/generate failed: connection reset",
-        "failed on SCHED-6: script rule lacks 'text': {'contains': 'Doomed'}",
+        "failed on SCHED-6: generate response: field 'text' must be str",
     ]
     # SCHED-3's line comes before SCHED-5's construction warning
     lines = stderr.splitlines()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -72,10 +73,64 @@ def test_but_pivot_weights_the_later_clause(analyzer):
     assert ends_well.compound > ends_badly.compound > 0
 
 
-def test_idiom_overrides_word_valence(analyzer):
+# The expected valences below are worked by hand from the rules of Hutto &
+# Gilbert's VADER (ICWSM 2014) and the bundled lexicon (good 1.9, doubt -1.5,
+# bad -2.5, useful 1.9; the boosters very and so add 0.293, times 0.95 two
+# words back; a negation multiplies by -0.74).  With no punctuation the
+# compound is the valence sum normalised as x / sqrt(x^2 + 15).
+def _compound(valence_sum: float) -> float:
+    return valence_sum / math.sqrt(valence_sum * valence_sum + 15.0)
+
+
+@pytest.mark.parametrize("text,valence_sum", [
+    # good: 1.9 + 0.293 (so) = 2.193; "never so" scales it by 1.25 instead
+    # of negating it.
+    ("never so good", 2.193 * 1.25),
+    ("never this good", 1.9 * 1.25),
+    # three words back: good 1.9 + 0.293 (very) + 0.95 * 0.293 (so), times 1.25
+    ("never so very good", (1.9 + 0.293 + 0.95 * 0.293) * 1.25),
+    ("never this very good", (1.9 + 0.293) * 1.25),
+], ids=["never-so", "never-this", "never-so-3", "never-this-3"])
+def test_never_so_intensifies_rather_than_negates(analyzer, text, valence_sum):
+    assert analyzer.scores(text).compound == pytest.approx(_compound(valence_sum))
+
+
+@pytest.mark.parametrize("text,valence_sum", [
+    # doubt: -1.5 negated by "without" = 1.11; good two words after
+    # "without" keeps its 1.9.
+    ("without doubt good", 1.11 + 1.9),
+    # good three words after "without", with "doubt" between: 1.9 + 0.293
+    # (very), not negated.
+    ("without doubt very good", 1.11 + 1.9 + 0.293),
+    ("without a doubt good", 1.11 + 1.9),
+], ids=["two-back", "three-back-doubt-second", "three-back-doubt-third"])
+def test_without_doubt_does_not_negate(analyzer, text, valence_sum):
+    assert analyzer.scores(text).compound == pytest.approx(_compound(valence_sum))
+
+
+def test_idiom_overrides_word_valence(analyzer, tmp_path):
     literal = analyzer.scores("This tooling is shit.")
     idiom = analyzer.scores("This tooling is the shit!")
     assert literal.compound < 0 < idiom.compound
+    # bad (-2.5) is the first word of "bad ass" (1.5); the idiom check runs
+    # for a word with three words before it.
+    assert analyzer.scores("this is a bad ass design").compound == pytest.approx(_compound(1.5))
+    # kiss (1.8 in VADER's own lexicon) starts "kiss of death" (-1.5).
+    path = tmp_path / "lexicon.txt"
+    path.write_text("kiss\t1.8\n", encoding="utf-8")
+    assert SentimentAnalyzer(path).scores("it was the kiss of death").compound == \
+        pytest.approx(_compound(-1.5))
+
+
+@pytest.mark.parametrize("text,valence_sum", [
+    ("at least good", 1.9),
+    # useful 1.9 + 0.95 * 0.293 (very, two words back)
+    ("the very least useful", 1.9 + 0.95 * 0.293),
+    ("the least useful", 1.9 * -0.74),
+    ("least useful", 1.9 * -0.74),
+], ids=["at-least", "very-least", "the-least", "least-first"])
+def test_least_negates_unless_after_at_or_very(analyzer, text, valence_sum):
+    assert analyzer.scores(text).compound == pytest.approx(_compound(valence_sum))
 
 
 def test_least_negates_unless_at_least(analyzer):
