@@ -42,7 +42,6 @@ from .errors import (
 from .evaluation import (
     Annotation,
     PRF,
-    annotated_issues,
     collect_extraction_data,
     collect_pair_data,
     corpus_stats,
@@ -53,7 +52,7 @@ from .evaluation import (
     run_ablation,
     split_dataset,
 )
-from .features import FEATURE_BLOCKS
+from .features import FEATURE_BLOCKS, compute_feature_matrix
 from .miner import (
     CallPool,
     design_entries,
@@ -118,27 +117,34 @@ def _require_annotations(cfg: RunConfig) -> list[Annotation]:
     return load_annotations(cfg.annotations_path)
 
 
-class _Pipeline:
-    """What the extract, pair and mine steps share for one run, the run's one
-    pool of backend calls included.  Only prompt_head mode builds a backend;
-    ``pairs`` is None unless ``relate``.  Closing it stops the pool, then
-    closes the backend."""
+class _Run:
+    """What every step of a run shares: its one pool of backend calls, the
+    backend (only prompt_head mode builds one) and the sentiment analyzer.
+    Closing it stops the pool, then closes the backend."""
 
-    def __init__(self, cfg: RunConfig, relate: bool = True):
+    def __init__(self, cfg: RunConfig):
         self.calls = CallPool(cfg.workers)
         self.backend = build_backend(cfg) if cfg.mode == "prompt_head" else None
-        self.classifier = build_classifier(cfg, self.backend, self.calls)
-        self.pairs = build_pair_classifier(cfg, self.backend, self.calls) if relate else None
         self.analyzer = SentimentAnalyzer(cfg.lexicon_path)
-        self.out = _outdir(cfg)
 
-    def __enter__(self) -> "_Pipeline":
+    def __enter__(self) -> "_Run":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.calls.close()
         if self.backend is not None:
             self.backend.close()
+
+
+class _Pipeline(_Run):
+    """The run of the extract, pair and mine steps, with their classifiers
+    and output directory; ``pairs`` is None unless ``relate``."""
+
+    def __init__(self, cfg: RunConfig, relate: bool = True):
+        super().__init__(cfg)
+        self.classifier = build_classifier(cfg, self.backend, self.calls)
+        self.pairs = build_pair_classifier(cfg, self.backend, self.calls) if relate else None
+        self.out = _outdir(cfg)
 
 
 _Step = Callable[[IssueLog, Any], tuple[str, list[str]]]
@@ -218,13 +224,22 @@ def _mine(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
 _NO_TRAINING_DATA = "the annotations label no sentence of the corpus"
 
 
+def _head_rows(issue: IssueLog, annotation: Annotation, run: _Run, budget: int
+               ) -> tuple[list[np.ndarray], list[int]]:
+    """The ``sp_matrix`` row and the design label of each sentence of an issue."""
+    sentences, matrix = compute_feature_matrix(issue, run.analyzer)
+    rows = sp_matrix(sentences, matrix, issue.summary, run.backend, budget,
+                     pool=run.calls) if sentences else []
+    return list(rows), [annotation.design_label(s.id) for s in sentences]
+
+
 def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
     annotations = _require_annotations(cfg)
-    analyzer = SentimentAnalyzer(cfg.lexicon_path)
     if cfg.mode == "baseline":
         if not cfg.baseline_path:
             raise ConfigError("baseline_path is required to train in baseline mode")
-        texts, features, labels = collect_extraction_data(issues, annotations, analyzer)
+        texts, features, labels = collect_extraction_data(
+            issues, annotations, SentimentAnalyzer(cfg.lexicon_path))
         if not texts:
             raise DegenerateData(_NO_TRAINING_DATA)
         model = train_baseline(texts, features, labels)
@@ -242,15 +257,15 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
     else:
         if not cfg.head_path:
             raise ConfigError("head_path is required to train in prompt_head mode")
+        by_issue = {a.issue: a for a in annotations}
+        annotated = [issue for issue in issues if issue.key in by_issue]
         rows, labels = [], []
-        # The pool stops before the backend closes.
-        with closing(build_backend(cfg)) as backend, CallPool(cfg.workers) as calls:
-            for issue, sentences, matrix, design in annotated_issues(issues, annotations,
-                                                                     analyzer):
-                if sentences:
-                    rows.extend(sp_matrix(sentences, matrix, issue.summary, backend,
-                                          cfg.cloze_budget(), pool=calls))
-                labels.extend(design)
+        with _Run(cfg) as run, closing(in_issue_order(annotated, lambda issue: _head_rows(
+                issue, by_issue[issue.key], run, cfg.cloze_budget()))) as done:
+            for _, job in done:  # the first failed issue stops the command
+                issue_rows, issue_labels = job.result()
+                rows.extend(issue_rows)
+                labels.extend(issue_labels)
         if not rows:
             raise DegenerateData(_NO_TRAINING_DATA)
         head = train_head(np.asarray(rows), np.asarray(labels),

@@ -15,12 +15,12 @@ import os
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .backends.baseline import PAIR_FEATURE_NAMES, pair_features, train_baseline
-from .corpus import IssueLog, Sentence, enumerate_sentences, is_path_component, sentence_order
+from .corpus import IssueLog, enumerate_sentences, is_path_component, sentence_order
 from .errors import (
     ConfigError,
     MalformedExport,
@@ -157,8 +157,12 @@ class Annotation:
     labels: dict[str, str]
     rationales: list[Rationale] = field(default_factory=list)
 
+    def design_label(self, sentence_id: str) -> int:
+        """1 for a design sentence, else 0: an omitted sentence is ``none``."""
+        return int(self.labels.get(sentence_id, CATEGORY_NONE) != CATEGORY_NONE)
+
     def design_ids(self) -> list[str]:
-        return [sid for sid, label in self.labels.items() if label != CATEGORY_NONE]
+        return [sid for sid in self.labels if self.design_label(sid)]
 
     @classmethod
     def from_json(cls, payload: dict) -> "Annotation":
@@ -321,35 +325,21 @@ def run_ablation(train_texts: list[str], train_features: np.ndarray,
                           precision=prf.precision, recall=prf.recall, f1=prf.f1)
 
 
-def annotated_issues(issues: list[IssueLog], annotations: list[Annotation],
-                     analyzer: SentimentAnalyzer
-                     ) -> Iterator[tuple[IssueLog, list[Sentence], np.ndarray, list[int]]]:
-    """Each annotated issue with its sentences, their feature matrix and
-    their design labels (1 design, 0 not), in corpus order.  Sentences
-    missing from an annotation count as non-design."""
-    by_issue = {a.issue: a for a in annotations}
-    for issue in issues:
-        annotation = by_issue.get(issue.key)
-        if annotation is None:
-            continue
-        sentences, matrix = compute_feature_matrix(issue, analyzer)
-        labels = [0 if annotation.labels.get(s.id, CATEGORY_NONE) == CATEGORY_NONE else 1
-                  for s in sentences]
-        yield issue, sentences, matrix, labels
-
-
 def collect_extraction_data(issues: list[IssueLog],
                             annotations: list[Annotation],
                             analyzer: SentimentAnalyzer):
-    """Flatten ``annotated_issues`` into (texts, features, labels) for
-    training the design-sentence classifiers."""
+    """(texts, features, labels) over the sentences of each annotated issue,
+    in corpus order, for training the design-sentence classifiers."""
+    by_issue = {a.issue: a for a in annotations}
     texts: list[str] = []
     rows: list[np.ndarray] = []
     labels: list[int] = []
-    for _, sentences, matrix, design in annotated_issues(issues, annotations, analyzer):
-        texts.extend(s.text for s in sentences)
-        rows.extend(matrix)
-        labels.extend(design)
+    for issue in issues:
+        if issue.key in by_issue:
+            sentences, matrix = compute_feature_matrix(issue, analyzer)
+            texts.extend(s.text for s in sentences)
+            rows.extend(matrix)
+            labels.extend(by_issue[issue.key].design_label(s.id) for s in sentences)
     features = np.array(rows) if rows else np.zeros((0, FEATURE_DIM))
     return texts, features, np.array(labels, dtype=np.int64)
 

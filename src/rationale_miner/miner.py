@@ -16,7 +16,7 @@ import os
 import queue
 import threading
 from collections import Counter, OrderedDict, deque
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from contextvars import ContextVar, copy_context
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field
@@ -164,16 +164,10 @@ class CallPool:
         with self._lock:
             self._replies.clear()
 
-    def __enter__(self) -> "CallPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def _calls(pool: CallPool | None, workers: int | None):
     """``pool``, or when there is none a pool of ``workers`` for one call."""
-    return nullcontext(pool) if pool is not None else CallPool(workers)
+    return nullcontext(pool) if pool is not None else closing(CallPool(workers))
 
 
 def in_issue_order(issues: list[IssueLog], step: Callable[[IssueLog], Any]

@@ -30,7 +30,7 @@ from rationale_miner.errors import ConfigError, shown
 from rationale_miner.evaluation import split_dataset
 
 from stub_server import run_stub
-from test_scheduling import ISSUES, corpus  # noqa: F401  (corpus is a fixture)
+from test_scheduling import ISSUES, corpus, write_gold  # noqa: F401  (corpus is a fixture)
 
 
 @pytest.fixture
@@ -635,13 +635,33 @@ def test_train_prompt_head_writes_head(workspace):
     assert head.weights.shape == (43,)
 
 
-def test_train_prompt_head_is_independent_of_workers(workspace):
-    tmp_path, config, config_path = workspace
-    heads = [tmp_path / f"head-{workers}.json" for workers in (1, 4)]
-    for workers, head in zip((1, 4), heads):
-        assert main(["train", "-c", str(config_path), "--workers", str(workers),
-                     "--head", str(head)]) == 0
-    assert heads[0].read_bytes() == heads[1].read_bytes()
+# The sha256 of the head trained on each corpus below, which one issue at a
+# time, at one worker, gave too; recorded with numpy 2.4 on x86-64.
+_TRAINED_HEADS = {
+    "fixture": "b401b86fbbb41df116d1573c9532dbb0e77c8e9aa83c79818754d72b1a59a29b",
+    "sched": "ed2545adf2fe00032d6baca224260577137cc5953ca8402c3c434c15b28c0e95",
+}
+
+
+def test_train_prompt_head_is_independent_of_workers(corpus, fixtures_dir):
+    """The head saved at 1, 2 and 4 workers is the same file, on the fixture
+    issue and on the scheduling corpus with some of its issues annotated."""
+    tmp_path, config = corpus
+    fixture = tmp_path / "fixture"
+    fixture.mkdir()
+    shutil.copy(fixtures_dir / "flink-1320.json", fixture / "FLINK-1320.json")
+    gold = write_gold(tmp_path / "corpus", ("SCHED-1", "SCHED-3", "SCHED-4", "SCHED-6", "SCHED-7"))
+    flags = {"fixture": ["--corpus", str(fixture),
+                         "--script", str(fixtures_dir / "flink-1320-script.json"),
+                         "--annotations", str(fixtures_dir / "flink-1320-gold.jsonl")],
+             "sched": ["--annotations", str(gold)]}
+    for name, corpus_flags in flags.items():
+        heads = [tmp_path / f"head-{name}-{workers}.json" for workers in (1, 2, 4)]
+        for workers, head in zip((1, 2, 4), heads):
+            assert main(["train", "-c", str(config), *corpus_flags, "--workers", str(workers),
+                         "--head", str(head), "--out", str(tmp_path / "out")]) == 0
+        assert heads[0].read_bytes() == heads[1].read_bytes() == heads[2].read_bytes()
+        assert hashlib.sha256(heads[0].read_bytes()).hexdigest() == _TRAINED_HEADS[name]
 
 
 @pytest.mark.parametrize("command", ["extract", "pair", "mine", "train"])

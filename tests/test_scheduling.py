@@ -22,7 +22,7 @@ from rationale_miner import cli, miner
 from rationale_miner.backends.protocol import Backend
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.config import build_backend, build_pair_classifier, load_config
-from rationale_miner.corpus import clean_issue, enumerate_sentences, parse_issue
+from rationale_miner.corpus import clean_issue, enumerate_sentences, load_corpus, parse_issue
 from rationale_miner.errors import TransportError
 from rationale_miner.features import POLARITY_WORDS
 from rationale_miner.miner import (
@@ -93,6 +93,27 @@ def _issue(j: int) -> dict:
 
 def _issue_of(prompt: str) -> int:
     return int(re.search(r"q(\d+)z", prompt).group(1))
+
+
+# The design label of a sentence by its first word; an even-numbered
+# sentence of any other word is labelled ``none``, an odd one left out.
+_GOLD_LABELS = {"Plan": "solution", "Doomed": "solution", "Reason": "argument",
+                "Bridge": "argument", "Murky": "argument"}
+
+
+def write_gold(corpus_dir, keys):
+    """An annotations file, next to ``corpus_dir``, for its issues ``keys``."""
+    issues, _ = load_corpus(corpus_dir)
+    gold = corpus_dir.parent / "gold.jsonl"
+    with open(gold, "w", encoding="utf-8") as handle:
+        for issue in issues:
+            if issue.key in keys:
+                labels = {s.id: _GOLD_LABELS.get(s.text.split()[0], "none")
+                          for n, s in enumerate(enumerate_sentences(issue))
+                          if s.text.split()[0] in _GOLD_LABELS or n % 2 == 0}
+                handle.write(json.dumps({"issue": issue.key, "annotator": "a",
+                                         "labels": labels}) + "\n")
+    return gold
 
 
 @pytest.fixture
@@ -214,10 +235,12 @@ def _copy_issue(tmp_path, source: int, target: int) -> None:
         text.replace(f"SCHED-{source}", f"SCHED-{target}"), encoding="utf-8")
 
 
-def test_older_issue_is_served_first(corpus, monkeypatch):
-    """Issue 0's probes, queued after issue 1's, are served before them."""
+def _served_with_the_older_issue_held_back(corpus, monkeypatch, command, *flags):
+    """The issue of each call that ``command`` makes at one worker, in the
+    order served, when issue 0 (made a copy of issue 7: 15 sentences; issue 1
+    has 2) queues its probes only after both of issue 1's, while issue 1's
+    first probe holds the one slot until issue 0 has queued all 15."""
     tmp_path, config = corpus
-    _copy_issue(tmp_path, 7, 0)  # 15 sentences; issue 1 has 2
     submitted = {0: 0, 1: 0}
     changed = threading.Condition()
     submit = CallPool.submit
@@ -241,10 +264,79 @@ def test_older_issue_is_served_first(corpus, monkeypatch):
     monkeypatch.setattr(CallPool, "submit", ordered_submit)
     backend = Gated(ScriptedBackend(SCRIPT))
     _use_backend(monkeypatch, backend)
-    _run("mine", config, tmp_path / "out", "--workers", "1")
-    served = [_issue_of(prompt) for prompt in backend.prompts]
+    cli.main([command, "-c", str(config), "--out", str(tmp_path / "out"), "--workers", "1",
+              *flags])
+    return [_issue_of(prompt) for prompt in backend.prompts]
+
+
+def test_older_issue_is_served_first(corpus, monkeypatch):
+    """Issue 0's probes, queued after issue 1's, are served before them."""
+    _copy_issue(corpus[0], 7, 0)
+    served = _served_with_the_older_issue_held_back(corpus, monkeypatch, "mine")
     assert served[:17] == [1] + [0] * 15 + [1]
     assert sorted(set(served)) == list(range(ISSUES))
+
+
+def test_train_serves_the_older_annotated_issue_first(corpus, monkeypatch):
+    """``train`` runs its annotated issues through the same driver: issue
+    0's probes, queued after issue 1's, are served before them."""
+    tmp_path, config = corpus
+    _copy_issue(tmp_path, 7, 0)
+    gold = write_gold(tmp_path / "corpus", ("SCHED-0", "SCHED-1", "SCHED-4", "SCHED-7"))
+    head = tmp_path / "head.json"
+    served = _served_with_the_older_issue_held_back(
+        corpus, monkeypatch, "train", "--annotations", str(gold), "--head", str(head))
+    assert served[:17] == [1] + [0] * 15 + [1]
+    assert sorted(set(served)) == [0, 1, 4, 7]
+    assert head.exists()
+
+
+def _train(config, tmp_path, *flags: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``train``, with its output directory
+    set to one that it must not make."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = cli.main(["train", "-c", str(config), "--out", str(tmp_path / "out"), *flags])
+    assert not (tmp_path / "out").exists()
+    return rc, stdout.getvalue(), stderr.getvalue()
+
+
+def test_a_failed_cloze_probe_stops_train(corpus):
+    """A reply that fails its check on one annotated issue stops ``train``
+    with an error: no head, and no pool or driver thread left."""
+    tmp_path, config = corpus
+    script = json.loads(json.dumps(SCRIPT))
+    script["mask_probs"]["rules"].insert(0, {"contains": "Plan q3z", "probs": None})
+    (tmp_path / "failing.json").write_text(json.dumps(script), encoding="utf-8")
+    gold = write_gold(tmp_path / "corpus", [f"SCHED-{j}" for j in range(ISSUES)])
+    head = tmp_path / "head.json"
+    threads = set(threading.enumerate())
+    rc, stdout, stderr = _train(config, tmp_path, "--script", str(tmp_path / "failing.json"),
+                                "--annotations", str(gold), "--head", str(head),
+                                "--workers", "2")
+    assert (rc, stdout) == (1, "")
+    assert stderr == "error: mask-probs response: field 'probs' must be list\n"
+    assert not head.exists()
+    assert set(threading.enumerate()) <= threads
+
+
+@pytest.mark.parametrize("unset,message", [
+    ("annotations_path", "annotations_path is required for this command"),
+    ("head_path", "head_path is required to train in prompt_head mode"),
+    ("backend", "backend is required in prompt_head mode: one of ('remote', 'scripted')"),
+])
+def test_train_config_errors_come_before_any_request(corpus, monkeypatch, unset, message):
+    tmp_path, config = corpus
+    values = json.loads(config.read_text(encoding="utf-8"))
+    values["annotations_path"] = str(write_gold(tmp_path / "corpus", ["SCHED-1"]))
+    values["head_path"] = str(tmp_path / "head.json")
+    del values[unset]
+    config.write_text(json.dumps(values), encoding="utf-8")
+    submitted = []
+    monkeypatch.setattr(CallPool, "submit", lambda self, *call: submitted.append(call))
+    assert _train(config, tmp_path) == (2, "", f"config error: {message}\n")
+    assert not submitted
+    assert not (tmp_path / "head.json").exists()
 
 
 def test_log_records_wait_for_their_issue(corpus, monkeypatch):
@@ -295,7 +387,7 @@ def test_pool_serves_lower_rank_first():
             return [pool.submit(call, name) for name in names]
         return copy_context().run(submit_all)
 
-    with CallPool(1) as pool:
+    with contextlib.closing(CallPool(1)) as pool:
         held = pool.submit(call, "gate")
         later = submit_as(2, ["c1", "c2"])
         older = submit_as(1, ["b1", "b2"])
@@ -350,7 +442,7 @@ def test_pool_call_all_raises_the_first_failure_in_request_order():
             raise TransportError(f"call {n}")
         return n
 
-    with CallPool(2) as pool:
+    with contextlib.closing(CallPool(2)) as pool:
         with pytest.raises(TransportError, match="call 2"):
             pool.call_all([(call, n) for n in range(6)])
         assert pool.call_all([(call, n) for n in (0, 1, 3)]) == [0, 1, 3]
@@ -371,7 +463,7 @@ class _Counted:
 
 def test_pool_sends_each_distinct_request_once():
     call = _Counted()
-    with CallPool(2) as pool:
+    with contextlib.closing(CallPool(2)) as pool:
         assert pool.call_all([(call, "a"), (call, "b"), (call, "a"), (call, "a")]) == [
             "A", "B", "A", "A"]
         assert call.runs == {"a": 1, "b": 1}
@@ -414,7 +506,7 @@ def test_pool_answers_from_memory_without_a_slot():
         assert gate.wait(timeout=30)
         return "held"
 
-    with CallPool(1) as pool, ThreadPoolExecutor(max_workers=1) as other:
+    with contextlib.closing(CallPool(1)) as pool, ThreadPoolExecutor(max_workers=1) as other:
         assert pool.call_all([(call, "a")]) == ["A"]
         blocked = pool.submit(held)  # takes the one slot
         try:
@@ -438,7 +530,7 @@ def test_pool_never_remembers_a_failure():
             raise TransportError(f"{name} reset")
         return name
 
-    with CallPool(2) as pool:
+    with contextlib.closing(CallPool(2)) as pool:
         with pytest.raises(TransportError, match="x reset"):
             pool.call_all([(flaky, "x"), (flaky, "x")])
         assert pool.call_all([(flaky, "x")]) == ["x"]
@@ -459,7 +551,7 @@ def test_pool_does_not_join_a_call_of_another_batch_in_flight():
             assert release.wait(timeout=30)
         return name
 
-    with CallPool(2) as pool, ThreadPoolExecutor(max_workers=1) as other:
+    with contextlib.closing(CallPool(2)) as pool, ThreadPoolExecutor(max_workers=1) as other:
         first = other.submit(pool.call_all, [(call, "a")])
         assert started.wait(timeout=30)
         assert pool.call_all([(call, "a")]) == ["a"]
@@ -471,7 +563,7 @@ def test_pool_does_not_join_a_call_of_another_batch_in_flight():
 def test_pool_memory_keeps_the_last_replies_up_to_its_cap():
     call = _Counted()
     names = [f"k{n}" for n in range(REPLY_MEMORY + 1)]
-    with CallPool(1) as pool:
+    with contextlib.closing(CallPool(1)) as pool:
         pool.call_all([(call, name) for name in names])
         assert len(pool._replies) == REPLY_MEMORY
         # k0 was evicted; the rest are answered from memory, oldest first,
@@ -501,7 +593,7 @@ def test_pool_memory_stays_whole_under_contention():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with CallPool(8) as pool, ThreadPoolExecutor(max_workers=4) as callers:
+        with contextlib.closing(CallPool(8)) as pool, ThreadPoolExecutor(max_workers=4) as callers:
             for job in [callers.submit(ask, seed) for seed in range(4)]:
                 job.result(timeout=60)
             assert len(list(pool._replies)) == len(pool._replies) <= REPLY_MEMORY
@@ -514,7 +606,7 @@ def test_the_whole_request_is_the_key():
     another call."""
     backend = _Instrumented(ScriptedBackend(SCRIPT))
     prompt = "Plan q1z-0 keeps the parser simple. is [MASK] related to the issue"
-    with CallPool(2) as pool:
+    with contextlib.closing(CallPool(2)) as pool:
         pool.call_all([(backend.mask_probs, prompt, POLARITY_WORDS),
                        (backend.mask_probs, prompt, POLARITY_WORDS),
                        (backend.generate, prompt, 8),
@@ -655,6 +747,32 @@ def test_a_command_sends_each_distinct_request_once(sharing, monkeypatch, comman
     for backend in built[:3]:
         assert set(backend.calls) == set().union(*alone)
     assert len(built[0].calls) < sum(map(len, alone))
+
+
+@pytest.mark.parametrize("corpus_name,annotated", [
+    ("corpus", ("SCHED-1", "SCHED-3", "SCHED-6", "SCHED-7")),
+    ("sharing", tuple(SHARING)),
+])
+def test_train_sends_the_cloze_probes_of_extract_once(request, monkeypatch, corpus_name,
+                                                      annotated):
+    """At any ``workers``, ``train`` sends the cloze probes that ``extract``
+    sends for the annotated issues, each distinct one once."""
+    tmp_path, config = request.getfixturevalue(corpus_name)
+    gold = write_gold(tmp_path / "corpus", annotated)
+    built = _recorded(monkeypatch)
+    for workers in (1, 2, 4):
+        assert _train(config, tmp_path, "--annotations", str(gold), "--workers", str(workers),
+                      "--head", str(tmp_path / "head.json"))[0] == 0
+    only = tmp_path / "annotated"
+    only.mkdir()
+    for key in annotated:
+        (only / f"{key}.json").write_bytes((tmp_path / "corpus" / f"{key}.json").read_bytes())
+    assert _run("extract", config, tmp_path / "extracted", "--corpus", str(only))[0] == 0
+    extracted = built[-1].calls
+    assert {kind for kind, _ in extracted} == {"mask_probs"}
+    for backend in built[:-1]:
+        assert sorted(backend.calls) == sorted(set(extracted))
+        assert len(backend.calls) == len(set(backend.calls))
 
 
 def test_each_command_in_a_process_sends_its_requests_again(sharing, monkeypatch):
