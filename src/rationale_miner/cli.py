@@ -54,6 +54,8 @@ from .evaluation import (
 )
 from .features import FEATURE_BLOCKS, compute_feature_matrix
 from .miner import (
+    ARGUMENT,
+    SOLUTION,
     CallPool,
     design_entries,
     extract_stage,
@@ -228,8 +230,7 @@ def _head_rows(issue: IssueLog, annotation: Annotation, run: _Run, budget: int
                ) -> tuple[list[np.ndarray], list[int]]:
     """The ``sp_matrix`` row and the design label of each sentence of an issue."""
     sentences, matrix = compute_feature_matrix(issue, run.analyzer)
-    rows = sp_matrix(sentences, matrix, issue.summary, run.backend, budget,
-                     pool=run.calls) if sentences else []
+    rows = sp_matrix(sentences, matrix, issue.summary, run.backend, budget, pool=run.calls)
     return list(rows), [annotation.design_label(s.id) for s in sentences]
 
 
@@ -309,8 +310,8 @@ def cmd_eval(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -
             print(f"failed to evaluate {annotation.issue}: {exc}", file=sys.stderr)
             continue
         rows["rationale"].append(eval_rationales(mined.rationales, gold))
-        rows["sentence_solution"].append(sentence_scores["solution"])
-        rows["sentence_argument"].append(sentence_scores["argument"])
+        rows["sentence_solution"].append(sentence_scores[SOLUTION])
+        rows["sentence_argument"].append(sentence_scores[ARGUMENT])
         rows["extraction"].append(eval_binary(mined.text_of, annotation.design_ids()))
 
     csv_path = out / "metrics.csv"
@@ -365,7 +366,7 @@ def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace)
         print(f"{result.dimension:10s} masked={len(result.masked_slots):2d} "
               f"P={result.precision:.4f} R={result.recall:.4f} F1={result.f1:.4f}")
     out = _outdir(cfg)
-    path = _write_json(out / "ablation.json", [result.__dict__ for result in results])
+    path = _write_json(out / "ablation.json", [asdict(result) for result in results])
     print(f"ablation -> {path}")
     return 0
 

@@ -53,10 +53,6 @@ class FingerprintMismatch(MiningError):
     """A stored model was trained against a different feature order."""
 
 
-class UnparsableResponse(MiningError):
-    """No relation label could be recovered from a generated response."""
-
-
 class DegenerateData(MiningError):
     """The data leaves nothing to train on or to score."""
 

@@ -30,14 +30,12 @@ from .errors import (
     shown,
 )
 from .features import FEATURE_BLOCKS, FEATURE_DIM, FEATURE_NAMES, compute_feature_matrix
-from .miner import COMPLEMENTARY, SUPPORTING, UNRELATED, Rationale
+from .miner import ARGUMENT, COMPLEMENTARY, SOLUTION, SUPPORTING, UNRELATED, Rationale
 from .prompts import RELATION_LABELS
 from .sentiment import SentimentAnalyzer
 
 CATEGORY_NONE = "none"
-CATEGORY_ARGUMENT = "argument"
-CATEGORY_SOLUTION = "solution"
-CATEGORIES = (CATEGORY_NONE, CATEGORY_ARGUMENT, CATEGORY_SOLUTION)
+CATEGORIES = (CATEGORY_NONE, ARGUMENT, SOLUTION)
 
 
 class PRF(NamedTuple):
@@ -128,9 +126,9 @@ def eval_sentences(predicted: list[Rationale], gold: list[Rationale],
     """
     assignments = map_to_gold(predicted, gold, order)
     results = {}
-    for category in (CATEGORY_SOLUTION, CATEGORY_ARGUMENT):
+    for category in (SOLUTION, ARGUMENT):
         def members(r: Rationale) -> list[str]:
-            if category == CATEGORY_SOLUTION:
+            if category == SOLUTION:
                 return list(r.solution)
             return [sid for group in r.arguments for sid in group]
 
@@ -241,10 +239,10 @@ def pair_labels_from_annotation(annotation: Annotation,
     member_of: dict[str, tuple[int, str, int]] = {}
     for ri, rationale in enumerate(annotation.rationales):
         for sid in rationale.solution:
-            member_of[sid] = (ri, CATEGORY_SOLUTION, -1)
+            member_of[sid] = (ri, SOLUTION, -1)
         for gi, group in enumerate(rationale.arguments):
             for sid in group:
-                member_of[sid] = (ri, CATEGORY_ARGUMENT, gi)
+                member_of[sid] = (ri, ARGUMENT, gi)
     labeled = []
     for sid1, sid2 in itertools.combinations(design, 2):
         a, b = member_of.get(sid1), member_of.get(sid2)
@@ -340,7 +338,7 @@ def collect_extraction_data(issues: list[IssueLog],
             texts.extend(s.text for s in sentences)
             rows.extend(matrix)
             labels.extend(by_issue[issue.key].design_label(s.id) for s in sentences)
-    features = np.array(rows) if rows else np.zeros((0, FEATURE_DIM))
+    features = np.array(rows).reshape(len(rows), FEATURE_DIM)
     return texts, features, np.array(labels, dtype=np.int64)
 
 
@@ -359,7 +357,7 @@ def collect_pair_data(issues: list[IssueLog], annotations: list[Annotation]):
                                                             sentence_order(sentences)):
             rows.append(pair_features(by_id[sid1], by_id[sid2]))
             labels.append(RELATION_LABELS.index(label))
-    matrix = np.array(rows) if rows else np.zeros((0, len(PAIR_FEATURE_NAMES)))
+    matrix = np.array(rows).reshape(len(rows), len(PAIR_FEATURE_NAMES))
     return matrix, np.array(labels, dtype=np.int64)
 
 

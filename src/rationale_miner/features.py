@@ -81,8 +81,6 @@ def compute_feature_matrix(issue: IssueLog, analyzer: SentimentAnalyzer
     counted once per issue.
     """
     sentences = enumerate_sentences(issue)
-    if not sentences:
-        return [], np.zeros((0, FEATURE_DIM))
     comment_count = len(issue.comments)
     comments_by = Counter(c.author for c in issue.comments)
     block_size = Counter((s.kind, s.comment_index) for s in sentences)
@@ -109,4 +107,4 @@ def compute_feature_matrix(issue: IssueLog, analyzer: SentimentAnalyzer
         scores = analyzer.scores(s.text)
         values.extend([scores.pos, scores.neu, scores.neg, scores.compound])
         rows.append(values)
-    return sentences, np.asarray(rows, dtype=np.float64)
+    return sentences, np.asarray(rows, dtype=np.float64).reshape(len(sentences), FEATURE_DIM)

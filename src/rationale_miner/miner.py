@@ -25,11 +25,17 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .backends.baseline import DESIGN_THRESHOLD, BaselineModel, PairBaselineModel, pair_features
+from .backends.baseline import (
+    DESIGN_THRESHOLD,
+    PAIR_FEATURE_NAMES,
+    BaselineModel,
+    PairBaselineModel,
+    pair_features,
+)
 from .backends.heads import LogisticHead
 from .backends.protocol import DEFAULT_MAX_TOKENS, Backend
 from .corpus import IssueLog, Sentence, sentence_order
-from .errors import MalformedExport, SameSentence, UnknownSentence, UnparsableResponse, shown
+from .errors import MalformedExport, SameSentence, UnknownSentence, shown
 from .features import FEATURE_NAMES, POLARITY_WORDS, compute_feature_matrix
 from .prompts import (
     CLOZE_MAX_SEQUENCE,
@@ -43,6 +49,10 @@ from .sentiment import SentimentAnalyzer
 
 # In RELATION_LABELS order, which is also the pair baseline's class index.
 SUPPORTING, COMPLEMENTARY, UNRELATED = RELATION_LABELS
+
+# The two roles of a design sentence in a rationale, which are also the two
+# design categories of a gold annotation.
+ARGUMENT, SOLUTION = "argument", "solution"
 
 SP_FEATURE_NAMES: tuple[str, ...] = tuple(
     f"polarity_{w}" for w in POLARITY_WORDS
@@ -261,7 +271,7 @@ def _assign_roles(graph: RelationGraph) -> dict[str, str]:
     for edge in graph.supporting:
         balance[edge.argument] += 1
         balance[edge.solution] -= 1
-    return {node: "argument" if balance[node] > 0 else "solution" for node in graph.nodes}
+    return {node: ARGUMENT if balance[node] > 0 else SOLUTION for node in graph.nodes}
 
 
 def _grouped(nodes: list[str], edges: list[tuple[str, str]]) -> list[list[str]]:
@@ -311,8 +321,8 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
 
     # Every group holds nodes of one role, as its edges join nodes of one role.
     groups = _grouped(graph.nodes, same_role)
-    solution_groups = [g for g in groups if roles[g[0]] == "solution"]
-    argument_groups = [g for g in groups if roles[g[0]] == "argument"]
+    solution_groups = [g for g in groups if roles[g[0]] == SOLUTION]
+    argument_groups = [g for g in groups if roles[g[0]] == ARGUMENT]
     group_of = {node: gi for gi, group in enumerate(solution_groups) for node in group}
 
     supports: dict[str, list[int]] = {}
@@ -343,13 +353,13 @@ def sp_matrix(sentences: list[Sentence], features: np.ndarray, summary: str,
               backend: Backend, budget: int = CLOZE_MAX_SEQUENCE,
               workers: int | None = None, pool: CallPool | None = None) -> np.ndarray:
     """Rows in SP_FEATURE_NAMES order: the polarity-word probabilities of each
-    sentence's cloze prompt, then its features.  Needs at least one sentence.
-    The probes go through ``pool``, or a pool of ``workers`` when it is None."""
+    sentence's cloze prompt, then its features.  The probes go through
+    ``pool``, or a pool of ``workers`` when it is None."""
     requests = [(backend.mask_probs, build_cloze_prompt(s, summary, budget).text,
                  POLARITY_WORDS) for s in sentences]
     with _calls(pool, workers) as calls:
         polarity = calls.call_all(requests)
-    return np.hstack([np.asarray(polarity, dtype=np.float64), features])
+    return np.hstack([np.reshape(polarity, (len(sentences), len(POLARITY_WORDS))), features])
 
 
 @dataclass
@@ -381,8 +391,6 @@ class BaselineClassifier:
 def extract_design_sentences(sentences: list[Sentence], features: np.ndarray,
                              summary: str, classifier) -> tuple[list[Sentence], np.ndarray]:
     """Design sentences (score >= DESIGN_THRESHOLD) with the full score vector."""
-    if not sentences:
-        return [], np.zeros(0)
     scores = np.asarray(classifier.scores(sentences, features, summary))
     selected = [s for s, score in zip(sentences, scores) if score >= DESIGN_THRESHOLD]
     return selected, scores
@@ -393,18 +401,30 @@ def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
     return list(itertools.combinations(sorted(design, key=lambda s: s.global_index), 2))
 
 
+def _edge(s1: Sentence, s2: Sentence, label: str | None, back: str | None) -> Edge | None:
+    """The pair rule's edge between ``s1`` and the later ``s2``, ``label``
+    relating ``s1`` to ``s2`` and ``back`` ``s2`` to ``s1``.  Complementary
+    gives the pair.  Supporting makes the earlier sentence the solution when
+    ``back`` is supporting too, keeps ``s1`` as the argument for any other
+    label, and gives no edge for None, as does any other ``label``."""
+    if label == COMPLEMENTARY:
+        return (s1.id, s2.id)
+    if label != SUPPORTING or back is None:
+        return None
+    return SupportingEdge(s2.id, s1.id) if back == SUPPORTING else SupportingEdge(s1.id, s2.id)
+
+
 def classify_pairs(design: list[Sentence], backend: Backend,
                    budget: int = PAIR_MAX_SEQUENCE,
                    workers: int | None = None,
                    pool: CallPool | None = None) -> tuple[list[Edge], list[str]]:
     """The edges of every unordered design-sentence pair, in pair order, as
-    the backend relates them, with the warnings.
+    the backend relates them (see ``_edge``), with the warnings.
 
-    The earlier sentence is always Sentence 1 in the first query.  A
-    supporting answer triggers the reversed query; if both directions claim
-    supporting, the direction whose solution has the smaller global index
-    wins.  Responses with no label word downgrade the pair to unrelated.
-    The queries go through ``pool``, or a pool of ``workers`` when it is None.
+    The earlier sentence is always Sentence 1 in the first query, and a
+    supporting answer triggers the reversed query.  A reply with no label
+    word gives a warning and no edge.  The queries go through ``pool``, or a
+    pool of ``workers`` when it is None.
     """
     warnings: list[str] = []
 
@@ -416,30 +436,19 @@ def classify_pairs(design: list[Sentence], backend: Backend,
             replies = calls.call_all([(backend.generate, build_pair_prompt(a, b, budget),
                                        DEFAULT_MAX_TOKENS) for a, b in asked])
         what = "reverse response" if reverse else "response"
-        parsed = []
-        for (s1, s2), raw in zip(pairs, replies):
-            try:
-                parsed.append(parse_relation_label(raw))
-            except UnparsableResponse:
-                warnings.append(f"pair {s1.id}/{s2.id}: unparsable {what} {shown(raw)}; "
-                                "treated as unrelated")
-                parsed.append(None)
+        parsed = [parse_relation_label(raw) for raw in replies]
+        warnings.extend(f"pair {s1.id}/{s2.id}: unparsable {what} {shown(raw)}; "
+                        "treated as unrelated"
+                        for (s1, s2), raw, label in zip(pairs, replies, parsed)
+                        if label is None)
         return parsed
 
     pairs = _pairs(design)
     forward = labels(pairs, reverse=False)
-    reverse = iter(labels([p for p, label in zip(pairs, forward) if label == SUPPORTING],
-                          reverse=True))
-    edges: list[Edge] = []
-    for (s1, s2), label in zip(pairs, forward):
-        if label == COMPLEMENTARY:
-            edges.append((s1.id, s2.id))
-        elif label == SUPPORTING and (back := next(reverse)) is not None:
-            # Both directions claim support; keep the one whose solution
-            # comes first in the issue.
-            edges.append(SupportingEdge(s2.id, s1.id) if back == SUPPORTING
-                         else SupportingEdge(s1.id, s2.id))
-    return edges, warnings
+    supporting = [p for p, label in zip(pairs, forward) if label == SUPPORTING]
+    back = dict(zip(supporting, labels(supporting, reverse=True)))
+    return [edge for (s1, s2), label in zip(pairs, forward)
+            if (edge := _edge(s1, s2, label, back.get((s1, s2))))], warnings
 
 
 @dataclass
@@ -458,27 +467,18 @@ class PromptPairClassifier:
 
 @dataclass
 class BaselinePairClassifier:
-    """Relates design sentences with the pair baseline, one label per pair.
-
-    A supporting pair takes the earlier sentence as its solution, the rule the
-    prompt path applies when both directions claim support.
-    """
+    """Relates design sentences with the pair baseline, one label per pair,
+    read by ``_edge`` as if the reverse query said supporting too: a
+    supporting pair takes the earlier sentence as its solution."""
 
     model: PairBaselineModel
 
     def relations(self, design: list[Sentence]) -> tuple[list[Edge], list[str]]:
         pairs = _pairs(design)
-        if not pairs:
-            return [], []
-        labels = self.model.predict(np.array([pair_features(s1, s2) for s1, s2 in pairs]))
-        edges: list[Edge] = []
-        for (s1, s2), label in zip(pairs, labels):
-            kind = RELATION_LABELS[label]
-            if kind == SUPPORTING:
-                edges.append(SupportingEdge(argument=s2.id, solution=s1.id))
-            elif kind == COMPLEMENTARY:
-                edges.append((s1.id, s2.id))
-        return edges, []
+        rows = np.array([pair_features(s1, s2) for s1, s2 in pairs])
+        labels = self.model.predict(rows.reshape(len(pairs), len(PAIR_FEATURE_NAMES)))
+        return [edge for (s1, s2), label in zip(pairs, labels)
+                if (edge := _edge(s1, s2, RELATION_LABELS[label], SUPPORTING))], []
 
 
 def build_relation_graph(design: list[Sentence], edges: list[Edge]) -> RelationGraph:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .backends.protocol import MASK_TOKEN
 from .corpus import Sentence, pair_structure
-from .errors import BudgetExhausted, CrossIssue, SameSentence, UnparsableResponse, shown
+from .errors import BudgetExhausted, CrossIssue, SameSentence
 
 # Slots reserved for the fixed cloze wording plus sequence special tokens.
 FIXED_PROMPT_SLOTS = 8
@@ -111,11 +111,9 @@ def build_pair_prompt(s1: Sentence, s2: Sentence,
     return _render_pair(body1, body2, in_same_comment, distance)
 
 
-def parse_relation_label(response: str) -> str:
-    """Pick the first relation label word occurring in a generated response."""
+def parse_relation_label(response: str) -> str | None:
+    """The first relation label word occurring in a generated response, or
+    None when it names none."""
     lowered = response.lower()
-    hits = [(lowered.find(label), label) for label in RELATION_LABELS]
-    hits = [(pos, label) for pos, label in hits if pos >= 0]
-    if not hits:
-        raise UnparsableResponse(f"no relation label in response: {shown(response)}")
-    return min(hits)[1]
+    hits = [(pos, label) for label in RELATION_LABELS if (pos := lowered.find(label)) >= 0]
+    return min(hits)[1] if hits else None

@@ -13,8 +13,8 @@ import random
 from itertools import groupby
 
 from .corpus import Comment, IssueLog
-from .evaluation import CATEGORY_NONE, CATEGORY_SOLUTION, Annotation
-from .miner import Rationale
+from .evaluation import CATEGORY_NONE, Annotation
+from .miner import SOLUTION, Rationale
 
 PROJECTS = ("ALPHA", "BRAVO", "CHARLIE")
 
@@ -51,7 +51,7 @@ def _noise_sentence(rng: random.Random) -> str:
 
 def _block_rationales(labels: dict[str, str]) -> list[Rationale]:
     """One argument-less rationale per block that holds design sentences."""
-    design = [sid for sid, label in labels.items() if label == CATEGORY_SOLUTION]
+    design = [sid for sid, label in labels.items() if label == SOLUTION]
     return [Rationale(solution=list(ids), arguments=[])
             for _, ids in groupby(design, key=lambda sid: sid.rsplit("-s", 1)[0])]
 
@@ -80,7 +80,7 @@ def make_design_corpus(seed: int = 0, min_sentences: int = 200,
 
         def sample(sid: str) -> str:
             if rng.random() < design_rate:
-                labels[sid] = CATEGORY_SOLUTION
+                labels[sid] = SOLUTION
                 return _design_sentence(rng)
             labels[sid] = CATEGORY_NONE
             return _noise_sentence(rng)

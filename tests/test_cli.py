@@ -29,6 +29,7 @@ from rationale_miner.corpus import load_corpus
 from rationale_miner.errors import ConfigError, shown
 from rationale_miner.evaluation import split_dataset
 
+from recording import Recording
 from stub_server import run_stub
 from test_scheduling import ISSUES, corpus, write_gold  # noqa: F401  (corpus is a fixture)
 
@@ -854,6 +855,95 @@ def test_baseline_mode_output_on_the_synthetic_corpus_is_pinned(tmp_path, monkey
                       + path.read_bytes() + b"\0")
     assert digest.hexdigest() == \
         "971d6cf333a52f8bf34055edce2a2db4881ea9f89d2f50365f17bae3165cec6e"
+
+
+# ---------------------------------------------------------------------------
+# an issue with no sentence takes the ordinary path through every step
+
+# Its only text is a quoted summary, which cleaning removes.
+_NO_SENTENCES = {"key": "FLINK-9", "summary": "{quote}We should cache every lookup.{quote}"}
+
+
+def _add_issue_without_sentences(corpus_dir: Path, annotations: Path | None = None) -> None:
+    """Write FLINK-9 into ``corpus_dir`` and, when ``annotations`` is given,
+    append an annotation of FLINK-9 that labels no sentence."""
+    (corpus_dir / "FLINK-9.json").write_text(json.dumps(_NO_SENTENCES), encoding="utf-8")
+    if annotations is not None:
+        with open(annotations, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"issue": "FLINK-9", "annotator": "a", "labels": {}})
+                         + "\n")
+
+
+def test_an_issue_without_sentences_is_mined_to_empty_outputs(workspace, monkeypatch, capsys):
+    """``extract``, ``pair`` and ``mine`` write FLINK-9's empty outputs, send
+    the requests of the fixture issue alone and write the same warnings."""
+    tmp_path, config, config_path = workspace
+    built: list[Recording] = []
+
+    def build(cfg):
+        built.append(Recording(build_backend(cfg)))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_backend", build)
+    commands = ("extract", "pair", "mine")
+    alone = []
+    for command in commands:
+        assert main([command, "-c", str(config_path)]) == 0, command
+        alone.append(capsys.readouterr().err)
+    _add_issue_without_sentences(tmp_path / "corpus")
+    for command, err in zip(commands, alone):
+        assert main([command, "-c", str(config_path)]) == 0, command
+        assert capsys.readouterr().err == err
+    for before, after in zip(built[:3], built[3:]):
+        assert before.calls and sorted(after.calls) == sorted(before.calls)
+    out = tmp_path / "out"
+
+    def written(name: str):
+        return json.loads((out / f"FLINK-9.{name}.json").read_text(encoding="utf-8"))
+
+    relations = {"supporting": [], "complementary": []}
+    assert written("design") == {"issue": "FLINK-9", "design": []}
+    assert written("relations") == {"issue": "FLINK-9", "design": [], **relations,
+                                    "warnings": []}
+    assert written("rationales") == {"issue": "FLINK-9", "design_sentences": [],
+                                     "relations": relations, "rationales": [],
+                                     "warnings": []}
+
+
+def test_an_issue_without_sentences_adds_nothing_to_a_trained_head(workspace, fixtures_dir):
+    tmp_path, config, config_path = workspace
+    gold = tmp_path / "gold.jsonl"
+    gold.write_bytes((fixtures_dir / "flink-1320-gold.jsonl").read_bytes())
+    _add_issue_without_sentences(tmp_path / "corpus", gold)
+    heads = [tmp_path / "head-without.json", tmp_path / "head-with.json"]
+    assert main(["train", "-c", str(config_path), "--head", str(heads[0])]) == 0
+    assert main(["train", "-c", str(config_path), "--head", str(heads[1]),
+                 "--annotations", str(gold)]) == 0
+    assert heads[0].read_bytes() == heads[1].read_bytes()
+    assert hashlib.sha256(heads[1].read_bytes()).hexdigest() == _TRAINED_HEADS["fixture"]
+
+
+def test_an_issue_without_sentences_adds_nothing_to_the_baselines(tmp_path, monkeypatch):
+    """Both baselines trained on the seed-0 synthetic corpus are the same
+    files with FLINK-9 and its annotation added, and they mine FLINK-9 to
+    no rationale."""
+    root = Path(__file__).parents[1]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["make_synthetic_corpus.py", "--out", "syn", "--seed", "0"])
+    runpy.run_path(str(root / "scripts" / "make_synthetic_corpus.py"), run_name="__main__")
+    flags = ["--mode", "baseline", "--corpus", "syn/corpus",
+             "--annotations", "syn/annotations.jsonl"]
+    for name in ("without", "with"):
+        if name == "with":
+            _add_issue_without_sentences(Path("syn/corpus"), Path("syn/annotations.jsonl"))
+        assert main(["train", *flags, "--baseline", f"{name}/baseline.json",
+                     "--pair-baseline", f"{name}/pair.json"]) == 0
+    for model in ("baseline.json", "pair.json"):
+        assert Path("without", model).read_bytes() == Path("with", model).read_bytes()
+    assert main(["mine", *flags, "--baseline", "with/baseline.json",
+                 "--pair-baseline", "with/pair.json", "--out", "out"]) == 0
+    mined = json.loads(Path("out/FLINK-9.rationales.json").read_text(encoding="utf-8"))
+    assert (mined["design_sentences"], mined["rationales"]) == ([], [])
 
 
 @pytest.mark.parametrize("url", ["localhost:8080", "ftp://models.example/", "http://",

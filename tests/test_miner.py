@@ -430,11 +430,11 @@ def test_baseline_pair_classifier_direction_and_labels():
     assert warnings == []
 
 
-def test_baseline_pair_classifier_asks_nothing_below_two_sentences():
+def test_baseline_pair_classifier_gets_no_rows_below_two_sentences():
     model = _FixedLabels([])
     assert BaselinePairClassifier(model).relations(
         [_sentence("c0-s0", "One.", 0, 0)]) == ([], [])
-    assert model.rows is None
+    assert model.rows.shape == (0, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +445,8 @@ _REPLIES = ("supporting", "complementary", "unrelated", "Supporting, I think.",
             "hard to say", "")
 
 
-# 2-6 sentences of one issue, in issue order.
-_DESIGNS = st.integers(2, 6).map(lambda n: [
+# 0-6 sentences of one issue, in issue order: below two there is no pair.
+_DESIGNS = st.integers(0, 6).map(lambda n: [
     _sentence(f"c{i}-s0", f"Point {i} of the design.", i, i) for i in range(n)])
 
 

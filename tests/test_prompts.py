@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationale_miner.corpus import Sentence, enumerate_sentences, pair_structure
-from rationale_miner.errors import (
-    BudgetExhausted,
-    CrossIssue,
-    SameSentence,
-    UnparsableResponse,
-)
+from rationale_miner.errors import BudgetExhausted, CrossIssue, SameSentence
 from rationale_miner.prompts import (
     CLOZE_MAX_SEQUENCE,
     FIXED_PROMPT_SLOTS,
@@ -207,14 +202,4 @@ def test_parse_relation_label_first_occurrence_wins(response, expected):
 
 @pytest.mark.parametrize("response", ["", "no label here", "support", "ARG-SOL"])
 def test_parse_relation_label_rejects_unlabeled_responses(response):
-    with pytest.raises(UnparsableResponse):
-        parse_relation_label(response)
-
-
-def test_a_huge_unlabeled_response_is_cut_in_the_message():
-    response = "hmm " * 25_000
-    with pytest.raises(UnparsableResponse) as error:
-        parse_relation_label(response)
-    message = str(error.value)
-    assert message.endswith(f"{repr(response)[:200]}… ({len(repr(response))} chars)")
-    assert len(message) < 300
+    assert parse_relation_label(response) is None
