@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
+import os
 import sys
 from concurrent.futures import Future
-from contextlib import closing, nullcontext
+from contextlib import closing, nullcontext, suppress
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, ContextManager
@@ -57,6 +59,8 @@ from .miner import (
     ARGUMENT,
     SOLUTION,
     CallPool,
+    RelationGraph,
+    SupportingEdge,
     design_entries,
     extract_stage,
     in_issue_order,
@@ -86,6 +90,20 @@ _OVERRIDE_FLAGS = {
     "workers": ("workers", "worker threads for backend calls", int),
 }
 
+# The user extended attribute that marks a stage file (``<KEY>.design.json``
+# or ``<KEY>.relations.json``) as written for its issue's inputs key: the
+# sha256 of that key and the file's bytes.  A later command reuses a stage
+# file only when its mark holds (see ``_read_marked``).
+SOURCE_MARK = "user.rationale_miner.source"
+
+# The config keys that a run stamp covers by value, and those that it covers
+# by the bytes of the file they name.  The others (auth_token, workers, seed,
+# the directories) do not change what a stage computes.
+_STAMPED_KEYS = ("mode", "backend", "backend_url", "cloze_max_sequence",
+                 "pair_max_sequence", "encoding", "bot_authors")
+_STAMPED_FILES = ("script_path", "head_path", "baseline_path", "pair_baseline_path",
+                  "lexicon_path")
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-c", "--config", help="JSON config file")
@@ -108,9 +126,60 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_json(path: Path, payload) -> Path:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+def _write_json(path: Path, payload, key: bytes | None = None) -> Path:
+    """Write ``payload`` to ``path``, and with ``key`` mark the file as
+    written for that inputs key.  Where the platform or the file system keeps
+    no user xattrs the file stays unmarked, and no later command reuses it."""
+    text = json.dumps(payload, indent=2) + "\n"
+    path.write_text(text, encoding="utf-8")
+    if key is not None:
+        with suppress(AttributeError, OSError):  # AttributeError: no os.setxattr here
+            os.setxattr(path, SOURCE_MARK, _mark(key, text.encode("utf-8")))
     return path
+
+
+def _mark(key: bytes, data: bytes) -> bytes:
+    return hashlib.sha256(key + data).digest()
+
+
+def _read_marked(path: Path, key: bytes):
+    """The JSON value in ``path`` if the file's mark says that these bytes
+    were written for ``key``; else None: no file or no mark (a copy keeps
+    none), bytes that changed since, another inputs key, or no xattrs here."""
+    try:
+        mark = os.getxattr(path, SOURCE_MARK)
+        data = path.read_bytes()
+    except (AttributeError, OSError):  # AttributeError: no os.getxattr here
+        return None
+    if mark != _mark(key, data):
+        return None
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+
+
+def _file_digest(path: str | Path | None) -> str | None:
+    """The sha256 of the file at ``path``; None for no path or a file that
+    cannot be read, which a key the mode does not use may name."""
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else None
+    except OSError:
+        return None
+
+
+def _run_stamp(cfg: RunConfig) -> bytes:
+    """The part of every inputs key of a run that is not its issue: the
+    _STAMPED_KEYS values, the bytes of the _STAMPED_FILES files, and the
+    bytes of this package's files, so that no other release of the miner
+    reuses this one's stage files."""
+    package_dir = Path(__file__).resolve().parent
+    stamp = {"keys": {key: getattr(cfg, key) for key in _STAMPED_KEYS},
+             "files": {key: _file_digest(getattr(cfg, key)) for key in _STAMPED_FILES},
+             "package": {path.relative_to(package_dir).as_posix(): _file_digest(path)
+                         for path in package_dir.rglob("*")
+                         if path.is_file() and "__pycache__" not in path.parts}}
+    return hashlib.sha256(json.dumps(stamp, sort_keys=True).encode()).digest()
 
 
 def _require_annotations(cfg: RunConfig) -> list[Annotation]:
@@ -139,14 +208,21 @@ class _Run:
 
 
 class _Pipeline(_Run):
-    """The run of the extract, pair and mine steps, with their classifiers
-    and output directory; ``pairs`` is None unless ``relate``."""
+    """The run of the extract, pair and mine steps, with their classifiers,
+    output directory and run stamp; ``pairs`` is None unless ``relate``."""
 
     def __init__(self, cfg: RunConfig, relate: bool = True):
         super().__init__(cfg)
         self.classifier = build_classifier(cfg, self.backend, self.calls)
         self.pairs = build_pair_classifier(cfg, self.backend, self.calls) if relate else None
         self.out = _outdir(cfg)
+        self.stamp = _run_stamp(cfg)
+
+    def inputs_key(self, issue: IssueLog) -> bytes:
+        """What the issue's stage files of this run are marked for: the run
+        stamp and the cleaned issue."""
+        text = json.dumps(asdict(issue), sort_keys=True, default=str)
+        return hashlib.sha256(self.stamp + text.encode()).digest()
 
 
 _Step = Callable[[IssueLog, Any], tuple[str, list[str]]]
@@ -196,27 +272,82 @@ def _ingest(issue: IssueLog, out: Path) -> tuple[str, list[str]]:
     return f"{issue.key}: {len(sentences)} sentences -> {path}", []
 
 
+def _design_file(issue: IssueLog, sentences: list, scores: np.ndarray, design: list) -> dict:
+    """What ``<KEY>.design.json`` holds for ``extract_stage``'s result."""
+    return {"issue": issue.key, "design": design_entries(sentences, scores,
+                                                         [s.id for s in design])}
+
+
+def _relations_file(issue: IssueLog, graph: RelationGraph, warnings: list[str]) -> dict:
+    """What ``<KEY>.relations.json`` holds for ``relate_stage``'s result."""
+    return {"issue": issue.key, "design": graph.nodes, **graph.to_json(), "warnings": warnings}
+
+
+def _reused_extraction(issue: IssueLog, run: _Pipeline, key: bytes):
+    """``extract_stage``'s result as the issue's ``design.json`` holds it,
+    if the file's mark holds for ``key`` and ``_design_file`` gives the file
+    back from it, so that each design sentence is the issue's sentence of
+    that id and text; else None.  The file scores the design sentences
+    alone: the others score NaN."""
+    payload = _read_marked(run.out / f"{issue.key}.design.json", key)
+    if payload is None:
+        return None
+    sentences = enumerate_sentences(issue)
+    index_of = {s.id: i for i, s in enumerate(sentences)}
+    scores = np.full(len(sentences), np.nan)
+    design = []
+    try:
+        for entry in payload["design"]:
+            i = index_of[entry["id"]]
+            scores[i] = entry["score"]
+            design.append(sentences[i])
+    except (KeyError, TypeError, ValueError):
+        return None
+    extracted = sentences, scores, design
+    return extracted if _design_file(issue, *extracted) == payload else None
+
+
+def _reused_relations(issue: IssueLog, run: _Pipeline, key: bytes):
+    """``relate_stage``'s result as the issue's ``relations.json`` holds it,
+    if the file's mark holds for ``key`` and ``_relations_file`` gives the
+    file back from it; else None."""
+    payload = _read_marked(run.out / f"{issue.key}.relations.json", key)
+    if payload is None:
+        return None
+    try:
+        graph = RelationGraph(
+            nodes=payload["design"],
+            supporting=[SupportingEdge(**edge) for edge in payload["supporting"]],
+            complementary=[tuple(pair) for pair in payload["complementary"]])
+        warnings = [w for w in payload["warnings"] if isinstance(w, str)]
+    except (KeyError, TypeError, ValueError, MiningError):
+        return None
+    related = graph, warnings
+    return related if _relations_file(issue, *related) == payload else None
+
+
 def _extract(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
     sentences, scores, design = extract_stage(issue, run.classifier, run.analyzer)
-    path = _write_json(run.out / f"{issue.key}.design.json", {
-        "issue": issue.key,
-        "design": design_entries(sentences, scores, [s.id for s in design]),
-    })
+    path = _write_json(run.out / f"{issue.key}.design.json",
+                       _design_file(issue, sentences, scores, design), run.inputs_key(issue))
     return f"{issue.key}: {len(design)}/{len(sentences)} design sentences -> {path}", []
 
 
 def _pair(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
-    _, _, design = extract_stage(issue, run.classifier, run.analyzer)
+    key = run.inputs_key(issue)
+    _, _, design = (_reused_extraction(issue, run, key)
+                    or extract_stage(issue, run.classifier, run.analyzer))
     graph, warnings = relate_stage(design, run.pairs)
-    path = _write_json(run.out / f"{issue.key}.relations.json", {
-        "issue": issue.key, "design": graph.nodes, **graph.to_json(), "warnings": warnings,
-    })
+    path = _write_json(run.out / f"{issue.key}.relations.json",
+                       _relations_file(issue, graph, warnings), key)
     return (f"{issue.key}: {len(graph.supporting)} supporting, "
             f"{len(graph.complementary)} complementary -> {path}"), warnings
 
 
 def _mine(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
-    result = mine_issue(issue, run.classifier, run.pairs, run.analyzer)
+    key = run.inputs_key(issue)
+    result = mine_issue(issue, run.classifier, run.pairs, run.analyzer,
+                        _reused_extraction(issue, run, key), _reused_relations(issue, run, key))
     json_path = _write_json(run.out / f"{issue.key}.rationales.json", result.to_json())
     (run.out / f"{issue.key}.rationales.md").write_text(result.to_markdown(),
                                                         encoding="utf-8")

@@ -98,7 +98,9 @@ class CallPool:
     endpoint and the whole body.  This assumes that a backend answers a
     request the same way every time.  A failed call is never remembered, and
     a batch never waits on another batch's call in flight, so an issue's
-    waits and failures stay its own.  ``close`` empties the memory.
+    waits and failures stay its own.  ``close`` empties the memory, so it
+    ends with the command; what ``extract`` and ``pair`` computed reaches a
+    later command through the stage files they write, not through the pool.
     """
 
     def __init__(self, workers: int | None = None):
@@ -597,13 +599,21 @@ def render_markdown(issue_key: str, rationales: list[Rationale],
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def mine_issue(issue: IssueLog, classifier, pairs,
-               analyzer: SentimentAnalyzer) -> MineResult:
+def mine_issue(issue: IssueLog, classifier, pairs, analyzer: SentimentAnalyzer,
+               extracted: tuple[list[Sentence], np.ndarray, list[Sentence]] | None = None,
+               related: tuple[RelationGraph, list[str]] | None = None) -> MineResult:
     """Run the whole pipeline for one cleaned issue (see ``clean_issue``):
     ``extract_stage`` with ``classifier``, ``relate_stage`` with the pair
-    classifier ``pairs``, then ``construct_rationales``."""
-    sentences, scores, design = extract_stage(issue, classifier, analyzer)
-    graph, pair_warnings = relate_stage(design, pairs)
+    classifier ``pairs``, then ``construct_rationales``.
+
+    ``extracted`` and ``related``, when given, are results of the first two
+    stages for this issue, which are then not run again; ``related`` counts
+    only if its graph is over the design sentences.
+    """
+    sentences, scores, design = extracted or extract_stage(issue, classifier, analyzer)
+    if related is None or related[0].nodes != [s.id for s in design]:
+        related = relate_stage(design, pairs)
+    graph, pair_warnings = related
     construction = construct_rationales(graph)
     return MineResult(
         issue_key=issue.key,

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -21,6 +22,19 @@ def fixtures_dir() -> Path:
 def analyzer() -> SentimentAnalyzer:
     """The sentiment analyzer over the packaged lexicon."""
     return SentimentAnalyzer()
+
+
+@pytest.fixture(scope="session")
+def xattrs(tmp_path_factory) -> None:
+    """Skips a test that needs stage files to keep their user extended
+    attribute, where the file system of the tests' temporary directories
+    keeps none; probed once per session."""
+    probe = tmp_path_factory.mktemp("xattrs") / "probe"
+    probe.touch()
+    try:
+        os.setxattr(probe, "user.probe", b"1")
+    except (AttributeError, OSError) as exc:
+        pytest.skip(f"the temporary directory keeps no user xattrs: {exc}")
 
 
 @pytest.fixture()

@@ -876,7 +876,9 @@ def _add_issue_without_sentences(corpus_dir: Path, annotations: Path | None = No
 
 def test_an_issue_without_sentences_is_mined_to_empty_outputs(workspace, monkeypatch, capsys):
     """``extract``, ``pair`` and ``mine`` write FLINK-9's empty outputs, send
-    the requests of the fixture issue alone and write the same warnings."""
+    the requests of the fixture issue alone and write the same warnings.
+    Each command writes into a directory of its own, so that none reuses
+    another's stage files."""
     tmp_path, config, config_path = workspace
     built: list[Recording] = []
 
@@ -888,18 +890,21 @@ def test_an_issue_without_sentences_is_mined_to_empty_outputs(workspace, monkeyp
     commands = ("extract", "pair", "mine")
     alone = []
     for command in commands:
-        assert main([command, "-c", str(config_path)]) == 0, command
+        assert main([command, "-c", str(config_path), "--out",
+                     str(tmp_path / f"alone-{command}")]) == 0, command
         alone.append(capsys.readouterr().err)
     _add_issue_without_sentences(tmp_path / "corpus")
     for command, err in zip(commands, alone):
-        assert main([command, "-c", str(config_path)]) == 0, command
+        assert main([command, "-c", str(config_path), "--out",
+                     str(tmp_path / command)]) == 0, command
         assert capsys.readouterr().err == err
     for before, after in zip(built[:3], built[3:]):
         assert before.calls and sorted(after.calls) == sorted(before.calls)
-    out = tmp_path / "out"
 
     def written(name: str):
-        return json.loads((out / f"FLINK-9.{name}.json").read_text(encoding="utf-8"))
+        command = {"design": "extract", "relations": "pair", "rationales": "mine"}[name]
+        return json.loads((tmp_path / command / f"FLINK-9.{name}.json")
+                          .read_text(encoding="utf-8"))
 
     relations = {"supporting": [], "complementary": []}
     assert written("design") == {"issue": "FLINK-9", "design": []}

@@ -775,10 +775,10 @@ def test_train_sends_the_cloze_probes_of_extract_once(request, monkeypatch, corp
         assert len(backend.calls) == len(set(backend.calls))
 
 
-def test_each_command_in_a_process_sends_its_requests_again(sharing, monkeypatch):
-    """Replies are remembered for one command: ``mine`` after ``extract``
-    in the same process and on the same backend sends every cloze probe
-    again."""
+def test_mine_sends_no_request_of_the_stages_before_it_again(sharing, monkeypatch, xattrs):
+    """``mine`` after ``extract`` takes its scores from the design files and
+    sends no cloze probe; after ``extract`` and ``pair`` it sends no request
+    at all."""
     tmp_path, config = sharing
     backend = Recording(ScriptedBackend(SCRIPT))
     monkeypatch.setattr(cli, "build_backend", lambda cfg: backend)
@@ -787,7 +787,12 @@ def test_each_command_in_a_process_sends_its_requests_again(sharing, monkeypatch
     assert _run("mine", config, tmp_path / "out")[0] == 0
     mined = backend.calls[len(extracted):]
     assert {kind for kind, _ in extracted} == {"mask_probs"}
-    assert Counter(call for call in mined if call[0] == "mask_probs") == Counter(extracted)
+    assert mined and {kind for kind, _ in mined} == {"generate"}
+    for command in ("extract", "pair"):
+        assert _run(command, config, tmp_path / "both")[0] == 0
+    sent = len(backend.calls)
+    assert _run("mine", config, tmp_path / "both")[0] == 0
+    assert len(backend.calls) == sent
 
 
 def test_a_failed_shared_request_fails_only_the_issue_that_sent_it(sharing, monkeypatch):
