@@ -126,6 +126,18 @@ def _outdir(cfg: RunConfig) -> Path:
     return out
 
 
+def _check_outside_corpus(cfg: RunConfig) -> None:
+    """A ConfigError if ``output_dir`` is the corpus directory, under any
+    spelling: every later run would read the outputs as issue exports."""
+    try:
+        same = os.path.samefile(cfg.output_dir, cfg.corpus_dir)
+    except OSError:  # either one missing, say: not the same directory
+        same = False
+    if same:
+        raise ConfigError(f"output_dir {shown(cfg.output_dir)} is the corpus directory "
+                          f"{shown(cfg.corpus_dir)}: write the outputs elsewhere")
+
+
 def _write_json(path: Path, payload, key: bytes | None = None) -> Path:
     """Write ``payload`` to ``path``, and with ``key`` mark the file as
     written for that inputs key.  Where the platform or the file system keeps
@@ -574,6 +586,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config, _overrides(args))
         issues, skipped = [], []
         if args.command != "export":  # export reads mined files, not the corpus
+            _check_outside_corpus(cfg)
             issues, skipped = load_corpus(cfg.corpus_dir, cfg.encoding,
                                           tuple(cfg.bot_authors))
             for line in skipped:

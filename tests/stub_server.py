@@ -2,31 +2,35 @@
 
 The stub answers deterministically (probabilities derived from prompt and
 candidate lengths, generations echoing a fixed label) so tests can predict
-every response.  A ``failure_mode`` attribute switches the next responses to
-various malformed shapes to exercise client-side error handling, a ``gate``
-barrier, when set, holds each request until that many are open, and a
-``delay`` holds each reply that many seconds (a reply still held when the
-stub closes is not sent).
+every response.  ``script`` says how to answer the next requests, one step
+per request in arrival order; once it is used up, ``failure_mode`` answers
+each request (None: the deterministic answer).  A step is a malformed answer
+(``status-500``, ``non-json``, ``wrong-length``, ``out-of-range``,
+``missing-field``) or a raw one, for the client's connection handling:
+``ok`` answers ``{"text": "ok"}`` and keeps the connection, ``ok-close``
+answers and then closes it without saying so (``closed`` is set once it is
+closed), ``close`` answers with ``Connection: close`` and closes it, ``drop``
+closes it without a reply, ``partial`` sends a reply cut short and closes,
+and ``long`` and ``long-chunked`` send a body one byte over MAX_REPLY_BYTES,
+with a Content-Length or in chunks, and close.
 
-By default each reply closes its connection (HTTP/1.0); ``keep_alive=True``
-serves HTTP/1.1 with kept-alive connections.  ``connections`` counts the
-accepted connections, and ``all_closed`` waits for the client to close them.  Endpoints are matched on the end of the request
-target, so the stub also answers under a path prefix and, as a forward proxy
-receives them, absolute-form targets; ``requests`` records each target as
-sent.
-
-``run_socket_stub`` is a bare HTTP/1.1 server for the connection handling
-itself: it answers each request in a scripted way, such as closing the
-connection without a reply.
+A ``gate`` barrier, when set, holds each request until that many are open,
+and a ``delay`` holds each reply that many seconds (a reply still held when
+the stub closes is not sent).  By default each reply closes its connection
+(HTTP/1.0); ``keep_alive=True`` serves HTTP/1.1 with kept-alive connections.
+``connections`` counts the accepted connections, and ``all_closed`` waits
+for the client to close them.  Endpoints are matched on the end of the
+request target, so the stub also answers under a path prefix and, as a
+forward proxy receives them, absolute-form targets; ``requests`` records
+each target as sent.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import socket
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from rationale_miner.backends.protocol import MAX_REPLY_BYTES
@@ -38,6 +42,22 @@ def expected_probs(prompt: str, count: int) -> list[float]:
 
 def expected_text(prompt: str) -> str:
     return f"echo:{len(prompt)}"
+
+
+_OK_BODY = json.dumps({"text": "ok"}).encode()
+_OK = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+       b"Content-Length: %d\r\n\r\n%s" % (len(_OK_BODY), _OK_BODY))
+# A body one byte over the client's cap, whole and in 64 KiB chunks.
+_LONG_BODY = b"x" * (MAX_REPLY_BYTES + 1)
+_LONG_CHUNKS = (_LONG_BODY[i:i + 65536] for i in range(0, len(_LONG_BODY), 65536))
+# The bytes that each raw step sends.
+_RAW = {"ok": _OK, "ok-close": _OK, "drop": b"", "partial": _OK[:-3],
+        "close": _OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1),
+        "long": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(_LONG_BODY)
+                + _LONG_BODY,
+        "long-chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                        + b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk)
+                                   for chunk in _LONG_CHUNKS) + b"0\r\n\r\n"}
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -63,12 +83,22 @@ class _Handler(BaseHTTPRequestHandler):
         server: StubServer = self.server  # type: ignore[assignment]
         length = int(self.headers.get("Content-Length", "0"))
         raw = self.rfile.read(length)
-        server.requests.append((self.path, dict(self.headers), raw))
+        with server._lock:
+            server.requests.append((self.path, dict(self.headers), raw))
+            mode = server.script.pop(0) if server.script else server.failure_mode
         if server.gate is not None:
             server.gate.wait()
         if server.closing.wait(server.delay):
             return  # the stub is closing; the client has most likely gone
-        mode = server.failure_mode
+        if mode in _RAW:
+            if mode != "ok":
+                self.close_connection = True
+            if mode == "ok-close":
+                with server._lock:
+                    server._quiet.add(self.request)
+            with suppress(OSError):  # the client closed it mid-reply
+                self.wfile.write(_RAW[mode])
+            return
 
         if mode == "status-500":
             self._reply(500, b'{"error": "boom"}')
@@ -106,16 +136,19 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class StubServer(ThreadingHTTPServer):
-    def __init__(self, keep_alive: bool = False):
+    def __init__(self, keep_alive: bool = False, script: list[str] = ()):
         super().__init__(("127.0.0.1", 0), _Handler)
         self.keep_alive = keep_alive
+        self.script = list(script)
         self.failure_mode: str | None = None
         self.gate: threading.Barrier | None = None
         self.delay = 0.0
         self.closing = threading.Event()
+        self.closed = threading.Event()
         self.requests: list[tuple[str, dict, bytes]] = []
         self.connections = 0
         self._open: set[socket.socket] = set()
+        self._quiet: set[socket.socket] = set()  # ok-close connections
         self._handlers: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._closed = threading.Condition(self._lock)
@@ -132,10 +165,12 @@ class StubServer(ThreadingHTTPServer):
         handler.start()
 
     def shutdown_request(self, request):
+        super().shutdown_request(request)
         with self._closed:
             self._open.discard(request)
+            if request in self._quiet:
+                self.closed.set()
             self._closed.notify_all()
-        super().shutdown_request(request)
 
     def all_closed(self, timeout: float = 5.0) -> bool:
         """Whether every accepted connection is closed, or gets closed
@@ -150,8 +185,8 @@ class StubServer(ThreadingHTTPServer):
 
 
 @contextmanager
-def run_stub(keep_alive: bool = False):
-    server = StubServer(keep_alive)
+def run_stub(keep_alive: bool = False, script: list[str] = ()):
+    server = StubServer(keep_alive, script)
     # shutdown() waits for the serve loop's next poll, 0.5 s by default.
     thread = threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True)
     thread.start()
@@ -173,89 +208,3 @@ def run_stub(keep_alive: bool = False):
         # A handler left running could write into a later test's stderr.
         for handler in server._handlers:
             handler.join(timeout=5)
-
-
-class SocketStub:
-    """What ``run_socket_stub`` yields: the base URL, the accepted connection
-    count, and ``closed``, set when an ``ok-close`` connection is closed."""
-
-    def __init__(self, port: int):
-        self.url = f"http://127.0.0.1:{port}"
-        self.connections = 0
-        self.closed = threading.Event()
-
-
-_REPLY_BODY = json.dumps({"text": "ok"}).encode()
-_REPLY = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
-          b"Content-Length: %d\r\n\r\n%s" % (len(_REPLY_BODY), _REPLY_BODY))
-# A body one byte over the client's cap, whole and in 64 KiB chunks.
-_LONG_BODY = b"x" * (MAX_REPLY_BYTES + 1)
-_LONG_CHUNKS = (_LONG_BODY[i:i + 65536] for i in range(0, len(_LONG_BODY), 65536))
-_REPLIES = {"partial": _REPLY[:-3],
-            "close": _REPLY.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1),
-            "long": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(_LONG_BODY)
-                    + _LONG_BODY,
-            "long-chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
-                            + b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk)
-                                       for chunk in _LONG_CHUNKS) + b"0\r\n\r\n"}
-
-
-def _read_request(conn: socket.socket, buffer: bytes) -> bytes | None:
-    """Reads one request off ``conn``; the bytes after it, or None at EOF."""
-    while b"\r\n\r\n" not in buffer:
-        chunk = conn.recv(65536)
-        if not chunk:
-            return None
-        buffer += chunk
-    head, buffer = buffer.split(b"\r\n\r\n", 1)
-    length = int(re.search(rb"(?i)content-length: *(\d+)", head).group(1))
-    while len(buffer) < length:
-        buffer += conn.recv(65536)
-    return buffer[length:]
-
-
-@contextmanager
-def run_socket_stub(script: list[str]):
-    """Serve requests in the ways ``script`` lists, one per request in
-    arrival order: ``ok`` answers ``{"text": "ok"}`` and keeps the
-    connection, ``ok-close`` answers and then closes it without saying so,
-    ``close`` answers with ``Connection: close`` and closes it, ``drop``
-    closes it without a reply, ``partial`` sends a reply cut short and
-    closes, and ``long`` and ``long-chunked`` send a body one byte over
-    MAX_REPLY_BYTES, with a Content-Length or in chunks, and close."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    stub = SocketStub(listener.getsockname()[1])
-
-    def serve(conn: socket.socket) -> None:
-        buffer, step = b"", "ok"
-        with conn:
-            while step == "ok" and script:
-                buffer = _read_request(conn, buffer)
-                if buffer is None:
-                    return
-                step = script.pop(0)
-                if step != "drop":
-                    try:
-                        conn.sendall(_REPLIES.get(step, _REPLY))
-                    except OSError:  # the client closed it mid-reply
-                        return
-        if step == "ok-close":
-            stub.closed.set()
-
-    def accept() -> None:
-        while True:
-            try:
-                conn, _ = listener.accept()
-            except OSError:  # the listener was shut down
-                return
-            stub.connections += 1
-            threading.Thread(target=serve, args=(conn,), daemon=True).start()
-
-    thread = threading.Thread(target=accept, daemon=True)
-    thread.start()
-    try:
-        yield stub
-    finally:
-        listener.shutdown(socket.SHUT_RDWR)
-        listener.close()
-        thread.join(timeout=5)

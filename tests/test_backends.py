@@ -27,7 +27,7 @@ from rationale_miner.errors import ConfigError, ProtocolError, TransportError, s
 
 from oracles import oracle_script_rule
 from recording import Recording
-from stub_server import expected_probs, expected_text, run_socket_stub, run_stub
+from stub_server import expected_probs, expected_text, run_stub
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_remote_backend_opens_a_connection_per_reply_that_closes_it():
 
 
 def test_remote_backend_resends_once_when_the_server_closed_an_idle_connection():
-    with run_socket_stub(["ok-close", "ok"]) as stub:
+    with run_stub(keep_alive=True, script=["ok-close", "ok"]) as stub:
         backend = RemoteBackend(stub.url)
         assert backend.generate("first") == "ok"
         assert stub.closed.wait(timeout=5)
@@ -232,7 +232,7 @@ def test_remote_backend_resends_once_when_the_server_closed_an_idle_connection()
 
 
 def test_remote_backend_resends_once_when_a_reused_connection_closes_unanswered():
-    with run_socket_stub(["ok", "drop", "ok"]) as stub:
+    with run_stub(keep_alive=True, script=["ok", "drop", "ok"]) as stub:
         backend = RemoteBackend(stub.url)
         assert backend.generate("first") == "ok"
         assert backend.generate("second") == "ok"
@@ -247,7 +247,7 @@ def test_remote_backend_resends_once_when_a_reused_connection_closes_unanswered(
     (["close", "drop"], 2),  # the second connection was new, not reused
 ])
 def test_remote_backend_does_not_resend_otherwise(script, connections):
-    with run_socket_stub(script) as stub:
+    with run_stub(keep_alive=True, script=script) as stub:
         backend = RemoteBackend(stub.url)
         if len(script) > 1:
             assert backend.generate("first") == "ok"
@@ -258,7 +258,7 @@ def test_remote_backend_does_not_resend_otherwise(script, connections):
 
 @pytest.mark.parametrize("long", ["long", "long-chunked"])
 def test_remote_backend_refuses_a_reply_over_the_cap_and_its_connection(long):
-    with run_socket_stub(["ok", long, "ok", "ok"]) as stub:
+    with run_stub(keep_alive=True, script=["ok", long, "ok", "ok"]) as stub:
         backend = RemoteBackend(stub.url)
         assert backend.generate("first") == "ok"
         with pytest.raises(ProtocolError, match=f"reply body over {MAX_REPLY_BYTES} bytes"):

@@ -29,9 +29,9 @@ from rationale_miner.corpus import load_corpus
 from rationale_miner.errors import ConfigError, shown
 from rationale_miner.evaluation import split_dataset
 
-from recording import Recording
+from conftest import ISSUES, write_gold
+from recording import recorded
 from stub_server import run_stub
-from test_scheduling import ISSUES, corpus, write_gold  # noqa: F401  (corpus is a fixture)
 
 
 @pytest.fixture
@@ -409,6 +409,33 @@ def test_a_path_the_file_system_cannot_take_is_a_config_error(workspace, capsys,
                             f"system cannot encode: {shown(path)}\n")
     assert len(captured.err) < 400
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("spelling", ["dot-slash", "symlink"])
+@pytest.mark.parametrize("command", ["ingest", "extract", "pair", "mine", "train", "eval",
+                                     "split", "ablate", "stats"])
+def test_an_output_dir_that_is_the_corpus_dir_is_a_config_error(workspace, capsys, command,
+                                                                spelling):
+    """Outputs written into the corpus directory would be read as issue
+    exports by every later run, so each command that reads the corpus stops
+    before it writes anything, however the directory is spelled."""
+    tmp_path, config, config_path = workspace
+    corpus = tmp_path / "corpus"
+    if spelling == "symlink":
+        out = str(tmp_path / "link")
+        os.symlink(corpus, out, target_is_directory=True)
+    else:
+        out = f"{tmp_path}/./corpus/"
+    args = [command, "-c", str(config_path), "--out", out]
+    if command == "train":  # would write a head of its own
+        args += ["--head", str(tmp_path / "trained-head.json")]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"config error: output_dir {shown(out)} is the corpus directory "
+                            f"{shown(config['corpus_dir'])}: write the outputs elsewhere\n")
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_ingest_skips_an_issue_mixing_naive_and_offset_timestamps(workspace, raw_issue,
@@ -880,13 +907,7 @@ def test_an_issue_without_sentences_is_mined_to_empty_outputs(workspace, monkeyp
     Each command writes into a directory of its own, so that none reuses
     another's stage files."""
     tmp_path, config, config_path = workspace
-    built: list[Recording] = []
-
-    def build(cfg):
-        built.append(Recording(build_backend(cfg)))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_backend", build)
+    built = recorded(monkeypatch)
     commands = ("extract", "pair", "mine")
     alone = []
     for command in commands:

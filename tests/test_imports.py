@@ -1,6 +1,7 @@
-"""Every name that a module under src/ or scripts/ imports is used in it,
-and every module-level constant and class under src/ is referenced from
-src/, scripts/ or perfbench/.
+"""Every name that a module under src/, scripts/ or tests/ imports is used
+in it, but for an import on a line marked ``# noqa: F401``, and every
+module-level constant and class under src/ is referenced from src/, scripts/
+or perfbench/.
 
 No linter runs on this repository, so this catches an import or a constant
 that a deletion leaves behind.  A package's ``__init__.py`` holds only its
@@ -21,12 +22,19 @@ PACKAGES = sorted((ROOT / "src").rglob("__init__.py"))
 MODULES = sorted(path for path in (ROOT / "src").rglob("*.py") if path.name != "__init__.py")
 MODULES += sorted((ROOT / "scripts").glob("*.py"))
 PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
-def _unused_imports(tree: ast.Module) -> list[str]:
-    """``line name`` of each name imported in ``tree`` and never read."""
+def _unused_imports(source: str) -> list[str]:
+    """``line name`` of each name imported in ``source`` and never read, but
+    for one imported on a line marked ``# noqa: F401``."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
     imported: dict[str, int] = {}
     for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                "# noqa: F401" in lines[node.lineno - 1]:
+            continue
         if isinstance(node, ast.Import):
             for alias in node.names:  # ``import a.b`` binds ``a``
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
@@ -37,15 +45,16 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [f"{line} {name}" for name, line in imported.items() if name not in read]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.relative_to(ROOT).as_posix())
+@pytest.mark.parametrize("path", MODULES + TESTS,
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_every_imported_name_is_used(path):
-    assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+    assert _unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_an_unused_import_is_found():
-    tree = ast.parse("import os.path\nimport json\nfrom x import (a, b as c)\n"
-                     "print(os.sep, c)\n")
-    assert _unused_imports(tree) == ["2 json", "3 a"]
+    source = ("import os.path\nimport json\nfrom x import (a, b as c)\n"
+              "print(os.sep, c)\nimport numpy  # noqa: F401\n")
+    assert _unused_imports(source) == ["2 json", "3 a"]
 
 
 def _defined(tree: ast.Module) -> dict[str, int]:

@@ -11,7 +11,7 @@ from rationale_miner.backends.baseline import pair_features
 from rationale_miner.backends.heads import LogisticHead
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.corpus import Sentence
-from rationale_miner.errors import ProtocolError, SameSentence, UnknownSentence
+from rationale_miner.errors import SameSentence, UnknownSentence
 from rationale_miner.features import FEATURE_NAMES, POLARITY_WORDS
 from rationale_miner.miner import (
     BaselinePairClassifier,

@@ -10,9 +10,7 @@ it writes the bytes, stdout and stderr that it writes alone.
 
 from __future__ import annotations
 
-import contextlib
 import errno
-import io
 import json
 import os
 import shutil
@@ -23,11 +21,9 @@ from pathlib import Path
 import pytest
 
 from rationale_miner import cli
-from rationale_miner.config import build_backend
 
-from recording import Recording
+from recording import recorded, run_command
 from stub_server import run_stub
-from test_scheduling import corpus, sharing  # noqa: F401  (fixtures)
 
 COMMANDS = ("extract", "pair", "mine")
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -51,35 +47,12 @@ def fixture(tmp_path, fixtures_dir):
     return tmp_path, config
 
 
-def _run(command: str, config, out, *flags: str) -> tuple[int, str, str, dict]:
-    """Exit code, stdout, stderr and output files (name -> bytes) of a
-    command, as in ``test_scheduling``, a directory among them left out."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        rc = cli.main([command, "-c", str(config), "--out", str(out), *flags])
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.is_file()}
-    return rc, stdout.getvalue().replace(str(out), "<out>"), stderr.getvalue(), files
-
-
-def _recorded(monkeypatch) -> list[Recording]:
-    """The Recording backends, around the configured ones, that runs build
-    from now on, in build order."""
-    built: list[Recording] = []
-
-    def build(cfg):
-        built.append(Recording(build_backend(cfg)))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_backend", build)
-    return built
-
-
 def _alone(config, tmp_path, built, *flags) -> dict:
     """Each command run alone into a fresh directory: command -> (its
-    ``_run`` result, the calls it sent)."""
+    ``run_command`` result, the calls it sent)."""
     runs = {}
     for command in COMMANDS:
-        result = _run(command, config, tmp_path / f"alone-{command}", *flags)
+        result = run_command(command, config, tmp_path / f"alone-{command}", *flags)
         runs[command] = result, built[-1].calls
     return runs
 
@@ -89,8 +62,8 @@ def _alone(config, tmp_path, built, *flags) -> dict:
 def test_extract_pair_mine_send_each_distinct_request_once(request, monkeypatch, xattrs,
                                                             inputs, workers):
     tmp_path, config = request.getfixturevalue(inputs)
-    built = _recorded(monkeypatch)
-    chain = [_run(command, config, tmp_path / "chain", "--workers", workers)
+    built = recorded(monkeypatch)
+    chain = [run_command(command, config, tmp_path / "chain", "--workers", workers)
              for command in COMMANDS]
     sent = [call for backend in built for call in backend.calls]
     alone = _alone(config, tmp_path, built, "--workers", workers)
@@ -109,8 +82,8 @@ def test_an_issue_that_pair_failed_is_related_again_by_mine(corpus, monkeypatch,
     """``pair`` writes no relations file for SCHED-6, whose pair probe fails,
     so ``mine`` sends SCHED-6's pair probes again, and only those."""
     tmp_path, config = corpus
-    built = _recorded(monkeypatch)
-    chain = [_run(command, config, tmp_path / "chain") for command in COMMANDS]
+    built = recorded(monkeypatch)
+    chain = [run_command(command, config, tmp_path / "chain") for command in COMMANDS]
     alone = _alone(config, tmp_path, built)
     assert [run[0] for run in chain] == [0, 1, 1]
     for run, command in zip(chain, COMMANDS):
@@ -123,9 +96,9 @@ def test_no_command_reuses_its_own_output(fixture, monkeypatch, xattrs):
     """A second ``extract`` sends every cloze probe again, and a second
     ``pair`` every pair probe."""
     tmp_path, config = fixture
-    built = _recorded(monkeypatch)
+    built = recorded(monkeypatch)
     for command in ("extract", "extract", "pair", "pair"):
-        assert _run(command, config, tmp_path / "out")[0] == 0
+        assert run_command(command, config, tmp_path / "out")[0] == 0
     extract, again, pair, pair_again = (backend.calls for backend in built)
     assert again == extract
     assert {kind for kind, _ in pair} == {"generate"}
@@ -136,6 +109,25 @@ def _rewrite_json(path: Path, change) -> None:
     payload = json.loads(path.read_text(encoding="utf-8"))
     change(payload)
     path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+@pytest.mark.parametrize("unreadable", ["missing file", "directory"])
+def test_an_unreadable_file_that_the_mode_does_not_use_keeps_reuse(fixture, monkeypatch,
+                                                                   xattrs, unreadable):
+    """``pair_baseline_path``, which prompt_head mode does not read, naming
+    a file that cannot be read still gives a run stamp: ``pair`` takes its
+    design sentences from the file that ``extract`` wrote."""
+    tmp_path, config = fixture
+    path = tmp_path / "pair-baseline.json"
+    if unreadable == "directory":
+        path.mkdir()
+    _rewrite_json(config, lambda values: values.update(pair_baseline_path=str(path)))
+    built = recorded(monkeypatch)
+    for command in ("extract", "pair"):
+        assert run_command(command, config, tmp_path / "out")[0] == 0
+    extract, pair = (backend.calls for backend in built)
+    assert extract and {kind for kind, _ in extract} == {"mask_probs"}
+    assert pair and {kind for kind, _ in pair} == {"generate"}
 
 
 def _drop_a_design_sentence(script: dict) -> None:
@@ -166,13 +158,13 @@ def test_a_changed_input_makes_the_stages_run_again(fixture, monkeypatch, xattrs
     every stage, and ``pair`` extracts again (the design file is still the
     old one), each with the requests and bytes of a run alone."""
     tmp_path, config = fixture
-    built = _recorded(monkeypatch)
-    before = {command: _run(command, config, tmp_path / "out") for command in COMMANDS}
+    built = recorded(monkeypatch)
+    before = {command: run_command(command, config, tmp_path / "out") for command in COMMANDS}
     name, edit = _CHANGES[change]
     _rewrite_json(tmp_path / name, edit)
     del built[:]
-    mined = _run("mine", config, tmp_path / "out")
-    paired = _run("pair", config, tmp_path / "out")
+    mined = run_command("mine", config, tmp_path / "out")
+    paired = run_command("pair", config, tmp_path / "out")
     mine_calls, pair_calls = (backend.calls for backend in built)
     alone = _alone(config, tmp_path, built)
     for run, calls, command in ((mined, mine_calls, "mine"), (paired, pair_calls, "pair")):
@@ -186,7 +178,7 @@ def test_a_changed_input_makes_the_stages_run_again(fixture, monkeypatch, xattrs
     assert mined[3][rationales] != before["mine"][3][rationales]
 
 
-def _edited(path: Path) -> None:
+def _edited(path: Path, key: bytes) -> None:
     """Rewrite the file in place, keeping its xattrs, with the first design
     sentence's score or the supporting edges changed."""
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -197,23 +189,35 @@ def _edited(path: Path) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _copied(path: Path) -> None:
+def _copied(path: Path, key: bytes) -> None:
     copy = path.with_name("copy")
     shutil.copyfile(path, copy)  # the data alone, no xattrs
     os.replace(copy, path)
 
 
-def _emptied(path: Path) -> None:
+def _emptied(path: Path, key: bytes) -> None:
     path.write_bytes(b"")
 
 
-def _made_a_directory(path: Path) -> None:
+def _made_a_directory(path: Path, key: bytes) -> None:
     path.unlink()
     path.mkdir()
 
 
+def _marked(data: bytes):
+    """A damage that writes ``data`` under a mark that holds for it: the
+    mark of the inputs ``key`` that the file was written for."""
+    def damage(path: Path, key: bytes) -> None:
+        path.write_bytes(data)
+        os.setxattr(path, cli.SOURCE_MARK, cli._mark(key, data))
+    return damage
+
+
+# Each damage gets the stage file and its inputs key.
 _DAMAGES = {"hand-edited": _edited, "copied": _copied, "emptied": _emptied,
-            "replaced by a directory": _made_a_directory}
+            "replaced by a directory": _made_a_directory,
+            "marked, not JSON": _marked(b'{"design": ['),
+            "marked, nested too deeply": _marked(b"[" * 100_000 + b"]" * 100_000)}
 
 
 @pytest.mark.parametrize("damage", sorted(_DAMAGES))
@@ -222,7 +226,10 @@ def test_a_damaged_stage_file_makes_its_stage_run_again(fixture, monkeypatch, xa
     too, which still reuses the relations that ``pair`` wrote.  A damaged
     relations file makes ``mine`` relate again, reusing the design file."""
     tmp_path, config = fixture
-    built = _recorded(monkeypatch)
+    built = recorded(monkeypatch)
+    keys = []  # the inputs keys that the stage files are marked for
+    mark = cli._mark
+    monkeypatch.setattr(cli, "_mark", lambda key, data: keys.append(key) or mark(key, data))
     alone = _alone(config, tmp_path, built)
     cloze = alone["extract"][1]
     pairs = [call for call in alone["pair"][1] if call[0] == "generate"]
@@ -230,10 +237,10 @@ def test_a_damaged_stage_file_makes_its_stage_run_again(fixture, monkeypatch, xa
                                 ("relations", ("mine",), (pairs,))):
         out = tmp_path / damaged
         for command in ("extract", "pair"):
-            assert _run(command, config, out)[0] == 0
-        _DAMAGES[damage](out / f"FLINK-1320.{damaged}.json")
+            assert run_command(command, config, out)[0] == 0
+        _DAMAGES[damage](out / f"FLINK-1320.{damaged}.json", keys[-1])
         for command, calls in zip(then, sent):
-            run = _run(command, config, out)
+            run = run_command(command, config, out)
             assert sorted(built[-1].calls) == sorted(calls), (damaged, command)
             alone_run = alone[command][0]
             assert run[:3] == alone_run[:3]
@@ -289,10 +296,10 @@ def test_a_marked_file_that_does_not_fit_the_issue_is_not_reused(fixture, monkey
     """A stage file whose mark holds but whose content does not fit the
     issue's sentences, or does not read back to itself, is computed again."""
     tmp_path, config = fixture
-    built = _recorded(monkeypatch)
+    built = recorded(monkeypatch)
     alone = _alone(config, tmp_path, built)
     for command in ("extract", "pair"):
-        assert _run(command, config, tmp_path / "out")[0] == 0
+        assert run_command(command, config, tmp_path / "out")[0] == 0
     stage, change = _FORGED[forged]
     read_marked = cli._read_marked
 
@@ -304,7 +311,7 @@ def test_a_marked_file_that_does_not_fit_the_issue_is_not_reused(fixture, monkey
 
     monkeypatch.setattr(cli, "_read_marked", forge)
     command = "pair" if stage == "design" else "mine"
-    run = _run(command, config, tmp_path / "out")
+    run = run_command(command, config, tmp_path / "out")
     expected = list(alone["extract"][1]) if stage == "design" else []
     expected += [call for call in alone["pair"][1] if call[0] == "generate"]
     assert sorted(built[-1].calls) == sorted(expected)
@@ -326,8 +333,8 @@ def test_without_xattrs_every_command_computes_every_stage(fixture, monkeypatch,
     else:
         monkeypatch.delattr(os, "setxattr", raising=False)
         monkeypatch.delattr(os, "getxattr", raising=False)
-    built = _recorded(monkeypatch)
-    chain = [_run(command, config, tmp_path / "chain") for command in COMMANDS]
+    built = recorded(monkeypatch)
+    chain = [run_command(command, config, tmp_path / "chain") for command in COMMANDS]
     chain_calls = [backend.calls for backend in built]
     alone = _alone(config, tmp_path, built)
     for run, calls, command in zip(chain, chain_calls, COMMANDS):
@@ -362,7 +369,7 @@ def test_three_processes_send_each_distinct_prompt_once(tmp_path, fixtures_dir, 
             assert done.returncode == 0, done.stderr
             counts.append(len(server.requests))
         chain = [(path, body) for path, _, body in server.requests]
-        assert _run("mine", config, tmp_path / "alone")[0] == 0
+        assert run_command("mine", config, tmp_path / "alone")[0] == 0
         alone = [(path, body) for path, _, body in server.requests[len(chain):]]
     assert len(chain) == len(set(alone))
     assert set(chain) == set(alone)

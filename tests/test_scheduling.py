@@ -19,134 +19,26 @@ from contextvars import copy_context
 import pytest
 
 from rationale_miner import cli, miner
-from rationale_miner.backends.protocol import Backend
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.config import build_backend, build_pair_classifier, load_config
-from rationale_miner.corpus import clean_issue, enumerate_sentences, load_corpus, parse_issue
+from rationale_miner.corpus import clean_issue, enumerate_sentences, parse_issue
 from rationale_miner.errors import TransportError
 from rationale_miner.features import POLARITY_WORDS
 from rationale_miner.miner import (
     ISSUE_RANK, REPLY_MEMORY, CallPool, in_issue_order, usable_cpus)
 
-from recording import Recording
+from conftest import ISSUES, REASON, SCRIPT, SHARING, sched_issue, write_gold, write_sharing
+from recording import Recording, recorded, run_command
 from stub_server import run_stub
-
-ISSUES = 9
-# Design tags per issue; every issue also has noise sentences.
-_TAGS = ("Plan", "Reason", "Plan", "Bridge", "Plan", "Murky", "Reason", "Plan")
-_NOISE = ("The nightly build ran on {n} executors.", "Attached the log of run {n}.")
-_DESIGN = "{tag} q{j}z-{n} keeps the parser simple."
-_DESIGN_P0 = [0.9] + [0.0] * 13
-_NOISE_P0 = [0.1] + [0.0] * 13
-
-# The golden head calls a sentence design when its first polarity slot is
-# 0.9 and not when it is 0.1.  Pair answers depend on the tags alone: a
-# "Murky" second sentence is unparsable (a warning), a "Bridge" is an
-# argument complementary to an earlier plan (a construction warning), and a
-# "Doomed" sentence's well-formed rule answers null, a reply that fails its
-# check on every call (the issue fails).
-SCRIPT = {
-    "mask_probs": {
-        "rules": [{"contains": tag + " q", "probs": _DESIGN_P0}
-                  for tag in ("Plan", "Reason", "Bridge", "Murky", "Doomed")],
-        "default": {"probs": _NOISE_P0},
-    },
-    "generate": {
-        "rules": [
-            {"contains": "Doomed", "text": None},
-            {"contains": "Sentence 2: Murky", "text": "hard to say"},
-            {"contains": ["Sentence 1: Reason", "Sentence 2: Plan"], "text": "supporting"},
-            {"contains": ["Sentence 1: Bridge", "Sentence 2: Plan"], "text": "supporting"},
-            {"contains": ["Sentence 1: Plan", "Sentence 2: Bridge"], "text": "complementary"},
-            {"contains": ["Sentence 1: Plan", "Sentence 2: Plan"], "text": "complementary"},
-            {"contains": ["Sentence 1: Reason", "Sentence 2: Reason"],
-             "text": "complementary"},
-        ],
-        "default": {"text": "unrelated"},
-    },
-}
-
-
-def _issue(j: int) -> dict:
-    """Issue ``j``: j % 8 design sentences among noise, in three comments;
-    issue 6 also holds a sentence that fails its pair probes."""
-    design = [_DESIGN.format(tag=tag, j=j, n=n) for n, tag in enumerate(_TAGS[: j % 8])]
-    if j == 6:
-        design.insert(1, _DESIGN.format(tag="Doomed", j=j, n=9))
-    texts = []
-    for n, sentence in enumerate(design):
-        texts.extend([sentence, _NOISE[n % 2].format(n=j + n + 2)])
-    texts = texts or [_NOISE[0].format(n=j + 2)]
-    thirds = [texts[i::3] for i in range(3)]
-    return {
-        "key": f"SCHED-{j}",
-        "summary": f"Pick a parser design for q{j}z",
-        "reporter": "alice",
-        "description": " ".join(thirds[0]) or "No description.",
-        "comments": [
-            {"author": author, "created": f"2020-01-0{c + 2}T10:00:00.000+0000",
-             "body": " ".join(part) or "Thanks."}
-            for c, (author, part) in enumerate(zip(("bob", "carol"), thirds[1:]))
-        ],
-    }
-
 
 def _issue_of(prompt: str) -> int:
     return int(re.search(r"q(\d+)z", prompt).group(1))
 
 
-# The design label of a sentence by its first word; an even-numbered
-# sentence of any other word is labelled ``none``, an odd one left out.
-_GOLD_LABELS = {"Plan": "solution", "Doomed": "solution", "Reason": "argument",
-                "Bridge": "argument", "Murky": "argument"}
-
-
-def write_gold(corpus_dir, keys):
-    """An annotations file, next to ``corpus_dir``, for its issues ``keys``."""
-    issues, _ = load_corpus(corpus_dir)
-    gold = corpus_dir.parent / "gold.jsonl"
-    with open(gold, "w", encoding="utf-8") as handle:
-        for issue in issues:
-            if issue.key in keys:
-                labels = {s.id: _GOLD_LABELS.get(s.text.split()[0], "none")
-                          for n, s in enumerate(enumerate_sentences(issue))
-                          if s.text.split()[0] in _GOLD_LABELS or n % 2 == 0}
-                handle.write(json.dumps({"issue": issue.key, "annotator": "a",
-                                         "labels": labels}) + "\n")
-    return gold
-
-
-@pytest.fixture
-def corpus(tmp_path, fixtures_dir):
-    """A config over ``ISSUES`` generated issues and the script above."""
-    corpus_dir = tmp_path / "corpus"
-    corpus_dir.mkdir()
-    for j in range(ISSUES):
-        (corpus_dir / f"SCHED-{j}.json").write_text(json.dumps(_issue(j)), encoding="utf-8")
-    script = tmp_path / "script.json"
-    script.write_text(json.dumps(SCRIPT), encoding="utf-8")
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "corpus_dir": str(corpus_dir), "mode": "prompt_head", "backend": "scripted",
-        "script_path": str(script), "head_path": str(fixtures_dir / "golden-head.json"),
-    }), encoding="utf-8")
-    return tmp_path, config
-
-
-def _run(command: str, config, out, *flags: str) -> tuple[int, str, str, dict]:
-    """Exit code, stdout, stderr and output files (name -> bytes) of a command."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        rc = cli.main([command, "-c", str(config), "--out", str(out), *flags])
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    # Output paths name the output directory; compare them without it.
-    return rc, stdout.getvalue().replace(str(out), "<out>"), stderr.getvalue(), files
-
-
 @pytest.mark.parametrize("command", ["mine", "extract", "pair"])
 def test_output_is_independent_of_workers(corpus, command):
     tmp_path, config = corpus
-    runs = [_run(command, config, tmp_path / f"out-{workers}", "--workers", str(workers))
+    runs = [run_command(command, config, tmp_path / f"out-{workers}", "--workers", str(workers))
             for workers in (1, 2, 8)]
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
@@ -166,71 +58,33 @@ def test_output_is_independent_of_workers(corpus, command):
 def test_output_is_each_issue_alone_in_corpus_order(corpus):
     """Stdout and stderr of a run are those of its issues mined one by one."""
     tmp_path, config = corpus
-    rc, stdout, stderr, files = _run("mine", config, tmp_path / "out-all", "--workers", "2")
+    rc, stdout, stderr, files = run_command("mine", config, tmp_path / "out-all", "--workers", "2")
     alone = []
     for j in range(ISSUES):
         single = tmp_path / f"corpus-{j}"
         single.mkdir()
-        (single / f"SCHED-{j}.json").write_text(json.dumps(_issue(j)), encoding="utf-8")
-        alone.append(_run("mine", config, tmp_path / f"out-{j}", "--corpus", str(single)))
+        (single / f"SCHED-{j}.json").write_text(json.dumps(sched_issue(j)), encoding="utf-8")
+        alone.append(run_command("mine", config, tmp_path / f"out-{j}", "--corpus", str(single)))
     assert rc == 1
     assert stdout == "".join(run[1] for run in alone)
     assert stderr == "".join(run[2] for run in alone)
     assert files == {name: data for run in alone for name, data in run[3].items()}
 
 
-class _Instrumented(Backend):
-    """Wraps a backend; counts calls in flight and keeps each call's prompt."""
-
-    def __init__(self, inner: Backend, delay: float = 0.0):
-        self.inner = inner
-        self.delay = delay
-        self.lock = threading.Lock()
-        self.in_flight = 0
-        self.peak = 0
-        self.prompts: list[str] = []
-
-    def before(self, prompt: str) -> None:
-        """Runs on the pool thread before each call."""
-
-    def _call(self, func, prompt, *args):
-        self.before(prompt)
-        with self.lock:
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-            self.prompts.append(prompt)
-        try:
-            time.sleep(self.delay)
-            return func(prompt, *args)
-        finally:
-            with self.lock:
-                self.in_flight -= 1
-
-    def mask_probs(self, prompt, candidates):
-        return self._call(self.inner.mask_probs, prompt, candidates)
-
-    def generate(self, prompt, max_tokens=8):
-        return self._call(self.inner.generate, prompt, max_tokens)
-
-
-def _use_backend(monkeypatch, backend: _Instrumented) -> None:
-    monkeypatch.setattr(cli, "build_backend", lambda cfg: backend)
-
-
 @pytest.mark.parametrize("workers", [1, 3])
 def test_calls_in_flight_never_exceed_workers(corpus, monkeypatch, workers):
     tmp_path, config = corpus
-    backend = _Instrumented(ScriptedBackend(SCRIPT), delay=0.002)
-    _use_backend(monkeypatch, backend)
-    rc, _, _, _ = _run("mine", config, tmp_path / "out", "--workers", str(workers))
+    built = recorded(monkeypatch, lambda inner: Recording(inner, delay=0.002))
+    rc, _, _, _ = run_command("mine", config, tmp_path / "out", "--workers", str(workers))
     assert rc == 1  # SCHED-6
-    assert len(backend.prompts) > 50
+    [backend] = built
+    assert len(backend.calls) > 50
     assert 1 <= backend.peak <= workers
 
 
 def _copy_issue(tmp_path, source: int, target: int) -> None:
     """Make corpus issue ``target`` a copy of generated issue ``source``."""
-    text = json.dumps(_issue(source)).replace(f"q{source}z", f"q{target}z")
+    text = json.dumps(sched_issue(source)).replace(f"q{source}z", f"q{target}z")
     (tmp_path / "corpus" / f"SCHED-{target}.json").write_text(
         text.replace(f"SCHED-{source}", f"SCHED-{target}"), encoding="utf-8")
 
@@ -255,18 +109,17 @@ def _served_with_the_older_issue_held_back(corpus, monkeypatch, command, *flags)
             changed.notify_all()
         return future
 
-    class Gated(_Instrumented):
+    class Gated(Recording):
         def before(self, prompt):
-            if not self.prompts:  # issue 1's first probe holds the one slot
+            if not self.calls:  # issue 1's first probe holds the one slot
                 with changed:
                     assert changed.wait_for(lambda: submitted[0] >= 15, timeout=30)
 
     monkeypatch.setattr(CallPool, "submit", ordered_submit)
-    backend = Gated(ScriptedBackend(SCRIPT))
-    _use_backend(monkeypatch, backend)
+    built = recorded(monkeypatch, Gated)
     cli.main([command, "-c", str(config), "--out", str(tmp_path / "out"), "--workers", "1",
               *flags])
-    return [_issue_of(prompt) for prompt in backend.prompts]
+    return [_issue_of(prompt) for _, prompt in built[0].calls]
 
 
 def test_older_issue_is_served_first(corpus, monkeypatch):
@@ -347,7 +200,7 @@ def test_log_records_wait_for_their_issue(corpus, monkeypatch):
     _copy_issue(tmp_path, 5, 1)
     out = tmp_path / "out"
 
-    class Gated(_Instrumented):
+    class Gated(Recording):
         def before(self, prompt):
             if "Sentence 1: Plan q0z-0 " in prompt and "Sentence 2: Reason q0z-1 " in prompt:
                 for _ in range(3000):
@@ -356,8 +209,8 @@ def test_log_records_wait_for_their_issue(corpus, monkeypatch):
                     time.sleep(0.01)
                 raise AssertionError("issue 1 did not finish while issue 0 waited")
 
-    _use_backend(monkeypatch, Gated(ScriptedBackend(SCRIPT)))
-    _, _, stderr, _ = _run("mine", config, out, "--workers", "2")
+    recorded(monkeypatch, Gated)
+    _, _, stderr, _ = run_command("mine", config, out, "--workers", "2")
     monkeypatch.setattr(cli, "build_backend", build_backend)
     per_issue = []
     for j in (0, 1):
@@ -365,7 +218,8 @@ def test_log_records_wait_for_their_issue(corpus, monkeypatch):
         single.mkdir()
         (single / f"SCHED-{j}.json").write_bytes(
             (tmp_path / "corpus" / f"SCHED-{j}.json").read_bytes())
-        per_issue.append(_run("mine", config, tmp_path / f"out-{j}", "--corpus", str(single))[2])
+        per_issue.append(run_command("mine", config, tmp_path / f"out-{j}",
+                                     "--corpus", str(single))[2])
     assert "unparsable" in per_issue[0] and "crosses roles" in per_issue[1]
     assert "unparsable" not in per_issue[1]
     assert stderr.startswith(per_issue[0] + per_issue[1])
@@ -604,30 +458,29 @@ def test_pool_memory_stays_whole_under_contention():
 def test_the_whole_request_is_the_key():
     """The same prompt with other candidates, or another ``max_tokens``, is
     another call."""
-    backend = _Instrumented(ScriptedBackend(SCRIPT))
+    backend = Recording(ScriptedBackend(SCRIPT))
     prompt = "Plan q1z-0 keeps the parser simple. is [MASK] related to the issue"
     with contextlib.closing(CallPool(2)) as pool:
         pool.call_all([(backend.mask_probs, prompt, POLARITY_WORDS),
                        (backend.mask_probs, prompt, POLARITY_WORDS),
                        (backend.generate, prompt, 8),
                        (backend.generate, prompt, 8)])
-        assert len(backend.prompts) == 2
+        assert len(backend.calls) == 2
         pool.call_all([(backend.mask_probs, prompt, POLARITY_WORDS[:-1] + ("else",)),
                        (backend.generate, prompt, 9)])
-        assert len(backend.prompts) == 4
+        assert len(backend.calls) == 4
 
 
 def test_transport_error_fails_only_its_issue(corpus, monkeypatch):
     tmp_path, config = corpus
 
-    class Failing(_Instrumented):
+    class Failing(Recording):
         def before(self, prompt):
             if "Sentence 1: Plan q3z-0" in prompt:
                 raise TransportError("POST /v1/generate failed: connection reset")
 
-    backend = Failing(ScriptedBackend(SCRIPT))
-    _use_backend(monkeypatch, backend)
-    rc, stdout, stderr, files = _run("mine", config, tmp_path / "out", "--workers", "2")
+    recorded(monkeypatch, Failing)
+    rc, stdout, stderr, files = run_command("mine", config, tmp_path / "out", "--workers", "2")
     assert rc == 1
     keys = [line.split(":")[0] for line in stdout.splitlines()]
     assert keys == [f"SCHED-{j}" for j in range(ISSUES) if j not in (3, 6)]
@@ -665,81 +518,29 @@ def test_remote_connection_pool_keeps_a_connection_per_worker():
 def test_pair_classifier_without_a_pool_keeps_to_workers(workers):
     """Built with no pool, the pair classifier still has at most ``workers``
     calls in flight."""
-    issue = clean_issue(parse_issue(_issue(7)))  # 7 design sentences: 21 pairs
+    issue = clean_issue(parse_issue(sched_issue(7)))  # 7 design sentences: 21 pairs
     design = [s for s in enumerate_sentences(issue) if " q7z-" in s.text]
-    backend = _Instrumented(ScriptedBackend(SCRIPT), delay=0.01)
+    backend = Recording(ScriptedBackend(SCRIPT), delay=0.01)
     cfg = load_config(overrides={"backend": "scripted", "script_path": "script.json",
                                  "workers": workers})
     build_pair_classifier(cfg, backend).relations(design)
-    assert len(backend.prompts) >= 21
+    assert len(backend.calls) >= 21
     assert backend.peak == workers
-
-
-# A corpus with repeated requests.  SHARE-0 holds _PLAN twice, and SHARE-2
-# shares its summary and its description (_PLAN, then _REASON) with SHARE-0,
-# so their cloze probes and the pair probe of that description are equal.
-# SHARE-1 sits between them, so SHARE-2 starts only once SHARE-0 is done.
-_SHARED_SUMMARY = "Pick a parser design for q0z"
-_PLAN = "Plan q0z-0 keeps the parser simple."
-_REASON = "Reason q0z-1 keeps the parser simple."
-SHARING = {
-    "SHARE-0": (_SHARED_SUMMARY, f"{_PLAN} {_REASON}",
-                [f"{_PLAN} The nightly build ran on 3 executors.",
-                 "Plan q0z-2 keeps the parser simple."]),
-    "SHARE-1": ("Pick a cache design for q1z",
-                "Plan q1z-0 keeps the parser simple. Attached the log of run 4.",
-                ["Reason q1z-1 keeps the parser simple."]),
-    "SHARE-2": (_SHARED_SUMMARY, f"{_PLAN} {_REASON}",
-                ["Bridge q2z-0 keeps the parser simple."]),
-}
-
-
-def _write_sharing(directory, keys) -> None:
-    directory.mkdir(exist_ok=True)
-    for key in keys:
-        summary, description, comments = SHARING[key]
-        (directory / f"{key}.json").write_text(json.dumps({
-            "key": key, "summary": summary, "reporter": "alice", "description": description,
-            "comments": [{"author": "bob", "created": f"2020-01-0{c + 2}T10:00:00.000+0000",
-                          "body": body} for c, body in enumerate(comments)],
-        }), encoding="utf-8")
-
-
-@pytest.fixture
-def sharing(corpus):
-    """The ``corpus`` config over the SHARING issues instead."""
-    tmp_path, config = corpus
-    for path in (tmp_path / "corpus").iterdir():
-        path.unlink()
-    _write_sharing(tmp_path / "corpus", SHARING)
-    return tmp_path, config
-
-
-def _recorded(monkeypatch) -> list[Recording]:
-    """The Recording backends that runs build from now on, in build order."""
-    built: list[Recording] = []
-
-    def build(cfg):
-        built.append(Recording(ScriptedBackend(SCRIPT)))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "build_backend", build)
-    return built
 
 
 @pytest.mark.parametrize("command", ["extract", "pair", "mine"])
 def test_a_command_sends_each_distinct_request_once(sharing, monkeypatch, command):
     tmp_path, config = sharing
-    built = _recorded(monkeypatch)
-    runs = [_run(command, config, tmp_path / f"out-{workers}", "--workers", str(workers))
+    built = recorded(monkeypatch)
+    runs = [run_command(command, config, tmp_path / f"out-{workers}", "--workers", str(workers))
             for workers in (1, 2, 4)]
     assert runs[1] == runs[0]
     assert runs[2] == runs[0]
     assert runs[0][0] == 0
     alone: list[list] = []
     for key in SHARING:
-        _write_sharing(tmp_path / key, [key])
-        _run(command, config, tmp_path / f"out-{key}", "--corpus", str(tmp_path / key))
+        write_sharing(tmp_path / key, [key])
+        run_command(command, config, tmp_path / f"out-{key}", "--corpus", str(tmp_path / key))
         alone.append(built[-1].calls)
     # Each run sent what the issues mined one by one send, and nothing twice.
     for backend in built:
@@ -759,7 +560,7 @@ def test_train_sends_the_cloze_probes_of_extract_once(request, monkeypatch, corp
     sends for the annotated issues, each distinct one once."""
     tmp_path, config = request.getfixturevalue(corpus_name)
     gold = write_gold(tmp_path / "corpus", annotated)
-    built = _recorded(monkeypatch)
+    built = recorded(monkeypatch)
     for workers in (1, 2, 4):
         assert _train(config, tmp_path, "--annotations", str(gold), "--workers", str(workers),
                       "--head", str(tmp_path / "head.json"))[0] == 0
@@ -767,7 +568,7 @@ def test_train_sends_the_cloze_probes_of_extract_once(request, monkeypatch, corp
     only.mkdir()
     for key in annotated:
         (only / f"{key}.json").write_bytes((tmp_path / "corpus" / f"{key}.json").read_bytes())
-    assert _run("extract", config, tmp_path / "extracted", "--corpus", str(only))[0] == 0
+    assert run_command("extract", config, tmp_path / "extracted", "--corpus", str(only))[0] == 0
     extracted = built[-1].calls
     assert {kind for kind, _ in extracted} == {"mask_probs"}
     for backend in built[:-1]:
@@ -782,16 +583,16 @@ def test_mine_sends_no_request_of_the_stages_before_it_again(sharing, monkeypatc
     tmp_path, config = sharing
     backend = Recording(ScriptedBackend(SCRIPT))
     monkeypatch.setattr(cli, "build_backend", lambda cfg: backend)
-    assert _run("extract", config, tmp_path / "out")[0] == 0
+    assert run_command("extract", config, tmp_path / "out")[0] == 0
     extracted = list(backend.calls)
-    assert _run("mine", config, tmp_path / "out")[0] == 0
+    assert run_command("mine", config, tmp_path / "out")[0] == 0
     mined = backend.calls[len(extracted):]
     assert {kind for kind, _ in extracted} == {"mask_probs"}
     assert mined and {kind for kind, _ in mined} == {"generate"}
     for command in ("extract", "pair"):
-        assert _run(command, config, tmp_path / "both")[0] == 0
+        assert run_command(command, config, tmp_path / "both")[0] == 0
     sent = len(backend.calls)
-    assert _run("mine", config, tmp_path / "both")[0] == 0
+    assert run_command("mine", config, tmp_path / "both")[0] == 0
     assert len(backend.calls) == sent
 
 
@@ -800,28 +601,27 @@ def test_a_failed_shared_request_fails_only_the_issue_that_sent_it(sharing, monk
     failure is not remembered: the other issue sends the probe again and
     writes what it writes without the failure."""
     tmp_path, config = sharing
-    _, _, _, clean = _run("mine", config, tmp_path / "clean")
+    _, _, _, clean = run_command("mine", config, tmp_path / "clean")
 
-    class FailsFirst(_Instrumented):
+    class FailsFirst(Recording):
         failed = False
 
         def before(self, prompt):
-            if prompt.startswith(_REASON) and "[MASK]" in prompt:
+            if prompt.startswith(REASON) and "[MASK]" in prompt:
                 with self.lock:
                     first, self.failed = not self.failed, True
                 if first:
                     raise TransportError("POST /v1/mask-probs failed: connection reset")
 
-    backend = FailsFirst(ScriptedBackend(SCRIPT))
-    _use_backend(monkeypatch, backend)
-    rc, _, stderr, files = _run("mine", config, tmp_path / "out", "--workers", "2")
+    built = recorded(monkeypatch, FailsFirst)
+    rc, _, stderr, files = run_command("mine", config, tmp_path / "out", "--workers", "2")
     assert rc == 1
     failed = [line.split(":")[0].removeprefix("failed on ")
               for line in stderr.splitlines() if line.startswith("failed on")]
     assert len(failed) == 1 and failed[0] in ("SHARE-0", "SHARE-2")
     survivors = {name: data for name, data in clean.items() if not name.startswith(failed[0])}
     assert files == survivors
-    # The failed call raised before ``prompts`` kept it; the call made again
+    # The failed call raised before ``calls`` kept it; the call made again
     # is kept.
-    assert sum(prompt.startswith(_REASON) and "[MASK]" in prompt
-               for prompt in backend.prompts) == 1
+    assert sum(prompt.startswith(REASON) and "[MASK]" in prompt
+               for _, prompt in built[0].calls) == 1
