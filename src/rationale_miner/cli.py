@@ -26,6 +26,7 @@ from .backends.baseline import train_baseline, train_pair_baseline
 from .backends.heads import save_head, train_head
 from .config import (
     SP_FINGERPRINT,
+    UNSTAMPED,
     RunConfig,
     build_backend,
     build_classifier,
@@ -95,14 +96,6 @@ _OVERRIDE_FLAGS = {
 # sha256 of that key and the file's bytes.  A later command reuses a stage
 # file only when its mark holds (see ``_read_marked``).
 SOURCE_MARK = "user.rationale_miner.source"
-
-# The config keys that a run stamp covers by value, and those that it covers
-# by the bytes of the file they name.  The others (auth_token, workers, seed,
-# the directories) do not change what a stage computes.
-_STAMPED_KEYS = ("mode", "backend", "backend_url", "cloze_max_sequence",
-                 "pair_max_sequence", "encoding", "bot_authors")
-_STAMPED_FILES = ("script_path", "head_path", "baseline_path", "pair_baseline_path",
-                  "lexicon_path")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -181,13 +174,13 @@ def _file_digest(path: str | Path | None) -> str | None:
 
 
 def _run_stamp(cfg: RunConfig) -> bytes:
-    """The part of every inputs key of a run that is not its issue: the
-    _STAMPED_KEYS values, the bytes of the _STAMPED_FILES files, and the
-    bytes of this package's files, so that no other release of the miner
-    reuses this one's stage files."""
+    """The part of every inputs key of a run that is not its issue: each config
+    key but the UNSTAMPED ones (a ``*_path`` key by the bytes of its file),
+    and the bytes of this package's files, so that no other release of the
+    miner reuses this one's stage files."""
     package_dir = Path(__file__).resolve().parent
-    stamp = {"keys": {key: getattr(cfg, key) for key in _STAMPED_KEYS},
-             "files": {key: _file_digest(getattr(cfg, key)) for key in _STAMPED_FILES},
+    stamp = {"config": {key: _file_digest(value) if key.endswith("_path") else value
+                        for key, value in asdict(cfg).items() if key not in UNSTAMPED},
              "package": {path.relative_to(package_dir).as_posix(): _file_digest(path)
                          for path in package_dir.rglob("*")
                          if path.is_file() and "__pycache__" not in path.parts}}
@@ -235,6 +228,10 @@ class _Pipeline(_Run):
         stamp and the cleaned issue."""
         text = json.dumps(asdict(issue), sort_keys=True, default=str)
         return hashlib.sha256(self.stamp + text.encode()).digest()
+
+    def stage_file(self, issue: IssueLog, stage: str) -> Path:
+        """The issue's ``<KEY>.<stage>.json`` in this run's output directory."""
+        return self.out / f"{issue.key}.{stage}.json"
 
 
 _Step = Callable[[IssueLog, Any], tuple[str, list[str]]]
@@ -290,67 +287,65 @@ def _design_file(issue: IssueLog, sentences: list, scores: np.ndarray, design: l
                                                          [s.id for s in design])}
 
 
+def _design_of(issue: IssueLog, payload) -> tuple[list, np.ndarray, list]:
+    """The ``extract_stage`` result that a design file names: each design
+    sentence is the issue's sentence of that id.  The file scores the design
+    sentences alone: the others score NaN."""
+    sentences = enumerate_sentences(issue)
+    index_of = {s.id: i for i, s in enumerate(sentences)}
+    chosen = [index_of[entry["id"]] for entry in payload["design"]]
+    scores = np.full(len(sentences), np.nan)
+    scores[chosen] = [entry["score"] for entry in payload["design"]]
+    return sentences, scores, [sentences[i] for i in chosen]
+
+
 def _relations_file(issue: IssueLog, graph: RelationGraph, warnings: list[str]) -> dict:
     """What ``<KEY>.relations.json`` holds for ``relate_stage``'s result."""
     return {"issue": issue.key, "design": graph.nodes, **graph.to_json(), "warnings": warnings}
 
 
-def _reused_extraction(issue: IssueLog, run: _Pipeline, key: bytes):
-    """``extract_stage``'s result as the issue's ``design.json`` holds it,
-    if the file's mark holds for ``key`` and ``_design_file`` gives the file
-    back from it, so that each design sentence is the issue's sentence of
-    that id and text; else None.  The file scores the design sentences
-    alone: the others score NaN."""
-    payload = _read_marked(run.out / f"{issue.key}.design.json", key)
-    if payload is None:
-        return None
-    sentences = enumerate_sentences(issue)
-    index_of = {s.id: i for i, s in enumerate(sentences)}
-    scores = np.full(len(sentences), np.nan)
-    design = []
-    try:
-        for entry in payload["design"]:
-            i = index_of[entry["id"]]
-            scores[i] = entry["score"]
-            design.append(sentences[i])
-    except (KeyError, TypeError, ValueError):
-        return None
-    extracted = sentences, scores, design
-    return extracted if _design_file(issue, *extracted) == payload else None
+def _relations_of(issue: IssueLog, payload) -> tuple[RelationGraph, list[str]]:
+    """The ``relate_stage`` result that a relations file names."""
+    graph = RelationGraph(nodes=payload["design"],
+                          supporting=[SupportingEdge(**edge) for edge in payload["supporting"]],
+                          complementary=[tuple(pair) for pair in payload["complementary"]])
+    return graph, [w for w in payload["warnings"] if isinstance(w, str)]
 
 
-def _reused_relations(issue: IssueLog, run: _Pipeline, key: bytes):
-    """``relate_stage``'s result as the issue's ``relations.json`` holds it,
-    if the file's mark holds for ``key`` and ``_relations_file`` gives the
-    file back from it; else None."""
-    payload = _read_marked(run.out / f"{issue.key}.relations.json", key)
+# Each stage file, by the ``<stage>`` of ``<KEY>.<stage>.json``: the payload it
+# holds for a result of that stage, and the result that a payload names.
+_STAGE_FILES = {"design": (_design_file, _design_of),
+                "relations": (_relations_file, _relations_of)}
+
+
+def _reused(issue: IssueLog, run: _Pipeline, key: bytes, stage: str):
+    """The stage's result as the issue's stage file names it, if the file's
+    mark holds for ``key`` and the file holds what it would hold for that
+    result; else None."""
+    payload = _read_marked(run.stage_file(issue, stage), key)
     if payload is None:
         return None
+    to_file, from_file = _STAGE_FILES[stage]
     try:
-        graph = RelationGraph(
-            nodes=payload["design"],
-            supporting=[SupportingEdge(**edge) for edge in payload["supporting"]],
-            complementary=[tuple(pair) for pair in payload["complementary"]])
-        warnings = [w for w in payload["warnings"] if isinstance(w, str)]
+        result = from_file(issue, payload)
     except (KeyError, TypeError, ValueError, MiningError):
         return None
-    related = graph, warnings
-    return related if _relations_file(issue, *related) == payload else None
+    return result if to_file(issue, *result) == payload else None
 
 
 def _extract(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
     sentences, scores, design = extract_stage(issue, run.classifier, run.analyzer)
-    path = _write_json(run.out / f"{issue.key}.design.json",
+    path = _write_json(run.stage_file(issue, "design"),
                        _design_file(issue, sentences, scores, design), run.inputs_key(issue))
     return f"{issue.key}: {len(design)}/{len(sentences)} design sentences -> {path}", []
 
 
 def _pair(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
     key = run.inputs_key(issue)
-    _, _, design = (_reused_extraction(issue, run, key)
+    _, _, design = (_reused(issue, run, key, "design")
                     or extract_stage(issue, run.classifier, run.analyzer))
     graph, warnings = relate_stage(design, run.pairs)
-    path = _write_json(run.out / f"{issue.key}.relations.json",
+    path = _write_json(run.stage_file(issue, "relations"),
                        _relations_file(issue, graph, warnings), key)
     return (f"{issue.key}: {len(graph.supporting)} supporting, "
             f"{len(graph.complementary)} complementary -> {path}"), warnings
@@ -359,7 +354,7 @@ def _pair(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
 def _mine(issue: IssueLog, run: _Pipeline) -> tuple[str, list[str]]:
     key = run.inputs_key(issue)
     result = mine_issue(issue, run.classifier, run.pairs, run.analyzer,
-                        _reused_extraction(issue, run, key), _reused_relations(issue, run, key))
+                        _reused(issue, run, key, "design"), _reused(issue, run, key, "relations"))
     json_path = _write_json(run.out / f"{issue.key}.rationales.json", result.to_json())
     (run.out / f"{issue.key}.rationales.md").write_text(result.to_markdown(),
                                                         encoding="utf-8")

@@ -43,6 +43,9 @@ MAX_WORKERS = 256
 _ACCEPTED = {"str": (str,), "str | None": (str, type(None)),
              "int": (int,), "int | None": (int, type(None))}
 
+# The fields that a run stamp leaves out: no stage's result depends on them.
+UNSTAMPED = ("corpus_dir", "output_dir", "auth_token", "annotations_path", "seed", "workers")
+
 
 @dataclass
 class RunConfig:

@@ -98,20 +98,10 @@ def map_to_gold(predicted: list[Rationale], gold: list[Rationale],
                     f"gold names solution sentence {sid}, which the corpus does not hold")
     assignments: list[int | None] = []
     for pred in predicted:
-        best: int | None = None
-        best_overlap = 0
-        for gi, g in enumerate(gold):
-            overlap = len(set(pred.solution) & set(g.solution))
-            if overlap == 0:
-                continue
-            if best is None or overlap > best_overlap:
-                best, best_overlap = gi, overlap
-            elif overlap == best_overlap:
-                current = min(order[s] for s in gold[best].solution)
-                challenger = min(order[s] for s in g.solution)
-                if challenger < current:
-                    best = gi
-        assignments.append(best)
+        scored = [(-overlap, min(order[s] for s in g.solution), gi)
+                  for gi, g in enumerate(gold)
+                  if (overlap := len(set(pred.solution) & set(g.solution)))]
+        assignments.append(min(scored)[2] if scored else None)
     return assignments
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -95,7 +96,7 @@ def write_gold(corpus_dir, keys):
 
 
 @pytest.fixture
-def corpus(tmp_path, fixtures_dir):
+def corpus(tmp_path, prompt_config):
     """A config over the ``ISSUES`` generated issues and SCRIPT."""
     corpus_dir = tmp_path / "corpus"
     corpus_dir.mkdir()
@@ -105,10 +106,8 @@ def corpus(tmp_path, fixtures_dir):
     script = tmp_path / "script.json"
     script.write_text(json.dumps(SCRIPT), encoding="utf-8")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "corpus_dir": str(corpus_dir), "mode": "prompt_head", "backend": "scripted",
-        "script_path": str(script), "head_path": str(fixtures_dir / "golden-head.json"),
-    }), encoding="utf-8")
+    config.write_text(json.dumps({**prompt_config, "corpus_dir": str(corpus_dir),
+                                  "script_path": str(script)}), encoding="utf-8")
     return tmp_path, config
 
 
@@ -155,6 +154,30 @@ def sharing(corpus):
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
     return FIXTURES
+
+
+@pytest.fixture(scope="session", autouse=True)
+def fixtures_unchanged():
+    """Fails the session when a test changed a byte under ``tests/fixtures``,
+    which the golden tests read: its files' digests after the session differ."""
+    def digests() -> dict[str, str]:
+        return {str(path.relative_to(FIXTURES)): hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in FIXTURES.rglob("*") if path.is_file()}
+    before = digests()
+    yield
+    assert digests() == before
+
+
+@pytest.fixture
+def prompt_config(tmp_path) -> dict:
+    """The config keys of prompt_head mode over the fixture issue: the
+    scripted backend, and copies under ``tmp_path`` of the golden head and of
+    the fixture's script, which a test may rewrite or train over."""
+    for name in ("golden-head.json", "flink-1320-script.json"):
+        shutil.copy(FIXTURES / name, tmp_path / name)
+    return {"mode": "prompt_head", "backend": "scripted",
+            "script_path": str(tmp_path / "flink-1320-script.json"),
+            "head_path": str(tmp_path / "golden-head.json")}
 
 
 @pytest.fixture(scope="session")

@@ -35,20 +35,9 @@ from stub_server import run_stub
 
 
 @pytest.fixture
-def workspace(tmp_path, fixtures_dir):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    shutil.copy(fixtures_dir / "flink-1320.json", corpus / "FLINK-1320.json")
-    out = tmp_path / "out"
-    config = {
-        "corpus_dir": str(corpus),
-        "output_dir": str(out),
-        "mode": "prompt_head",
-        "backend": "scripted",
-        "script_path": str(fixtures_dir / "flink-1320-script.json"),
-        "head_path": str(fixtures_dir / "golden-head.json"),
-        "annotations_path": str(fixtures_dir / "flink-1320-gold.jsonl"),
-    }
+def workspace(tmp_path, fixtures_dir, golden_corpus, prompt_config):
+    config = {"corpus_dir": str(golden_corpus), "output_dir": str(tmp_path / "out"),
+              **prompt_config, "annotations_path": str(fixtures_dir / "flink-1320-gold.jsonl")}
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config), encoding="utf-8")
     return tmp_path, config, config_path

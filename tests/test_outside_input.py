@@ -9,6 +9,7 @@ and ``cli.main`` turns those into exit codes 1 and 2.
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -114,10 +115,11 @@ def root(tmp_path_factory):
     root = tmp_path_factory.mktemp("outside-input")
     (root / "corpus").mkdir()
     (root / "out").mkdir()
+    shutil.copy(FIXTURES / "golden-head.json", root)
     config = {
         "corpus_dir": str(root / "corpus"), "output_dir": str(root / "out"),
         "backend": "scripted", "script_path": str(root / "script.json"),
-        "head_path": str(FIXTURES / "golden-head.json"),
+        "head_path": str(root / "golden-head.json"),
         "annotations_path": str(root / "gold.jsonl"), "workers": 2,
     }
     (root / "config.json").write_text(json.dumps(config), encoding="utf-8")

@@ -24,15 +24,11 @@ def perfbench(monkeypatch):
     return importlib.import_module("worker"), importlib.import_module("tracing")
 
 
-def test_traced_pass_writes_what_cli_mine_writes(perfbench, golden_corpus, fixtures_dir,
+def test_traced_pass_writes_what_cli_mine_writes(perfbench, golden_corpus, prompt_config,
                                                  tmp_path):
     worker, tracing = perfbench
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "mode": "prompt_head", "backend": "scripted",
-        "script_path": str(fixtures_dir / "flink-1320-script.json"),
-        "head_path": str(fixtures_dir / "golden-head.json"),
-    }), encoding="utf-8")
+    config.write_text(json.dumps(prompt_config), encoding="utf-8")
     cli_out, traced_out = tmp_path / "cli", tmp_path / "traced"
     assert cli.main(["mine", "--config", str(config), "--corpus", str(golden_corpus),
                      "--out", str(cli_out)]) == 0
@@ -46,7 +42,7 @@ def test_traced_pass_writes_what_cli_mine_writes(perfbench, golden_corpus, fixtu
 
 
 def test_traced_pass_of_extract_pair_mine_over_an_issue_below_two_design_sentences(
-        perfbench, golden_corpus, fixtures_dir, tmp_path):
+        perfbench, golden_corpus, prompt_config, tmp_path):
     # The plan of the rerun workload; the second issue's only sentence is its
     # summary, so its traced pass builds a graph from no pair edges.
     worker, tracing = perfbench
@@ -54,11 +50,7 @@ def test_traced_pass_of_extract_pair_mine_over_an_issue_below_two_design_sentenc
         "key": "FLINK-1321", "summary": "Document the cache", "reporter": "dave",
     }), encoding="utf-8")
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "mode": "prompt_head", "backend": "scripted",
-        "script_path": str(fixtures_dir / "flink-1320-script.json"),
-        "head_path": str(fixtures_dir / "golden-head.json"),
-    }), encoding="utf-8")
+    config.write_text(json.dumps(prompt_config), encoding="utf-8")
     cli_out, traced_out = tmp_path / "cli", tmp_path / "traced"
     assert cli.main(["mine", "--config", str(config), "--corpus", str(golden_corpus),
                      "--out", str(cli_out)]) == 0

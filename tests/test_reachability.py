@@ -100,7 +100,8 @@ def _every_command(work: Path) -> list[str]:
     fixture = work / "fixture"
     fixture.mkdir()
     shutil.copy(FIXTURES / "flink-1320.json", fixture)
-    prompt = dict(corpus_dir=str(fixture), head_path=str(FIXTURES / "golden-head.json"),
+    shutil.copy(FIXTURES / "golden-head.json", work)
+    prompt = dict(corpus_dir=str(fixture), head_path=str(work / "golden-head.json"),
                   annotations_path=str(FIXTURES / "flink-1320-gold.jsonl"))
     scripted = _config(work, "scripted", **prompt, backend="scripted",
                        script_path=str(FIXTURES / "flink-1320-script.json"))

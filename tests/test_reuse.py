@@ -16,11 +16,13 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from rationale_miner import cli
+from rationale_miner.config import UNSTAMPED, RunConfig
 
 from recording import recorded, run_command
 from stub_server import run_stub
@@ -30,20 +32,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
-def fixture(tmp_path, fixtures_dir):
+def fixture(tmp_path, golden_corpus, prompt_config):
     """A config over the fixture issue, with its own copies of the head and
     the script, which a test may rewrite."""
-    corpus_dir = tmp_path / "corpus"
-    corpus_dir.mkdir()
-    shutil.copy(fixtures_dir / "flink-1320.json", corpus_dir / "FLINK-1320.json")
-    for name in ("golden-head.json", "flink-1320-script.json"):
-        shutil.copy(fixtures_dir / name, tmp_path / name)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "corpus_dir": str(corpus_dir), "mode": "prompt_head", "backend": "scripted",
-        "script_path": str(tmp_path / "flink-1320-script.json"),
-        "head_path": str(tmp_path / "golden-head.json"),
-    }), encoding="utf-8")
+    config.write_text(json.dumps({**prompt_config, "corpus_dir": str(golden_corpus)}),
+                      encoding="utf-8")
     return tmp_path, config
 
 
@@ -176,6 +170,41 @@ def test_a_changed_input_makes_the_stages_run_again(fixture, monkeypatch, xattrs
     # The change shows in what ``mine`` writes, so a stale file reused would.
     rationales = "FLINK-1320.rationales.json"
     assert mined[3][rationales] != before["mine"][3][rationales]
+
+
+# A valid value of each config key other than the one in ``_config``.
+_OTHER_VALUES = {"corpus_dir": "other", "output_dir": "other", "mode": "baseline",
+                 "backend": "remote", "backend_url": "http://127.0.0.1:2",
+                 "auth_token": "token", "cloze_max_sequence": 24, "pair_max_sequence": 24,
+                 "seed": 1, "workers": 3, "encoding": "latin-1", "bot_authors": ["robot"]}
+
+
+def _config(tmp_path: Path, **changes) -> RunConfig:
+    """A config whose ``*_path`` keys name files of their own under
+    ``tmp_path``, with ``changes``."""
+    paths = {spec.name: tmp_path / spec.name for spec in fields(RunConfig)
+             if spec.name.endswith("_path")}
+    for path in paths.values():
+        path.write_text(path.name, encoding="utf-8")
+    values = {key: str(path) for key, path in paths.items()}
+    return RunConfig(**{**values, "backend": "scripted", "backend_url": "http://127.0.0.1:1",
+                        **changes}).validate()
+
+
+@pytest.mark.parametrize("key", [spec.name for spec in fields(RunConfig)])
+def test_every_config_key_but_the_unstamped_ones_changes_the_run_stamp(tmp_path, key):
+    """A value of another key changes the run stamp, and so do other bytes in
+    the file that a ``*_path`` key names, unless UNSTAMPED names the key; so
+    a key added later is stamped unless someone says why not."""
+    assert set(UNSTAMPED) <= {spec.name for spec in fields(RunConfig)}
+    config = _config(tmp_path)
+    stamp = cli._run_stamp(config)
+    if key.endswith("_path"):
+        Path(getattr(config, key)).write_text("other bytes", encoding="utf-8")
+        changed = cli._run_stamp(config)
+    else:
+        changed = cli._run_stamp(_config(tmp_path, **{key: _OTHER_VALUES[key]}))
+    assert (changed == stamp) == (key in UNSTAMPED)
 
 
 def _edited(path: Path, key: bytes) -> None:
