@@ -4,7 +4,8 @@ The design-sentence baseline concatenates a TF-IDF bag of words with the
 29-dimensional feature block and fits a logistic head on top.  The pair
 baseline scores sentence pairs from six structural features with a ternary
 softmax head.  Dense feature blocks are standardized with statistics from the
-training split; constant (or ablated) columns stay at zero.
+training split; constant (or ablated) columns stay at zero.  The two
+baseline classifiers, which baseline mode mines with, wrap these models.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import numpy as np
 
 from ..corpus import Sentence, pair_structure
 from ..features import FEATURE_DIM, FEATURE_NAMES, keyword_flags, word_tokens
+from ..miner import DESIGN_THRESHOLD, SUPPORTING, Edge, design_pairs, pair_edge
 from ..prompts import RELATION_LABELS
 from .heads import (
     LogisticHead,
     SoftmaxHead,
+    expit,
     feature_fingerprint,
     float_array,
     read_model,
@@ -30,9 +33,6 @@ from .heads import (
 )
 
 MIN_DOC_FREQ = 2
-
-# A sentence whose design score reaches this is a design sentence.
-DESIGN_THRESHOLD = 0.5
 
 PAIR_FEATURE_NAMES: tuple[str, ...] = (
     "in_same_comment", "distance", "token_jaccard",
@@ -110,14 +110,16 @@ class BaselineModel:
     scaler: _Scaler
     head: LogisticHead
 
-    def _design_matrix(self, texts: list[str], features: np.ndarray) -> np.ndarray:
-        dense = self.scaler.transform(np.asarray(features, dtype=np.float64))
-        return np.hstack([self.vectorizer.transform(texts), dense])
+    def _design_matrix(self, texts: list[str], features) -> np.ndarray:
+        """The TF-IDF row of each text beside its scaled feature row."""
+        dense = np.asarray(features, dtype=np.float64).reshape(len(texts), FEATURE_DIM)
+        return np.hstack([self.vectorizer.transform(texts), self.scaler.transform(dense)])
 
-    def predict_proba(self, texts: list[str], features: np.ndarray) -> np.ndarray:
-        return self.head.predict_proba(self._design_matrix(texts, features))
+    def predict_proba(self, texts: list[str], features) -> np.ndarray:
+        X = self._design_matrix(texts, features)
+        return expit(X @ np.array(self.head.weights) + self.head.bias)
 
-    def predict(self, texts: list[str], features: np.ndarray) -> np.ndarray:
+    def predict(self, texts: list[str], features) -> np.ndarray:
         return (self.predict_proba(texts, features) >= DESIGN_THRESHOLD).astype(np.int64)
 
     def to_json(self) -> dict:
@@ -156,6 +158,16 @@ def train_baseline(texts: list[str], features: np.ndarray, labels: np.ndarray) -
     X = np.hstack([vectorizer.transform(texts), scaler.transform(features)])
     head = train_head(X, labels, num_classes=2, fingerprint=BASELINE_FINGERPRINT)
     return BaselineModel(vectorizer=vectorizer, scaler=scaler, head=head)
+
+
+@dataclass
+class BaselineClassifier:
+    """Scores sentences with the design baseline."""
+
+    model: BaselineModel
+
+    def scores(self, sentences: list[Sentence], features, summary: str) -> list[float]:
+        return self.model.predict_proba([s.text for s in sentences], features).tolist()
 
 
 def pair_features(s1: Sentence, s2: Sentence) -> np.ndarray:
@@ -212,3 +224,19 @@ def train_pair_baseline(pair_matrix: np.ndarray, labels: np.ndarray) -> PairBase
     head = train_head(scaler.transform(pair_matrix), labels, len(RELATION_LABELS),
                       fingerprint=PAIR_FINGERPRINT)
     return PairBaselineModel(scaler=scaler, head=head)
+
+
+@dataclass
+class BaselinePairClassifier:
+    """Relates design sentences with the pair baseline, one label per pair,
+    read by ``pair_edge`` as if the reverse query said supporting too: a
+    supporting pair takes the earlier sentence as its solution."""
+
+    model: PairBaselineModel
+
+    def relations(self, design: list[Sentence]) -> tuple[list[Edge], list[str]]:
+        pairs = design_pairs(design)
+        rows = np.array([pair_features(s1, s2) for s1, s2 in pairs])
+        labels = self.model.predict(rows.reshape(len(pairs), len(PAIR_FEATURE_NAMES)))
+        return [edge for (s1, s2), label in zip(pairs, labels)
+                if (edge := pair_edge(s1, s2, RELATION_LABELS[label], SUPPORTING))], []

@@ -5,6 +5,10 @@ the same data always yields byte-identical saved models.  Saved heads carry a
 fingerprint of the feature order they were trained on and refuse to load
 against a different layout.  ``write_model``/``read_model`` own the model-file
 format for every saved model, heads and baselines alike.
+
+Loading and running a ``LogisticHead`` takes the standard library alone, so
+prompt-head mining never loads numpy.  Training, ``expit``, ``float_array``
+and ``SoftmaxHead`` import numpy where they run.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import DegenerateData, FingerprintMismatch, ModelMissing, shown
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_LR = 0.1
 DEFAULT_EPOCHS = 500
@@ -39,6 +44,8 @@ def expit(z: np.ndarray) -> np.ndarray:
     It goes through ``math.exp`` (the C library's), which rounds every value
     as ``scipy.special.expit`` does; numpy's SIMD ``exp`` does not.
     """
+    import numpy as np
+
     z = np.asarray(z, dtype=np.float64)
     return np.fromiter(map(_logistic_of, z.ravel().tolist()), dtype=np.float64,
                        count=z.size).reshape(z.shape)
@@ -54,15 +61,32 @@ def _finite(value) -> bool:
         return False
 
 
+def _finite_numbers(payload: dict, key: str, *shape: int) -> list:
+    """The numbers that ``payload[key]`` nests to ``shape``, in row-major
+    order; a ValueError unless it holds finite numbers of that shape.
+
+    The shape is the one numpy gives the value as an object array: each
+    level of lists that are all as long as each other adds a dimension.
+    """
+    found: list[int] = []
+    leaves = [payload[key]]
+    while leaves and all(isinstance(v, list) for v in leaves) \
+            and len({len(v) for v in leaves}) == 1:
+        found.append(len(leaves[0]))
+        leaves = [item for v in leaves for item in v]
+    if tuple(found) != shape:
+        raise ValueError(f"{key} has shape {tuple(found)}, expected {shape}")
+    if not all(map(_finite, leaves)):
+        raise ValueError(f"{key} holds a value that is not a finite number")
+    return leaves
+
+
 def float_array(payload: dict, key: str, *shape: int) -> np.ndarray:
     """``payload[key]`` as a float64 array of ``shape``; a ValueError unless
     it holds finite numbers of that shape."""
-    value = np.array(payload[key], dtype=object)
-    if value.shape != shape:
-        raise ValueError(f"{key} has shape {value.shape}, expected {shape}")
-    if not all(map(_finite, value.flat)):
-        raise ValueError(f"{key} holds a value that is not a finite number")
-    return value.astype(np.float64)
+    import numpy as np
+
+    return np.array(_finite_numbers(payload, key, *shape), dtype=np.float64).reshape(shape)
 
 
 def feature_fingerprint(names: tuple[str, ...] | list[str]) -> str:
@@ -73,28 +97,41 @@ def feature_fingerprint(names: tuple[str, ...] | list[str]) -> str:
 
 @dataclass
 class LogisticHead:
-    weights: np.ndarray
+    """A binary head: the logistic of each row's dot product with
+    ``weights``, plus ``bias``.  The weights, given as any sequence of
+    numbers (an ndarray too), are kept as a tuple of floats."""
+
+    weights: tuple[float, ...]
     bias: float
     fingerprint: str = ""
     meta: dict = field(default_factory=dict)
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return expit(np.asarray(X, dtype=np.float64) @ self.weights + self.bias)
+    def __post_init__(self):
+        self.weights = tuple(map(float, self.weights))
+
+    def predict_proba(self, X) -> list[float]:
+        """The probability of each row of ``X``, a row being as long as the
+        weights.  The dot product is rounded once (``math.fsum``), so a head
+        with one nonzero weight scores each row as numpy would."""
+        return [_logistic_of(math.fsum(x * w for x, w in zip(row, self.weights, strict=True))
+                             + self.bias) for row in X]
 
     def to_json(self) -> dict:
-        return {"kind": "logistic", "weights": self.weights.tolist(),
+        return {"kind": "logistic", "weights": list(self.weights),
                 "bias": float(self.bias), "fingerprint": self.fingerprint,
                 "meta": self.meta}
 
     @classmethod
     def from_json(cls, payload: dict, width: int) -> "LogisticHead":
-        return cls(weights=float_array(payload, "weights", width),
-                   bias=float(float_array(payload, "bias")),
+        return cls(weights=_finite_numbers(payload, "weights", width),
+                   bias=float(_finite_numbers(payload, "bias")[0]),
                    fingerprint=payload.get("fingerprint", ""),
                    meta=payload.get("meta", {}))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     shifted = z - z.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
@@ -108,6 +145,8 @@ class SoftmaxHead:
     meta: dict = field(default_factory=dict)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         z = np.asarray(X, dtype=np.float64) @ self.weights.T + self.bias
         return _softmax(z)
 
@@ -127,6 +166,8 @@ class SoftmaxHead:
 def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
                fingerprint: str = "") -> LogisticHead | SoftmaxHead:
     """Fit a head on integer labels; raises DegenerateData on a single class."""
+    import numpy as np
+
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):

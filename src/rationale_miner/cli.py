@@ -4,6 +4,10 @@ Every command but ``export`` reads the corpus first.  Exit codes: 0 on
 success, 1 when a corpus file was skipped or an item (an issue, an annotation,
 a mined file) failed, or a runtime error or a failed write stopped the
 command, 2 on configuration errors.
+
+The commands that train, evaluate, split, ablate or count import
+``evaluation`` and the baselines, and numpy with them, when they run; the
+others never load numpy in prompt_head mode.
 """
 
 from __future__ import annotations
@@ -12,17 +16,15 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import Future
 from contextlib import closing, nullcontext, suppress
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, ContextManager
+from typing import TYPE_CHECKING, Any, Callable, ContextManager
 
-import numpy as np
-
-from .backends.baseline import train_baseline, train_pair_baseline
 from .backends.heads import save_head, train_head
 from .config import (
     SP_FINGERPRINT,
@@ -42,19 +44,6 @@ from .errors import (
     UnknownSentence,
     shown,
 )
-from .evaluation import (
-    Annotation,
-    PRF,
-    collect_extraction_data,
-    collect_pair_data,
-    corpus_stats,
-    eval_binary,
-    eval_rationales,
-    eval_sentences,
-    load_annotations,
-    run_ablation,
-    split_dataset,
-)
 from .features import FEATURE_BLOCKS, compute_feature_matrix
 from .miner import (
     ARGUMENT,
@@ -72,6 +61,9 @@ from .miner import (
     sp_matrix,
 )
 from .sentiment import SentimentAnalyzer
+
+if TYPE_CHECKING:
+    from .evaluation import Annotation
 
 # Each flag that overrides a config key: its option name (``--`` plus the
 # name with dashes), the key, its help text and its type.
@@ -190,6 +182,8 @@ def _run_stamp(cfg: RunConfig) -> bytes:
 def _require_annotations(cfg: RunConfig) -> list[Annotation]:
     if not cfg.annotations_path:
         raise ConfigError("annotations_path is required for this command")
+    from .evaluation import load_annotations
+
     return load_annotations(cfg.annotations_path)
 
 
@@ -225,9 +219,9 @@ class _Pipeline(_Run):
 
     def inputs_key(self, issue: IssueLog) -> bytes:
         """What the issue's stage files of this run are marked for: the run
-        stamp and the cleaned issue."""
-        text = json.dumps(asdict(issue), sort_keys=True, default=str)
-        return hashlib.sha256(self.stamp + text.encode()).digest()
+        stamp and the cleaned issue, by its dataclass repr, which shows every
+        field."""
+        return hashlib.sha256(self.stamp + repr(issue).encode()).digest()
 
     def stage_file(self, issue: IssueLog, stage: str) -> Path:
         """The issue's ``<KEY>.<stage>.json`` in this run's output directory."""
@@ -281,21 +275,22 @@ def _ingest(issue: IssueLog, out: Path) -> tuple[str, list[str]]:
     return f"{issue.key}: {len(sentences)} sentences -> {path}", []
 
 
-def _design_file(issue: IssueLog, sentences: list, scores: np.ndarray, design: list) -> dict:
+def _design_file(issue: IssueLog, sentences: list, scores: list[float], design: list) -> dict:
     """What ``<KEY>.design.json`` holds for ``extract_stage``'s result."""
     return {"issue": issue.key, "design": design_entries(sentences, scores,
                                                          [s.id for s in design])}
 
 
-def _design_of(issue: IssueLog, payload) -> tuple[list, np.ndarray, list]:
+def _design_of(issue: IssueLog, payload) -> tuple[list, list[float], list]:
     """The ``extract_stage`` result that a design file names: each design
     sentence is the issue's sentence of that id.  The file scores the design
     sentences alone: the others score NaN."""
     sentences = enumerate_sentences(issue)
     index_of = {s.id: i for i, s in enumerate(sentences)}
     chosen = [index_of[entry["id"]] for entry in payload["design"]]
-    scores = np.full(len(sentences), np.nan)
-    scores[chosen] = [entry["score"] for entry in payload["design"]]
+    scores = [math.nan] * len(sentences)
+    for i, entry in zip(chosen, payload["design"]):
+        scores[i] = float(entry["score"])
     return sentences, scores, [sentences[i] for i in chosen]
 
 
@@ -365,11 +360,11 @@ _NO_TRAINING_DATA = "the annotations label no sentence of the corpus"
 
 
 def _head_rows(issue: IssueLog, annotation: Annotation, run: _Run, budget: int
-               ) -> tuple[list[np.ndarray], list[int]]:
+               ) -> tuple[list[list[float]], list[int]]:
     """The ``sp_matrix`` row and the design label of each sentence of an issue."""
     sentences, matrix = compute_feature_matrix(issue, run.analyzer)
     rows = sp_matrix(sentences, matrix, issue.summary, run.backend, budget, pool=run.calls)
-    return list(rows), [annotation.design_label(s.id) for s in sentences]
+    return rows, [annotation.design_label(s.id) for s in sentences]
 
 
 def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
@@ -377,6 +372,9 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
     if cfg.mode == "baseline":
         if not cfg.baseline_path:
             raise ConfigError("baseline_path is required to train in baseline mode")
+        from .backends.baseline import train_baseline, train_pair_baseline
+        from .evaluation import collect_extraction_data, collect_pair_data
+
         texts, features, labels = collect_extraction_data(
             issues, annotations, SentimentAnalyzer(cfg.lexicon_path))
         if not texts:
@@ -386,7 +384,7 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
         print(f"design baseline trained on {len(texts)} sentences -> {cfg.baseline_path}")
         if cfg.pair_baseline_path:
             matrix, pair_labels = collect_pair_data(issues, annotations)
-            if len(np.unique(pair_labels)) >= 2:
+            if len(set(pair_labels)) >= 2:
                 pair_model = train_pair_baseline(matrix, pair_labels)
                 pair_model.save(cfg.pair_baseline_path)
                 print(f"pair baseline trained on {len(pair_labels)} pairs "
@@ -407,14 +405,15 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
                 labels.extend(issue_labels)
         if not rows:
             raise DegenerateData(_NO_TRAINING_DATA)
-        head = train_head(np.asarray(rows), np.asarray(labels),
-                          num_classes=2, fingerprint=SP_FINGERPRINT)
+        head = train_head(rows, labels, num_classes=2, fingerprint=SP_FINGERPRINT)
         save_head(head, cfg.head_path)
         print(f"cloze head trained on {len(rows)} sentences -> {cfg.head_path}")
     return 0
 
 
 def cmd_eval(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
+    from .evaluation import PRF, eval_binary, eval_rationales, eval_sentences
+
     annotations = _require_annotations(cfg)
     if not annotations:
         raise DegenerateData(f"{shown(cfg.annotations_path)} holds no annotation to score")
@@ -470,6 +469,8 @@ def cmd_eval(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -
 
 
 def cmd_split(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
+    from .evaluation import split_dataset
+
     train, test = split_dataset(issues, cfg.seed)
     out = _outdir(cfg)
     payload = {
@@ -484,6 +485,8 @@ def cmd_split(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
 
 
 def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
+    from .evaluation import collect_extraction_data, run_ablation, split_dataset
+
     annotations = _require_annotations(cfg)
     analyzer = SentimentAnalyzer(cfg.lexicon_path)
     train, test = split_dataset(issues, cfg.seed)
@@ -510,6 +513,8 @@ def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace)
 
 
 def cmd_stats(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
+    from .evaluation import corpus_stats, load_annotations
+
     annotations = load_annotations(cfg.annotations_path) if cfg.annotations_path else None
     table = corpus_stats(issues, annotations)
     header = f"{'project':12s} {'issues':>6s} {'comments':>8s} {'sentences':>9s} {'design':>6s}"

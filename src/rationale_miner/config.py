@@ -11,22 +11,18 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .backends.baseline import BaselineModel, PairBaselineModel
 from .backends.heads import feature_fingerprint, load_head
 from .backends.protocol import RemoteBackend, split_base_url
 from .backends.scripted import ScriptedBackend
 from .corpus import DEFAULT_BOT_AUTHORS, DEFAULT_ENCODING, can_name_a_file
 from .errors import ConfigError, shown
-from .miner import (
-    BaselineClassifier,
-    BaselinePairClassifier,
-    CallPool,
-    PromptHeadClassifier,
-    PromptPairClassifier,
-    SP_FEATURE_NAMES,
-)
+from .miner import CallPool, PromptHeadClassifier, PromptPairClassifier, SP_FEATURE_NAMES
 from .prompts import CLOZE_MAX_SEQUENCE, PAIR_MAX_SEQUENCE
+
+if TYPE_CHECKING:  # baseline mode alone loads the baselines, and numpy with them
+    from .backends.baseline import BaselineClassifier, BaselinePairClassifier
 
 MODES = ("prompt_head", "baseline")
 BACKENDS = ("remote", "scripted")
@@ -166,6 +162,8 @@ def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
                                     workers=cfg.workers, pool=pool)
     if not cfg.baseline_path:
         raise ConfigError("baseline_path is required in baseline mode")
+    from .backends.baseline import BaselineClassifier, BaselineModel
+
     return BaselineClassifier(model=BaselineModel.load(cfg.baseline_path))
 
 
@@ -179,4 +177,6 @@ def build_pair_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
                                     workers=cfg.workers, pool=pool)
     if not cfg.pair_baseline_path:
         raise ConfigError("pair_baseline_path is required in baseline mode")
+    from .backends.baseline import BaselinePairClassifier, PairBaselineModel
+
     return BaselinePairClassifier(model=PairBaselineModel.load(cfg.pair_baseline_path))

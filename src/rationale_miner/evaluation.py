@@ -320,7 +320,7 @@ def collect_extraction_data(issues: list[IssueLog],
     in corpus order, for training the design-sentence classifiers."""
     by_issue = {a.issue: a for a in annotations}
     texts: list[str] = []
-    rows: list[np.ndarray] = []
+    rows: list[list[float]] = []
     labels: list[int] = []
     for issue in issues:
         if issue.key in by_issue:

@@ -11,8 +11,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 
-import numpy as np
-
 from .corpus import CODE_PLACEHOLDER, URL_PLACEHOLDER, IssueLog, Sentence, enumerate_sentences
 from .sentiment import SentimentAnalyzer
 
@@ -71,9 +69,9 @@ def keyword_flags(text: str) -> list[float]:
 
 
 def compute_feature_matrix(issue: IssueLog, analyzer: SentimentAnalyzer
-                           ) -> tuple[list[Sentence], np.ndarray]:
+                           ) -> tuple[list[Sentence], list[list[float]]]:
     """The 29-dimensional feature vector of every sentence of a cleaned issue,
-    one row per sentence in issue order.
+    one row (a list of FEATURE_DIM floats) per sentence in issue order.
 
     The summary counts as part of the description side for the
     is_description flag, and summary or description sentences take
@@ -107,4 +105,4 @@ def compute_feature_matrix(issue: IssueLog, analyzer: SentimentAnalyzer
         scores = analyzer.scores(s.text)
         values.extend([scores.pos, scores.neu, scores.neg, scores.compound])
         rows.append(values)
-    return sentences, np.asarray(rows, dtype=np.float64).reshape(len(sentences), FEATURE_DIM)
+    return sentences, rows

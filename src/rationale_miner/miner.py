@@ -23,15 +23,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-import numpy as np
-
-from .backends.baseline import (
-    DESIGN_THRESHOLD,
-    PAIR_FEATURE_NAMES,
-    BaselineModel,
-    PairBaselineModel,
-    pair_features,
-)
 from .backends.heads import LogisticHead
 from .backends.protocol import DEFAULT_MAX_TOKENS, Backend
 from .corpus import IssueLog, Sentence, sentence_order
@@ -49,6 +40,9 @@ from .sentiment import SentimentAnalyzer
 
 # In RELATION_LABELS order, which is also the pair baseline's class index.
 SUPPORTING, COMPLEMENTARY, UNRELATED = RELATION_LABELS
+
+# A sentence whose design score reaches this is a design sentence.
+DESIGN_THRESHOLD = 0.5
 
 # The two roles of a design sentence in a rationale, which are also the two
 # design categories of a gold annotation.
@@ -351,9 +345,9 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
     return ConstructionResult(rationales=rationales, warnings=warnings)
 
 
-def sp_matrix(sentences: list[Sentence], features: np.ndarray, summary: str,
+def sp_matrix(sentences: list[Sentence], features: list[list[float]], summary: str,
               backend: Backend, budget: int = CLOZE_MAX_SEQUENCE,
-              workers: int | None = None, pool: CallPool | None = None) -> np.ndarray:
+              workers: int | None = None, pool: CallPool | None = None) -> list[list[float]]:
     """Rows in SP_FEATURE_NAMES order: the polarity-word probabilities of each
     sentence's cloze prompt, then its features.  The probes go through
     ``pool``, or a pool of ``workers`` when it is None."""
@@ -361,7 +355,7 @@ def sp_matrix(sentences: list[Sentence], features: np.ndarray, summary: str,
                  POLARITY_WORDS) for s in sentences]
     with _calls(pool, workers) as calls:
         polarity = calls.call_all(requests)
-    return np.hstack([np.reshape(polarity, (len(sentences), len(POLARITY_WORDS))), features])
+    return [[*probs, *row] for probs, row in zip(polarity, features, strict=True)]
 
 
 @dataclass
@@ -374,36 +368,27 @@ class PromptHeadClassifier:
     workers: int | None = None
     pool: CallPool | None = None
 
-    def scores(self, sentences: list[Sentence], features: np.ndarray,
-               summary: str) -> np.ndarray:
+    def scores(self, sentences: list[Sentence], features: list[list[float]],
+               summary: str) -> list[float]:
         return self.head.predict_proba(sp_matrix(sentences, features, summary,
                                                  self.backend, self.budget, self.workers,
                                                  self.pool))
 
 
-@dataclass
-class BaselineClassifier:
-    model: BaselineModel
-
-    def scores(self, sentences: list[Sentence], features: np.ndarray,
-               summary: str) -> np.ndarray:
-        return self.model.predict_proba([s.text for s in sentences], features)
-
-
-def extract_design_sentences(sentences: list[Sentence], features: np.ndarray,
-                             summary: str, classifier) -> tuple[list[Sentence], np.ndarray]:
-    """Design sentences (score >= DESIGN_THRESHOLD) with the full score vector."""
-    scores = np.asarray(classifier.scores(sentences, features, summary))
+def extract_design_sentences(sentences: list[Sentence], features: list[list[float]],
+                             summary: str, classifier) -> tuple[list[Sentence], list[float]]:
+    """Design sentences (score >= DESIGN_THRESHOLD) with the score of every sentence."""
+    scores = list(classifier.scores(sentences, features, summary))
     selected = [s for s, score in zip(sentences, scores) if score >= DESIGN_THRESHOLD]
     return selected, scores
 
 
-def _pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
+def design_pairs(design: list[Sentence]) -> list[tuple[Sentence, Sentence]]:
     """Every unordered design-sentence pair, the earlier sentence first."""
     return list(itertools.combinations(sorted(design, key=lambda s: s.global_index), 2))
 
 
-def _edge(s1: Sentence, s2: Sentence, label: str | None, back: str | None) -> Edge | None:
+def pair_edge(s1: Sentence, s2: Sentence, label: str | None, back: str | None) -> Edge | None:
     """The pair rule's edge between ``s1`` and the later ``s2``, ``label``
     relating ``s1`` to ``s2`` and ``back`` ``s2`` to ``s1``.  Complementary
     gives the pair.  Supporting makes the earlier sentence the solution when
@@ -421,7 +406,7 @@ def classify_pairs(design: list[Sentence], backend: Backend,
                    workers: int | None = None,
                    pool: CallPool | None = None) -> tuple[list[Edge], list[str]]:
     """The edges of every unordered design-sentence pair, in pair order, as
-    the backend relates them (see ``_edge``), with the warnings.
+    the backend relates them (see ``pair_edge``), with the warnings.
 
     The earlier sentence is always Sentence 1 in the first query, and a
     supporting answer triggers the reversed query.  A reply with no label
@@ -445,12 +430,12 @@ def classify_pairs(design: list[Sentence], backend: Backend,
                         if label is None)
         return parsed
 
-    pairs = _pairs(design)
+    pairs = design_pairs(design)
     forward = labels(pairs, reverse=False)
     supporting = [p for p, label in zip(pairs, forward) if label == SUPPORTING]
     back = dict(zip(supporting, labels(supporting, reverse=True)))
     return [edge for (s1, s2), label in zip(pairs, forward)
-            if (edge := _edge(s1, s2, label, back.get((s1, s2))))], warnings
+            if (edge := pair_edge(s1, s2, label, back.get((s1, s2))))], warnings
 
 
 @dataclass
@@ -467,22 +452,6 @@ class PromptPairClassifier:
                               pool=self.pool)
 
 
-@dataclass
-class BaselinePairClassifier:
-    """Relates design sentences with the pair baseline, one label per pair,
-    read by ``_edge`` as if the reverse query said supporting too: a
-    supporting pair takes the earlier sentence as its solution."""
-
-    model: PairBaselineModel
-
-    def relations(self, design: list[Sentence]) -> tuple[list[Edge], list[str]]:
-        pairs = _pairs(design)
-        rows = np.array([pair_features(s1, s2) for s1, s2 in pairs])
-        labels = self.model.predict(rows.reshape(len(pairs), len(PAIR_FEATURE_NAMES)))
-        return [edge for (s1, s2), label in zip(pairs, labels)
-                if (edge := _edge(s1, s2, RELATION_LABELS[label], SUPPORTING))], []
-
-
 def build_relation_graph(design: list[Sentence], edges: list[Edge]) -> RelationGraph:
     """The graph over ``design`` with ``edges``, each kind sorted by sentence order."""
     ordered = sorted(design, key=lambda s: s.global_index)
@@ -496,7 +465,7 @@ def build_relation_graph(design: list[Sentence], edges: list[Edge]) -> RelationG
 
 
 def extract_stage(issue: IssueLog, classifier, analyzer: SentimentAnalyzer
-                  ) -> tuple[list[Sentence], np.ndarray, list[Sentence]]:
+                  ) -> tuple[list[Sentence], list[float], list[Sentence]]:
     """Stage 1 of ``mine_issue``: every sentence of the issue, the score of
     each, and the design sentences in issue order."""
     sentences, matrix = compute_feature_matrix(issue, analyzer)
@@ -511,7 +480,7 @@ def relate_stage(design: list[Sentence], pairs) -> tuple[RelationGraph, list[str
     return build_relation_graph(design, edges), warnings
 
 
-def design_entries(sentences: list[Sentence], scores: np.ndarray,
+def design_entries(sentences: list[Sentence], scores: list[float],
                    design_ids: list[str]) -> list[dict]:
     """The ``{id, text, score}`` record of each design sentence."""
     index_of = {s.id: i for i, s in enumerate(sentences)}
@@ -526,7 +495,7 @@ def design_entries(sentences: list[Sentence], scores: np.ndarray,
 class MineResult:
     issue_key: str
     sentences: list[Sentence]
-    scores: np.ndarray
+    scores: list[float]
     design_ids: list[str]
     graph: RelationGraph
     rationales: list[Rationale]
@@ -600,7 +569,7 @@ def render_markdown(issue_key: str, rationales: list[Rationale],
 
 
 def mine_issue(issue: IssueLog, classifier, pairs, analyzer: SentimentAnalyzer,
-               extracted: tuple[list[Sentence], np.ndarray, list[Sentence]] | None = None,
+               extracted: tuple[list[Sentence], list[float], list[Sentence]] | None = None,
                related: tuple[RelationGraph, list[str]] | None = None) -> MineResult:
     """Run the whole pipeline for one cleaned issue (see ``clean_issue``):
     ``extract_stage`` with ``classifier``, ``relate_stage`` with the pair

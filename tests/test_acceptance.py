@@ -80,7 +80,8 @@ def test_criterion_01_dimensional_consistency():
     total = 0
     for issue in issues:
         sentences, matrix = compute_feature_matrix(issue, analyzer)
-        assert matrix.shape == (len(sentences), 29)
+        assert len(matrix) == len(sentences)
+        assert all(len(row) == 29 for row in matrix)
         for sentence, row in zip(sentences, matrix):
             prompt = build_cloze_prompt(sentence, issue.summary)
             polarity = backend.mask_probs(prompt.text, POLARITY_WORDS)

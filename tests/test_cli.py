@@ -649,7 +649,7 @@ def test_train_prompt_head_writes_head(workspace):
     _rewrite(workspace, head_path=str(head_out))
     assert main(["train", "-c", str(config_path)]) == 0
     head = load_head(head_out, expected_fingerprint=SP_FINGERPRINT, width=43)
-    assert head.weights.shape == (43,)
+    assert len(head.weights) == 43
 
 
 # The sha256 of the head trained on each corpus below, which one issue at a
@@ -974,18 +974,23 @@ def test_malformed_backend_url_is_a_config_error(workspace, capsys, url):
     assert not list((tmp_path / "out").glob("FLINK-1320.*"))
 
 
-def test_cli_import_loads_no_http_library_or_scipy():
-    """The transport and the logistic are the standard library's: importing
-    the CLI pulls in neither requests, urllib3 nor scipy, which would add to
-    every run's set-up."""
+def test_prompt_head_commands_load_no_numpy_http_library_or_scipy(workspace):
+    """The transport, the features and the prompt head are the standard
+    library's: importing the CLI and running prompt-head ingest, extract,
+    pair, mine and export pulls in neither numpy, requests, urllib3 nor
+    scipy, which would add to every run's set-up."""
+    tmp_path, _, config_path = workspace
     src = Path(rationale_miner.__file__).resolve().parents[1]
-    probe = ("import sys, rationale_miner.cli; "
+    probe = ("import sys, rationale_miner.cli as cli\n"
+             "for command in ('ingest', 'extract', 'pair', 'mine', 'export'):\n"
+             "    assert cli.main([command, '-c', sys.argv[1]]) == 0, command\n"
              "print(sorted(m for m in sys.modules "
-             "if m.partition('.')[0] in ('requests', 'urllib3', 'scipy')))")
+             "if m.partition('.')[0] in ('numpy', 'requests', 'urllib3', 'scipy')))")
     env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True)
-    assert result.stdout == "[]\n"
+    result = subprocess.run([sys.executable, "-c", probe, str(config_path)], env=env,
+                            cwd=tmp_path, capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert len(list((tmp_path / "out").glob("FLINK-1320.*"))) == 5
 
 
 def test_every_third_party_import_is_a_declared_dependency():

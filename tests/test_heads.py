@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 
 import numpy as np
@@ -128,7 +129,7 @@ def test_train_head_separates_easy_data():
     y = np.array([0, 0, 0, 1, 1, 1])
     head = train_head(X, y)
     assert isinstance(head, LogisticHead)
-    assert (head.predict_proba(X) >= 0.5).tolist() == (y == 1).tolist()
+    assert [p >= 0.5 for p in head.predict_proba(X)] == (y == 1).tolist()
     assert head.meta == {"lr": 0.1, "epochs": 500, "l2": 1e-4, "num_classes": 2}
 
 
@@ -250,6 +251,87 @@ def test_a_huge_kind_or_fingerprint_is_cut_in_the_message(tmp_path, field, error
     message = str(raised.value)
     assert cut in message
     assert len(message) < 400 + len(str(path))
+
+
+@pytest.mark.parametrize("value", [
+    5, "x" * 10, None, {"a": 1}, [], [[]], [0.5], [[0.5, 1.0]], [[1, 2], [3, 4]],
+    [[1, 2], [3], [4]], [[1, [2]], [3, 4]], [[[1, 2]], [[3, 4, 5]]],
+], ids=repr)
+def test_a_head_of_another_shape_is_refused_as_numpy_words_it(tmp_path, value):
+    """The weights' shape in the message is the one numpy gives the value as
+    an object array."""
+    path = tmp_path / "head.json"
+    path.write_text(json.dumps({"kind": "logistic", "weights": value, "bias": 0.0,
+                                "fingerprint": "f"}), encoding="utf-8")
+    shape = np.array(value, dtype=object).shape
+    with pytest.raises(ModelMissing) as raised:
+        load_head(path, "f", 2)
+    assert str(raised.value).endswith(
+        f"ValueError('weights has shape {shape}, expected (2,)')")
+
+
+# The largest gap allowed between the head's probabilities and numpy's
+# ``expit(X @ w + b)`` on a dense head: the two round the dot product in
+# different orders, so they may differ in the last bits.
+DENSE_TOLERANCE = 1_000 * np.finfo(np.float64).eps
+
+
+def _reference(head: LogisticHead, X: np.ndarray) -> np.ndarray:
+    return expit(X @ np.array(head.weights) + head.bias)
+
+
+def _rows(rng: np.random.Generator, width: int) -> np.ndarray:
+    """Rows of polarity-like values in [0, 1], counts, and signed values."""
+    return np.hstack([rng.uniform(size=(300, width // 3)),
+                      rng.integers(0, 2_000, size=(300, width // 3)).astype(np.float64),
+                      rng.normal(scale=5.0, size=(300, width - 2 * (width // 3)))])
+
+
+def test_a_head_of_one_nonzero_weight_scores_as_numpy_bit_for_bit(fixtures_dir, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.syspath_prepend(str(fixtures_dir.parents[1] / "perfbench"))
+    workload = importlib.import_module("workload")
+    weights = [0.0] * len(SP_FEATURE_NAMES)
+    weights[0] = workload.HEAD_WEIGHT
+    save_head(LogisticHead(weights=np.asarray(weights), bias=workload.HEAD_BIAS,
+                           fingerprint="f"), tmp_path / "bench-head.json")
+    heads_of = {
+        "golden": load_head(fixtures_dir / "golden-head.json",
+                            feature_fingerprint(SP_FEATURE_NAMES), 43),
+        "unit": load_head(fixtures_dir / "head-unit.json", "", 2),
+        "bench": load_head(tmp_path / "bench-head.json", "f", 43),
+    }
+    rng = np.random.default_rng(5)
+    for name, head in heads_of.items():
+        X = _rows(rng, len(head.weights))
+        if name == "bench":  # the polarity probabilities that its script sends
+            X[:5, 0] = [0.92, 0.87, 0.83, 0.71, 0.08]
+        ours = np.array(head.predict_proba(X))
+        assert np.array_equal(ours.view(np.int64), _reference(head, X).view(np.int64)), name
+        assert head.predict_proba(X.tolist()) == ours.tolist(), name
+
+
+@pytest.mark.parametrize("width", [43, 200, 1_000])
+def test_a_dense_head_scores_as_numpy_within_the_tolerance(width):
+    rng = np.random.default_rng(width)
+    head = LogisticHead(weights=rng.normal(scale=0.05, size=width), bias=rng.normal())
+    X = _rows(rng, width)
+    X[:, width // 3: 2 * (width // 3)] /= 1_000  # counts scaled to the other columns
+    ours = np.array(head.predict_proba(X))
+    assert np.abs(ours - _reference(head, X)).max() <= DENSE_TOLERANCE
+    assert 0.05 < ours.mean() < 0.95  # the decisions are not all saturated
+
+
+def test_a_head_scores_zero_rows_as_none():
+    head = LogisticHead(weights=[1.0, 0.5], bias=-0.25)
+    assert head.predict_proba([]) == []
+    assert head.predict_proba(np.zeros((0, 2))) == []
+
+
+def test_a_row_of_another_width_is_refused():
+    head = LogisticHead(weights=[1.0, 0.5], bias=-0.25)
+    with pytest.raises(ValueError):
+        head.predict_proba([[1.0, 2.0, 3.0]])
 
 
 @settings(max_examples=50, deadline=None)

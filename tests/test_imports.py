@@ -8,6 +8,7 @@ that a deletion leaves behind.  A package's ``__init__.py`` holds only its
 docstring: callers import each name from the module that defines it, so no
 re-export layer can grow back.  Only ``miner.py`` schedules a run: no
 other module under src/ builds a thread or an executor or sets ``ISSUE_RANK``.
+Only the modules that train, evaluate or run baseline mode import numpy.
 """
 
 from __future__ import annotations
@@ -156,3 +157,41 @@ def test_a_thread_an_executor_or_a_rank_outside_the_miner_is_found():
                      "copy_context().run(ISSUE_RANK.set, 2)\n")
     assert sorted(_schedules(tree)) == ["3 Thread", "4 ThreadPoolExecutor", "5 ISSUE_RANK.set",
                                         "9 ISSUE_RANK.set"]
+
+
+# The modules under src/ that train (``train_head``), evaluate or run baseline
+# mode: the only ones that import numpy, and each of them does.
+_NUMPY_MODULES = {"rationale_miner/backends/heads.py", "rationale_miner/backends/baseline.py",
+                  "rationale_miner/evaluation.py"}
+
+
+def _numpy_imports(tree: ast.Module) -> list[str]:
+    """``line module`` of each import of numpy or of a numpy submodule in
+    ``tree``, at any depth."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found.extend(f"{node.lineno} {module}" for module in modules
+                     if module.partition(".")[0] == "numpy")
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.is_relative_to(ROOT / "src")],
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_only_the_training_evaluation_and_baseline_modules_import_numpy(path):
+    """Prompt-head mining runs on the standard library alone, so a command
+    that neither trains, evaluates nor runs baseline mode never loads numpy."""
+    named = path.relative_to(ROOT / "src").as_posix() in _NUMPY_MODULES
+    assert bool(_numpy_imports(ast.parse(path.read_text(encoding="utf-8")))) == named
+
+
+def test_a_numpy_import_is_found():
+    tree = ast.parse("import numpy as np\nimport numpyish\nfrom numpy.linalg import norm\n"
+                     "from . import numpy\nimport os, numpy.random\n"
+                     "def f():\n    import numpy\n")
+    assert _numpy_imports(tree) == ["1 numpy", "3 numpy.linalg", "5 numpy.random", "7 numpy"]

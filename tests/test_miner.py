@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationale_miner.backends.baseline import pair_features
+from rationale_miner.backends.baseline import BaselinePairClassifier, pair_features
 from rationale_miner.backends.heads import LogisticHead
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.corpus import Sentence
 from rationale_miner.errors import SameSentence, UnknownSentence
 from rationale_miner.features import FEATURE_NAMES, POLARITY_WORDS
 from rationale_miner.miner import (
-    BaselinePairClassifier,
     PromptHeadClassifier,
     PromptPairClassifier,
     Rationale,
@@ -206,14 +205,14 @@ def test_extract_uses_half_as_inclusive_threshold():
     design, scores = extract_design_sentences(
         sentences, features, "summary", _FixedScores([0.5, 0.4999999, 0.7]))
     assert [s.id for s in design] == ["c0-s0", "c0-s2"]
-    assert scores.tolist() == [0.5, 0.4999999, 0.7]
+    assert scores == [0.5, 0.4999999, 0.7]
 
 
 def test_extract_empty_input():
     design, scores = extract_design_sentences([], np.zeros((0, 29)), "s",
                                               _FixedScores([]))
     assert design == []
-    assert scores.shape == (0,)
+    assert scores == []
 
 
 def test_prompt_head_classifier_combines_polarity_and_features():
