@@ -7,30 +7,26 @@ Two endpoints, both JSON over POST:
   with the candidate list, each in [0, 1].
 * ``/v1/generate``: ``{"prompt", "max_tokens"}`` in, ``{"text"}`` out.
 
-Transport failures (unreachable host, non-200 status) raise TransportError;
-structurally invalid payloads in either direction raise ProtocolError.  The
-two request-body builders and two reply checks here are the one definition
-of a valid call: the scripted backend checks its requests and canned replies
-through them too.
+Transport failures (unreachable host, non-200 status, a reply that breaks
+HTTP/1.1 framing) raise TransportError; structurally invalid payloads in
+either direction raise ProtocolError.  The two request-body builders and two
+reply checks here are the one definition of a valid call: the scripted
+backend checks its requests and canned replies through them too.
+
+The transport is a small HTTP/1.1 client on ``socket``.  ``socket`` loads
+with the first connection, ``ssl`` only for an https:// backend and
+``urllib.request`` only when a ``*_proxy`` variable is set, so a command
+that sends nothing over plain HTTP pays for none of them at start-up.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import ssl
+import re
 from abc import ABC, abstractmethod
-from base64 import b64encode
 from collections.abc import Sequence
-from http.client import (
-    HTTPConnection,
-    HTTPException,
-    HTTPSConnection,
-    IncompleteRead,
-    RemoteDisconnected,
-)
 from urllib.parse import SplitResult, unquote, urlsplit
-from urllib.request import getproxies, proxy_bypass
 
 from ..errors import ConfigError, ProtocolError, TransportError, shown
 
@@ -41,6 +37,10 @@ DEFAULT_MAX_TOKENS = 8
 # text of at most max_tokens tokens) is far shorter; the cap keeps a server or
 # proxy that sends a huge or endless body from filling memory.
 MAX_REPLY_BYTES = 1 << 20
+# http.client's bounds on a reply's head, kept for the same reason: the bytes
+# of one line, and the header lines after the status line.
+MAX_LINE_BYTES = 65536
+MAX_HEADERS = 100
 
 
 def mask_probs_body(prompt: str, candidates: Sequence[str]) -> dict:
@@ -113,8 +113,10 @@ class Backend(ABC):
 
 
 def split_base_url(url: str) -> SplitResult:
-    """``url`` split into parts, if it is an http:// or https:// URL with a
-    host and a valid port; otherwise a ConfigError."""
+    """``url`` split into parts, if it is an ASCII http:// or https:// URL
+    with a host and a valid port; otherwise a ConfigError."""
+    if not url.isascii():  # its host and path go into the request head as they are
+        raise ConfigError(f"backend_url must be ASCII, got {shown(url)}")
     try:
         parts = urlsplit(url)
         parts.port  # raises ValueError on a malformed port
@@ -129,7 +131,13 @@ def split_base_url(url: str) -> SplitResult:
 
 def _environment_proxy(url: SplitResult) -> SplitResult | None:
     """The proxy that ``http_proxy``/``https_proxy`` name for ``url``, unless
-    ``no_proxy`` exempts its host."""
+    ``no_proxy`` exempts its host.  urllib.request, which reads them, loads
+    only when some environment variable is named ``*_proxy`` in any case: it
+    reads no other variable on this platform."""
+    if not any(name.lower().endswith("_proxy") for name in os.environ):
+        return None
+    from urllib.request import getproxies, proxy_bypass
+
     proxy = getproxies().get(url.scheme)
     if not proxy or proxy_bypass(url.hostname):
         return None
@@ -140,30 +148,130 @@ def _environment_proxy(url: SplitResult) -> SplitResult | None:
     return parts
 
 
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) (\d{3})(?: ([^\r\n]*))?\r?\n")
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})[ \t]*(?:;[^\r\n]*)?\r?\n")
+
+
 class _Unanswered(ConnectionError):
     """The connection was found closed before any response byte arrived."""
 
 
-def _exchange(conn: HTTPConnection, target: str, body: bytes,
-              headers: dict) -> tuple[int, bytes]:
-    """Status and body of one POST on ``conn``, read in full.  A failure
-    closes ``conn``; one before any response byte is an _Unanswered, and a
-    body longer than MAX_REPLY_BYTES is a ProtocolError."""
+class _Malformed(Exception):
+    """A reply that breaks HTTP/1.1 framing or the bounds on its head."""
+
+
+class _Connection:
+    """A connected socket and the buffered reader of its replies."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _read_line(reader, what: str) -> bytes:
+    """The next line of ``reader``, read no further than MAX_LINE_BYTES."""
+    line = reader.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise _Malformed(f"{what} longer than {MAX_LINE_BYTES} bytes")
+    return line
+
+
+def _read_headers(reader) -> dict[bytes, bytes]:
+    """The fields of a header section or a chunked trailer, up to its blank
+    line, by lower-case name; the first of a repeated name counts."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise _Malformed("connection closed inside the reply head")
+        name, colon, value = line.partition(b":")
+        if colon:  # a line without one (an obsolete folded value) is skipped
+            headers.setdefault(name.strip().lower(), value.strip())
+    raise _Malformed(f"more than {MAX_HEADERS} header lines")
+
+
+def _read_head(reader) -> tuple[bytes, int, bytes, dict[bytes, bytes]]:
+    """The minor HTTP version, status, reason phrase and headers of the next
+    reply on ``reader``, past any interim 1xx one.  A connection closed
+    before its first byte is an _Unanswered."""
+    line = _read_line(reader, "status line")
+    if not line:
+        raise _Unanswered("Remote end closed connection without response")
+    while True:
+        status_line = _STATUS_LINE.fullmatch(line)
+        if status_line is None:
+            raise _Malformed(f"bad status line {shown(line)}")
+        minor, status, reason = status_line.groups()
+        headers = _read_headers(reader)
+        if not 100 <= int(status) < 200:
+            return minor, int(status), reason or b"", headers
+        line = _read_line(reader, "status line")
+
+
+def _read_body(reader, status: int, headers: dict[bytes, bytes]) -> tuple[bytes | None, bool]:
+    """The body of a reply with ``status`` and ``headers``, read by its
+    chunks, by its Content-Length or to the end of the connection, and
+    whether its end was framed, so that the connection can carry another
+    reply.  The body is None, and the rest of it unread, when it is longer
+    than MAX_REPLY_BYTES."""
+    if status in (204, 304):
+        return b"", True
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks, size = [], 0
+        while True:
+            line = _read_line(reader, "chunk size line")
+            chunk_line = _CHUNK_SIZE.fullmatch(line)
+            if chunk_line is None:
+                raise _Malformed(f"bad chunk size line {shown(line)}")
+            chunk_size = int(chunk_line[1], 16)
+            if not chunk_size:
+                _read_headers(reader)  # the trailer
+                return b"".join(chunks), True
+            size += chunk_size
+            if size > MAX_REPLY_BYTES:
+                return None, False
+            chunk = reader.read(chunk_size)
+            if len(chunk) < chunk_size or reader.read(2) != b"\r\n":
+                raise _Malformed("chunk cut short or not ended by CRLF")
+            chunks.append(chunk)
+    length = headers.get(b"content-length")
+    if length is None:
+        body = reader.read(MAX_REPLY_BYTES + 1)
+        return (body if len(body) <= MAX_REPLY_BYTES else None), False
+    if not length.isdigit():
+        raise _Malformed(f"bad Content-Length {shown(length)}")
+    if int(length) > MAX_REPLY_BYTES:
+        return None, False
+    body = reader.read(int(length))
+    if len(body) < int(length):
+        raise _Malformed(f"reply cut short: {len(body)} of {int(length)} bytes")
+    return body, True
+
+
+def _exchange(conn: _Connection, target: str, request: bytes) -> tuple[int, bytes, bool]:
+    """Status and body of one request on ``conn``, read in full, and whether
+    ``conn`` can carry another.  A failure closes ``conn``: one before any
+    reply byte is an _Unanswered, a reply that breaks HTTP/1.1 framing a
+    _Malformed, and a body longer than MAX_REPLY_BYTES a ProtocolError."""
     try:
         try:
-            conn.request("POST", target, body, headers)
+            conn.sock.sendall(request)
         except ConnectionError as exc:
             raise _Unanswered(*exc.args) from exc
-        try:
-            response = conn.getresponse()
-        except RemoteDisconnected as exc:  # closed with no status line byte
-            raise _Unanswered(*exc.args) from exc
-        body = response.read(MAX_REPLY_BYTES + 1)
-        if len(body) > MAX_REPLY_BYTES:
+        minor, status, _, headers = _read_head(conn.reader)
+        body, framed = _read_body(conn.reader, status, headers)
+        if body is None:
             raise ProtocolError(f"POST {target}: reply body over {MAX_REPLY_BYTES} bytes")
-        if response.length:  # read(amt) returns a body cut short without raising
-            raise IncompleteRead(body, response.length)
-        return response.status, body
+        options = {option.strip()
+                   for option in headers.get(b"connection", b"").lower().split(b",")}
+        keep = b"keep-alive" in options if minor == b"0" else b"close" not in options
+        return status, body, framed and keep
     except BaseException:
         conn.close()
         raise
@@ -174,10 +282,12 @@ class RemoteBackend(Backend):
 
     Calls share one stack of idle connections: a call takes the last one put
     back, or opens a new one, reads the whole response and puts the
-    connection back.  So a run holds as many connections as it had calls
-    open at once.  When a kept-alive connection turns out closed by the
-    server before any response byte arrives, the request goes once more, on
-    a new connection; nothing else is resent.
+    connection back unless the reply closes it.  So a run holds as many
+    connections as it had calls open at once.  When a kept-alive connection
+    turns out closed by the server before any response byte arrives, the
+    request goes once more, on a new connection; nothing else is resent.
+    Each request goes out in one write: headers and body in two would wait
+    on the peer's delayed ACK.
 
     An ``http_proxy``/``https_proxy``/``no_proxy`` setting in the environment
     is read once, here.  HTTPS uses the default SSL context: the system CA
@@ -193,71 +303,100 @@ class RemoteBackend(Backend):
         self.timeout = timeout
         url = split_base_url(self.base_url)
         https = url.scheme == "https"
-        self.ssl_context = ssl.create_default_context() if https else None
-        origin = (url.hostname, url.port or (443 if https else 80))
+        if https:
+            import ssl
+
+            self.ssl_context = ssl.create_default_context()
+        else:
+            self.ssl_context = None
+        self._hostname = url.hostname
+        default_port = 443 if https else 80
+        port = url.port or default_port
+        host = f"[{url.hostname}]" if ":" in url.hostname else url.hostname
+        authority = host if port == default_port else f"{host}:{port}"
+        headers = f"Host: {authority}\r\nAccept-Encoding: identity\r\n" \
+                  "Content-Type: application/json\r\n"
         proxy = _environment_proxy(url)
-        self._headers = {"Content-Type": "application/json"}
         self._tunnel = None
         self._target = url.path
         if proxy is None:
-            self._address = origin
+            self._address = (url.hostname, port)
         else:
             self._address = (proxy.hostname, proxy.port or 80)
-            proxy_headers = {}
+            proxy_headers = ""
             if proxy.username is not None:
+                from base64 import b64encode
+
                 credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
-                proxy_headers["Proxy-Authorization"] = \
-                    "Basic " + b64encode(credentials.encode()).decode("ascii")
+                proxy_headers = "Proxy-Authorization: Basic " \
+                                f"{b64encode(credentials.encode()).decode('ascii')}\r\n"
             if https:
-                self._tunnel = (origin, proxy_headers)
+                self._tunnel = (f"CONNECT {host}:{port} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+                                f"{proxy_headers}\r\n").encode("latin-1")
             else:
                 # A plain-HTTP proxy takes the absolute URL as the target.
-                self._target = f"http://{url.netloc.rpartition('@')[2]}{url.path}"
-                self._headers.update(proxy_headers)
-        self._idle: list[HTTPConnection] = []
+                self._target = f"http://{authority}{url.path}"
+                headers += proxy_headers
+        self._headers = headers
+        self._idle: list[_Connection] = []
 
-    def _connect(self) -> HTTPConnection:
-        host, port = self._address
-        if self.ssl_context is None:
-            return HTTPConnection(host, port, timeout=self.timeout)
-        conn = HTTPSConnection(host, port, timeout=self.timeout, context=self.ssl_context)
-        if self._tunnel is not None:
-            (origin_host, origin_port), headers = self._tunnel
-            conn.set_tunnel(origin_host, origin_port, headers)
-        return conn
+    def _connect(self) -> _Connection:
+        import socket  # loaded with the first connection, not at start-up
 
-    def _round_trip(self, path: str, body: bytes, headers: dict) -> tuple[int, bytes]:
-        target = self._target + path
+        sock = socket.create_connection(self._address, self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                sock.sendall(self._tunnel)
+                with sock.makefile("rb") as reader:
+                    _, status, reason, _ = _read_head(reader)
+                if status != 200:
+                    raise OSError(f"Tunnel connection failed: {status} "
+                                  f"{reason.decode('latin-1').strip()}")
+            if self.ssl_context is not None:
+                sock = self.ssl_context.wrap_socket(sock, server_hostname=self._hostname)
+            return _Connection(sock)
+        except BaseException:
+            sock.close()
+            raise
+
+    def _round_trip(self, target: str, request: bytes) -> tuple[int, bytes]:
         try:
             conn = self._idle.pop()  # list.pop and append are atomic
         except IndexError:
             conn = None
         if conn is not None:
             try:
-                reply = _exchange(conn, target, body, headers)
+                status, body, keep = _exchange(conn, target, request)
             except _Unanswered:
                 conn = None  # the server had closed it: once more, on a new one
         if conn is None:
             conn = self._connect()
-            reply = _exchange(conn, target, body, headers)
-        if conn.sock is not None:  # not closed by a Connection: close reply
+            status, body, keep = _exchange(conn, target, request)
+        if keep:
             self._idle.append(conn)
-        return reply
+        else:
+            conn.close()
+        return status, body
 
     def _post(self, path: str, payload: dict) -> dict:
-        headers = dict(self._headers)
-        token = os.environ.get(ENV_AUTH_TOKEN) or self.auth_token
-        if token:
-            headers["Authorization"] = f"Bearer {token}"
         url = f"{self.base_url}{path}"
+        token = os.environ.get(ENV_AUTH_TOKEN) or self.auth_token
+        if token and ("\r" in token or "\n" in token):  # it would end the header early
+            raise TransportError(f"POST {url} failed: the auth token holds a line break")
+        authorization = f"Authorization: Bearer {token}\r\n" if token else ""
+        body = json.dumps(payload).encode()
+        target = self._target + path
+        head = (f"POST {target} HTTP/1.1\r\n{self._headers}{authorization}"
+                f"Content-Length: {len(body)}\r\n\r\n")
         try:
-            status, body = self._round_trip(path, json.dumps(payload).encode(), headers)
-        except (OSError, HTTPException) as exc:
+            status, reply = self._round_trip(target, head.encode("latin-1") + body)
+        except (OSError, _Malformed) as exc:
             raise TransportError(f"POST {url} failed: {exc}") from exc
         if status != 200:
             raise TransportError(f"POST {url} returned status {status}")
         try:
-            return json.loads(body)
+            return json.loads(reply)
         except (ValueError, RecursionError) as exc:
             raise ProtocolError(f"POST {url} returned non-JSON body") from exc
 

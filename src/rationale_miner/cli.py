@@ -6,8 +6,8 @@ a mined file) failed, or a runtime error or a failed write stopped the
 command, 2 on configuration errors.
 
 The commands that train, evaluate, split, ablate or count import
-``evaluation`` and the baselines, and numpy with them, when they run; the
-others never load numpy in prompt_head mode.
+``evaluation`` when they run.  Only ``train``, ``ablate`` and baseline mode
+load numpy; the others never do.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 from .backends.heads import feature_fingerprint, load_head
 from .backends.protocol import RemoteBackend, split_base_url
-from .backends.scripted import ScriptedBackend
 from .corpus import DEFAULT_BOT_AUTHORS, DEFAULT_ENCODING, can_name_a_file
 from .errors import ConfigError, shown
 from .miner import CallPool, PromptHeadClassifier, PromptPairClassifier, SP_FEATURE_NAMES
@@ -146,6 +145,8 @@ def build_backend(cfg: RunConfig):
         raise ConfigError(f"backend is required in prompt_head mode: one of {BACKENDS}")
     if cfg.backend == "remote":
         return RemoteBackend(base_url=cfg.backend_url, auth_token=cfg.auth_token)
+    from .backends.scripted import ScriptedBackend
+
     return ScriptedBackend.from_file(cfg.script_path)
 
 

@@ -15,11 +15,8 @@ import os
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-import numpy as np
-
-from .backends.baseline import PAIR_FEATURE_NAMES, pair_features, train_baseline
 from .corpus import IssueLog, enumerate_sentences, is_path_component, sentence_order
 from .errors import (
     ConfigError,
@@ -33,6 +30,9 @@ from .features import FEATURE_BLOCKS, FEATURE_DIM, FEATURE_NAMES, compute_featur
 from .miner import ARGUMENT, COMPLEMENTARY, SOLUTION, SUPPORTING, UNRELATED, Rationale
 from .prompts import RELATION_LABELS
 from .sentiment import SentimentAnalyzer
+
+if TYPE_CHECKING:  # the data builders and ablation alone load numpy, when they run
+    import numpy as np
 
 CATEGORY_NONE = "none"
 CATEGORIES = (CATEGORY_NONE, ARGUMENT, SOLUTION)
@@ -293,6 +293,8 @@ def dimension_slots(dimension: str) -> list[int]:
 
 
 def mask_features(features: np.ndarray, slots: list[int]) -> np.ndarray:
+    import numpy as np
+
     masked = np.array(features, dtype=np.float64, copy=True)
     if slots:
         masked[:, slots] = 0.0
@@ -304,6 +306,10 @@ def run_ablation(train_texts: list[str], train_features: np.ndarray,
                  test_features: np.ndarray, test_labels: np.ndarray,
                  dimension: str | None) -> AblationResult:
     """Retrain the design-sentence baseline with one feature block zeroed."""
+    import numpy as np
+
+    from .backends.baseline import train_baseline
+
     slots = dimension_slots(dimension) if dimension else []
     model = train_baseline(train_texts, mask_features(train_features, slots),
                            np.asarray(train_labels))
@@ -318,6 +324,8 @@ def collect_extraction_data(issues: list[IssueLog],
                             analyzer: SentimentAnalyzer):
     """(texts, features, labels) over the sentences of each annotated issue,
     in corpus order, for training the design-sentence classifiers."""
+    import numpy as np
+
     by_issue = {a.issue: a for a in annotations}
     texts: list[str] = []
     rows: list[list[float]] = []
@@ -334,6 +342,10 @@ def collect_extraction_data(issues: list[IssueLog],
 
 def collect_pair_data(issues: list[IssueLog], annotations: list[Annotation]):
     """Pair feature matrix and relation labels derived from annotations."""
+    import numpy as np
+
+    from .backends.baseline import PAIR_FEATURE_NAMES, pair_features
+
     by_issue = {a.issue: a for a in annotations}
     rows: list[np.ndarray] = []
     labels: list[int] = []

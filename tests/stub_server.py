@@ -7,12 +7,13 @@ per request in arrival order; once it is used up, ``failure_mode`` answers
 each request (None: the deterministic answer).  A step is a malformed answer
 (``status-500``, ``non-json``, ``wrong-length``, ``out-of-range``,
 ``missing-field``) or a raw one, for the client's connection handling:
-``ok`` answers ``{"text": "ok"}`` and keeps the connection, ``ok-close``
-answers and then closes it without saying so (``closed`` is set once it is
-closed), ``close`` answers with ``Connection: close`` and closes it, ``drop``
-closes it without a reply, ``partial`` sends a reply cut short and closes,
-and ``long`` and ``long-chunked`` send a body one byte over MAX_REPLY_BYTES,
-with a Content-Length or in chunks, and close.
+``ok`` answers ``{"text": "ok"}`` and keeps the connection, ``ok-chunked``
+answers the same in chunks, with a chunk extension and a trailer, and keeps
+it, ``ok-close`` answers and then closes it without saying so (``closed``
+is set once it is closed), ``close`` answers with ``Connection: close`` and
+closes it, ``drop`` closes it without a reply, ``partial`` sends a reply cut
+short and closes, and ``long`` and ``long-chunked`` send a body one byte
+over MAX_REPLY_BYTES, with a Content-Length or in chunks, and close.
 
 A ``gate`` barrier, when set, holds each request until that many are open,
 and a ``delay`` holds each reply that many seconds (a reply still held when
@@ -47,11 +48,19 @@ def expected_text(prompt: str) -> str:
 _OK_BODY = json.dumps({"text": "ok"}).encode()
 _OK = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
        b"Content-Length: %d\r\n\r\n%s" % (len(_OK_BODY), _OK_BODY))
+# _OK_BODY in 5-byte chunks, the first with a chunk extension, and a trailer.
+_OK_CHUNKS = [_OK_BODY[i:i + 5] for i in range(0, len(_OK_BODY), 5)]
+_OK_CHUNKED = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+               b"Transfer-Encoding: chunked\r\n\r\n"
+               + b"%x;part=1\r\n%s\r\n" % (len(_OK_CHUNKS[0]), _OK_CHUNKS[0])
+               + b"".join(b"%x\r\n%s\r\n" % (len(chunk), chunk) for chunk in _OK_CHUNKS[1:])
+               + b"0\r\nX-Checksum: none\r\n\r\n")
 # A body one byte over the client's cap, whole and in 64 KiB chunks.
 _LONG_BODY = b"x" * (MAX_REPLY_BYTES + 1)
 _LONG_CHUNKS = (_LONG_BODY[i:i + 65536] for i in range(0, len(_LONG_BODY), 65536))
 # The bytes that each raw step sends.
-_RAW = {"ok": _OK, "ok-close": _OK, "drop": b"", "partial": _OK[:-3],
+_RAW = {"ok": _OK, "ok-chunked": _OK_CHUNKED, "ok-close": _OK, "drop": b"",
+        "partial": _OK[:-3],
         "close": _OK.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1),
         "long": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(_LONG_BODY)
                 + _LONG_BODY,
@@ -91,7 +100,7 @@ class _Handler(BaseHTTPRequestHandler):
         if server.closing.wait(server.delay):
             return  # the stub is closing; the client has most likely gone
         if mode in _RAW:
-            if mode != "ok":
+            if mode not in ("ok", "ok-chunked"):
                 self.close_connection = True
             if mode == "ok-close":
                 with server._lock:

@@ -7,7 +7,7 @@ import socket
 import ssl
 import threading
 import time
-from http.client import HTTPSConnection
+from contextlib import contextmanager, suppress
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from rationale_miner.backends.protocol import (
     ENV_AUTH_TOKEN,
+    MAX_HEADERS,
+    MAX_LINE_BYTES,
     MAX_REPLY_BYTES,
     RemoteBackend,
     checked_probs,
@@ -172,6 +174,14 @@ def test_remote_backend_omits_header_without_token(monkeypatch):
         assert "Authorization" not in headers
 
 
+def test_remote_backend_refuses_a_token_that_would_end_its_header(monkeypatch):
+    monkeypatch.setenv(ENV_AUTH_TOKEN, "env-token\r\nX-Injected: 1")
+    with run_stub() as server:
+        with pytest.raises(TransportError, match="the auth token holds a line break"):
+            RemoteBackend(server.url).generate("x")
+        assert server.requests == []
+
+
 def test_remote_backend_validates_request_before_sending():
     backend = RemoteBackend("http://127.0.0.1:9")  # would fail if contacted
     with pytest.raises(ProtocolError):
@@ -269,6 +279,156 @@ def test_remote_backend_refuses_a_reply_over_the_cap_and_its_connection(long):
         assert backend.generate("fourth") == "ok"
         assert stub.connections == 2
         backend.close()
+
+
+@pytest.mark.parametrize("keep_alive,connections", [(True, 1), (False, 2)])
+def test_remote_backend_keeps_the_connection_of_a_non_200_reply_that_allows_it(keep_alive,
+                                                                              connections):
+    """A non-200 reply is read in full, so an HTTP/1.1 one leaves its
+    connection to the next call; an HTTP/1.0 one closes it."""
+    with run_stub(keep_alive=keep_alive, script=["status-500", "ok"]) as stub:
+        backend = RemoteBackend(stub.url)
+        with pytest.raises(TransportError, match="/v1/generate returned status 500"):
+            backend.generate("first")
+        assert backend.generate("second") == "ok"
+        assert stub.connections == connections
+        backend.close()
+
+
+def test_remote_backend_reads_a_chunked_reply_as_its_content_length_form():
+    with run_stub(keep_alive=True, script=["ok", "ok-chunked", "ok-chunked", "ok"]) as stub:
+        backend = RemoteBackend(stub.url)
+        assert [backend.generate(f"prompt {n}") for n in range(4)] == ["ok"] * 4
+        assert stub.connections == 1  # a chunked reply keeps its connection too
+        backend.close()
+
+
+def test_remote_backend_sends_each_request_in_one_write(monkeypatch):
+    """Head and body in one write, on a socket without Nagle's delay: a
+    second write would wait on the server's delayed ACK."""
+    writes = []
+    sendall = socket.socket.sendall
+
+    def recorded(sock, data, *args):
+        writes.append(bytes(data))
+        return sendall(sock, data, *args)
+
+    with run_stub(keep_alive=True) as stub:
+        backend = RemoteBackend(stub.url)
+        monkeypatch.setattr(socket.socket, "sendall", recorded)
+        for prompt in ("first", "second"):
+            backend.generate(prompt)
+        monkeypatch.undo()
+        requests = [data for data in writes if data.startswith(b"POST ")]  # not the stub's
+        assert [data.partition(b"\r\n")[0] for data in requests] == \
+            [b"POST /v1/generate HTTP/1.1"] * 2
+        assert [data.partition(b"\r\n\r\n")[2] for data in requests] == \
+            [body for _, _, body in stub.requests]
+        [conn] = backend._idle
+        assert conn.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        backend.close()
+
+
+@contextmanager
+def _answering(*replies: bytes, hold: bool = True):
+    """The URL of a listener that answers the requests of one connection
+    with ``replies`` in turn, then holds it open until the client closes it
+    or, without ``hold``, closes it."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def answer() -> None:
+            conn, _ = listener.accept()
+            with conn, suppress(OSError):  # the client may close it mid-reply
+                for reply in replies:
+                    request = b""
+                    while b"\r\n\r\n" not in request and (chunk := conn.recv(65536)):
+                        request += chunk
+                    conn.sendall(reply)
+                while hold and conn.recv(65536):
+                    pass
+
+        server = threading.Thread(target=answer, daemon=True)
+        server.start()
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+        server.join(timeout=5)
+        assert not server.is_alive()
+
+
+_OK_REPLY_BODY = b'{"text": "ok"}'
+
+
+def _reply(*header_lines: bytes, status_line: bytes = b"HTTP/1.1 200 OK\r\n") -> bytes:
+    return (status_line + b"".join(header_lines)
+            + b"Content-Length: %d\r\n\r\n%s" % (len(_OK_REPLY_BODY), _OK_REPLY_BODY))
+
+
+def _header_line(size: int) -> bytes:
+    """A header line of ``size`` bytes, its CRLF included."""
+    return b"X-Pad: " + b"a" * (size - 9) + b"\r\n"
+
+
+@pytest.mark.parametrize("reply", [
+    _reply(_header_line(MAX_LINE_BYTES)),
+    _reply(*[b"X-N: %d\r\n" % n for n in range(MAX_HEADERS - 1)]),  # and Content-Length
+    _reply(status_line=b"HTTP/1.0 200\r\n"),
+    _reply(status_line=b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n"),
+])
+def test_remote_backend_reads_a_reply_head_within_the_bounds(reply):
+    with _answering(reply) as url:
+        backend = RemoteBackend(url, timeout=5)
+        assert backend.generate("x") == "ok"
+        backend.close()
+
+
+@pytest.mark.parametrize("reply,hold,kept", [
+    (_reply(b"Connection: keep-alive\r\n", status_line=b"HTTP/1.0 200 OK\r\n"), True, True),
+    (_reply(b"Connection: TE, Keep-Alive\r\n", status_line=b"HTTP/1.0 200 OK\r\n"), True,
+     True),
+    (_reply(b"Connection: Close\r\n"), False, False),
+    (b"HTTP/1.1 200 OK\r\n\r\n" + _OK_REPLY_BODY, False, False),  # the body runs to EOF
+])
+def test_remote_backend_keeps_a_connection_only_when_its_reply_allows_it(reply, hold, kept):
+    with _answering(*[reply] * (1 + kept), hold=hold) as url:  # one connection only
+        backend = RemoteBackend(url, timeout=5)
+        assert backend.generate("x") == "ok"
+        assert len(backend._idle) == kept
+        if kept:
+            assert backend.generate("y") == "ok"
+        backend.close()
+
+
+# Each reply's head breaks a bound and never ends: a client that read past
+# the bound would wait for the timeout.
+@pytest.mark.parametrize("reply,message", [
+    (b"HTTP/1.1 200 OK" + b" " * MAX_LINE_BYTES, f"status line longer than {MAX_LINE_BYTES}"),
+    (_reply(_header_line(MAX_LINE_BYTES + 1)), f"header line longer than {MAX_LINE_BYTES}"),
+    (b"HTTP/1.1 200 OK\r\nX-Pad: " + b"a" * 4 * MAX_LINE_BYTES,
+     f"header line longer than {MAX_LINE_BYTES}"),
+    (_reply(*[b"X-N: %d\r\n" % n for n in range(MAX_HEADERS)]),
+     f"more than {MAX_HEADERS} header lines"),
+    (b"HTTP/1.1 200 OK\r\n" + b"X-N: 1\r\n" * 4 * MAX_HEADERS,
+     f"more than {MAX_HEADERS} header lines"),
+])
+def test_remote_backend_refuses_a_reply_head_over_the_bounds(reply, message):
+    with _answering(reply) as url:
+        backend = RemoteBackend(url, timeout=5)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match=f"POST {url}/v1/generate failed: {message}"):
+            backend.generate("x")
+        assert time.monotonic() - start < 2
+        assert backend._idle == []
+
+
+@pytest.mark.parametrize("status_line", [
+    b"HTTP/2 200 OK\r\n", b"HTTP/1.1 20 OK\r\n", b"HTTP/1.1 2000 OK\r\n",
+    b"HTTP/1.1200 OK\r\n", b"ICY 200 OK\r\n", b"http/1.1 200 OK\r\n", b"\r\n",
+])
+def test_remote_backend_refuses_a_status_line_that_is_not_http_1(status_line):
+    with _answering(_reply(status_line=status_line)) as url:
+        backend = RemoteBackend(url, timeout=5)
+        with pytest.raises(TransportError, match=f"POST {url}/v1/generate failed: "
+                                                 "bad status line"):
+            backend.generate("x")
 
 
 def test_remote_backend_unreachable_host_is_one_attempt(monkeypatch):
@@ -378,9 +538,25 @@ def test_remote_backend_https_verifies_certificate_and_host(monkeypatch):
     context = backend.ssl_context
     assert context.verify_mode == ssl.CERT_REQUIRED
     assert context.check_hostname
-    conn = backend._connect()
-    assert isinstance(conn, HTTPSConnection)
-    assert (conn.host, conn.port) == ("models.example", 8443)
+    connected, wrapped = [], []
+
+    def create_connection(address, timeout):
+        connected.append((address, timeout))
+        return socket.socket()  # never connected: the handshake below fails first
+
+    def wrap_socket(sock, server_hostname):
+        wrapped.append((sock, server_hostname))
+        raise ssl.SSLCertVerificationError(1, "certificate verify failed")
+
+    monkeypatch.setattr(socket, "create_connection", create_connection)
+    monkeypatch.setattr(context, "wrap_socket", wrap_socket)
+    with pytest.raises(TransportError, match="POST https://models.example:8443/v1/generate "
+                                             "failed: .*certificate verify failed"):
+        backend.generate("x")
+    assert connected == [(("models.example", 8443), 30.0)]
+    [(sock, server_hostname)] = wrapped
+    assert server_hostname == "models.example"
+    assert sock.fileno() == -1  # closed, and not kept for a later call
     assert RemoteBackend("http://models.example").ssl_context is None
 
 

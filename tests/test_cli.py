@@ -962,7 +962,7 @@ def test_an_issue_without_sentences_adds_nothing_to_the_baselines(tmp_path, monk
 
 
 @pytest.mark.parametrize("url", ["localhost:8080", "ftp://models.example/", "http://",
-                                 "http://models.example:port/"])
+                                 "http://models.example:port/", "http://models.example/caf\u00e9/"])
 def test_malformed_backend_url_is_a_config_error(workspace, capsys, url):
     tmp_path, config, config_path = workspace
     _rewrite(workspace, backend="remote", backend_url=url, script_path=None)
@@ -974,23 +974,71 @@ def test_malformed_backend_url_is_a_config_error(workspace, capsys, url):
     assert not list((tmp_path / "out").glob("FLINK-1320.*"))
 
 
+_SRC = Path(rationale_miner.__file__).resolve().parents[1]
+
+
+def _loaded_in_a_fresh_process(config_path, cwd, commands, roots, env=os.environ):
+    """The modules under ``roots`` (top-level names, or full dotted ones)
+    that a fresh interpreter holds once it has imported the CLI and run each
+    of ``commands`` with ``config_path`` to exit 0."""
+    probe = ("import sys, rationale_miner.cli as cli\n"
+             f"for command in {tuple(commands)!r}:\n"
+             "    assert cli.main([command, '-c', sys.argv[1]]) == 0, command\n"
+             "print(sorted(m for m in sys.modules "
+             f"if m in {tuple(roots)!r} or m.partition('.')[0] in {tuple(roots)!r}))")
+    result = subprocess.run([sys.executable, "-c", probe, str(config_path)],
+                            env={**env, "PYTHONPATH": str(_SRC)}, cwd=cwd,
+                            capture_output=True, text=True, check=True)
+    return result.stdout.splitlines()[-1]
+
+
 def test_prompt_head_commands_load_no_numpy_http_library_or_scipy(workspace):
     """The transport, the features and the prompt head are the standard
     library's: importing the CLI and running prompt-head ingest, extract,
     pair, mine and export pulls in neither numpy, requests, urllib3 nor
     scipy, which would add to every run's set-up."""
     tmp_path, _, config_path = workspace
-    src = Path(rationale_miner.__file__).resolve().parents[1]
-    probe = ("import sys, rationale_miner.cli as cli\n"
-             "for command in ('ingest', 'extract', 'pair', 'mine', 'export'):\n"
-             "    assert cli.main([command, '-c', sys.argv[1]]) == 0, command\n"
-             "print(sorted(m for m in sys.modules "
-             "if m.partition('.')[0] in ('numpy', 'requests', 'urllib3', 'scipy')))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run([sys.executable, "-c", probe, str(config_path)], env=env,
-                            cwd=tmp_path, capture_output=True, text=True, check=True)
-    assert result.stdout.splitlines()[-1] == "[]"
+    loaded = _loaded_in_a_fresh_process(config_path, tmp_path,
+                                        ("ingest", "extract", "pair", "mine", "export"),
+                                        ("numpy", "requests", "urllib3", "scipy"))
+    assert loaded == "[]"
     assert len(list((tmp_path / "out").glob("FLINK-1320.*"))) == 5
+
+
+def test_stats_split_and_eval_load_no_numpy(workspace, fixtures_dir):
+    """Counting, splitting and scoring use no array library, so ``stats``,
+    ``split`` and ``eval`` start as fast as prompt-head mining."""
+    tmp_path, _, config_path = workspace
+    _rewrite(workspace, annotations_path=str(_add_second_issue(workspace, fixtures_dir)))
+    assert main(["mine", "-c", str(config_path)]) == 0  # the files that eval scores
+    loaded = _loaded_in_a_fresh_process(config_path, tmp_path, ("stats", "split", "eval"),
+                                        ("numpy",))
+    assert loaded == "[]"
+    assert (tmp_path / "out" / "split.json").is_file()
+    assert (tmp_path / "out" / "metrics.csv").is_file()
+
+
+def test_plain_http_mining_loads_no_http_client_email_ssl_or_urllib_request(workspace):
+    """With no ``*_proxy`` variable set, mining through an http:// remote
+    backend loads none of http.client, email, ssl or urllib.request; an
+    https:// backend loads ssl when it is built."""
+    tmp_path, _, config_path = workspace
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    with run_stub(keep_alive=True) as server:
+        _rewrite(workspace, backend="remote", backend_url=server.url, script_path=None)
+        loaded = _loaded_in_a_fresh_process(
+            config_path, tmp_path, ("mine",), ("http.client", "email", "ssl", "urllib.request"),
+            env=env)
+        assert server.requests
+    assert loaded == "[]"
+    assert len(list((tmp_path / "out").glob("FLINK-1320.*"))) == 2
+    https = ("import sys\nfrom rationale_miner.backends.protocol import RemoteBackend\n"
+             "assert 'ssl' not in sys.modules\n"
+             "RemoteBackend('https://models.example')  # connects to nothing\n"
+             "assert 'ssl' in sys.modules\n")
+    subprocess.run([sys.executable, "-c", https], env={**env, "PYTHONPATH": str(_SRC)},
+                   check=True)
 
 
 def test_every_third_party_import_is_a_declared_dependency():

@@ -9,6 +9,8 @@ docstring: callers import each name from the module that defines it, so no
 re-export layer can grow back.  Only ``miner.py`` schedules a run: no
 other module under src/ builds a thread or an executor or sets ``ISSUE_RANK``.
 Only the modules that train, evaluate or run baseline mode import numpy.
+No module under src/ imports the HTTP stack (``http``, ``email``, ``ssl``,
+``urllib.request``) when it is imported itself.
 """
 
 from __future__ import annotations
@@ -195,3 +197,55 @@ def test_a_numpy_import_is_found():
                      "from . import numpy\nimport os, numpy.random\n"
                      "def f():\n    import numpy\n")
     assert _numpy_imports(tree) == ["1 numpy", "3 numpy.linalg", "5 numpy.random", "7 numpy"]
+
+
+# The standard library's HTTP stack.  The remote backend's transport is the
+# package's own; ssl and urllib.request load inside the functions that need
+# them (an https:// backend, a ``*_proxy`` variable), never on import.
+_HTTP_STACK = ("http", "email", "ssl", "urllib.request")
+
+
+def _in_http_stack(module: str) -> bool:
+    return any(module == name or module.startswith(name + ".") for name in _HTTP_STACK)
+
+
+def _http_stack_imports_on_import(tree: ast.Module) -> list[str]:
+    """``line module`` of each import of the HTTP stack that runs when the
+    module of ``tree`` is imported: one outside every function body."""
+    found = []
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            # ``from urllib import request`` imports urllib.request
+            modules = [node.module] if _in_http_stack(node.module) else [
+                f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            nodes.extend(ast.iter_child_nodes(node))
+            continue
+        found.extend(f"{node.lineno} {module}" for module in modules if _in_http_stack(module))
+    return sorted(found, key=lambda entry: int(entry.split()[0]))
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.is_relative_to(ROOT / "src")],
+                         ids=lambda path: path.relative_to(ROOT).as_posix())
+def test_no_module_under_src_imports_the_http_stack_on_import(path):
+    """A command that sends nothing over plain HTTP loads no http.client,
+    email, ssl or urllib.request."""
+    assert _http_stack_imports_on_import(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_an_http_stack_import_on_import_is_found():
+    tree = ast.parse("import ssl\nimport http.client as hc\nfrom email import parser\n"
+                     "from urllib import request, parse\nimport urllib.parse\n"
+                     "import sslib, httpx\nif True:\n    from urllib.request import urlopen\n"
+                     "class C:\n    import email.utils\n"
+                     "def f():\n    import ssl\n    from http import client\n"
+                     "try:\n    import socket\nexcept ImportError:\n    import http\n")
+    assert _http_stack_imports_on_import(tree) == [
+        "1 ssl", "2 http.client", "3 email", "4 urllib.request", "8 urllib.request",
+        "10 email.utils", "17 http"]
