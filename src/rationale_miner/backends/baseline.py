@@ -1,4 +1,4 @@
-"""Prompt-free baselines: TF-IDF text vectors plus the handcrafted features.
+"""Head training, the prompt-free baselines and the feature ablation.
 
 The design-sentence baseline concatenates a TF-IDF bag of words with the
 29-dimensional feature block and fits a logistic head on top.  The pair
@@ -6,31 +6,129 @@ baseline scores sentence pairs from six structural features with a ternary
 softmax head.  Dense feature blocks are standardized with statistics from the
 training split; constant (or ablated) columns stay at zero.  The two
 baseline classifiers, which baseline mode mines with, wrap these models.
+Training is deterministic full-batch gradient descent from zero weights, so
+the same data always yields byte-identical saved models.
+
+This is the one module that imports numpy.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ..corpus import Sentence, pair_structure
-from ..features import FEATURE_DIM, FEATURE_NAMES, keyword_flags, word_tokens
+from ..corpus import IssueLog, Sentence, enumerate_sentences, pair_structure, sentence_order
+from ..errors import DegenerateData
+from ..evaluation import Annotation, dimension_slots, eval_binary, pair_labels_from_annotation
+from ..features import (
+    FEATURE_DIM,
+    FEATURE_NAMES,
+    compute_feature_matrix,
+    keyword_flags,
+    word_tokens,
+)
 from ..miner import DESIGN_THRESHOLD, SUPPORTING, Edge, design_pairs, pair_edge
 from ..prompts import RELATION_LABELS
+from ..sentiment import SentimentAnalyzer
 from .heads import (
     LogisticHead,
-    SoftmaxHead,
-    expit,
     feature_fingerprint,
-    float_array,
+    finite_numbers,
+    logistic_of,
     read_model,
-    train_head,
     write_model,
 )
+
+DEFAULT_LR = 0.1
+DEFAULT_EPOCHS = 500
+DEFAULT_L2 = 1e-4
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """The logistic ``1 / (1 + exp(-z))`` of each element, as float64.
+
+    It goes through ``math.exp`` (the C library's), which rounds every value
+    as ``scipy.special.expit`` does; numpy's SIMD ``exp`` does not.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    return np.fromiter(map(logistic_of, z.ravel().tolist()), dtype=np.float64,
+                       count=z.size).reshape(z.shape)
+
+
+def float_array(payload: dict, key: str, *shape: int) -> np.ndarray:
+    """``payload[key]`` as a float64 array of ``shape``; a ValueError unless
+    it holds finite numbers of that shape."""
+    return np.array(finite_numbers(payload, key, *shape), dtype=np.float64).reshape(shape)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / exp.sum(axis=1, keepdims=True)
+
+
+@dataclass
+class SoftmaxHead:
+    weights: np.ndarray  # (num_classes, dim)
+    bias: np.ndarray  # (num_classes,)
+    fingerprint: str = ""
+    meta: dict = field(default_factory=dict)
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        z = np.asarray(X, dtype=np.float64) @ self.weights.T + self.bias
+        return _softmax(z)
+
+    def to_json(self) -> dict:
+        return {"kind": "softmax", "weights": self.weights.tolist(),
+                "bias": self.bias.tolist(), "fingerprint": self.fingerprint,
+                "meta": self.meta}
+
+    @classmethod
+    def from_json(cls, payload: dict, classes: int, width: int) -> "SoftmaxHead":
+        return cls(weights=float_array(payload, "weights", classes, width),
+                   bias=float_array(payload, "bias", classes),
+                   fingerprint=payload.get("fingerprint", ""),
+                   meta=payload.get("meta", {}))
+
+
+def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
+               fingerprint: str = "") -> LogisticHead | SoftmaxHead:
+    """Fit a head on integer labels; raises DegenerateData on a single class."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or len(X) != len(y):
+        raise ValueError(f"bad training shapes: X {X.shape}, y {y.shape}")
+    if len(np.unique(y)) < 2:
+        raise DegenerateData("training data contains a single class")
+    n, dim = X.shape
+    meta = {"lr": DEFAULT_LR, "epochs": DEFAULT_EPOCHS, "l2": DEFAULT_L2,
+            "num_classes": num_classes}
+
+    if num_classes == 2:
+        w = np.zeros(dim)
+        b = 0.0
+        target = y.astype(np.float64)
+        for _ in range(DEFAULT_EPOCHS):
+            p = expit(X @ w + b)
+            delta = p - target
+            w -= DEFAULT_LR * (X.T @ delta / n + DEFAULT_L2 * w)
+            b -= DEFAULT_LR * float(delta.mean())
+        return LogisticHead(weights=w, bias=b, fingerprint=fingerprint, meta=meta)
+
+    W = np.zeros((num_classes, dim))
+    b = np.zeros(num_classes)
+    onehot = np.eye(num_classes)[y]
+    for _ in range(DEFAULT_EPOCHS):
+        P = _softmax(X @ W.T + b)
+        delta = P - onehot
+        W -= DEFAULT_LR * (delta.T @ X / n + DEFAULT_L2 * W)
+        b -= DEFAULT_LR * delta.mean(axis=0)
+    return SoftmaxHead(weights=W, bias=b, fingerprint=fingerprint, meta=meta)
+
 
 MIN_DOC_FREQ = 2
 
@@ -240,3 +338,71 @@ class BaselinePairClassifier:
         labels = self.model.predict(rows.reshape(len(pairs), len(PAIR_FEATURE_NAMES)))
         return [edge for (s1, s2), label in zip(pairs, labels)
                 if (edge := pair_edge(s1, s2, RELATION_LABELS[label], SUPPORTING))], []
+
+
+def collect_extraction_data(issues: list[IssueLog],
+                            annotations: list[Annotation],
+                            analyzer: SentimentAnalyzer):
+    """(texts, features, labels) over the sentences of each annotated issue,
+    in corpus order, for training the design-sentence classifiers."""
+    by_issue = {a.issue: a for a in annotations}
+    texts: list[str] = []
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    for issue in issues:
+        if issue.key in by_issue:
+            sentences, matrix = compute_feature_matrix(issue, analyzer)
+            texts.extend(s.text for s in sentences)
+            rows.extend(matrix)
+            labels.extend(by_issue[issue.key].design_label(s.id) for s in sentences)
+    features = np.array(rows).reshape(len(rows), FEATURE_DIM)
+    return texts, features, np.array(labels, dtype=np.int64)
+
+
+def collect_pair_data(issues: list[IssueLog], annotations: list[Annotation]):
+    """Pair feature matrix and relation labels derived from annotations."""
+    by_issue = {a.issue: a for a in annotations}
+    rows: list[np.ndarray] = []
+    labels: list[int] = []
+    for issue in issues:
+        annotation = by_issue.get(issue.key)
+        if annotation is None:
+            continue
+        sentences = enumerate_sentences(issue)
+        by_id = {s.id: s for s in sentences}
+        for sid1, sid2, label in pair_labels_from_annotation(annotation,
+                                                            sentence_order(sentences)):
+            rows.append(pair_features(by_id[sid1], by_id[sid2]))
+            labels.append(RELATION_LABELS.index(label))
+    matrix = np.array(rows).reshape(len(rows), len(PAIR_FEATURE_NAMES))
+    return matrix, np.array(labels, dtype=np.int64)
+
+
+def mask_features(features: np.ndarray, slots: list[int]) -> np.ndarray:
+    masked = np.array(features, dtype=np.float64, copy=True)
+    if slots:
+        masked[:, slots] = 0.0
+    return masked
+
+
+@dataclass
+class AblationResult:
+    dimension: str
+    masked_slots: list[int]
+    precision: float
+    recall: float
+    f1: float
+
+
+def run_ablation(train_texts: list[str], train_features: np.ndarray,
+                 train_labels: np.ndarray, test_texts: list[str],
+                 test_features: np.ndarray, test_labels: np.ndarray,
+                 dimension: str | None) -> AblationResult:
+    """Retrain the design-sentence baseline with one feature block zeroed."""
+    slots = dimension_slots(dimension) if dimension else []
+    model = train_baseline(train_texts, mask_features(train_features, slots),
+                           np.asarray(train_labels))
+    predictions = model.predict(test_texts, mask_features(test_features, slots))
+    prf = eval_binary(np.flatnonzero(predictions), np.flatnonzero(test_labels))
+    return AblationResult(dimension=dimension or "full", masked_slots=slots,
+                          precision=prf.precision, recall=prf.recall, f1=prf.f1)

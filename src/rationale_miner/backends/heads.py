@@ -1,14 +1,14 @@
-"""Small trained heads: binary logistic and ternary softmax classifiers.
+"""The prompt head and the model-file format.
 
-Training is deterministic full-batch gradient descent from zero weights, so
-the same data always yields byte-identical saved models.  Saved heads carry a
-fingerprint of the feature order they were trained on and refuse to load
-against a different layout.  ``write_model``/``read_model`` own the model-file
-format for every saved model, heads and baselines alike.
+A ``LogisticHead`` is a binary head: the logistic of a dot product plus a
+bias.  Saved heads carry a fingerprint of the feature order they were trained
+on and refuse to load against a different layout.  ``write_model``/
+``read_model`` own the model-file format for every saved model, heads and
+baselines alike.
 
-Loading and running a ``LogisticHead`` takes the standard library alone, so
-prompt-head mining never loads numpy.  Training, ``expit``, ``float_array``
-and ``SoftmaxHead`` import numpy where they run.
+This module takes the standard library alone, so prompt-head mining never
+loads numpy.  Training, the softmax head and the baselines live in
+``baseline``, the one module that imports numpy.
 """
 
 from __future__ import annotations
@@ -19,36 +19,17 @@ import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
-from ..errors import DegenerateData, FingerprintMismatch, ModelMissing, shown
-
-if TYPE_CHECKING:
-    import numpy as np
-
-DEFAULT_LR = 0.1
-DEFAULT_EPOCHS = 500
-DEFAULT_L2 = 1e-4
+from ..errors import FingerprintMismatch, ModelMissing, shown
 
 
-def _logistic_of(x: float) -> float:
+def logistic_of(x: float) -> float:
+    """``1 / (1 + exp(-x))``, rounded as ``scipy.special.expit`` rounds it."""
     try:
         return 1.0 / (1.0 + math.exp(-x))
     except OverflowError:  # exp(-x) above the largest float: 1 / inf
         return 0.0
-
-
-def expit(z: np.ndarray) -> np.ndarray:
-    """The logistic ``1 / (1 + exp(-z))`` of each element, as float64.
-
-    It goes through ``math.exp`` (the C library's), which rounds every value
-    as ``scipy.special.expit`` does; numpy's SIMD ``exp`` does not.
-    """
-    import numpy as np
-
-    z = np.asarray(z, dtype=np.float64)
-    return np.fromiter(map(_logistic_of, z.ravel().tolist()), dtype=np.float64,
-                       count=z.size).reshape(z.shape)
 
 
 def _finite(value) -> bool:
@@ -61,7 +42,7 @@ def _finite(value) -> bool:
         return False
 
 
-def _finite_numbers(payload: dict, key: str, *shape: int) -> list:
+def finite_numbers(payload: dict, key: str, *shape: int) -> list:
     """The numbers that ``payload[key]`` nests to ``shape``, in row-major
     order; a ValueError unless it holds finite numbers of that shape.
 
@@ -79,14 +60,6 @@ def _finite_numbers(payload: dict, key: str, *shape: int) -> list:
     if not all(map(_finite, leaves)):
         raise ValueError(f"{key} holds a value that is not a finite number")
     return leaves
-
-
-def float_array(payload: dict, key: str, *shape: int) -> np.ndarray:
-    """``payload[key]`` as a float64 array of ``shape``; a ValueError unless
-    it holds finite numbers of that shape."""
-    import numpy as np
-
-    return np.array(_finite_numbers(payload, key, *shape), dtype=np.float64).reshape(shape)
 
 
 def feature_fingerprint(names: tuple[str, ...] | list[str]) -> str:
@@ -113,8 +86,8 @@ class LogisticHead:
         """The probability of each row of ``X``, a row being as long as the
         weights.  The dot product is rounded once (``math.fsum``), so a head
         with one nonzero weight scores each row as numpy would."""
-        return [_logistic_of(math.fsum(x * w for x, w in zip(row, self.weights, strict=True))
-                             + self.bias) for row in X]
+        return [logistic_of(math.fsum(x * w for x, w in zip(row, self.weights, strict=True))
+                            + self.bias) for row in X]
 
     def to_json(self) -> dict:
         return {"kind": "logistic", "weights": list(self.weights),
@@ -123,81 +96,10 @@ class LogisticHead:
 
     @classmethod
     def from_json(cls, payload: dict, width: int) -> "LogisticHead":
-        return cls(weights=_finite_numbers(payload, "weights", width),
-                   bias=float(_finite_numbers(payload, "bias")[0]),
+        return cls(weights=finite_numbers(payload, "weights", width),
+                   bias=float(finite_numbers(payload, "bias")[0]),
                    fingerprint=payload.get("fingerprint", ""),
                    meta=payload.get("meta", {}))
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    import numpy as np
-
-    shifted = z - z.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-@dataclass
-class SoftmaxHead:
-    weights: np.ndarray  # (num_classes, dim)
-    bias: np.ndarray  # (num_classes,)
-    fingerprint: str = ""
-    meta: dict = field(default_factory=dict)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        import numpy as np
-
-        z = np.asarray(X, dtype=np.float64) @ self.weights.T + self.bias
-        return _softmax(z)
-
-    def to_json(self) -> dict:
-        return {"kind": "softmax", "weights": self.weights.tolist(),
-                "bias": self.bias.tolist(), "fingerprint": self.fingerprint,
-                "meta": self.meta}
-
-    @classmethod
-    def from_json(cls, payload: dict, classes: int, width: int) -> "SoftmaxHead":
-        return cls(weights=float_array(payload, "weights", classes, width),
-                   bias=float_array(payload, "bias", classes),
-                   fingerprint=payload.get("fingerprint", ""),
-                   meta=payload.get("meta", {}))
-
-
-def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
-               fingerprint: str = "") -> LogisticHead | SoftmaxHead:
-    """Fit a head on integer labels; raises DegenerateData on a single class."""
-    import numpy as np
-
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError(f"bad training shapes: X {X.shape}, y {y.shape}")
-    if len(np.unique(y)) < 2:
-        raise DegenerateData("training data contains a single class")
-    n, dim = X.shape
-    meta = {"lr": DEFAULT_LR, "epochs": DEFAULT_EPOCHS, "l2": DEFAULT_L2,
-            "num_classes": num_classes}
-
-    if num_classes == 2:
-        w = np.zeros(dim)
-        b = 0.0
-        target = y.astype(np.float64)
-        for _ in range(DEFAULT_EPOCHS):
-            p = expit(X @ w + b)
-            delta = p - target
-            w -= DEFAULT_LR * (X.T @ delta / n + DEFAULT_L2 * w)
-            b -= DEFAULT_LR * float(delta.mean())
-        return LogisticHead(weights=w, bias=b, fingerprint=fingerprint, meta=meta)
-
-    W = np.zeros((num_classes, dim))
-    b = np.zeros(num_classes)
-    onehot = np.eye(num_classes)[y]
-    for _ in range(DEFAULT_EPOCHS):
-        P = _softmax(X @ W.T + b)
-        delta = P - onehot
-        W -= DEFAULT_LR * (delta.T @ X / n + DEFAULT_L2 * W)
-        b -= DEFAULT_LR * delta.mean(axis=0)
-    return SoftmaxHead(weights=W, bias=b, fingerprint=fingerprint, meta=meta)
 
 
 def write_model(payload: dict, path: str | Path) -> None:
@@ -243,7 +145,8 @@ def read_model(path: str | Path, name: str, kind: str, build: Callable[[dict], A
                            f"{shown(exc)}") from exc
 
 
-def save_head(head: LogisticHead | SoftmaxHead, path: str | Path) -> None:
+def save_head(head, path: str | Path) -> None:
+    """Write a head, a ``LogisticHead`` or ``baseline.SoftmaxHead``, to ``path``."""
     write_model(head.to_json(), path)
 
 

@@ -6,8 +6,8 @@ a mined file) failed, or a runtime error or a failed write stopped the
 command, 2 on configuration errors.
 
 The commands that train, evaluate, split, ablate or count import
-``evaluation`` when they run.  Only ``train``, ``ablate`` and baseline mode
-load numpy; the others never do.
+``evaluation`` when they run.  ``backends.baseline``, the one module that
+imports numpy, loads only for ``train``, ``ablate`` and baseline mode.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, ContextManager
 
-from .backends.heads import save_head, train_head
+from .backends.heads import save_head
 from .config import (
     SP_FINGERPRINT,
     UNSTAMPED,
@@ -368,13 +368,18 @@ def _head_rows(issue: IssueLog, annotation: Annotation, run: _Run, budget: int
 
 
 def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
+    from .backends.baseline import (
+        collect_extraction_data,
+        collect_pair_data,
+        train_baseline,
+        train_head,
+        train_pair_baseline,
+    )
+
     annotations = _require_annotations(cfg)
     if cfg.mode == "baseline":
         if not cfg.baseline_path:
             raise ConfigError("baseline_path is required to train in baseline mode")
-        from .backends.baseline import train_baseline, train_pair_baseline
-        from .evaluation import collect_extraction_data, collect_pair_data
-
         texts, features, labels = collect_extraction_data(
             issues, annotations, SentimentAnalyzer(cfg.lexicon_path))
         if not texts:
@@ -485,7 +490,8 @@ def cmd_split(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
 
 
 def cmd_ablate(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
-    from .evaluation import collect_extraction_data, run_ablation, split_dataset
+    from .backends.baseline import collect_extraction_data, run_ablation
+    from .evaluation import split_dataset
 
     annotations = _require_annotations(cfg)
     analyzer = SentimentAnalyzer(cfg.lexicon_path)

@@ -1,4 +1,4 @@
-"""Scoring, gold annotations, dataset splitting, and feature ablations.
+"""Scoring, gold annotations, dataset splitting and corpus counts.
 
 Rationale-level credit is deliberately loose: a predicted rationale counts as
 a true positive when its solution shares at least one sentence with some gold
@@ -15,9 +15,9 @@ import os
 import random
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .corpus import IssueLog, enumerate_sentences, is_path_component, sentence_order
+from .corpus import IssueLog, enumerate_sentences, is_path_component
 from .errors import (
     ConfigError,
     MalformedExport,
@@ -26,13 +26,8 @@ from .errors import (
     UnknownSentence,
     shown,
 )
-from .features import FEATURE_BLOCKS, FEATURE_DIM, FEATURE_NAMES, compute_feature_matrix
+from .features import FEATURE_BLOCKS, FEATURE_NAMES
 from .miner import ARGUMENT, COMPLEMENTARY, SOLUTION, SUPPORTING, UNRELATED, Rationale
-from .prompts import RELATION_LABELS
-from .sentiment import SentimentAnalyzer
-
-if TYPE_CHECKING:  # the data builders and ablation alone load numpy, when they run
-    import numpy as np
 
 CATEGORY_NONE = "none"
 CATEGORIES = (CATEGORY_NONE, ARGUMENT, SOLUTION)
@@ -54,7 +49,7 @@ def _f1(precision: float, recall: float) -> float:
 
 def eval_binary(predicted: Iterable, gold: Iterable) -> PRF:
     """Plain binary precision/recall/F1 over two id sets: sentence ids, or
-    the ``np.flatnonzero`` positions of aligned 0/1 arrays."""
+    the positions of the 1s in two aligned 0/1 label sequences."""
     predicted, gold = set(predicted), set(gold)
     tp = len(predicted & gold)
     precision = _safe_div(tp, len(predicted))
@@ -273,15 +268,6 @@ def split_dataset(issues: list[IssueLog], seed: int) -> tuple[list[IssueLog], li
     return train, test
 
 
-@dataclass
-class AblationResult:
-    dimension: str
-    masked_slots: list[int]
-    precision: float
-    recall: float
-    f1: float
-
-
 def dimension_slots(dimension: str) -> list[int]:
     """Feature indices zeroed when ablating a named dimension."""
     if dimension not in FEATURE_BLOCKS:
@@ -290,77 +276,6 @@ def dimension_slots(dimension: str) -> list[int]:
             f"expected one of {sorted(FEATURE_BLOCKS)}"
         )
     return [FEATURE_NAMES.index(name) for name in FEATURE_BLOCKS[dimension]]
-
-
-def mask_features(features: np.ndarray, slots: list[int]) -> np.ndarray:
-    import numpy as np
-
-    masked = np.array(features, dtype=np.float64, copy=True)
-    if slots:
-        masked[:, slots] = 0.0
-    return masked
-
-
-def run_ablation(train_texts: list[str], train_features: np.ndarray,
-                 train_labels: np.ndarray, test_texts: list[str],
-                 test_features: np.ndarray, test_labels: np.ndarray,
-                 dimension: str | None) -> AblationResult:
-    """Retrain the design-sentence baseline with one feature block zeroed."""
-    import numpy as np
-
-    from .backends.baseline import train_baseline
-
-    slots = dimension_slots(dimension) if dimension else []
-    model = train_baseline(train_texts, mask_features(train_features, slots),
-                           np.asarray(train_labels))
-    predictions = model.predict(test_texts, mask_features(test_features, slots))
-    prf = eval_binary(np.flatnonzero(predictions), np.flatnonzero(test_labels))
-    return AblationResult(dimension=dimension or "full", masked_slots=slots,
-                          precision=prf.precision, recall=prf.recall, f1=prf.f1)
-
-
-def collect_extraction_data(issues: list[IssueLog],
-                            annotations: list[Annotation],
-                            analyzer: SentimentAnalyzer):
-    """(texts, features, labels) over the sentences of each annotated issue,
-    in corpus order, for training the design-sentence classifiers."""
-    import numpy as np
-
-    by_issue = {a.issue: a for a in annotations}
-    texts: list[str] = []
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    for issue in issues:
-        if issue.key in by_issue:
-            sentences, matrix = compute_feature_matrix(issue, analyzer)
-            texts.extend(s.text for s in sentences)
-            rows.extend(matrix)
-            labels.extend(by_issue[issue.key].design_label(s.id) for s in sentences)
-    features = np.array(rows).reshape(len(rows), FEATURE_DIM)
-    return texts, features, np.array(labels, dtype=np.int64)
-
-
-def collect_pair_data(issues: list[IssueLog], annotations: list[Annotation]):
-    """Pair feature matrix and relation labels derived from annotations."""
-    import numpy as np
-
-    from .backends.baseline import PAIR_FEATURE_NAMES, pair_features
-
-    by_issue = {a.issue: a for a in annotations}
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    for issue in issues:
-        annotation = by_issue.get(issue.key)
-        if annotation is None:
-            continue
-        sentences = enumerate_sentences(issue)
-        by_id = {s.id: s for s in sentences}
-        for sid1, sid2, label in pair_labels_from_annotation(annotation,
-                                                            sentence_order(sentences)):
-            rows.append(pair_features(by_id[sid1], by_id[sid2]))
-            labels.append(RELATION_LABELS.index(label))
-    matrix = np.array(rows).reshape(len(rows), len(PAIR_FEATURE_NAMES))
-    return matrix, np.array(labels, dtype=np.int64)
 
 
 def corpus_stats(issues: list[IssueLog],

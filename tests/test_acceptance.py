@@ -15,19 +15,21 @@ import numpy as np
 import pytest
 
 from rationale_miner.backends.heads import load_head
-from rationale_miner.backends.baseline import train_baseline
+from rationale_miner.backends.baseline import (
+    collect_extraction_data,
+    run_ablation,
+    train_baseline,
+)
 from rationale_miner.backends.protocol import RemoteBackend
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.config import SP_FINGERPRINT
 from rationale_miner.corpus import IssueLog, Sentence
 from rationale_miner.errors import BudgetExhausted, ProtocolError, TransportError
 from rationale_miner.evaluation import (
-    collect_extraction_data,
     dimension_slots,
     eval_binary,
     eval_rationales,
     eval_sentences,
-    run_ablation,
     split_dataset,
 )
 from rationale_miner.features import POLARITY_WORDS, compute_feature_matrix

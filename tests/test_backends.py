@@ -431,6 +431,95 @@ def test_remote_backend_refuses_a_status_line_that_is_not_http_1(status_line):
             backend.generate("x")
 
 
+_CHUNKED = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+
+
+# Each reply breaks HTTP/1.1 framing; ``hold`` keeps the connection open
+# after it, so a client that waited for more bytes would wait for the timeout.
+@pytest.mark.parametrize("reply,hold,message", [
+    (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n", False,
+     "connection closed inside the reply head"),
+    (_CHUNKED + b"zz\r\n", True, "bad chunk size line b'zz\\r\\n'"),
+    (_CHUNKED + b"10\r\nabc", False, "chunk cut short or not ended by CRLF"),
+    (_CHUNKED + b"3\r\nabcXY0\r\n\r\n", True, "chunk cut short or not ended by CRLF"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: 1x\r\n\r\n{}", True, "bad Content-Length b'1x'"),
+    (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n{}", True, "bad Content-Length b'-1'"),
+])
+def test_remote_backend_refuses_a_reply_that_breaks_framing_and_drops_its_connection(
+        reply, hold, message):
+    with _answering(reply, hold=hold) as url:
+        backend = RemoteBackend(url, timeout=5)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match=re.escape(
+                f"POST {url}/v1/generate failed: {message}")):
+            backend.generate("x")
+        assert time.monotonic() - start < 2
+        assert backend._idle == []  # and closed, or the listener would not end
+
+
+@pytest.mark.parametrize("status_line", [b"HTTP/1.1 204 No Content\r\n",
+                                         b"HTTP/1.1 304 Not Modified\r\n"])
+def test_remote_backend_reads_no_body_after_a_204_or_304_and_keeps_the_connection(status_line):
+    """Such a reply ends with its head; a client that read on to the end of
+    the connection would wait for the timeout."""
+    with _answering(status_line + b"\r\n", _reply()) as url:  # one connection only
+        backend = RemoteBackend(url, timeout=5)
+        start = time.monotonic()
+        status = status_line.split()[1].decode()
+        with pytest.raises(TransportError, match=f"/v1/generate returned status {status}$"):
+            backend.generate("x")
+        assert time.monotonic() - start < 2
+        assert len(backend._idle) == 1
+        assert backend.generate("y") == "ok"
+        backend.close()
+
+
+class _BrokenPipe:
+    """A connected socket whose writes fail as they do once the peer has
+    closed the connection."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+
+    def sendall(self, data: bytes) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def close(self) -> None:
+        self.sock.close()
+
+
+def test_remote_backend_resends_once_when_a_kept_alive_connection_cannot_be_written():
+    with run_stub(keep_alive=True) as stub:
+        backend = RemoteBackend(stub.url)
+        assert backend.generate("first") == expected_text("first")
+        [conn] = backend._idle
+        conn.sock = _BrokenPipe(conn.sock)
+        assert backend.generate("second") == expected_text("second")
+        assert stub.connections == 2
+        assert len(stub.requests) == 2  # the failed write sent nothing
+        backend.close()
+
+
+def test_remote_backend_does_not_resend_when_a_new_connection_cannot_be_written(monkeypatch):
+    with run_stub(keep_alive=True) as stub:
+        backend = RemoteBackend(stub.url)
+        connect, connects = backend._connect, []
+
+        def broken():
+            conn = connect()
+            conn.sock = _BrokenPipe(conn.sock)
+            connects.append(conn)
+            return conn
+
+        monkeypatch.setattr(backend, "_connect", broken)
+        with pytest.raises(TransportError,
+                           match=f"POST {stub.url}/v1/generate failed: .*Broken pipe"):
+            backend.generate("x")
+        assert len(connects) == 1
+        assert backend._idle == []
+        assert stub.all_closed()
+
+
 def test_remote_backend_unreachable_host_is_one_attempt(monkeypatch):
     with socket.create_server(("127.0.0.1", 0)) as free:
         port = free.getsockname()[1]  # refuses connections once closed

@@ -21,8 +21,8 @@ import pytest
 
 import rationale_miner
 from rationale_miner import cli
-from rationale_miner.backends.baseline import BaselineModel, PairBaselineModel
-from rationale_miner.backends.heads import LogisticHead, SoftmaxHead, load_head, save_head
+from rationale_miner.backends.baseline import BaselineModel, PairBaselineModel, SoftmaxHead
+from rationale_miner.backends.heads import LogisticHead, load_head, save_head
 from rationale_miner.cli import main
 from rationale_miner.config import MAX_WORKERS, SP_FINGERPRINT, build_backend, load_config
 from rationale_miner.corpus import load_corpus
@@ -995,12 +995,14 @@ def _loaded_in_a_fresh_process(config_path, cwd, commands, roots, env=os.environ
 def test_prompt_head_commands_load_no_numpy_http_library_or_scipy(workspace):
     """The transport, the features and the prompt head are the standard
     library's: importing the CLI and running prompt-head ingest, extract,
-    pair, mine and export pulls in neither numpy, requests, urllib3 nor
-    scipy, which would add to every run's set-up."""
+    pair, mine and export pulls in neither numpy, its one module
+    ``backends.baseline``, requests, urllib3 nor scipy, which would add to
+    every run's set-up."""
     tmp_path, _, config_path = workspace
     loaded = _loaded_in_a_fresh_process(config_path, tmp_path,
                                         ("ingest", "extract", "pair", "mine", "export"),
-                                        ("numpy", "requests", "urllib3", "scipy"))
+                                        ("numpy", "rationale_miner.backends.baseline",
+                                         "requests", "urllib3", "scipy"))
     assert loaded == "[]"
     assert len(list((tmp_path / "out").glob("FLINK-1320.*"))) == 5
 
@@ -1012,10 +1014,19 @@ def test_stats_split_and_eval_load_no_numpy(workspace, fixtures_dir):
     _rewrite(workspace, annotations_path=str(_add_second_issue(workspace, fixtures_dir)))
     assert main(["mine", "-c", str(config_path)]) == 0  # the files that eval scores
     loaded = _loaded_in_a_fresh_process(config_path, tmp_path, ("stats", "split", "eval"),
-                                        ("numpy",))
+                                        ("numpy", "rationale_miner.backends.baseline"))
     assert loaded == "[]"
     assert (tmp_path / "out" / "split.json").is_file()
     assert (tmp_path / "out" / "metrics.csv").is_file()
+
+
+def test_prompt_head_train_loads_the_baseline_module(workspace):
+    """Training the prompt head imports ``backends.baseline``, the one
+    module that imports numpy, so the two checks above can fail."""
+    tmp_path, _, config_path = workspace
+    loaded = _loaded_in_a_fresh_process(config_path, tmp_path, ("train",),
+                                        ("rationale_miner.backends.baseline",))
+    assert loaded == "['rationale_miner.backends.baseline']"
 
 
 def test_plain_http_mining_loads_no_http_client_email_ssl_or_urllib_request(workspace):

@@ -6,6 +6,12 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from rationale_miner.backends.baseline import (
+    collect_extraction_data,
+    collect_pair_data,
+    mask_features,
+    run_ablation,
+)
 from rationale_miner.corpus import IssueLog, enumerate_sentences
 from rationale_miner.errors import (
     MalformedExport,
@@ -16,8 +22,6 @@ from rationale_miner.errors import (
 from rationale_miner.evaluation import (
     Annotation,
     PRF,
-    collect_extraction_data,
-    collect_pair_data,
     corpus_stats,
     dimension_slots,
     eval_binary,
@@ -25,9 +29,7 @@ from rationale_miner.evaluation import (
     eval_sentences,
     load_annotations,
     map_to_gold,
-    mask_features,
     pair_labels_from_annotation,
-    run_ablation,
     save_annotations,
     split_dataset,
 )

@@ -8,17 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationale_miner.backends import heads
-from rationale_miner.backends.baseline import PairBaselineModel, train_pair_baseline
-from rationale_miner.backends.heads import (
-    LogisticHead,
+from rationale_miner.backends import baseline
+from rationale_miner.backends.baseline import (
+    PairBaselineModel,
     SoftmaxHead,
     expit,
-    feature_fingerprint,
-    load_head,
-    save_head,
     train_head,
+    train_pair_baseline,
 )
+from rationale_miner.backends.heads import LogisticHead, feature_fingerprint, load_head, save_head
 from rationale_miner.errors import DegenerateData, FingerprintMismatch, ModelMissing
 from rationale_miner.miner import SP_FEATURE_NAMES
 
@@ -89,7 +87,7 @@ def test_trained_head_is_the_one_scipy_would_train(tmp_path, monkeypatch):
     y = (X[:, 0] + 0.3 * rng.normal(size=300) > 0).astype(int)
     ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
     save_head(train_head(X, y), ours)
-    monkeypatch.setattr(heads, "expit", special.expit)
+    monkeypatch.setattr(baseline, "expit", special.expit)
     save_head(train_head(X, y), theirs)
     assert ours.read_bytes() == theirs.read_bytes()
 

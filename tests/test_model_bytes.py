@@ -12,9 +12,14 @@ import hashlib
 
 import numpy as np
 
-from rationale_miner.backends.baseline import train_baseline, train_pair_baseline
-from rationale_miner.backends.heads import save_head, train_head
-from rationale_miner.evaluation import collect_extraction_data, split_dataset
+from rationale_miner.backends.baseline import (
+    collect_extraction_data,
+    train_baseline,
+    train_head,
+    train_pair_baseline,
+)
+from rationale_miner.backends.heads import save_head
+from rationale_miner.evaluation import split_dataset
 from rationale_miner.sentiment import SentimentAnalyzer
 from rationale_miner.synthetic import make_design_corpus
 

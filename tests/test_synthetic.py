@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+from rationale_miner.backends.baseline import collect_pair_data
 from rationale_miner.corpus import enumerate_sentences
-from rationale_miner.evaluation import collect_pair_data
 from rationale_miner.prompts import RELATION_LABELS
 from rationale_miner.synthetic import PROJECTS, make_design_corpus
 
