@@ -100,8 +100,6 @@ def train_head(X: np.ndarray, y: np.ndarray, num_classes: int = 2,
     """Fit a head on integer labels; raises DegenerateData on a single class."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    if X.ndim != 2 or len(X) != len(y):
-        raise ValueError(f"bad training shapes: X {X.shape}, y {y.shape}")
     if len(np.unique(y)) < 2:
         raise DegenerateData("training data contains a single class")
     n, dim = X.shape

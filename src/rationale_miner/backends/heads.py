@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
-from ..errors import FingerprintMismatch, ModelMissing, shown
+from ..errors import ModelMissing, shown
 
 
 def logistic_of(x: float) -> float:
@@ -117,9 +117,8 @@ def read_model(path: str | Path, name: str, kind: str, build: Callable[[dict], A
     ``build`` is the constructor of a model of ``kind``, which checks the
     shape of each field against the widths its reader needs.  A missing or
     unreadable file (a name too long to exist among them), content that is
-    not a JSON object, another kind and a missing or malformed field raise
-    ModelMissing.  A fingerprint other than ``expected_fingerprint`` raises
-    FingerprintMismatch.
+    not a JSON object, a fingerprint other than ``expected_fingerprint``,
+    another kind and a missing or malformed field raise ModelMissing.
     """
     where = shown(str(path))
     if not os.path.exists(path):
@@ -132,7 +131,7 @@ def read_model(path: str | Path, name: str, kind: str, build: Callable[[dict], A
         raise ModelMissing(f"{name} at {where} is not a JSON object")
     fingerprint = payload.get("fingerprint", "")
     if fingerprint != expected_fingerprint:
-        raise FingerprintMismatch(
+        raise ModelMissing(
             f"{name} at {where} was trained on feature order {shown(fingerprint)}, "
             f"expected {expected_fingerprint!r}"
         )

@@ -269,9 +269,7 @@ def _ingest(issue: IssueLog, out: Path) -> tuple[str, list[str]]:
     path = out / f"{issue.key}.sentences.jsonl"
     with open(path, "w", encoding="utf-8") as handle:
         for s in sentences:
-            record = asdict(s)
-            del record["issue_key"]  # the file name holds it
-            handle.write(json.dumps(record) + "\n")
+            handle.write(json.dumps(asdict(s)) + "\n")
     return f"{issue.key}: {len(sentences)} sentences -> {path}", []
 
 

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import BadTimestamp, ConfigError, MalformedExport, MiningError, shown
+from .errors import ConfigError, MalformedExport, MiningError, shown
 
 DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
     "e.g.", "i.e.", "etc.", "cf.", "vs.", "al.",
@@ -77,7 +77,6 @@ class Sentence:
     block_index: int
     global_index: int
     author: str
-    issue_key: str
 
 
 _TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(\d{1,6}))?)?"
@@ -87,9 +86,9 @@ _TIMESTAMP = re.compile(r"(\d{4})-(\d\d)-(\d\d)[T ](\d\d):(\d\d)(?::(\d\d)(?:\.(
 def _parse_timestamp(value: str) -> _dt.datetime:
     """Parse the one timestamp form accepted on every Python version: a date,
     'T' or a space, HH:MM with optional seconds and a fraction of 1-6 digits,
-    then an optional Z or +HH:MM/+HHMM offset; anything else raises BadTimestamp."""
+    then an optional Z or +HH:MM/+HHMM offset; anything else raises MalformedExport."""
     if not isinstance(value, str) or not value.strip():
-        raise BadTimestamp(f"timestamp is not a string: {shown(value)}")
+        raise MalformedExport(f"timestamp is not a string: {shown(value)}")
     match = _TIMESTAMP.fullmatch(value.strip())
     try:
         if match is None:
@@ -100,7 +99,7 @@ def _parse_timestamp(value: str) -> _dt.datetime:
         return _dt.datetime(*(int(part or 0) for part in parts),
                             int((fraction or "0").ljust(6, "0")), tzinfo=zone)
     except ValueError as exc:  # no match, or a field out of range
-        raise BadTimestamp(f"unparseable timestamp: {shown(value)}") from exc
+        raise MalformedExport(f"unparseable timestamp: {shown(value)}") from exc
 
 
 def can_name_a_file(name: str) -> bool:
@@ -123,9 +122,9 @@ def is_path_component(name: str) -> bool:
 def parse_issue(raw: dict) -> IssueLog:
     """Build an IssueLog from a decoded export, sorting comments by timestamp.
 
-    Raises MalformedExport when required keys are missing or mistyped or the
-    key is not a single path component, and BadTimestamp when a comment
-    timestamp cannot be parsed or the timestamps cannot be ordered.
+    Raises MalformedExport when required keys are missing or mistyped, the
+    key is not a single path component, or a comment timestamp cannot be
+    parsed or the timestamps cannot be ordered.
     """
     if not isinstance(raw, dict):
         raise MalformedExport(f"issue export must be an object, got {type(raw).__name__}")
@@ -157,8 +156,8 @@ def parse_issue(raw: dict) -> IssueLog:
     try:
         comments.sort(key=lambda c: c.created)
     except TypeError as exc:  # timestamps with and without an offset
-        raise BadTimestamp(f"issue {key}: cannot order comment timestamps "
-                           f"with and without an offset") from exc
+        raise MalformedExport(f"issue {key}: cannot order comment timestamps "
+                              f"with and without an offset") from exc
     return IssueLog(key=key, summary=raw["summary"], description=raw.get("description") or "",
                     reporter=raw.get("reporter") or "", comments=comments)
 
@@ -341,8 +340,7 @@ def enumerate_sentences(issue: IssueLog) -> list[Sentence]:
              block_index: int, author: str) -> None:
         sentences.append(Sentence(
             id=sid, text=text, kind=kind, comment_index=comment_index,
-            block_index=block_index, global_index=len(sentences),
-            author=author, issue_key=issue.key,
+            block_index=block_index, global_index=len(sentences), author=author,
         ))
 
     summary = " ".join(issue.summary.split())

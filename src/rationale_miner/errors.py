@@ -10,11 +10,8 @@ class MiningError(Exception):
 
 
 class MalformedExport(MiningError):
-    """Issue export JSON is missing a required key or has the wrong shape."""
-
-
-class BadTimestamp(MiningError):
-    """A comment timestamp could not be parsed."""
+    """Issue export JSON is missing a required key or has the wrong shape,
+    or a comment timestamp cannot be parsed or ordered."""
 
 
 class MissingLexicon(MiningError):
@@ -27,10 +24,6 @@ class UnknownSentence(MiningError):
 
 class SameSentence(MiningError):
     """A pair operation was asked to relate a sentence to itself."""
-
-
-class CrossIssue(MiningError):
-    """A pair operation was asked to relate sentences from different issues."""
 
 
 class BudgetExhausted(MiningError):
@@ -46,23 +39,14 @@ class ProtocolError(MiningError):
 
 
 class ModelMissing(MiningError):
-    """A model file required by the current mode is absent."""
-
-
-class FingerprintMismatch(MiningError):
-    """A stored model was trained against a different feature order."""
+    """A model file required by the current mode is absent, unreadable,
+    malformed, of the wrong kind, or trained against a different feature
+    order."""
 
 
 class DegenerateData(MiningError):
-    """The data leaves nothing to train on or to score."""
-
-
-class TooFewIssues(MiningError):
-    """A project has too few issues to reserve one for the test split."""
-
-
-class UnknownDimension(MiningError):
-    """An ablation asked for a feature dimension that does not exist."""
+    """The data leaves nothing to train on or to score, or a project has too
+    few issues to reserve one for the test split."""
 
 
 class ConfigError(MiningError):

@@ -18,14 +18,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .corpus import IssueLog, enumerate_sentences, is_path_component
-from .errors import (
-    ConfigError,
-    MalformedExport,
-    TooFewIssues,
-    UnknownDimension,
-    UnknownSentence,
-    shown,
-)
+from .errors import ConfigError, DegenerateData, MalformedExport, UnknownSentence, shown
 from .features import FEATURE_BLOCKS, FEATURE_NAMES
 from .miner import ARGUMENT, COMPLEMENTARY, SOLUTION, SUPPORTING, UNRELATED, Rationale
 
@@ -248,7 +241,7 @@ def split_dataset(issues: list[IssueLog], seed: int) -> tuple[list[IssueLog], li
 
     Projects are visited in sorted order with issues sorted by key, so a seed
     fully determines the split.  A project with fewer than two issues raises
-    TooFewIssues.
+    DegenerateData.
     """
     by_project: dict[str, list[IssueLog]] = {}
     for issue in issues:
@@ -258,7 +251,7 @@ def split_dataset(issues: list[IssueLog], seed: int) -> tuple[list[IssueLog], li
     for project in sorted(by_project):
         members = sorted(by_project[project], key=lambda i: i.key)
         if len(members) < 2:
-            raise TooFewIssues(
+            raise DegenerateData(
                 f"project {project} has {len(members)} issue(s); need at least 2"
             )
         test_keys.add(members[rng.randrange(len(members))].key)
@@ -270,11 +263,6 @@ def split_dataset(issues: list[IssueLog], seed: int) -> tuple[list[IssueLog], li
 
 def dimension_slots(dimension: str) -> list[int]:
     """Feature indices zeroed when ablating a named dimension."""
-    if dimension not in FEATURE_BLOCKS:
-        raise UnknownDimension(
-            f"unknown feature dimension {dimension!r}; "
-            f"expected one of {sorted(FEATURE_BLOCKS)}"
-        )
     return [FEATURE_NAMES.index(name) for name in FEATURE_BLOCKS[dimension]]
 
 

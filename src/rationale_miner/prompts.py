@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .backends.protocol import MASK_TOKEN
 from .corpus import Sentence, pair_structure
-from .errors import BudgetExhausted, CrossIssue, SameSentence
+from .errors import BudgetExhausted, SameSentence
 
 # Slots reserved for the fixed cloze wording plus sequence special tokens.
 FIXED_PROMPT_SLOTS = 8
@@ -94,8 +94,6 @@ def build_pair_prompt(s1: Sentence, s2: Sentence,
     fixed layout; tokens unused by a short sentence are not reallocated to the
     other one.
     """
-    if s1.issue_key != s2.issue_key:
-        raise CrossIssue(f"cannot pair {s1.id} ({s1.issue_key}) with {s2.id} ({s2.issue_key})")
     if s1.id == s2.id:
         raise SameSentence(f"cannot pair sentence {s1.id} with itself")
     in_same_comment, distance = pair_structure(s1, s2)

@@ -57,8 +57,7 @@ from stub_server import expected_probs, expected_text, run_stub
 def _sentence(sid: str, text: str, comment_index: int | None = 0,
               global_index: int = 0, kind: str = "comment") -> Sentence:
     return Sentence(id=sid, text=text, kind=kind, comment_index=comment_index,
-                    block_index=0, global_index=global_index, author="a",
-                    issue_key="DEMO-1")
+                    block_index=0, global_index=global_index, author="a")
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from rationale_miner.backends.baseline import (
     train_pair_baseline,
 )
 from rationale_miner.corpus import Sentence
-from rationale_miner.errors import FingerprintMismatch, ModelMissing
+from rationale_miner.errors import ModelMissing
 from rationale_miner.features import FEATURE_DIM
 
 
@@ -33,7 +33,7 @@ def _sentence(sid: str, text: str, kind: str = "comment",
               global_index: int = 0) -> Sentence:
     return Sentence(id=sid, text=text, kind=kind, comment_index=comment_index,
                     block_index=block_index, global_index=global_index,
-                    author="alice", issue_key="DEMO-1")
+                    author="alice")
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def test_baseline_fingerprint_checks(tmp_path):
     path = tmp_path / "model.json"
     train_baseline(texts, features, labels).save(path)
     _refingerprint(path, PAIR_FINGERPRINT)
-    with pytest.raises(FingerprintMismatch):
+    with pytest.raises(ModelMissing, match="was trained on feature order"):
         BaselineModel.load(path)
     with pytest.raises(ModelMissing):
         BaselineModel.load(tmp_path / "absent.json")
@@ -244,7 +244,7 @@ def test_pair_baseline_round_trip(tmp_path):
     loaded = PairBaselineModel.load(path)
     assert np.array_equal(loaded.predict(X), model.predict(X))
     _refingerprint(path, BASELINE_FINGERPRINT)
-    with pytest.raises(FingerprintMismatch):
+    with pytest.raises(ModelMissing, match="was trained on feature order"):
         PairBaselineModel.load(path)
     with pytest.raises(ModelMissing):
         PairBaselineModel.load(tmp_path / "absent.json")

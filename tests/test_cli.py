@@ -1052,24 +1052,66 @@ def test_plain_http_mining_loads_no_http_client_email_ssl_or_urllib_request(work
                    check=True)
 
 
-def test_every_third_party_import_is_a_declared_dependency():
-    """Each top-level module that the package imports is in the standard
-    library, is the package itself, or is listed in pyproject.toml."""
-    tomllib = pytest.importorskip("tomllib")
-    package = Path(rationale_miner.__file__).resolve().parent
-    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(
-        encoding="utf-8"))
-    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
-                for spec in pyproject["project"]["dependencies"]}
+def _declared(specs: list[str]) -> set[str]:
+    """The module name of each requirement in ``specs``: its distribution
+    name, lower-cased, with ``-`` read as ``_``."""
+    return {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_")
+            for spec in specs}
+
+
+def _top_level_imports(sources) -> set[str]:
+    """The top-level module of each absolute import in ``sources`` and of
+    each name passed to ``pytest.importorskip``."""
     imported = set()
-    for source in package.rglob("*.py"):
-        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.partition(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.partition(".")[0])
+            elif (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip"
+                  and node.args and isinstance(node.args[0], ast.Constant)):
+                imported.add(node.args[0].value.partition(".")[0])
+    return imported
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _pyproject() -> dict:
+    tomllib = pytest.importorskip("tomllib")
+    return tomllib.loads((_ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """Each top-level module that the package imports is in the standard
+    library, is the package itself, or is listed in pyproject.toml."""
+    pyproject = _pyproject()
+    package = Path(rationale_miner.__file__).resolve().parent
+    imported = _top_level_imports(source.read_text(encoding="utf-8")
+                                  for source in package.rglob("*.py"))
     third_party = imported - set(sys.stdlib_module_names) - {"rationale_miner"}
-    assert third_party == declared == {"numpy"}
+    assert third_party == _declared(pyproject["project"]["dependencies"]) == {"numpy"}
+
+
+def test_every_third_party_module_the_tests_use_is_declared():
+    """``pip install .[test]`` installs every module that a test imports or
+    hands to ``pytest.importorskip``, so no check is skipped for a missing
+    one.  Local modules under tests/ and perfbench/ are not third-party."""
+    project = _pyproject()["project"]
+    declared = _declared(project["dependencies"] + project["optional-dependencies"]["test"])
+    imported = _top_level_imports(source.read_text(encoding="utf-8")
+                                  for source in (_ROOT / "tests").glob("*.py"))
+    local = {path.stem for name in ("tests", "perfbench") for path in (_ROOT / name).glob("*.py")}
+    third_party = (imported - set(sys.stdlib_module_names) - {"tomllib", "rationale_miner"}
+                   - local)
+    assert third_party - declared == set()
+
+
+def test_an_importorskip_name_counts_as_an_import():
+    source = ('import a.b, c\nfrom d.e import f\nfrom . import g\n'
+              'x = pytest.importorskip("h.i")\nimportlib.import_module("j")\n')
+    assert _top_level_imports([source]) == {"a", "c", "d", "h"}
 
 
 @pytest.mark.parametrize("command", ["pair", "mine"])

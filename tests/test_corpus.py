@@ -21,7 +21,7 @@ from rationale_miner.corpus import (
     sentence_order,
     split_sentences,
 )
-from rationale_miner.errors import BadTimestamp, MalformedExport
+from rationale_miner.errors import MalformedExport
 
 from oracles import oracle_clean_text, oracle_split_sentences
 
@@ -96,7 +96,7 @@ def test_parse_issue_rejects_a_comment_that_is_not_an_object(comment):
 def test_parse_issue_rejects_bad_timestamps():
     raw = {"key": "A-1", "summary": "x",
            "comments": [{"author": "a", "body": "b", "created": "yesterday"}]}
-    with pytest.raises(BadTimestamp):
+    with pytest.raises(MalformedExport, match="unparseable timestamp: 'yesterday'"):
         parse_issue(raw)
 
 
@@ -167,7 +167,7 @@ def test_the_timestamp_grammar_is_the_same_on_every_python(stamp, created):
     raw = {"key": "A-1", "summary": "x",
            "comments": [{"author": "a", "body": "b", "created": stamp}]}
     if created is None:
-        with pytest.raises(BadTimestamp, match="unparseable timestamp"):
+        with pytest.raises(MalformedExport, match="unparseable timestamp"):
             parse_issue(raw)
     else:
         assert parse_issue(raw).comments[0].created == created

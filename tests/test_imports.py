@@ -8,9 +8,10 @@ that a deletion leaves behind.  A package's ``__init__.py`` holds only its
 docstring: callers import each name from the module that defines it, so no
 re-export layer can grow back.  Only ``miner.py`` schedules a run: no
 other module under src/ builds a thread or an executor or sets ``ISSUE_RANK``.
-Only the modules that train, evaluate or run baseline mode import numpy.
-No module under src/ imports the HTTP stack (``http``, ``email``, ``ssl``,
-``urllib.request``) when it is imported itself.
+Only ``backends/baseline.py`` imports numpy.  No module under src/ imports
+the HTTP stack (``http``, ``email``, ``ssl``, ``urllib.request``) when it is
+imported itself.  Every error kind in ``errors.py`` is raised somewhere, and
+an ``except`` under src/ names only ``MiningError`` or a kind that is raised.
 """
 
 from __future__ import annotations
@@ -185,9 +186,9 @@ def _numpy_imports(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("path", [path for path in MODULES if path.is_relative_to(ROOT / "src")],
                          ids=lambda path: path.relative_to(ROOT).as_posix())
-def test_only_the_training_evaluation_and_baseline_modules_import_numpy(path):
-    """Prompt-head mining runs on the standard library alone, so a command
-    that neither trains, evaluates nor runs baseline mode never loads numpy."""
+def test_only_the_baseline_module_imports_numpy(path):
+    """Only ``backends/baseline.py`` imports numpy, so prompt-head mining,
+    ``stats``, ``split`` and ``eval`` never load it."""
     named = path.relative_to(ROOT / "src").as_posix() in _NUMPY_MODULES
     assert bool(_numpy_imports(ast.parse(path.read_text(encoding="utf-8")))) == named
 
@@ -249,3 +250,52 @@ def test_an_http_stack_import_on_import_is_found():
     assert _http_stack_imports_on_import(tree) == [
         "1 ssl", "2 http.client", "3 email", "4 urllib.request", "8 urllib.request",
         "10 email.utils", "17 http"]
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Each name in ``node``, bare or as the attribute of a module."""
+    return {part.id if isinstance(part, ast.Name) else part.attr for part in ast.walk(node)
+            if isinstance(part, (ast.Name, ast.Attribute))}
+
+
+def _raised_and_caught(trees) -> tuple[set[str], set[str]]:
+    """The names that a ``raise`` in ``trees`` raises, called or not, and the
+    names that an ``except`` clause in them catches."""
+    raised, caught = set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised |= _names(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _names(node.type)
+    return raised, caught
+
+
+def _idle_error_kinds(errors: ast.Module, trees) -> list[str]:
+    """``never raised K`` for each class K in ``errors`` but ``MiningError``
+    that no ``raise`` in ``trees`` raises, and ``caught, never raised K`` for
+    each such K that an ``except`` in them names."""
+    kinds = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    kinds.discard("MiningError")
+    raised, caught = _raised_and_caught(trees)
+    return sorted([f"never raised {kind}" for kind in kinds - raised] +
+                  [f"caught, never raised {kind}" for kind in (kinds & caught) - raised])
+
+
+def test_every_error_kind_is_raised_and_every_caught_one_too():
+    """A kind that no ``raise`` under src/ raises, or an ``except`` that waits
+    for one, guards a cause that no input reaches."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.is_relative_to(ROOT / "src")]
+    errors = ast.parse((ROOT / "src" / "rationale_miner" / "errors.py").read_text(encoding="utf-8"))
+    assert _idle_error_kinds(errors, trees) == []
+
+
+def test_an_idle_error_kind_is_found():
+    errors = ast.parse("class MiningError(Exception): pass\n" + "".join(
+        f"class {kind}(MiningError): pass\n" for kind in "ABCDE"))
+    module = ast.parse("try:\n    raise A('x')\nexcept (B, MiningError):\n    raise\n"
+                       "except C as exc:\n    raise errors.D from exc\n"
+                       "def f():\n    raise C if f else OSError\n")
+    assert _idle_error_kinds(errors, [module]) == ["caught, never raised B", "never raised B",
+                                                   "never raised E"]

@@ -45,8 +45,7 @@ def _graph(nodes: list[str], supporting=(), complementary=()) -> RelationGraph:
 def _sentence(sid: str, text: str, comment_index: int | None, global_index: int,
               kind: str = "comment") -> Sentence:
     return Sentence(id=sid, text=text, kind=kind, comment_index=comment_index,
-                    block_index=0, global_index=global_index, author="alice",
-                    issue_key="DEMO-1")
+                    block_index=0, global_index=global_index, author="alice")
 
 
 def test_sp_feature_layout():

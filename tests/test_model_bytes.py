@@ -3,7 +3,13 @@
 Training is deterministic, so equal inputs give equal files; these tests
 also pin what those files are, so a change to the training code that keeps
 it deterministic but moves a weight, a default or a meta field shows here.
-The digests were recorded with numpy 2.4 on x86-64.
+The digests were recorded with numpy 2.4 on x86-64, under the AVX-512
+(``SkylakeX``) kernel that numpy's OpenBLAS picks at run time on a CPU that
+has AVX-512.  They depend on that kernel: another one sums ``X @ w`` and
+``X.T @ delta`` in another order and moves the last bits, so all four tests
+fail under ``OPENBLAS_CORETYPE=Haswell``, as do three digest tests in
+``test_cli.py``.  Training without BLAS (ROADMAP item 19) would make the
+bytes the same on every host.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationale_miner.corpus import Sentence, enumerate_sentences, pair_structure
-from rationale_miner.errors import BudgetExhausted, CrossIssue, SameSentence
+from rationale_miner.errors import BudgetExhausted, SameSentence
 from rationale_miner.prompts import (
     CLOZE_MAX_SEQUENCE,
     FIXED_PROMPT_SLOTS,
@@ -25,10 +25,9 @@ _GOLDEN_PROMPTS = json.loads((FIXTURES / "prompts-golden.json").read_text(encodi
 
 
 def _sentence(text: str, global_index: int = 0, sid: str = "s", kind: str = "comment",
-              comment_index: int | None = 0, issue_key: str = "A-1") -> Sentence:
+              comment_index: int | None = 0) -> Sentence:
     return Sentence(id=sid, text=text, kind=kind, comment_index=comment_index,
-                    block_index=0, global_index=global_index, author="dev",
-                    issue_key=issue_key)
+                    block_index=0, global_index=global_index, author="dev")
 
 
 # ---------------------------------------------------------------------------
@@ -107,11 +106,8 @@ def test_pair_caps_are_independent():
     assert body2 == "short text"
 
 
-def test_pair_rejects_cross_issue_and_self_pairs():
-    a = _sentence("one", sid="a", issue_key="A-1")
-    b = _sentence("two", sid="b", issue_key="B-2", global_index=1)
-    with pytest.raises(CrossIssue):
-        build_pair_prompt(a, b)
+def test_pair_rejects_self_pairs():
+    a = _sentence("one", sid="a")
     with pytest.raises(SameSentence):
         build_pair_prompt(a, a)
 
