@@ -4,10 +4,10 @@ The design-sentence baseline concatenates a TF-IDF bag of words with the
 29-dimensional feature block and fits a logistic head on top.  The pair
 baseline scores sentence pairs from six structural features with a ternary
 softmax head.  Dense feature blocks are standardized with statistics from the
-training split; constant (or ablated) columns stay at zero.  The two
-baseline classifiers, which baseline mode mines with, wrap these models.
-Training is deterministic full-batch gradient descent from zero weights, so
-the same data always yields byte-identical saved models.
+training split; constant (or ablated) columns stay at zero.  Baseline mode
+mines with the two models as its classifiers.  Training is deterministic
+full-batch gradient descent from zero weights, so the same data always
+yields byte-identical saved models.
 
 This is the one module that imports numpy.
 """
@@ -218,6 +218,9 @@ class BaselineModel:
     def predict(self, texts: list[str], features) -> np.ndarray:
         return (self.predict_proba(texts, features) >= DESIGN_THRESHOLD).astype(np.int64)
 
+    def scores(self, sentences: list[Sentence], features, summary: str) -> list[float]:
+        return self.predict_proba([s.text for s in sentences], features).tolist()
+
     def to_json(self) -> dict:
         return {
             **self.head.to_json(), **self.scaler.to_json(),
@@ -256,16 +259,6 @@ def train_baseline(texts: list[str], features: np.ndarray, labels: np.ndarray) -
     return BaselineModel(vectorizer=vectorizer, scaler=scaler, head=head)
 
 
-@dataclass
-class BaselineClassifier:
-    """Scores sentences with the design baseline."""
-
-    model: BaselineModel
-
-    def scores(self, sentences: list[Sentence], features, summary: str) -> list[float]:
-        return self.model.predict_proba([s.text for s in sentences], features).tolist()
-
-
 def pair_features(s1: Sentence, s2: Sentence) -> np.ndarray:
     """Six structural features of an ordered sentence pair."""
     tokens1, tokens2 = set(word_tokens(s1.text)), set(word_tokens(s2.text))
@@ -295,6 +288,16 @@ class PairBaselineModel:
     def predict(self, pair_matrix: np.ndarray) -> np.ndarray:
         return self.predict_proba(pair_matrix).argmax(axis=1)
 
+    def relations(self, design: list[Sentence]) -> tuple[list[Edge], list[str]]:
+        """One label per design pair, read by ``pair_edge`` as if the reverse
+        query said supporting too: a supporting pair takes the earlier
+        sentence as its solution."""
+        pairs = design_pairs(design)
+        rows = np.array([pair_features(s1, s2) for s1, s2 in pairs])
+        labels = self.predict(rows.reshape(len(pairs), len(PAIR_FEATURE_NAMES)))
+        return [edge for (s1, s2), label in zip(pairs, labels)
+                if (edge := pair_edge(s1, s2, RELATION_LABELS[label], SUPPORTING))], []
+
     def to_json(self) -> dict:
         return {**self.head.to_json(), **self.scaler.to_json(), "kind": "pair_baseline"}
 
@@ -320,22 +323,6 @@ def train_pair_baseline(pair_matrix: np.ndarray, labels: np.ndarray) -> PairBase
     head = train_head(scaler.transform(pair_matrix), labels, len(RELATION_LABELS),
                       fingerprint=PAIR_FINGERPRINT)
     return PairBaselineModel(scaler=scaler, head=head)
-
-
-@dataclass
-class BaselinePairClassifier:
-    """Relates design sentences with the pair baseline, one label per pair,
-    read by ``pair_edge`` as if the reverse query said supporting too: a
-    supporting pair takes the earlier sentence as its solution."""
-
-    model: PairBaselineModel
-
-    def relations(self, design: list[Sentence]) -> tuple[list[Edge], list[str]]:
-        pairs = design_pairs(design)
-        rows = np.array([pair_features(s1, s2) for s1, s2 in pairs])
-        labels = self.model.predict(rows.reshape(len(pairs), len(PAIR_FEATURE_NAMES)))
-        return [edge for (s1, s2), label in zip(pairs, labels)
-                if (edge := pair_edge(s1, s2, RELATION_LABELS[label], SUPPORTING))], []
 
 
 def collect_extraction_data(issues: list[IssueLog],

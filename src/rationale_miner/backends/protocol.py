@@ -114,7 +114,9 @@ class Backend(ABC):
 
 def split_base_url(url: str) -> SplitResult:
     """``url`` split into parts, if it is an ASCII http:// or https:// URL
-    with a host and a valid port; otherwise a ConfigError."""
+    with a host, a valid port and no query or fragment; otherwise a
+    ConfigError.  The endpoint paths are appended to the URL's path, so a
+    query or fragment would be dropped or end up before them."""
     if not url.isascii():  # its host and path go into the request head as they are
         raise ConfigError(f"backend_url must be ASCII, got {shown(url)}")
     try:
@@ -126,6 +128,8 @@ def split_base_url(url: str) -> SplitResult:
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"backend_url must be an http:// or https:// URL with a host, "
                           f"got {shown(url)}")
+    if "?" in url or "#" in url:
+        raise ConfigError(f"backend_url must hold no query or fragment, got {shown(url)}")
     return parts
 
 

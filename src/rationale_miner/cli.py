@@ -123,6 +123,33 @@ def _check_outside_corpus(cfg: RunConfig) -> None:
                           f"{shown(cfg.corpus_dir)}: write the outputs elsewhere")
 
 
+def _same_path(a: str | Path, b: str | Path) -> bool:
+    """Whether ``a`` and ``b`` name one file under any spelling: the same
+    file where both exist, else the same path once resolved."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either one missing, say
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_model_paths(cfg: RunConfig, config_path: str | None) -> None:
+    """A ConfigError if a model path that ``train`` writes names, under any
+    spelling, the config file, an input file, the corpus directory or a file
+    in it, or the other model path: the model would replace it."""
+    keys = ("baseline_path", "pair_baseline_path") if cfg.mode == "baseline" else ("head_path",)
+    written = [(key, getattr(cfg, key)) for key in keys if getattr(cfg, key)]
+    inputs = [("the config file", config_path)] + [
+        (key, getattr(cfg, key)) for key in ("annotations_path", "lexicon_path", "script_path")]
+    for key, path in written:
+        for name, other in inputs + [item for item in written if item[0] != key]:
+            if other and _same_path(path, other):
+                raise ConfigError(f"{key} {shown(path)} is {name} {shown(other)}: "
+                                  "write the model elsewhere")
+        if _same_path(path, cfg.corpus_dir) or _same_path(Path(path).parent, cfg.corpus_dir):
+            raise ConfigError(f"{key} {shown(path)} is, or is in, the corpus directory "
+                              f"{shown(cfg.corpus_dir)}: write the model elsewhere")
+
+
 def _write_json(path: Path, payload, key: bytes | None = None) -> Path:
     """Write ``payload`` to ``path``, and with ``key`` mark the file as
     written for that inputs key.  Where the platform or the file system keeps
@@ -374,6 +401,7 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
         train_pair_baseline,
     )
 
+    _check_model_paths(cfg, args.config)
     annotations = _require_annotations(cfg)
     if cfg.mode == "baseline":
         if not cfg.baseline_path:

@@ -21,7 +21,7 @@ from .miner import CallPool, PromptHeadClassifier, PromptPairClassifier, SP_FEAT
 from .prompts import CLOZE_MAX_SEQUENCE, PAIR_MAX_SEQUENCE
 
 if TYPE_CHECKING:  # baseline mode alone loads the baselines, and numpy with them
-    from .backends.baseline import BaselineClassifier, BaselinePairClassifier
+    from .backends.baseline import BaselineModel, PairBaselineModel
 
 MODES = ("prompt_head", "baseline")
 BACKENDS = ("remote", "scripted")
@@ -151,33 +151,33 @@ def build_backend(cfg: RunConfig):
 
 
 def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
-                     ) -> PromptHeadClassifier | BaselineClassifier:
-    """The design-sentence classifier implied by the configured mode.  Its
-    backend calls go through ``pool``, or a pool of ``workers`` per issue
-    when it is None."""
+                     ) -> PromptHeadClassifier | BaselineModel:
+    """The design-sentence classifier implied by the configured mode.  In
+    prompt_head mode its backend calls go through ``pool``, the run's pool,
+    or a pool sized to the usable CPUs per issue when it is None."""
     if cfg.mode == "prompt_head":
         if not cfg.head_path:
             raise ConfigError("head_path is required in prompt_head mode")
         head = load_head(cfg.head_path, SP_FINGERPRINT, len(SP_FEATURE_NAMES))
         return PromptHeadClassifier(backend=backend, head=head, budget=cfg.cloze_budget(),
-                                    workers=cfg.workers, pool=pool)
+                                    pool=pool)
     if not cfg.baseline_path:
         raise ConfigError("baseline_path is required in baseline mode")
-    from .backends.baseline import BaselineClassifier, BaselineModel
+    from .backends.baseline import BaselineModel
 
-    return BaselineClassifier(model=BaselineModel.load(cfg.baseline_path))
+    return BaselineModel.load(cfg.baseline_path)
 
 
 def build_pair_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
-                          ) -> PromptPairClassifier | BaselinePairClassifier:
-    """The pair-relation classifier implied by the configured mode.  Its
-    backend calls go through ``pool``, or a pool of ``workers`` per call
-    when it is None; baseline mode makes none."""
+                          ) -> PromptPairClassifier | PairBaselineModel:
+    """The pair-relation classifier implied by the configured mode.  In
+    prompt_head mode its backend calls go through ``pool``, the run's pool,
+    or a pool sized to the usable CPUs per call when it is None; baseline
+    mode makes none."""
     if cfg.mode == "prompt_head":
-        return PromptPairClassifier(backend=backend, budget=cfg.pair_budget(),
-                                    workers=cfg.workers, pool=pool)
+        return PromptPairClassifier(backend=backend, budget=cfg.pair_budget(), pool=pool)
     if not cfg.pair_baseline_path:
         raise ConfigError("pair_baseline_path is required in baseline mode")
-    from .backends.baseline import BaselinePairClassifier, PairBaselineModel
+    from .backends.baseline import PairBaselineModel
 
-    return BaselinePairClassifier(model=PairBaselineModel.load(cfg.pair_baseline_path))
+    return PairBaselineModel.load(cfg.pair_baseline_path)

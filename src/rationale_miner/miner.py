@@ -171,8 +171,9 @@ class CallPool:
             self._replies.clear()
 
 
-def _calls(pool: CallPool | None, workers: int | None):
-    """``pool``, or when there is none a pool of ``workers`` for one call."""
+def _calls(pool: CallPool | None, workers: int | None = None):
+    """``pool``, or when there is none a pool for one call, of ``workers``
+    (one per usable CPU when None)."""
     return nullcontext(pool) if pool is not None else closing(CallPool(workers))
 
 
@@ -347,13 +348,13 @@ def construct_rationales(graph: RelationGraph) -> ConstructionResult:
 
 def sp_matrix(sentences: list[Sentence], features: list[list[float]], summary: str,
               backend: Backend, budget: int = CLOZE_MAX_SEQUENCE,
-              workers: int | None = None, pool: CallPool | None = None) -> list[list[float]]:
+              pool: CallPool | None = None) -> list[list[float]]:
     """Rows in SP_FEATURE_NAMES order: the polarity-word probabilities of each
     sentence's cloze prompt, then its features.  The probes go through
-    ``pool``, or a pool of ``workers`` when it is None."""
+    ``pool``, or a pool of one worker per usable CPU when it is None."""
     requests = [(backend.mask_probs, build_cloze_prompt(s, summary, budget).text,
                  POLARITY_WORDS) for s in sentences]
-    with _calls(pool, workers) as calls:
+    with _calls(pool) as calls:
         polarity = calls.call_all(requests)
     return [[*probs, *row] for probs, row in zip(polarity, features, strict=True)]
 
@@ -365,14 +366,12 @@ class PromptHeadClassifier:
     backend: Backend
     head: LogisticHead
     budget: int = CLOZE_MAX_SEQUENCE
-    workers: int | None = None
     pool: CallPool | None = None
 
     def scores(self, sentences: list[Sentence], features: list[list[float]],
                summary: str) -> list[float]:
         return self.head.predict_proba(sp_matrix(sentences, features, summary,
-                                                 self.backend, self.budget, self.workers,
-                                                 self.pool))
+                                                 self.backend, self.budget, self.pool))
 
 
 def extract_design_sentences(sentences: list[Sentence], features: list[list[float]],
@@ -444,12 +443,10 @@ class PromptPairClassifier:
 
     backend: Backend
     budget: int = PAIR_MAX_SEQUENCE
-    workers: int | None = None
     pool: CallPool | None = None
 
     def relations(self, design: list[Sentence]) -> tuple[list[Edge], list[str]]:
-        return classify_pairs(design, self.backend, self.budget, self.workers,
-                              pool=self.pool)
+        return classify_pairs(design, self.backend, self.budget, pool=self.pool)
 
 
 def build_relation_graph(design: list[Sentence], edges: list[Edge]) -> RelationGraph:

@@ -294,6 +294,43 @@ def test_train_baseline_requires_model_path(workspace):
     assert main(["train", "-c", str(workspace[2])]) == 2
 
 
+@pytest.mark.parametrize("case", ["config", "annotations", "lexicon", "script", "corpus",
+                                  "corpus-file", "other-model"])
+def test_train_refuses_a_model_path_that_names_an_input(workspace, fixtures_dir, capsys,
+                                                        case):
+    """A model path that would overwrite the config, an input file, the
+    corpus or the other model, under any spelling, stops ``train`` before it
+    writes anything."""
+    tmp_path, config, config_path = workspace
+    gold, lexicon = tmp_path / "gold.jsonl", tmp_path / "lexicon.txt"
+    shutil.copy(fixtures_dir / "flink-1320-gold.jsonl", gold)
+    shutil.copy(Path(rationale_miner.__file__).parent / "data" / "sentiment_lexicon.txt",
+                lexicon)
+    corpus = Path(config["corpus_dir"])
+    (tmp_path / "link").symlink_to(corpus)
+    key, path = {
+        "config": ("baseline_path", f"{tmp_path}/./config.json"),
+        "annotations": ("baseline_path", str(gold)),
+        "lexicon": ("baseline_path", f"{tmp_path}/out/../lexicon.txt"),
+        "script": ("head_path", config["script_path"]),
+        "corpus": ("baseline_path", str(tmp_path / "link")),
+        "corpus-file": ("baseline_path", str(tmp_path / "link" / "model.json")),
+        "other-model": ("baseline_path", f"{tmp_path}/./pair.json"),
+    }[case]
+    changes = {} if key == "head_path" else {
+        "mode": "baseline", "baseline_path": str(tmp_path / "model.json"),
+        "pair_baseline_path": str(tmp_path / "pair.json")}
+    _rewrite(workspace, annotations_path=str(gold), lexicon_path=str(lexicon),
+             **{**changes, key: path})
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main(["train", "-c", str(config_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {key} {path!r} is")
+    assert captured.err.endswith(": write the model elsewhere\n")
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 def test_mine_requires_head_path(workspace):
     _rewrite(workspace, head_path=None)
     assert main(["mine", "-c", str(workspace[2])]) == 2
@@ -962,7 +999,9 @@ def test_an_issue_without_sentences_adds_nothing_to_the_baselines(tmp_path, monk
 
 
 @pytest.mark.parametrize("url", ["localhost:8080", "ftp://models.example/", "http://",
-                                 "http://models.example:port/", "http://models.example/caf\u00e9/"])
+                                 "http://models.example:port/", "http://models.example/caf\u00e9/",
+                                 "http://models.example:1/?x=1", "http://models.example/api?k=v",
+                                 "http://models.example/api#top"])
 def test_malformed_backend_url_is_a_config_error(workspace, capsys, url):
     tmp_path, config, config_path = workspace
     _rewrite(workspace, backend="remote", backend_url=url, script_path=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rationale_miner.backends.baseline import BaselinePairClassifier, pair_features
+from rationale_miner.backends.baseline import PairBaselineModel, pair_features
 from rationale_miner.backends.heads import LogisticHead
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.corpus import Sentence
@@ -399,7 +399,7 @@ def test_mine_issue_no_design_sentences(golden_issue, analyzer):
 # ---------------------------------------------------------------------------
 # baseline pair classifier
 
-class _FixedLabels:
+class _FixedLabels(PairBaselineModel):
     """A pair model that answers fixed labels and keeps the rows it was given."""
 
     def __init__(self, labels):
@@ -416,7 +416,7 @@ def test_baseline_pair_classifier_direction_and_labels():
     b = _sentence("c1-s0", "Recompiling is slow.", 1, 1)
     c = _sentence("c2-s0", "Cache the statistics too.", 2, 2)
     model = _FixedLabels(["supporting", "complementary", "unrelated"])
-    edges, warnings = BaselinePairClassifier(model).relations([c, a, b])
+    edges, warnings = model.relations([c, a, b])
     # one row per unordered pair, the earlier sentence first, as in training
     assert np.array_equal(model.rows, np.array(
         [pair_features(a, b), pair_features(a, c), pair_features(b, c)]))
@@ -430,8 +430,7 @@ def test_baseline_pair_classifier_direction_and_labels():
 
 def test_baseline_pair_classifier_gets_no_rows_below_two_sentences():
     model = _FixedLabels([])
-    assert BaselinePairClassifier(model).relations(
-        [_sentence("c0-s0", "One.", 0, 0)]) == ([], [])
+    assert model.relations([_sentence("c0-s0", "One.", 0, 0)]) == ([], [])
     assert model.rows.shape == (0, 6)
 
 
@@ -462,7 +461,7 @@ def test_prompt_pairs_follow_the_pair_rule(data):
         {"contains": [f"Sentence 1: {a.text}\n", f"Sentence 2: {b.text}\n"],
          "text": replies[a.id, b.id]} for a in ordered for b in ordered if a is not b]}})
     graph, warnings = relate_stage(data.draw(st.permutations(ordered)),
-                                   PromptPairClassifier(backend, workers=2))
+                                   PromptPairClassifier(backend))
     ids = [s.id for s in ordered]
     supporting, complementary, expected_warnings = oracle_pair_relations(ids, replies)
     assert graph.nodes == ids
@@ -483,7 +482,7 @@ def test_baseline_pairs_follow_the_pair_rule(data):
     for (a, b), label in zip(pairs, labels):
         replies[a, b], replies[b, a] = label, "supporting"
     graph, warnings = relate_stage(data.draw(st.permutations(ordered)),
-                                   BaselinePairClassifier(_FixedLabels(labels)))
+                                   _FixedLabels(labels))
     supporting, complementary, expected_warnings = oracle_pair_relations(ids, replies)
     assert _relations(graph) == (supporting, complementary)
     assert warnings == expected_warnings == []

@@ -20,7 +20,7 @@ import pytest
 
 from rationale_miner import cli, miner
 from rationale_miner.backends.scripted import ScriptedBackend
-from rationale_miner.config import build_backend, build_pair_classifier, load_config
+from rationale_miner.config import build_backend, load_config
 from rationale_miner.corpus import clean_issue, enumerate_sentences, parse_issue
 from rationale_miner.errors import TransportError
 from rationale_miner.features import POLARITY_WORDS
@@ -515,15 +515,13 @@ def test_remote_connection_pool_keeps_a_connection_per_worker():
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_pair_classifier_without_a_pool_keeps_to_workers(workers):
-    """Built with no pool, the pair classifier still has at most ``workers``
-    calls in flight."""
+def test_classify_pairs_without_a_pool_keeps_to_workers(workers):
+    """Given no pool, ``classify_pairs`` still has at most ``workers`` calls
+    in flight."""
     issue = clean_issue(parse_issue(sched_issue(7)))  # 7 design sentences: 21 pairs
     design = [s for s in enumerate_sentences(issue) if " q7z-" in s.text]
     backend = Recording(ScriptedBackend(SCRIPT), delay=0.01)
-    cfg = load_config(overrides={"backend": "scripted", "script_path": "script.json",
-                                 "workers": workers})
-    build_pair_classifier(cfg, backend).relations(design)
+    miner.classify_pairs(design, backend, workers=workers)
     assert len(backend.calls) >= 21
     assert backend.peak == workers
 
