@@ -16,7 +16,8 @@ backend checks its requests and canned replies through them too.
 The transport is a small HTTP/1.1 client on ``socket``.  ``socket`` loads
 with the first connection, ``ssl`` only for an https:// backend and
 ``urllib.request`` only when a ``*_proxy`` variable is set, so a command
-that sends nothing over plain HTTP pays for none of them at start-up.
+that sends nothing over plain HTTP pays for none of them at start-up.  The
+host is resolved as ASCII bytes, so the IDNA codec never loads.
 """
 
 from __future__ import annotations
@@ -112,6 +113,28 @@ class Backend(ABC):
         """Release what the backend holds between calls; by default nothing."""
 
 
+def _split_url(url: str, key: str) -> SplitResult:
+    """``url`` split into parts if its port is valid and its host, if any, is
+    an ASCII name whose labels are 1-63 characters long (the last may be
+    empty: a trailing dot); otherwise a ConfigError that names ``key``.
+    That is all the IDNA codec checks on an ASCII name, so the host can be
+    resolved as ASCII bytes, and the codec never loads."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError on a malformed port
+    except ValueError as exc:
+        raise ConfigError(f"{key} is not a valid URL: {shown(url)} "
+                          f"({shown(str(exc))})") from exc
+    host = parts.hostname or ""
+    if not host.isascii():
+        raise ConfigError(f"{key} host must be ASCII, got {shown(url)}")
+    *labels, last = host.split(".")
+    if not all(0 < len(label) < 64 for label in labels) or len(last) > 63:
+        raise ConfigError(f"{key} host must be made of labels of 1 to 63 characters, "
+                          f"got {shown(url)}")
+    return parts
+
+
 def split_base_url(url: str) -> SplitResult:
     """``url`` split into parts, if it is an ASCII http:// or https:// URL
     with a host, a valid port and no query or fragment; otherwise a
@@ -119,12 +142,7 @@ def split_base_url(url: str) -> SplitResult:
     query or fragment would be dropped or end up before them."""
     if not url.isascii():  # its host and path go into the request head as they are
         raise ConfigError(f"backend_url must be ASCII, got {shown(url)}")
-    try:
-        parts = urlsplit(url)
-        parts.port  # raises ValueError on a malformed port
-    except ValueError as exc:
-        raise ConfigError(f"backend_url is not a valid URL: {shown(url)} "
-                          f"({shown(str(exc))})") from exc
+    parts = _split_url(url, "backend_url")
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"backend_url must be an http:// or https:// URL with a host, "
                           f"got {shown(url)}")
@@ -135,9 +153,10 @@ def split_base_url(url: str) -> SplitResult:
 
 def _environment_proxy(url: SplitResult) -> SplitResult | None:
     """The proxy that ``http_proxy``/``https_proxy`` name for ``url``, unless
-    ``no_proxy`` exempts its host.  urllib.request, which reads them, loads
-    only when some environment variable is named ``*_proxy`` in any case: it
-    reads no other variable on this platform."""
+    ``no_proxy`` exempts its host, checked as ``backend_url`` is for its port
+    and host.  urllib.request, which reads them, loads only when some
+    environment variable is named ``*_proxy`` in any case: it reads no other
+    variable on this platform."""
     if not any(name.lower().endswith("_proxy") for name in os.environ):
         return None
     from urllib.request import getproxies, proxy_bypass
@@ -145,7 +164,7 @@ def _environment_proxy(url: SplitResult) -> SplitResult | None:
     proxy = getproxies().get(url.scheme)
     if not proxy or proxy_bypass(url.hostname):
         return None
-    parts = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    parts = _split_url(proxy if "://" in proxy else f"http://{proxy}", f"{url.scheme} proxy")
     if parts.scheme != "http" or not parts.hostname:
         raise ConfigError(f"unsupported {url.scheme} proxy {shown(proxy)}: "
                           "only http:// proxies are supported")
@@ -323,10 +342,12 @@ class RemoteBackend(Backend):
         proxy = _environment_proxy(url)
         self._tunnel = None
         self._target = url.path
+        # As bytes, so that getaddrinfo does not load the IDNA codec to check
+        # what _split_url checked.
         if proxy is None:
-            self._address = (url.hostname, port)
+            self._address = (url.hostname.encode("ascii"), port)
         else:
-            self._address = (proxy.hostname, proxy.port or 80)
+            self._address = (proxy.hostname.encode("ascii"), proxy.port or 80)
             proxy_headers = ""
             if proxy.username is not None:
                 from base64 import b64encode
@@ -388,6 +409,9 @@ class RemoteBackend(Backend):
         token = os.environ.get(ENV_AUTH_TOKEN) or self.auth_token
         if token and ("\r" in token or "\n" in token):  # it would end the header early
             raise TransportError(f"POST {url} failed: the auth token holds a line break")
+        if token and max(token) > "\xff":  # the head goes out as Latin-1
+            raise TransportError(f"POST {url} failed: the auth token holds a character "
+                                 "outside Latin-1")
         authorization = f"Authorization: Bearer {token}\r\n" if token else ""
         body = json.dumps(payload).encode()
         target = self._target + path

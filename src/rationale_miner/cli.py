@@ -6,14 +6,14 @@ a mined file) failed, or a runtime error or a failed write stopped the
 command, 2 on configuration errors.
 
 The commands that train, evaluate, split, ablate or count import
-``evaluation`` when they run.  ``backends.baseline``, the one module that
-imports numpy, loads only for ``train``, ``ablate`` and baseline mode.
+``evaluation`` when they run, and ``eval`` imports ``csv`` with it.
+``backends.baseline``, the one module that imports numpy, loads only for
+``train``, ``ablate`` and baseline mode.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -443,6 +443,8 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
 
 
 def cmd_eval(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
+    import csv
+
     from .evaluation import PRF, eval_binary, eval_rationales, eval_sentences
 
     annotations = _require_annotations(cfg)

@@ -84,8 +84,9 @@ class RunConfig:
             split_base_url(self.backend_url)
         if self.backend == "scripted" and not self.script_path:
             raise ConfigError("script_path is required when backend is 'scripted'")
-        if self.cloze_max_sequence < 1 or self.pair_max_sequence < 1:
-            raise ConfigError("max_sequence values must be positive")
+        for key in ("cloze_max_sequence", "pair_max_sequence"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be positive")
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be at least 1")
         if self.workers is not None and self.workers > MAX_WORKERS:

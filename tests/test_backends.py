@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import base64
 import json
+import os
 import re
 import socket
 import ssl
 import threading
 import time
 from contextlib import contextmanager, suppress
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rationale_miner.backends.protocol import (
@@ -174,11 +176,23 @@ def test_remote_backend_omits_header_without_token(monkeypatch):
         assert "Authorization" not in headers
 
 
-def test_remote_backend_refuses_a_token_that_would_end_its_header(monkeypatch):
-    monkeypatch.setenv(ENV_AUTH_TOKEN, "env-token\r\nX-Injected: 1")
+@pytest.mark.parametrize("token,message", [
+    ("env-token\r\nX-Injected: 1", "a line break"),
+    ("tok\u20acn", "a character outside Latin-1"),  # the head goes out as Latin-1
+], ids=["line-break", "outside-latin-1"])
+@pytest.mark.parametrize("source", ["environment", "config"])
+def test_remote_backend_refuses_a_token_that_would_end_its_header(monkeypatch, token, message,
+                                                                  source):
+    if source == "environment":
+        monkeypatch.setenv(ENV_AUTH_TOKEN, token)
+    else:
+        monkeypatch.delenv(ENV_AUTH_TOKEN, raising=False)
     with run_stub() as server:
-        with pytest.raises(TransportError, match="the auth token holds a line break"):
-            RemoteBackend(server.url).generate("x")
+        backend = RemoteBackend(server.url, auth_token=token if source == "config" else None)
+        with pytest.raises(TransportError,
+                           match=f"POST {server.url}/v1/generate failed: the auth token holds "
+                                 f"{message}$"):
+            backend.generate("x")
         assert server.requests == []
 
 
@@ -535,7 +549,7 @@ def test_remote_backend_unreachable_host_is_one_attempt(monkeypatch):
     with pytest.raises(TransportError, match=f"POST http://127.0.0.1:{port}/v1/generate "
                                              "failed: "):
         backend.generate("hello")
-    assert attempts == [("127.0.0.1", port)]
+    assert attempts == [(b"127.0.0.1", port)]
 
 
 def test_remote_backend_read_timeout_is_a_transport_error():
@@ -614,11 +628,24 @@ def test_remote_backend_reads_the_proxy_once(monkeypatch):
         assert backend.generate("x") == expected_text("x")
 
 
-def test_remote_backend_rejects_a_proxy_it_cannot_use(monkeypatch):
+@pytest.mark.parametrize("url,variable,proxy,message", [
+    ("https://models.example", "HTTPS_PROXY", "socks5://127.0.0.1:1080",
+     "unsupported https proxy 'socks5://127.0.0.1:1080': only http:// proxies are supported"),
+    ("http://models.example", "http_proxy", "http://proxy:99999",
+     "http proxy is not a valid URL: 'http://proxy:99999' ('Port out of range 0-65535')"),
+    ("http://models.example", "http_proxy", "http://proxy:abc",
+     "http proxy is not a valid URL: 'http://proxy:abc' "),
+    ("http://models.example", "http_proxy", "http://a..b:3128",
+     "http proxy host must be made of labels of 1 to 63 characters, got 'http://a..b:3128'"),
+    ("https://models.example", "HTTPS_PROXY", "caf\u00e9.example:3128",
+     "https proxy host must be ASCII, got 'http://caf\u00e9.example:3128'"),
+], ids=["socks", "port-out-of-range", "port-not-a-number", "empty-label", "non-ascii-host"])
+def test_remote_backend_rejects_a_proxy_it_cannot_use(monkeypatch, url, variable, proxy,
+                                                      message):
     _clear_proxies(monkeypatch)
-    monkeypatch.setenv("HTTPS_PROXY", "socks5://127.0.0.1:1080")
-    with pytest.raises(ConfigError, match="only http:// proxies are supported"):
-        RemoteBackend("https://models.example")
+    monkeypatch.setenv(variable, proxy)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        RemoteBackend(url)
 
 
 def test_remote_backend_https_verifies_certificate_and_host(monkeypatch):
@@ -642,7 +669,7 @@ def test_remote_backend_https_verifies_certificate_and_host(monkeypatch):
     with pytest.raises(TransportError, match="POST https://models.example:8443/v1/generate "
                                              "failed: .*certificate verify failed"):
         backend.generate("x")
-    assert connected == [(("models.example", 8443), 30.0)]
+    assert connected == [((b"models.example", 8443), 30.0)]
     [(sock, server_hostname)] = wrapped
     assert server_hostname == "models.example"
     assert sock.fileno() == -1  # closed, and not kept for a later call
@@ -653,6 +680,25 @@ def test_remote_backend_https_verifies_certificate_and_host(monkeypatch):
 def test_remote_backend_rejects_a_malformed_base_url(url):
     with pytest.raises(ConfigError, match="backend_url must be an http:// or https:// URL"):
         RemoteBackend(url)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(labels=st.lists(st.integers(0, 66), min_size=1, max_size=4))
+def test_a_host_passes_when_the_idna_codec_would(labels):
+    """The host check is the IDNA codec's on an ASCII name: every label but
+    the last 1-63 characters, the last (empty after a trailing dot) under
+    64.  A host that passes is kept as its ASCII bytes."""
+    host = ".".join("a" * n for n in labels)
+    assume(host)  # no host is refused for that
+    try:
+        encoded = host.encode("idna")
+    except UnicodeError:
+        with pytest.raises(ConfigError, match="backend_url host must be made of labels"):
+            RemoteBackend(f"http://{host}:8080/")
+        return
+    with mock.patch.dict(os.environ, {name: value for name, value in os.environ.items()
+                                      if not name.lower().endswith("_proxy")}, clear=True):
+        assert RemoteBackend(f"http://{host}:8080/")._address == (encoded, 8080)
 
 
 # ---------------------------------------------------------------------------

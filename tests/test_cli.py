@@ -131,12 +131,19 @@ def test_config_not_an_object(tmp_path):
     {"cloze_max_sequence": 128.0},
     {"pair_max_sequence": None},
 ])
-def test_invalid_config_values(tmp_path, capsys, payload):
+def test_invalid_config_values(tmp_path, capsys, golden_corpus, payload):
+    """Each payload stops every command with a config error that names its
+    (last) key, on a config that is valid but for it."""
     bad = tmp_path / "config.json"
-    bad.write_text(json.dumps(payload), encoding="utf-8")
+    config = {"corpus_dir": str(golden_corpus), "output_dir": str(tmp_path / "out"), **payload}
+    bad.write_text(json.dumps(config), encoding="utf-8")
+    key = list(payload)[-1]
     for command in ("stats", "ingest", "split"):
         assert main([command, "-c", str(bad)]) == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: ")
+        assert re.search(rf"\b{key}\b", line), line
+    assert not (tmp_path / "out").exists()
 
 
 def test_corpus_dir_must_exist(workspace):
@@ -1001,7 +1008,8 @@ def test_an_issue_without_sentences_adds_nothing_to_the_baselines(tmp_path, monk
 @pytest.mark.parametrize("url", ["localhost:8080", "ftp://models.example/", "http://",
                                  "http://models.example:port/", "http://models.example/caf\u00e9/",
                                  "http://models.example:1/?x=1", "http://models.example/api?k=v",
-                                 "http://models.example/api#top"])
+                                 "http://models.example/api#top", "http://a..b:8080/",
+                                 f"http://{'a' * 64}.example/"])
 def test_malformed_backend_url_is_a_config_error(workspace, capsys, url):
     tmp_path, config, config_path = workspace
     _rewrite(workspace, backend="remote", backend_url=url, script_path=None)
@@ -1070,15 +1078,17 @@ def test_prompt_head_train_loads_the_baseline_module(workspace):
 
 def test_plain_http_mining_loads_no_http_client_email_ssl_or_urllib_request(workspace):
     """With no ``*_proxy`` variable set, mining through an http:// remote
-    backend loads none of http.client, email, ssl or urllib.request; an
-    https:// backend loads ssl when it is built."""
+    backend loads none of http.client, email, ssl or urllib.request, nor the
+    IDNA codec and the two modules it imports (the host is resolved as
+    bytes); an https:// backend loads ssl when it is built."""
     tmp_path, _, config_path = workspace
     env = {name: value for name, value in os.environ.items()
            if not name.lower().endswith("_proxy")}
     with run_stub(keep_alive=True) as server:
         _rewrite(workspace, backend="remote", backend_url=server.url, script_path=None)
         loaded = _loaded_in_a_fresh_process(
-            config_path, tmp_path, ("mine",), ("http.client", "email", "ssl", "urllib.request"),
+            config_path, tmp_path, ("mine",), ("http.client", "email", "ssl", "urllib.request",
+                                               "encodings.idna", "stringprep", "unicodedata"),
             env=env)
         assert server.requests
     assert loaded == "[]"

@@ -2,22 +2,28 @@
 
 Every JSON file the package reads (corpus exports, the config, scripts,
 annotations, mined files, model files) and every model-server reply may be
-malformed.  Each reader turns what it cannot use into its own typed error,
-and ``cli.main`` turns those into exit codes 1 and 2.
+malformed, and so may the backend URL, the proxy settings and the auth
+token.  Each reader turns what it cannot use into its own typed error, and
+``cli.main`` turns those into exit codes 1 and 2.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import shutil
+import socket
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rationale_miner.backends.heads import load_head
-from rationale_miner.backends.protocol import RemoteBackend
+from rationale_miner.backends.protocol import ENV_AUTH_TOKEN, RemoteBackend
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.cli import main
 from rationale_miner.config import load_config
@@ -135,3 +141,65 @@ def test_outside_input_never_raises_past_main(root, kind, data):
         (root / name).write_text(text, encoding="utf-8")
     for command in _KINDS[kind][2]:
         assert main([command, "-c", str(root / "config.json")]) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# any backend host, proxy setting and auth token
+
+_LABELS = st.lists(st.text("ab-1", min_size=0, max_size=70), min_size=1, max_size=4)
+_HOSTS = st.one_of(
+    _LABELS.map(".".join),
+    st.sampled_from(["127.0.0.1", "[::1]", "[::1", "café.example", "a..b", "x" * 64,
+                     "hı.example", "user:pw@h", ""]),
+    st.text(max_size=12).filter(lambda text: "\x00" not in text),
+)
+_PORTS = st.one_of(st.just(""), st.integers(-1, 70_000).map(lambda port: f":{port}"),
+                   st.sampled_from([":", ":abc", ":١"]))
+
+
+@st.composite
+def _urls(draw, schemes):
+    return f"{draw(st.sampled_from(schemes))}{draw(_HOSTS)}{draw(_PORTS)}/"
+
+
+@pytest.fixture(scope="module")
+def one_issue(tmp_path_factory):
+    root = tmp_path_factory.mktemp("remote-settings")
+    (root / "corpus").mkdir()
+    shutil.copy(FIXTURES / "flink-1320.json", root / "corpus")
+    return root
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(url=_urls(["http://", "https://"]),
+       proxy=st.one_of(st.none(), _urls(["http://", "https://", "socks5://", ""])),
+       token=st.one_of(st.none(), st.text(max_size=8)), token_from_env=st.booleans())
+def test_a_remote_backend_setting_never_raises_past_main(one_issue, url, proxy, token,
+                                                         token_from_env):
+    """``mine`` ends in exit 0, 1 or 2 with no traceback, whatever the
+    backend host, the proxy and the token are.  Every connection is refused
+    before any lookup, so nothing leaves the process."""
+    root = one_issue
+    config = {"corpus_dir": str(root / "corpus"), "output_dir": str(root / "out"),
+              "backend": "remote", "backend_url": url,
+              "head_path": str(FIXTURES / "golden-head.json"), "workers": 2}
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy") and name != ENV_AUTH_TOKEN}
+    if proxy is not None:
+        env["http_proxy"] = env["https_proxy"] = proxy
+    if token is not None and token_from_env and "\x00" not in token:
+        env[ENV_AUTH_TOKEN] = token
+    elif token is not None:
+        config["auth_token"] = token
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+
+    def refused(address, *args, **kwargs):
+        raise ConnectionRefusedError(111, "Connection refused")
+
+    stderr = io.StringIO()
+    with mock.patch.dict(os.environ, env, clear=True), \
+            mock.patch.object(socket, "create_connection", refused), \
+            redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = main(["mine", "-c", str(root / "config.json")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
