@@ -113,22 +113,30 @@ class Backend(ABC):
         """Release what the backend holds between calls; by default nothing."""
 
 
+# Any character but printable ASCII: the host and path go into the request
+# head as they are, and ``urlsplit`` would delete tab, CR and LF and strip
+# the ends without a word.
+_NOT_PRINTABLE_ASCII = re.compile(r"[^!-~]")
+
+
 def _split_url(url: str, key: str) -> SplitResult:
-    """``url`` split into parts if its port is valid and its host, if any, is
-    an ASCII name whose labels are 1-63 characters long (the last may be
-    empty: a trailing dot); otherwise a ConfigError that names ``key``.
-    That is all the IDNA codec checks on an ASCII name, so the host can be
-    resolved as ASCII bytes, and the codec never loads."""
+    """``url`` split into parts if it is printable ASCII with no space, its
+    port, if any, is 1 to 65535 and the labels of its host, if any, are 1-63
+    characters long (the last may be empty: a trailing dot); otherwise a
+    ConfigError that names ``key``.  That is all the IDNA codec checks on an
+    ASCII name, so the host can be resolved as ASCII bytes, and the codec
+    never loads."""
+    if _NOT_PRINTABLE_ASCII.search(url):
+        raise ConfigError(f"{key} must be printable ASCII with no space, got {shown(url)}")
     try:
         parts = urlsplit(url)
-        parts.port  # raises ValueError on a malformed port
+        port = parts.port  # raises ValueError on a malformed port
     except ValueError as exc:
         raise ConfigError(f"{key} is not a valid URL: {shown(url)} "
                           f"({shown(str(exc))})") from exc
-    host = parts.hostname or ""
-    if not host.isascii():
-        raise ConfigError(f"{key} host must be ASCII, got {shown(url)}")
-    *labels, last = host.split(".")
+    if port == 0:
+        raise ConfigError(f"{key} port must be 1 to 65535, got {shown(url)}")
+    *labels, last = (parts.hostname or "").split(".")
     if not all(0 < len(label) < 64 for label in labels) or len(last) > 63:
         raise ConfigError(f"{key} host must be made of labels of 1 to 63 characters, "
                           f"got {shown(url)}")
@@ -136,12 +144,10 @@ def _split_url(url: str, key: str) -> SplitResult:
 
 
 def split_base_url(url: str) -> SplitResult:
-    """``url`` split into parts, if it is an ASCII http:// or https:// URL
-    with a host, a valid port and no query or fragment; otherwise a
+    """``url`` split into parts, if it is an http:// or https:// URL that
+    ``_split_url`` takes, with a host and no query or fragment; otherwise a
     ConfigError.  The endpoint paths are appended to the URL's path, so a
     query or fragment would be dropped or end up before them."""
-    if not url.isascii():  # its host and path go into the request head as they are
-        raise ConfigError(f"backend_url must be ASCII, got {shown(url)}")
     parts = _split_url(url, "backend_url")
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ConfigError(f"backend_url must be an http:// or https:// URL with a host, "

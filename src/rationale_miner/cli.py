@@ -348,7 +348,7 @@ def _reused(issue: IssueLog, run: _Pipeline, key: bytes, stage: str):
     to_file, from_file = _STAGE_FILES[stage]
     try:
         result = from_file(issue, payload)
-    except (KeyError, TypeError, ValueError, MiningError):
+    except (KeyError, TypeError, ValueError, OverflowError, MiningError):
         return None
     return result if to_file(issue, *result) == payload else None
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import string
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -120,7 +119,7 @@ def load_lexicon(path: str | Path | None = None) -> dict[str, float]:
     None); extra columns are ignored.  An unreadable file, one that is not
     UTF-8, a malformed line or a valence that is not a finite number raises
     MissingLexicon."""
-    path = str(path or resources.files("rationale_miner").joinpath("data/sentiment_lexicon.txt"))
+    path = str(path or Path(__file__).with_name("data") / "sentiment_lexicon.txt")
     lexicon: dict[str, float] = {}
     try:
         with open(path, encoding="utf-8") as handle:

@@ -638,8 +638,12 @@ def test_remote_backend_reads_the_proxy_once(monkeypatch):
     ("http://models.example", "http_proxy", "http://a..b:3128",
      "http proxy host must be made of labels of 1 to 63 characters, got 'http://a..b:3128'"),
     ("https://models.example", "HTTPS_PROXY", "caf\u00e9.example:3128",
-     "https proxy host must be ASCII, got 'http://caf\u00e9.example:3128'"),
-], ids=["socks", "port-out-of-range", "port-not-a-number", "empty-label", "non-ascii-host"])
+     "https proxy must be printable ASCII with no space, "
+     "got 'http://caf\u00e9.example:3128'"),
+    ("http://models.example", "http_proxy", "http://proxy:0",
+     "http proxy port must be 1 to 65535, got 'http://proxy:0'"),
+], ids=["socks", "port-out-of-range", "port-not-a-number", "empty-label", "non-ascii-host",
+        "port-zero"])
 def test_remote_backend_rejects_a_proxy_it_cannot_use(monkeypatch, url, variable, proxy,
                                                       message):
     _clear_proxies(monkeypatch)

@@ -1009,7 +1009,10 @@ def test_an_issue_without_sentences_adds_nothing_to_the_baselines(tmp_path, monk
                                  "http://models.example:port/", "http://models.example/caf\u00e9/",
                                  "http://models.example:1/?x=1", "http://models.example/api?k=v",
                                  "http://models.example/api#top", "http://a..b:8080/",
-                                 f"http://{'a' * 64}.example/"])
+                                 f"http://{'a' * 64}.example/", "http://models.example:0/",
+                                 "http://127.0.0.1:9/a b", "http://h/a\r\nX: 1",
+                                 "http://h/a\tb", "http://h/\x01", "http://h/\x7f",
+                                 " http://models.example/", "http://models.example/\n"])
 def test_malformed_backend_url_is_a_config_error(workspace, capsys, url):
     tmp_path, config, config_path = workspace
     _rewrite(workspace, backend="remote", backend_url=url, script_path=None)

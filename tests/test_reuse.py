@@ -14,6 +14,7 @@ import errno
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from dataclasses import fields
@@ -277,6 +278,38 @@ def test_a_damaged_stage_file_makes_its_stage_run_again(fixture, monkeypatch, xa
                 assert run[3][file] == data
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_a_fifo_at_a_stage_path_is_never_read(fixture, monkeypatch):
+    """A FIFO at the design file's path, which a read would block on, is
+    never read: ``pair`` extracts again, ``mine`` too, each with the
+    requests and bytes of a run alone."""
+    tmp_path, config = fixture
+    built = recorded(monkeypatch)
+    alone = _alone(config, tmp_path, built)
+    cloze = alone["extract"][1]
+    pairs = [call for call in alone["pair"][1] if call[0] == "generate"]
+    out = tmp_path / "out"
+    out.mkdir()
+    os.mkfifo(out / "FLINK-1320.design.json")
+    fifos_read = []
+    read_bytes = Path.read_bytes
+
+    def spy(path: Path) -> bytes:
+        if stat.S_ISFIFO(path.stat().st_mode):
+            fifos_read.append(path)
+            return b""  # what a read would block on
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", spy)
+    for command, calls in (("pair", cloze + pairs), ("mine", cloze)):
+        run = run_command(command, config, out)
+        assert sorted(built[-1].calls) == sorted(calls), command
+        assert run[:3] == alone[command][0][:3]
+        for file, data in alone[command][0][3].items():
+            assert run[3][file] == data
+    assert fifos_read == []
+
+
 def _unknown_id(payload: dict) -> None:
     payload["design"][0]["id"] = "c9-s9"
 
@@ -287,6 +320,10 @@ def _other_text(payload: dict) -> None:
 
 def _no_score(payload: dict) -> None:
     payload["design"][0]["score"] = None
+
+
+def _score_too_large(payload: dict) -> None:
+    payload["design"][0]["score"] = 10**400  # beyond any float
 
 
 def _not_a_list(payload: dict) -> None:
@@ -312,6 +349,7 @@ _FORGED = {
     "design id unknown": ("design", _unknown_id),
     "design text changed": ("design", _other_text),
     "design score missing": ("design", _no_score),
+    "design score too large": ("design", _score_too_large),
     "design not a list": ("design", _not_a_list),
     "edge to an unknown node": ("relations", _edge_to_nowhere),
     "graph over other nodes": ("relations", _a_node_less),
