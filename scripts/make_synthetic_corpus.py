@@ -45,15 +45,9 @@ def main() -> None:
                         help="generator seed (default: 0)")
     parser.add_argument("--min-sentences", type=int, default=200,
                         help="keep generating issues until this many sentences exist")
-    parser.add_argument("--design-rate", type=float, default=0.4,
-                        help="fraction of sentences drawn from design templates")
     args = parser.parse_args()
 
-    issues, annotations = make_design_corpus(
-        seed=args.seed,
-        min_sentences=args.min_sentences,
-        design_rate=args.design_rate,
-    )
+    issues, annotations = make_design_corpus(seed=args.seed, min_sentences=args.min_sentences)
 
     corpus_dir = args.out / "corpus"
     corpus_dir.mkdir(parents=True, exist_ok=True)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from ..corpus import read_regular_file
 from ..errors import ModelMissing, shown
 
 
@@ -116,15 +117,16 @@ def read_model(path: str | Path, name: str, kind: str, build: Callable[[dict], A
 
     ``build`` is the constructor of a model of ``kind``, which checks the
     shape of each field against the widths its reader needs.  A missing or
-    unreadable file (a name too long to exist among them), content that is
-    not a JSON object, a fingerprint other than ``expected_fingerprint``,
-    another kind and a missing or malformed field raise ModelMissing.
+    unreadable file (a name too long to exist, or no regular file, among
+    them), content that is not a JSON object, a fingerprint other than
+    ``expected_fingerprint``, another kind and a missing or malformed field
+    raise ModelMissing.
     """
     where = shown(str(path))
     if not os.path.exists(path):
         raise ModelMissing(f"no {name} model at {where}")
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_regular_file(path).decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:
         raise ModelMissing(f"{name} at {where} is not a readable JSON file: {exc}") from exc
     if not isinstance(payload, dict):

@@ -275,11 +275,15 @@ def _read_body(reader, status: int, headers: dict[bytes, bytes]) -> tuple[bytes 
         return (body if len(body) <= MAX_REPLY_BYTES else None), False
     if not length.isdigit():
         raise _Malformed(f"bad Content-Length {shown(length)}")
-    if int(length) > MAX_REPLY_BYTES:
+    digits = length.lstrip(b"0") or b"0"
+    # Leading zeros count for nothing, and more digits than the cap has are
+    # over it: int() would refuse a length of thousands of digits.
+    size = int(digits) if len(digits) <= len(str(MAX_REPLY_BYTES)) else MAX_REPLY_BYTES + 1
+    if size > MAX_REPLY_BYTES:
         return None, False
-    body = reader.read(int(length))
-    if len(body) < int(length):
-        raise _Malformed(f"reply cut short: {len(body)} of {int(length)} bytes")
+    body = reader.read(size)
+    if len(body) < size:
+        raise _Malformed(f"reply cut short: {len(body)} of {size} bytes")
     return body, True
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..corpus import read_regular_file
 from ..errors import ConfigError, ProtocolError, shown
 from .protocol import (DEFAULT_MAX_TOKENS, Backend, checked_probs, checked_text, generate_body,
                        mask_probs_body)
@@ -58,8 +59,7 @@ class ScriptedBackend(Backend):
     @classmethod
     def from_file(cls, path: str | Path) -> "ScriptedBackend":
         try:
-            with open(path, encoding="utf-8") as handle:
-                script = json.load(handle)
+            script = json.loads(read_regular_file(path).decode("utf-8"))
         except (OSError, ValueError, RecursionError) as exc:
             # an OSError's strerror leaves out the path it carries
             raise ConfigError(f"cannot read script {shown(str(path))}: "

@@ -35,7 +35,7 @@ from .config import (
     build_pair_classifier,
     load_config,
 )
-from .corpus import IssueLog, enumerate_sentences, load_corpus, sentence_order
+from .corpus import IssueLog, enumerate_sentences, load_corpus, read_regular_file, sentence_order
 from .errors import (
     ConfigError,
     DegenerateData,
@@ -114,11 +114,7 @@ def _outdir(cfg: RunConfig) -> Path:
 def _check_outside_corpus(cfg: RunConfig) -> None:
     """A ConfigError if ``output_dir`` is the corpus directory, under any
     spelling: every later run would read the outputs as issue exports."""
-    try:
-        same = os.path.samefile(cfg.output_dir, cfg.corpus_dir)
-    except OSError:  # either one missing, say: not the same directory
-        same = False
-    if same:
+    if _same_path(cfg.output_dir, cfg.corpus_dir):
         raise ConfigError(f"output_dir {shown(cfg.output_dir)} is the corpus directory "
                           f"{shown(cfg.corpus_dir)}: write the outputs elsewhere")
 
@@ -185,9 +181,10 @@ def _read_marked(path: Path, key: bytes):
 
 def _file_digest(path: str | Path | None) -> str | None:
     """The sha256 of the file at ``path``; None for no path or a file that
-    cannot be read, which a key the mode does not use may name."""
+    cannot be read or is no regular file, which a key the mode does not use
+    may name."""
     try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest() if path else None
+        return hashlib.sha256(read_regular_file(path)).hexdigest() if path else None
     except OSError:
         return None
 
@@ -429,7 +426,7 @@ def cmd_train(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
         annotated = [issue for issue in issues if issue.key in by_issue]
         rows, labels = [], []
         with _Run(cfg) as run, closing(in_issue_order(annotated, lambda issue: _head_rows(
-                issue, by_issue[issue.key], run, cfg.cloze_budget()))) as done:
+                issue, by_issue[issue.key], run, cfg.cloze_max_sequence))) as done:
             for _, job in done:  # the first failed issue stops the command
                 issue_rows, issue_labels = job.result()
                 rows.extend(issue_rows)
@@ -560,9 +557,11 @@ def cmd_stats(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) 
 
 
 def cmd_export(cfg: RunConfig, issues: list[IssueLog], args: argparse.Namespace) -> int:
-    out = _outdir(cfg)
+    out = Path(cfg.output_dir)  # read, and never made: a missing one holds no outputs
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ConfigError(f"output_dir {shown(cfg.output_dir)} is not a directory")
     failures = 0
-    paths = sorted(out.glob("*.rationales.json"))
+    paths = sorted(out.glob("*.rationales.json")) if os.path.isdir(out) else []
     if not paths:
         print(f"no mined outputs under {out}", file=sys.stderr)
         return 1

@@ -102,10 +102,7 @@ class RunConfig:
                               f"got {shown(self.encoding)}") from exc
         return self
 
-    def cloze_budget(self) -> int:
-        return self.cloze_max_sequence
-
-    def pair_budget(self) -> int:
+    def pair_budget(self) -> int:  # kept until ROADMAP 1b: perfbench/worker.py calls it
         return self.pair_max_sequence
 
 
@@ -160,7 +157,7 @@ def build_classifier(cfg: RunConfig, backend, pool: CallPool | None = None
         if not cfg.head_path:
             raise ConfigError("head_path is required in prompt_head mode")
         head = load_head(cfg.head_path, SP_FINGERPRINT, len(SP_FEATURE_NAMES))
-        return PromptHeadClassifier(backend=backend, head=head, budget=cfg.cloze_budget(),
+        return PromptHeadClassifier(backend=backend, head=head, budget=cfg.cloze_max_sequence,
                                     pool=pool)
     if not cfg.baseline_path:
         raise ConfigError("baseline_path is required in baseline mode")

@@ -15,9 +15,11 @@ characters outside the configured encoding, and removes bot comments.
 from __future__ import annotations
 
 import datetime as _dt
+import errno
 import json
 import os
 import re
+import stat
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,6 +29,7 @@ DEFAULT_ABBREVIATIONS: tuple[str, ...] = (
     "e.g.", "i.e.", "etc.", "cf.", "vs.", "al.",
     "mr.", "mrs.", "ms.", "dr.", "prof.", "fig.", "approx.",
 )
+_ABBREVIATIONS = frozenset(a.lower() for a in DEFAULT_ABBREVIATIONS)  # what _split_flat looks up
 
 # Text is re-encoded to this codec when cleaned; other characters drop out.
 DEFAULT_ENCODING = "ascii"
@@ -112,6 +115,19 @@ def can_name_a_file(name: str) -> bool:
     return "\0" not in name
 
 
+def read_regular_file(path: str | Path) -> bytes:
+    """The bytes of the regular file at ``path``, read through one descriptor.
+    It is opened without blocking where the platform can, so a FIFO opens at
+    once, and anything but a regular file raises OSError before a read: a
+    FIFO would block the read, and a device might never end it."""
+    nonblocking = getattr(os, "O_NONBLOCK", 0)
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | nonblocking)
+              ) as handle:  # open() itself refuses a directory
+        if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            raise OSError(errno.EINVAL, "Not a regular file", str(path))
+        return handle.read()
+
+
 def is_path_component(name: str) -> bool:
     """Whether ``name`` names one file in a directory.  Output files are
     named after issue keys, so a key must be one path component."""
@@ -179,7 +195,7 @@ def load_corpus(path: str | Path, encoding: str = DEFAULT_ENCODING,
     issues, skipped, files = [], [], {}
     for file in sorted(root.glob("*.json")):
         try:
-            issue = parse_issue(json.loads(file.read_text(encoding="utf-8")))
+            issue = parse_issue(json.loads(read_regular_file(file).decode("utf-8")))
             if issue.key in files:
                 raise MalformedExport(f"issue key {issue.key} is already in {files[issue.key]}")
             issues.append(clean_issue(issue, encoding, bot_authors))
@@ -294,13 +310,13 @@ _PARAGRAPH = re.compile(r"\n\s*\n")
 _TOKEN_LEAD = "([{\"'"
 
 
-def _split_flat(flat: str, abbreviations: frozenset[str]) -> list[str]:
+def _split_flat(flat: str) -> list[str]:
     """Sentences of ``flat``, a paragraph whose words are one space apart:
     each ends with a token ending in ``.!?`` that is no known abbreviation."""
     pieces, sentence = [], []
     for token in flat.split(" "):
         sentence.append(token)
-        if token[-1] in ".!?" and token.lstrip(_TOKEN_LEAD).lower() not in abbreviations:
+        if token[-1] in ".!?" and token.lstrip(_TOKEN_LEAD).lower() not in _ABBREVIATIONS:
             pieces.append(" ".join(sentence))
             sentence = []
     if sentence:
@@ -308,8 +324,7 @@ def _split_flat(flat: str, abbreviations: frozenset[str]) -> list[str]:
     return pieces
 
 
-def split_sentences(text: str,
-                    abbreviations: tuple[str, ...] = DEFAULT_ABBREVIATIONS) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split prose into sentences.
 
     Boundaries are runs of ``.!?`` followed by whitespace or end of text,
@@ -318,12 +333,11 @@ def split_sentences(text: str,
     whitespace is collapsed and an unterminated trailing fragment still counts
     as a sentence.
     """
-    known = frozenset(a.lower() for a in abbreviations)
     sentences = []
     for paragraph in _PARAGRAPH.split(text):
         flat = " ".join(paragraph.split())
         if flat:
-            sentences.extend(_split_flat(flat, known))
+            sentences.extend(_split_flat(flat))
     return sentences
 
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator
 
 from .backends.heads import LogisticHead
 from .backends.protocol import DEFAULT_MAX_TOKENS, Backend
-from .corpus import IssueLog, Sentence, sentence_order
+from .corpus import IssueLog, Sentence, read_regular_file, sentence_order
 from .errors import MalformedExport, SameSentence, UnknownSentence, shown
 from .features import FEATURE_NAMES, POLARITY_WORDS, compute_feature_matrix
 from .prompts import (
@@ -525,7 +525,7 @@ def read_mined(path: str | Path) -> MinedFile:
     """Parse and check a file that ``MineResult.to_json`` wrote; a file of
     any other shape raises MalformedExport."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        payload = json.loads(read_regular_file(path).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
         raise MalformedExport(f"not a JSON document: {exc}") from exc
     if not isinstance(payload, dict) or not isinstance(payload.get("issue"), str):

@@ -10,11 +10,13 @@ or whitespace-only input scores as fully neutral (0, 1, 0, 0).
 
 from __future__ import annotations
 
+import io
 import math
 import string
 from pathlib import Path
 from typing import NamedTuple
 
+from .corpus import read_regular_file
 from .errors import MissingLexicon, shown
 
 B_INCR = 0.293
@@ -122,7 +124,7 @@ def load_lexicon(path: str | Path | None = None) -> dict[str, float]:
     path = str(path or Path(__file__).with_name("data") / "sentiment_lexicon.txt")
     lexicon: dict[str, float] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with io.TextIOWrapper(io.BytesIO(read_regular_file(path)), encoding="utf-8") as handle:
             for line in handle:
                 line = line.rstrip("\n")
                 if not line.strip() or line.startswith("#"):

@@ -17,6 +17,8 @@ from .evaluation import CATEGORY_NONE, Annotation
 from .miner import SOLUTION, Rationale
 
 PROJECTS = ("ALPHA", "BRAVO", "CHARLIE")
+# The share of sentences drawn from the design templates.
+DESIGN_RATE = 0.4
 
 _VERBS = ("refactor", "redesign", "split", "cache", "batch", "isolate")
 _COMPONENTS = ("scheduler", "parser", "router", "allocator", "resolver")
@@ -56,8 +58,7 @@ def _block_rationales(labels: dict[str, str]) -> list[Rationale]:
             for _, ids in groupby(design, key=lambda sid: sid.rsplit("-s", 1)[0])]
 
 
-def make_design_corpus(seed: int = 0, min_sentences: int = 200,
-                       design_rate: float = 0.4
+def make_design_corpus(seed: int = 0, min_sentences: int = 200
                        ) -> tuple[list[IssueLog], list[Annotation]]:
     """Generate labeled issues totalling at least ``min_sentences`` sentences.
 
@@ -79,7 +80,7 @@ def make_design_corpus(seed: int = 0, min_sentences: int = 200,
         labels: dict[str, str] = {}
 
         def sample(sid: str) -> str:
-            if rng.random() < design_rate:
+            if rng.random() < DESIGN_RATE:
                 labels[sid] = SOLUTION
                 return _design_sentence(rng)
             labels[sid] = CATEGORY_NONE

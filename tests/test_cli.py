@@ -159,7 +159,7 @@ def test_an_empty_bot_author_is_a_config_error(workspace, capsys):
     assert not (workspace[0] / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["ingest", "mine", "eval"])
+@pytest.mark.parametrize("command", ["ingest", "mine", "eval", "export"])
 def test_output_dir_that_names_a_file_is_a_config_error(workspace, capsys, command):
     tmp_path, config, config_path = workspace
     (tmp_path / "out").write_text("not a directory", encoding="utf-8")
@@ -469,6 +469,18 @@ def test_an_output_dir_that_is_the_corpus_dir_is_a_config_error(workspace, capsy
                             f"{shown(config['corpus_dir'])}: write the outputs elsewhere\n")
     assert captured.out == ""
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_a_missing_output_dir_that_is_the_missing_corpus_dir_is_named_so(workspace, capsys):
+    """Neither directory exists, so the two are compared as resolved paths:
+    the error names the clash, not only the missing corpus."""
+    tmp_path = workspace[0]
+    corpus = str(tmp_path / "gone")
+    _rewrite(workspace, corpus_dir=corpus)
+    out = f"{tmp_path}/./gone/"
+    assert main(["stats", "-c", str(workspace[2]), "--out", out]) == 2
+    assert capsys.readouterr().err == (f"config error: output_dir {shown(out)} is the corpus "
+                                       f"directory {shown(corpus)}: write the outputs elsewhere\n")
 
 
 def test_ingest_skips_an_issue_mixing_naive_and_offset_timestamps(workspace, raw_issue,
@@ -1460,13 +1472,17 @@ def test_a_command_whose_output_cannot_be_written_is_an_error(workspace, fixture
 def test_export_without_mined_output_fails(workspace, capsys):
     assert main(["export", "-c", str(workspace[2])]) == 1
     assert "no mined outputs" in capsys.readouterr().err
+    missing = workspace[0] / "typo" / "dir"
+    assert main(["export", "-c", str(workspace[2]), "--out", str(missing)]) == 1
+    assert capsys.readouterr().err == f"no mined outputs under {missing}\n"
+    assert not (workspace[0] / "typo").exists()
 
 
 def test_load_config_defaults_are_valid():
     cfg = load_config()
     assert cfg.mode == "prompt_head"
     assert cfg.backend is None
-    assert cfg.cloze_budget() == 384
+    assert cfg.cloze_max_sequence == 384
     assert cfg.pair_budget() == 512
 
 

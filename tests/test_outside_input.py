@@ -1,10 +1,12 @@
-"""Input from outside the program gives a typed error, never a traceback.
+"""Input from outside the program gives a typed error, never a traceback or a hang.
 
 Every JSON file the package reads (corpus exports, the config, scripts,
 annotations, mined files, model files) and every model-server reply may be
 malformed, and so may the backend URL, the proxy settings and the auth
 token.  Each reader turns what it cannot use into its own typed error, and
-``cli.main`` turns those into exit codes 1 and 2.
+``cli.main`` turns those into exit codes 1 and 2.  A FIFO or a device where
+a file is read is such input too, and so is a reply's Content-Length of
+thousands of digits.
 """
 
 from __future__ import annotations
@@ -14,7 +16,10 @@ import json
 import os
 import shutil
 import socket
-from contextlib import redirect_stderr, redirect_stdout
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager, redirect_stderr, redirect_stdout, suppress
 from pathlib import Path
 from unittest import mock
 
@@ -27,12 +32,13 @@ from rationale_miner.backends.protocol import ENV_AUTH_TOKEN, RemoteBackend
 from rationale_miner.backends.scripted import ScriptedBackend
 from rationale_miner.cli import main
 from rationale_miner.config import load_config
-from rationale_miner.corpus import load_corpus
+from rationale_miner.corpus import load_corpus, read_regular_file
 from rationale_miner.errors import ConfigError, MalformedExport, ModelMissing, ProtocolError
 from rationale_miner.evaluation import load_annotations
 from rationale_miner.miner import read_mined
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 DEEP = "[" * 200_000
 
 
@@ -203,3 +209,103 @@ def test_a_remote_backend_setting_never_raises_past_main(one_issue, url, proxy, 
         code = main(["mine", "-c", str(root / "config.json")])
     assert code in (0, 1, 2)
     assert "Traceback" not in stderr.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# a FIFO or a device where a file is read
+
+# Each reader that a FIFO in place of its file would block for good: the
+# command that reads it, the FIFO's path, the flag that names it (None: the
+# command finds it), and the exit code and the start of stderr.
+_FIFOS = {
+    "load_corpus": ("stats", "corpus/zz.json", None, 1,
+                    "skipping zz.json: [Errno 22] Not a regular file: "),
+    "read_mined": ("export", "out/A-1.rationales.json", None, 1,
+                   "failed to export A-1.rationales.json: [Errno 22] Not a regular file: "),
+    "read_model": ("extract", "fifo", "--head", 1, "error: head at "),
+    "script": ("extract", "fifo", "--script", 2, "config error: cannot read script "),
+    "load_lexicon": ("extract", "fifo", "--lexicon", 1,
+                     "error: cannot read sentiment lexicon at "),
+    # prompt_head mode reads no baseline, but the run stamp hashes its file
+    "run-stamp": ("extract", "fifo", "--baseline", 0, ""),
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("reader", list(_FIFOS))
+def test_a_fifo_where_a_file_is_read_is_refused_without_a_hang(tmp_path, reader):
+    """Each command runs in a child process with a time bound, so that a
+    reader that blocks on the FIFO fails the test instead of stalling it."""
+    command, name, flag, code, error = _FIFOS[reader]
+    (tmp_path / "corpus").mkdir()
+    (tmp_path / "out").mkdir()
+    if reader != "read_mined":
+        shutil.copy(FIXTURES / "flink-1320.json", tmp_path / "corpus")
+    os.mkfifo(tmp_path / name)
+    config = {"corpus_dir": str(tmp_path / "corpus"), "output_dir": str(tmp_path / "out"),
+              "backend": "scripted", "script_path": str(FIXTURES / "flink-1320-script.json"),
+              "head_path": str(FIXTURES / "golden-head.json")}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    args = [command, "-c", str(tmp_path / "config.json")]
+    args += [flag, str(tmp_path / name)] if flag else []
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "rationale_miner.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == code, done.stderr
+    assert done.stderr.startswith(error) and "Traceback" not in done.stderr, done.stderr
+
+
+def test_a_device_is_no_file_to_read():
+    if not os.path.exists(os.devnull) or os.path.isfile(os.devnull):
+        pytest.skip("no device file to open here")
+    with pytest.raises(OSError, match="Not a regular file"):
+        read_regular_file(os.devnull)
+
+
+# ---------------------------------------------------------------------------
+# a reply's Content-Length of thousands of digits
+
+@contextmanager
+def _answering_each_request(reply: bytes):
+    """The URL of a listener that answers each request, on any connection,
+    with ``reply``, then closes that connection."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def serve() -> None:
+            with suppress(OSError):  # the listener was shut down
+                while True:
+                    conn, _ = listener.accept()
+                    with conn, suppress(OSError):
+                        request = b""
+                        while b"\r\n\r\n" not in request and (chunk := conn.recv(65536)):
+                            request += chunk
+                        conn.sendall(reply)
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        try:
+            yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+        finally:
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+            server.join(timeout=5)
+    assert not server.is_alive()
+
+
+def test_a_content_length_of_thousands_of_digits_fails_the_issue(one_issue, capsys):
+    """Python's int() refuses a string of over 4,300 digits; such a length
+    is over the reply cap, and fails the issue as a too-long reply does."""
+    root = one_issue
+    reply = b"HTTP/1.1 200 OK\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n"
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    with _answering_each_request(reply) as url, mock.patch.dict(os.environ, env, clear=True):
+        config = {"corpus_dir": str(root / "corpus"), "output_dir": str(root / "out"),
+                  "backend": "remote", "backend_url": url, "workers": 1,
+                  "head_path": str(FIXTURES / "golden-head.json")}
+        (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["mine", "-c", str(root / "config.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("failed on FLINK-1320: POST ")
+    assert captured.err.endswith(": reply body over 1048576 bytes\n")
+    assert captured.err.count("\n") == 1 and captured.out == ""
