@@ -28,9 +28,8 @@ BACKENDS = ("remote", "scripted")
 
 SP_FINGERPRINT = feature_fingerprint(SP_FEATURE_NAMES)
 
-# The most ``workers``.  A pool starts a thread per queued call while none is
-# idle, and one issue can queue d(d-1)/2 pair prompts at once, so an
-# unbounded value could start thousands of threads.
+# The most ``workers``.  A pool starts ``workers`` threads on its first call,
+# so an unbounded value could start thousands of threads.
 MAX_WORKERS = 256
 
 # The values that each declared field type takes (a bool is no int here);

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import queue
 import threading
@@ -75,15 +76,15 @@ def usable_cpus() -> int:
 
 
 class CallPool:
-    """Backend calls made on a thread-pool executor, at most ``workers`` at
+    """Backend calls made on the pool's own threads, at most ``workers`` at
     once (one per usable CPU when None).
 
     Queued calls are served in (issue rank, submission) order, the rank being
     ``ISSUE_RANK`` on the submitting thread.  The oldest issue of a run thus
     takes every free slot, and a later issue only the slots it leaves idle.
-    Each submission hands the executor one turn, which runs the best queued
-    call, so no executor thread ever waits for another pool task.  ``close``
-    waits for every queued call; a closed pool takes no more calls.
+    The first call starts the pool's ``size`` threads, and each takes the best
+    queued call whenever it is free; a pool that gets no call starts none.
+    ``close`` waits for every queued call; a closed pool takes no more calls.
 
     ``call_all`` sends each distinct request once: equal requests of one
     batch share a call, and a request whose reply arrived earlier is answered
@@ -101,27 +102,40 @@ class CallPool:
         self.size = workers or usable_cpus()
         self._queue: queue.PriorityQueue = queue.PriorityQueue()
         self._order = itertools.count()
-        self._executor = ThreadPoolExecutor(max_workers=self.size)
+        self._threads: list[threading.Thread] = []
+        self._closed = False
         self._lock = threading.Lock()
         self._replies: OrderedDict = OrderedDict()
 
     def submit(self, fn, *args) -> Future:
         future: Future = Future()
-        self._queue.put((ISSUE_RANK.get(), next(self._order), future, fn, args))
-        self._executor.submit(self._turn)
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("cannot submit a call to a closed pool")
+            self._queue.put((ISSUE_RANK.get(), next(self._order), future, fn, args))
+            if not self._threads:
+                # Started after the put, so a thread serves this call before a
+                # later issue can queue; daemon, so a pool never closed cannot block exit.
+                self._threads = [threading.Thread(target=self._serve, daemon=True)
+                                 for _ in range(self.size)]
+                for thread in self._threads:
+                    thread.start()
         return future
 
-    def _turn(self) -> None:
-        """Run the best queued call; each turn's submission queued one."""
-        _, _, future, fn, args = self._queue.get_nowait()
-        if not future.set_running_or_notify_cancel():
-            return
-        try:
-            result = fn(*args)
-        except BaseException as exc:  # handed to the waiting caller
-            future.set_exception(exc)
-        else:
-            future.set_result(result)
+    def _serve(self) -> None:
+        """Run the best queued call, over and over, until a stop entry."""
+        while True:
+            _, _, future, fn, args = self._queue.get()
+            if future is None:
+                return
+            if not future.set_running_or_notify_cancel():
+                continue
+            try:
+                result = fn(*args)
+            except BaseException as exc:  # handed to the waiting caller
+                future.set_exception(exc)
+            else:
+                future.set_result(result)
 
     def call_all(self, requests: list[tuple]) -> list:
         """``fn(*args)`` for each request ``(fn, *args)``, in request order;
@@ -166,7 +180,13 @@ class CallPool:
     def close(self) -> None:
         """Stop the threads once every queued call has run, and forget the
         replies."""
-        self._executor.shutdown(wait=True)
+        with self._lock:
+            self._closed = True
+            # Ranked after every call, whatever the call's issue rank.
+            for _ in self._threads:
+                self._queue.put((math.inf, next(self._order), None, None, None))
+        for thread in self._threads:
+            thread.join()
         with self._lock:
             self._replies.clear()
 

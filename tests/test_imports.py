@@ -148,7 +148,7 @@ def _schedules(tree: ast.Module) -> list[str]:
                                   if path.is_relative_to(ROOT / "src") and path.name != "miner.py"],
                          ids=lambda path: path.relative_to(ROOT).as_posix())
 def test_only_the_miner_schedules_the_run(path):
-    """``miner.py`` owns the run's schedule: the call pool's executor, the
+    """``miner.py`` owns the run's schedule: the call pool's threads, the
     issue drivers and the issue ranks."""
     assert _schedules(ast.parse(path.read_text(encoding="utf-8"))) == []
 

@@ -9,12 +9,14 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import copy_context
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +32,9 @@ from rationale_miner.miner import (
 from conftest import ISSUES, REASON, SCRIPT, SHARING, sched_issue, write_gold, write_sharing
 from recording import Recording, recorded, run_command
 from stub_server import run_stub
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 def _issue_of(prompt: str) -> int:
     return int(re.search(r"q(\d+)z", prompt).group(1))
@@ -350,6 +355,69 @@ def test_a_closed_pool_has_no_live_thread_and_runs_no_call():
     with pytest.raises(RuntimeError):
         pool.submit(counted, "e")
     assert not counted.runs
+
+
+def test_close_runs_every_queued_call_at_any_rank():
+    """``close``, called while the one slot is held, still runs the calls
+    queued behind it at the lowest and at a very high issue rank, and then
+    leaves no pool thread alive."""
+    gate = threading.Event()
+    threads = set()
+
+    def call(name: str) -> str:
+        threads.add(threading.current_thread())
+        if name == "gate":
+            assert gate.wait(timeout=30)
+        return name
+
+    def submit_as(rank: int, name: str):
+        def submit():
+            ISSUE_RANK.set(rank)
+            return pool.submit(call, name)
+        return copy_context().run(submit)
+
+    pool = CallPool(1)
+    futures = [pool.submit(call, "gate"), submit_as(0, "low"), submit_as(10**9, "high")]
+    closer = threading.Thread(target=pool.close)
+    closer.start()
+    deadline = time.monotonic() + 30
+    while pool._queue.qsize() < 3:  # close has queued its stop entry
+        assert time.monotonic() < deadline
+        time.sleep(0.001)
+    gate.set()
+    closer.join(timeout=30)
+    assert not closer.is_alive()
+    assert [future.result(timeout=0) for future in futures] == ["gate", "low", "high"]
+    assert threads and not any(thread.is_alive() for thread in threads)
+
+
+def test_a_pool_starts_its_threads_with_its_first_call_and_no_more_than_its_size():
+    before = set(threading.enumerate())
+    idle = CallPool(8)
+    assert set(threading.enumerate()) == before
+    started = time.monotonic()
+    idle.close()
+    assert time.monotonic() - started < 1
+    threads = set()
+
+    def call(n: int) -> int:
+        threads.add(threading.current_thread())
+        time.sleep(0.0005)
+        return n
+
+    with contextlib.closing(CallPool(3)) as pool:
+        assert pool.call_all([(call, n) for n in range(100)]) == list(range(100))
+        assert len(set(threading.enumerate()) - before) <= pool.size
+    assert 1 <= len(threads) <= 3
+
+
+def test_a_pool_never_closed_does_not_hold_the_interpreter_at_exit():
+    code = ("from rationale_miner.miner import CallPool\n"
+            "assert CallPool(2).call_all([(abs, -1), (abs, -2)]) == [1, 2]\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=30)
+    assert done.returncode == 0
 
 
 def test_pool_answers_from_memory_without_a_slot():
